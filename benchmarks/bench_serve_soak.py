@@ -1,13 +1,14 @@
 """Serve-soak benchmarks: the async session service under sustained load.
 
-Two acceptance claims of the serving-at-scale PR are pinned here:
+Two claims of the serving-at-scale layer are checked here:
 
 * serving **256 concurrent spinal sessions** through the batched decode
-  engine costs **>= 4x less wall-clock** than the one-session-at-a-time
-  sequential driver (the same engine with ``batching=False``: identical
-  event schedule, identical kernels, decode batches of one) — with a
-  **byte-identical delivery log** between the two drivers, and per-session
-  outcomes equal to plain ``CodecSession.run`` of each packet alone;
+  engine yields a **byte-identical delivery log** to the one-session-at-a-
+  time sequential driver (the same engine with ``batching=False``:
+  identical event schedule, identical kernels, decode batches of one), and
+  per-session outcomes equal to plain ``CodecSession.run`` of each packet
+  alone.  The wall-clock ratio between the two drivers is reported, not
+  pinned: the throughput record is the perfbench ``serve-soak`` workload;
 * at smoke scale the engine sustains a deterministic symbol-time throughput
   floor and p99 delivery-latency ceiling, every session delivers, and the
   backpressure bound is never exceeded.  These metrics live on the event
@@ -15,10 +16,9 @@ Two acceptance claims of the serving-at-scale PR are pinned here:
   to ``serve_soak_summary.json`` at the repository root for the CI
   ``serve-soak-smoke`` job to archive.
 
-Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the soak and skips the
-wall-clock ratio pin — CI machines are too noisy for timing ratios; the
-correctness claims (byte-identical logs, baseline outcome equality) are
-asserted at every scale.
+Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the soak; the correctness
+claims (byte-identical logs, baseline outcome equality) are asserted at
+every scale.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ _SEED = 20111114
 #: Guard on the cost of leaving instrumentation in the hot paths: with the
 #: sink disabled, the seams may cost at most this fraction of a smoke soak.
 _MAX_DISABLED_OVERHEAD = 0.02
-#: Full-mode acceptance: batched vs sequential-driver wall-clock at 256 sessions.
-_MIN_SOAK_SPEEDUP = 4.0
 #: Smoke-mode deterministic floor on sustained throughput (symbols per tick).
 _MIN_SYMBOLS_PER_TICK = 4.0
 #: Smoke-mode deterministic ceiling on p99 delivery latency (ticks).
@@ -49,9 +47,9 @@ _MIN_SYMBOLS_PER_SECOND = 200.0
 _SUMMARY_PATH = pathlib.Path(__file__).resolve().parent.parent / "serve_soak_summary.json"
 _TELEMETRY_DIR = pathlib.Path(__file__).resolve().parent.parent / "serve_soak_telemetry"
 
-#: The soak workload the >= 4x pin is taken at: long sessions (low SNR,
-#: 24-bit payloads) keep the decode stage the dominant cost, and a wide
-#: admission window keeps the decode batches large.
+#: The full soak workload: long sessions (low SNR, 24-bit payloads) keep the
+#: decode stage the dominant cost, and a wide admission window keeps the
+#: decode batches large.
 _FULL_CONFIG = SoakConfig(
     n_sessions=256,
     max_in_flight=128,
@@ -85,7 +83,7 @@ def _outcomes_from_baseline(results) -> list[tuple[int, int, int, bool, bool]]:
 
 
 def test_serve_soak_batched_vs_sequential_driver(benchmark, reporter):
-    """>= 4x wall-clock vs the one-at-a-time driver, byte-identical log."""
+    """Byte-identical log vs the one-at-a-time driver; wall-clock ratio reported."""
     smoke = bench_smoke()
     config = _SMOKE_CONFIG if smoke else _FULL_CONFIG
     batched_engine = SoakEngine(config)
@@ -119,16 +117,8 @@ def test_serve_soak_batched_vs_sequential_driver(benchmark, reporter):
         f"mean decode batch {batched.mean_batch_sessions:.1f})\n"
         f"sequential driver {sequential_s * 1e3:8.1f} ms  "
         f"({sequential.total_symbols / sequential_s:,.0f} symbols/s)\n"
-        f"speedup {ratio:.2f}x"
-        + ("" if smoke else f" (pin >= {_MIN_SOAK_SPEEDUP:.0f}x)"),
+        f"speedup {ratio:.2f}x",
     )
-    if not smoke:
-        assert ratio >= _MIN_SOAK_SPEEDUP, (
-            f"batched soak is only {ratio:.2f}x faster than the sequential "
-            f"driver (pin {_MIN_SOAK_SPEEDUP:.0f}x): "
-            f"{batched_s:.3f}s vs {sequential_s:.3f}s at "
-            f"{config.n_sessions} sessions"
-        )
 
 
 def test_serve_soak_sustained_metrics(benchmark, reporter):

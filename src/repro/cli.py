@@ -62,6 +62,7 @@ worker count.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.experiments import registry
 from repro.experiments.figure2 import figure2_table
@@ -803,19 +804,24 @@ def _command_serve_soak(args: argparse.Namespace) -> str:
     n_sessions, max_in_flight = args.sessions, args.in_flight
     if args.smoke:
         n_sessions, max_in_flight = 32, 16
-    config = SoakConfig(
-        n_sessions=n_sessions,
-        max_in_flight=max_in_flight,
-        arrival_spacing=args.arrival_spacing,
-        snr_db=args.snr,
-        seed=args.seed,
-        payload_bits=args.payload_bits,
-        k=args.k,
-        c=args.c,
-        beam_width=args.beam_width,
-        max_symbols=args.max_symbols,
-        batching=not args.no_batching,
-    )
+    try:
+        config = SoakConfig(
+            n_sessions=n_sessions,
+            max_in_flight=max_in_flight,
+            arrival_spacing=args.arrival_spacing,
+            snr_db=args.snr,
+            seed=args.seed,
+            payload_bits=args.payload_bits,
+            k=args.k,
+            c=args.c,
+            beam_width=args.beam_width,
+            max_symbols=args.max_symbols,
+            batching=not args.no_batching,
+        )
+    except ValueError as exc:
+        # One line and exit status 2, like argparse's own usage errors.
+        print(f"repro serve-soak: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
         engine = SoakEngine(config)
         start = time.perf_counter()

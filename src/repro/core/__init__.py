@@ -11,6 +11,8 @@ and Shah (HotNets 2011):
   Gaussian alternatives).
 * :mod:`repro.core.encoder` — the rateless encoder producing symbols (AWGN
   mode) or coded bits (BSC mode), pass by pass.
+* :mod:`repro.core.branch_kernel` — the one branch-cost kernel every decoder
+  scores candidates with (replayed symbol hash, axis-table gather, distance).
 * :mod:`repro.core.puncturing` — subpass schedules that raise the maximum
   rate above ``k`` bits/symbol.
 * :mod:`repro.core.decoder_ml` / :mod:`repro.core.decoder_bubble` — the ideal

@@ -28,7 +28,6 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "Constellation",
@@ -46,6 +45,7 @@ class Constellation(ABC):
         if not 1 <= c <= 16:
             raise ValueError(f"bits per dimension c must be in [1, 16], got {c}")
         self.c = c
+        self._axis_table: np.ndarray | None = None
 
     # -- interface ---------------------------------------------------------
     @property
@@ -57,20 +57,25 @@ class Constellation(ABC):
     def map_axis(self, values: np.ndarray) -> np.ndarray:
         """Map ``c``-bit unsigned integers to one real coordinate."""
 
-    def map_values(self, values: np.ndarray | int) -> np.ndarray:
+    def map_values(self, values: np.ndarray | int, check: bool = True) -> np.ndarray:
         """Map ``2c``-bit unsigned integers to complex constellation points.
 
         The first ``c`` bits (most significant) form the I coordinate and
-        the last ``c`` bits the Q coordinate, as in the paper.
+        the last ``c`` bits the Q coordinate, as in the paper; each is a
+        gather from the cached :meth:`axis_levels` table.  ``check=False``
+        skips the range check, for callers whose values fit in ``2c`` bits
+        by construction (the encoder's top-``2c``-bit hash words).
         """
         v = np.asarray(values, dtype=np.uint64)
-        if v.size and int(v.max()) >= (1 << self.bits_per_symbol):
+        if check and v.size and int(v.max()) >= (1 << self.bits_per_symbol):
             raise ValueError(
                 f"value {int(v.max())} does not fit in {self.bits_per_symbol} bits"
             )
-        i_vals = (v >> np.uint64(self.c)).astype(np.int64)
-        q_vals = (v & np.uint64((1 << self.c) - 1)).astype(np.int64)
-        return self.map_axis(i_vals) + 1j * self.map_axis(q_vals)
+        levels = self.axis_levels()
+        # Both halves are below 2^c, so viewing them as int64 is exact.
+        i_vals = (v >> np.uint64(self.c)).view(np.int64)
+        q_vals = (v & np.uint64((1 << self.c) - 1)).view(np.int64)
+        return levels.take(i_vals) + 1j * levels.take(q_vals)
 
     def enumerate_points(self) -> np.ndarray:
         """All ``2^(2c)`` constellation points (only sensible for small c)."""
@@ -82,8 +87,18 @@ class Constellation(ABC):
         return self.map_values(np.arange(1 << self.bits_per_symbol, dtype=np.uint64))
 
     def axis_levels(self) -> np.ndarray:
-        """The ``2^c`` real levels available on each axis."""
-        return self.map_axis(np.arange(1 << self.c, dtype=np.int64))
+        """The ``2^c`` real levels available on each axis (``map_axis(u)`` at ``u``).
+
+        Computed on first use and cached read-only: the encoder and every
+        decoder map through this one table.
+        """
+        if self._axis_table is None:
+            table = np.ascontiguousarray(
+                self.map_axis(np.arange(1 << self.c, dtype=np.int64)), dtype=np.float64
+            )
+            table.flags.writeable = False
+            self._axis_table = table
+        return self._axis_table
 
     @property
     def average_energy(self) -> float:
@@ -170,6 +185,9 @@ class TruncatedGaussianConstellation(Constellation):
             raise ValueError(f"average_power must be positive, got {average_power}")
         if beta <= 0:
             raise ValueError(f"truncation beta must be positive, got {beta}")
+        # Imported here so that ``import repro`` loads no scipy module.
+        from scipy import special
+
         self.beta = beta
         n_levels = 1 << c
         u = (np.arange(n_levels, dtype=np.float64) + 0.5) / n_levels

@@ -40,12 +40,15 @@ whole trial batch) per call, stacking every session's beam into single hash
 overhead is amortised across the batch.  Per-session results are bit-exact
 with :class:`BubbleDecoder` run one session at a time.
 
+Every engine scores candidates through the one table-driven kernel,
+:func:`~repro.core.branch_kernel.branch_cost_kernel`: the single-session
+engine via :meth:`SpinalEncoder.branch_cost_columns`, the batch front with
+one hash key per stacked session.
+
 An optional numba ``@njit`` tier (enable with ``use_njit=True`` or
-``REPRO_NJIT=1``) fuses the hash-to-distance pipeline of the hot column
-kernel; it is used only when numba imports, falls back to the pure-numpy
-path silently otherwise, and is bit-exact where active (integer hashing is
-exact arithmetic; the float pipeline performs the identical operation
-sequence without contraction).
+``REPRO_NJIT=1``) compiles the beam-expansion hash; it is used only when
+numba imports, falls back to the pure-numpy path silently otherwise, and is
+bit-exact where active (integer hashing is exact arithmetic).
 """
 
 from __future__ import annotations
@@ -54,10 +57,11 @@ import os
 
 import numpy as np
 
+from repro.core.branch_kernel import branch_cost_kernel
 from repro.core.decoder_bubble import BubbleDecoder, DecodeResult
 from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
-from repro.core.hashing import hash_spine_keyed, symbol_word_keyed
+from repro.core.hashing import hash_spine_keyed
 from repro.obs.telemetry import current as current_telemetry
 
 __all__ = [
@@ -108,8 +112,6 @@ def _build_njit_kernels() -> dict | None:
     MIX1 = _h._MIX1
     MIX2 = _h._MIX2
     SPINE_DOMAIN = _h._SPINE_DOMAIN
-    SYMBOL_DOMAIN = _h._SYMBOL_DOMAIN
-    PASS_STRIDE = _h._PASS_STRIDE
     u64 = np.uint64
 
     @numba.njit(inline="always")
@@ -132,32 +134,7 @@ def _build_njit_kernels() -> dict | None:
                 out[i * width + m] = _mix(z ^ tail)
         return out
 
-    @numba.njit
-    def columns_symbol(
-        flat_states, pass_indices, recv_re, recv_im, key2, levels, c_bits, shift, out, col0
-    ):
-        """Fused symbol-mode column kernel: hash -> constellation -> distance.
-
-        Writes squared Euclidean distances into ``out[:, col0 + j]`` for each
-        observation ``j`` — the same operation sequence as
-        ``SpinalEncoder.branch_cost_columns`` (salted PRF, axis-level lookup,
-        componentwise difference, square-and-add), element for element.
-        """
-        n = flat_states.size
-        n_obs = pass_indices.size
-        mask = u64((1 << c_bits) - 1)
-        for i in range(n):
-            s = flat_states[i]
-            pre = s ^ key2
-            tail = (s * MIX2) ^ SYMBOL_DOMAIN
-            for j in range(n_obs):
-                z = _mix(pre ^ (u64(pass_indices[j]) * PASS_STRIDE))
-                w = _mix(z ^ tail) >> shift
-                dre = levels[w >> u64(c_bits)] - recv_re[j]
-                dim = levels[w & mask] - recv_im[j]
-                out[i, col0 + j] = dre * dre + dim * dim
-
-    _NJIT_KERNELS = {"expand": expand, "columns_symbol": columns_symbol}
+    _NJIT_KERNELS = {"expand": expand}
     return _NJIT_KERNELS
 
 
@@ -355,7 +332,6 @@ class VectorizedBubbleDecoder:
         self._all_segments = np.arange(1 << k, dtype=np.uint64)
         self._width = 1 << k
         self._key1 = encoder.hash_family._key1
-        self._key2 = encoder.hash_family._key2
         #: The numba tier is active only when requested *and* importable —
         #: a request with numba absent falls back to pure numpy silently.
         self.njit_active = False
@@ -365,12 +341,6 @@ class VectorizedBubbleDecoder:
             if kernels is not None:
                 self._njit = kernels
                 self.njit_active = True
-        if encoder.params.bit_mode:
-            self._axis_levels = None
-        else:
-            self._axis_levels = np.ascontiguousarray(
-                encoder.constellation.axis_levels(), dtype=np.float64
-            )
         self.candidates_explored_total = 0
         self.decode_calls = 0
         self._tel = current_telemetry()
@@ -414,29 +384,8 @@ class VectorizedBubbleDecoder:
         r0, r1 = int(rows[0]), int(rows[-1]) + 1
         contiguous = r1 - r0 == rows.size
         states = cache.states[r0:r1] if contiguous else cache.states[rows]
-        n_new = pass_indices.size
-        n_obs = col0 + n_new
-        if (
-            self.njit_active
-            and not self.encoder.params.bit_mode
-            and np.iscomplexobj(values)
-        ):
-            params = self.encoder.params
-            block = np.empty((rows.size, n_new), dtype=np.float64)
-            self._njit["columns_symbol"](
-                np.ascontiguousarray(states, dtype=np.uint64),
-                np.ascontiguousarray(pass_indices, dtype=np.int64),
-                np.ascontiguousarray(values.real, dtype=np.float64),
-                np.ascontiguousarray(values.imag, dtype=np.float64),
-                self._key2,
-                self._axis_levels,
-                params.c,
-                np.uint64(64 - 2 * params.c),
-                block,
-                0,
-            )
-        else:
-            block = self._numpy_columns(states, pass_indices, values)
+        n_obs = col0 + pass_indices.size
+        block = self.encoder.branch_cost_columns(states, pass_indices, values)
         # When the fill starts at column 0 the freshly computed block *is*
         # the whole summed prefix, so sum it directly instead of re-reading
         # the rows back out of the big matrix (same per-row pairwise
@@ -453,36 +402,6 @@ class VectorizedBubbleDecoder:
                 cache.sums[rows] = block.sum(axis=1)
             else:
                 cache.sums[rows] = cache.costs[rows, :n_obs].sum(axis=1)
-
-    def _numpy_columns(
-        self, states: np.ndarray, pass_indices: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        """``SpinalEncoder.branch_cost_columns``, minus the per-call overhead.
-
-        Performs the identical arithmetic (keyed symbol PRF, constellation
-        map, squared distance / Hamming mismatch) but with the family key
-        cached at construction and the constellation map replaced by an
-        exact table lookup into the precomputed axis levels — the same
-        float64 per index, so the entries are bit-identical.
-        """
-        params = self.encoder.params
-        if params.bit_mode:
-            bits = symbol_word_keyed(
-                states[:, None], pass_indices[None, :], self._key2
-            ) >> np.uint64(63)
-            return np.ascontiguousarray(
-                bits != values[None, :].astype(np.uint64), dtype=np.float64
-            )
-        word = symbol_word_keyed(
-            states[:, None], pass_indices[None, :], self._key2
-        ) >> np.uint64(64 - 2 * params.c)
-        levels = self._axis_levels
-        i_re = levels[(word >> np.uint64(params.c)).astype(np.int64)]
-        i_im = levels[(word & np.uint64((1 << params.c) - 1)).astype(np.int64)]
-        received = values[None, :].astype(np.complex128)
-        d_re = i_re - received.real
-        d_im = i_im - received.imag
-        return d_re**2 + d_im**2
 
     @staticmethod
     def _column_overlap(
@@ -823,8 +742,8 @@ class BatchDecoder:
         self._key2s = np.array(
             [e.hash_family._key2 for e in self.encoders], dtype=np.uint64
         )
-        self._bit_mode = first.bit_mode
-        self._constellation = None if first.bit_mode else encoders[0].constellation
+        #: The shared code shape's axis-level table (``None`` in bit mode).
+        self._levels = None if first.bit_mode else encoders[0].constellation.axis_levels()
         #: Cap on elements per stacked kernel call (see module constant).  A
         #: per-instance knob so callers — and the serve engine's determinism
         #: tests — can prove chunking never changes decode outputs.
@@ -916,22 +835,15 @@ class BatchDecoder:
         passes = _stack_rows([obs_list[s][0] for s in members])
         received = _stack_rows([obs_list[s][1] for s in members])
         keys = key2s[np.asarray(members)][:, None, None]
-        words = symbol_word_keyed(cands[:, :, None], passes[:, None, :], keys)
-        if self._bit_mode:
-            bits = words >> np.uint64(63)
-            entries = np.ascontiguousarray(
-                bits != received[:, None, :].astype(np.uint64), dtype=np.float64
-            )
-        else:
-            bits_per_symbol = self._constellation.bits_per_symbol
-            words >>= np.uint64(64 - bits_per_symbol)
-            points = self._constellation.map_values(words.reshape(-1)).reshape(
-                words.shape
-            )
-            diff = points - received[:, None, :].astype(np.complex128)
-            entries = diff.real**2 + diff.imag**2
+        entries = branch_cost_kernel(
+            cands[:, :, None], passes[:, None, :], received[:, None, :], keys, self._levels
+        )
+        # numpy reduces each contiguous last-axis row pairwise on its own, so
+        # row j of the chunk's one reduction is entries[j].sum(axis=1) bit
+        # for bit.
+        sums = entries.sum(axis=2)
         for j, session in enumerate(members):
-            branches[session] = entries[j].sum(axis=1)
+            branches[session] = sums[j]
 
     # ------------------------------------------------------------------
     def decode_all(

@@ -17,10 +17,11 @@ receiver says "stop".
 
 The decoders need the encoder's notion of "what would have been sent from
 this spine value in that pass"; that logic lives in
-:meth:`SpinalEncoder.branch_costs`, which literally replays the encoder over
-candidate spine values — the paper's footnote 1 ("replaying the encoder
-allows inference of the hash input bits ...; an inverse of the hash function
-is not required").
+:meth:`SpinalEncoder.branch_costs` (over
+:func:`repro.core.branch_kernel.branch_cost_kernel`), which literally
+replays the encoder over candidate spine values — the paper's footnote 1
+("replaying the encoder allows inference of the hash input bits ...; an
+inverse of the hash function is not required").
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core.branch_kernel import branch_cost_kernel
 from repro.core.params import SpinalParams
 from repro.core.puncturing import NoPuncturing, PuncturingSchedule
 from repro.core.spine import SpineGenerator
@@ -190,6 +192,7 @@ class SpinalEncoder:
         self.hash_family = params.make_hash_family()
         self.spine_generator = SpineGenerator(self.hash_family)
         self.constellation = None if params.bit_mode else params.make_constellation()
+        self._key2 = self.hash_family._key2
 
     # -- stage 1: the spine ---------------------------------------------------
     def spine(self, message_bits: np.ndarray) -> np.ndarray:
@@ -212,7 +215,7 @@ class SpinalEncoder:
         word = self.hash_family.symbol_value(
             spine_values, pass_index, self.constellation.bits_per_symbol
         )
-        return self.constellation.map_values(word)
+        return self.constellation.map_values(word, check=False)
 
     def encode_passes(self, message_bits: np.ndarray, n_passes: int) -> np.ndarray:
         """Encode ``n_passes`` full (un-punctured) passes.
@@ -278,18 +281,14 @@ class SpinalEncoder:
         """
         spines = np.asarray(candidate_spines, dtype=np.uint64).reshape(-1)
         pass_indices = np.asarray(pass_indices, dtype=np.int64)
-        if self.params.bit_mode:
-            bits = self.hash_family.symbol_value(
-                spines[:, None], pass_indices[None, :], 1
-            )
-            mismatches = bits != received[None, :].astype(np.uint64)
-            return np.ascontiguousarray(mismatches, dtype=np.float64)
-        words = self.hash_family.symbol_value(
-            spines[:, None], pass_indices[None, :], self.constellation.bits_per_symbol
+        levels = None if self.params.bit_mode else self.constellation.axis_levels()
+        return branch_cost_kernel(
+            spines[:, None],
+            pass_indices[None, :],
+            np.asarray(received)[None, :],
+            self._key2,
+            levels,
         )
-        candidates = self.constellation.map_values(words)
-        diff = candidates - received[None, :].astype(np.complex128)
-        return diff.real**2 + diff.imag**2
 
     def branch_costs(
         self,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.ldpc.encoder import LDPCCode
 
@@ -62,6 +61,9 @@ class BeliefPropagationDecoder:
             raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
         if algorithm not in ("sum-product", "min-sum"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
+        # Imported here so that ``import repro`` loads no scipy module.
+        from scipy import sparse
+
         self.code = code
         self.max_iterations = max_iterations
         self.algorithm = algorithm

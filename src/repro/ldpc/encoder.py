@@ -13,10 +13,14 @@ recompute them per codeword.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.ldpc.matrices import QCMatrix, gf2_inverse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["LDPCCode"]
 
@@ -25,6 +29,9 @@ class LDPCCode:
     """A binary LDPC code with systematic encoding support."""
 
     def __init__(self, parity_check: sparse.spmatrix, name: str = "ldpc") -> None:
+        # Imported here so that ``import repro`` loads no scipy module.
+        from scipy import sparse
+
         h = sparse.csr_matrix(parity_check, dtype=np.uint8)
         if h.ndim != 2:
             raise ValueError("parity-check matrix must be 2-D")

@@ -12,9 +12,12 @@ systematic encoding from ``H`` without needing a generator-matrix table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "QCMatrix",
@@ -79,6 +82,9 @@ class QCMatrix:
 
 def expand_base_matrix(base: np.ndarray, lifting: int) -> sparse.csr_matrix:
     """Expand a shift base matrix into its binary parity-check matrix."""
+    # Imported here so that ``import repro`` loads no scipy module.
+    from scipy import sparse
+
     base = np.asarray(base, dtype=np.int64)
     n_block_rows, n_block_cols = base.shape
     rows: list[np.ndarray] = []

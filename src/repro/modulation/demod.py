@@ -10,7 +10,6 @@ with a max and is the usual hardware-friendly approximation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = ["awgn_bit_llrs", "hard_decisions_from_llrs"]
 
@@ -45,6 +44,9 @@ def awgn_bit_llrs(
     """
     if noise_energy <= 0:
         raise ValueError(f"noise_energy must be positive, got {noise_energy}")
+    # Imported here so that ``import repro`` loads no scipy module.
+    from scipy.special import logsumexp
+
     received = np.asarray(received, dtype=np.complex128).reshape(-1)
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
     bit_labels = np.asarray(bit_labels, dtype=np.uint8)

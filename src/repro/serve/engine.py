@@ -121,6 +121,12 @@ class SoakConfig:
             )
         if self.max_symbols < 1:
             raise ValueError(f"max_symbols must be at least 1, got {self.max_symbols}")
+        if self.beam_width < 1:
+            raise ValueError(f"beam_width must be at least 1, got {self.beam_width}")
+        # The code shape is checked by the objects the engine builds from it,
+        # so a bad k, c or payload size fails here rather than mid-build.
+        SpinalParams(k=self.k, c=self.c)
+        Framer(payload_bits=self.payload_bits, k=self.k)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import special
-
 from repro.theory.capacity import awgn_capacity
 from repro.utils.units import db_to_linear
 
@@ -43,6 +41,9 @@ def _q_inverse(probability: float) -> float:
     """Inverse of the Gaussian tail function Q(x)."""
     if not 0.0 < probability < 1.0:
         raise ValueError(f"probability must be in (0, 1), got {probability}")
+    # Imported here so that ``import repro`` loads no scipy module.
+    from scipy import special
+
     return math.sqrt(2.0) * special.erfcinv(2.0 * probability)
 
 

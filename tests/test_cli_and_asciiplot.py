@@ -325,6 +325,25 @@ class TestServeSoakCommand:
         for key in ("delivered", "total_symbols", "makespan", "p99_latency"):
             assert batched[key] == sequential[key]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "0"],
+            ["-B", "0"],
+            ["--payload-bits", "0"],
+            ["--c", "1"],
+            ["--sessions", "0"],
+            ["--in-flight", "0"],
+        ],
+    )
+    def test_bad_input_is_one_line_and_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-soak", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("repro serve-soak: error: ")
+
 
 class TestMeshCommand:
     def test_two_way_json_meets_the_saving_claim(self):

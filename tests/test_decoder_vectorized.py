@@ -322,8 +322,12 @@ class TestSessionEquivalence:
 
 
 class TestBatchDecoder:
-    def _sessions(self, n_sessions, bit_mode=False, seed0=500):
-        """n independent sessions sharing the code shape, different seeds."""
+    def _sessions(self, n_sessions, bit_mode=False, seed0=500, min_passes=2):
+        """n independent sessions sharing the code shape, different seeds.
+
+        Session ``i`` receives ``min_passes + i % 3`` full passes, so the
+        stores are ragged and hold that many observations per position.
+        """
         encoders = [
             SpinalEncoder(
                 SpinalParams(k=3, c=4, seed=seed0 + i, bit_mode=bit_mode)
@@ -340,7 +344,8 @@ class TestBatchDecoder:
             message = random_message_bits(12, rng)
             observations = ReceivedObservations(4)
             # Ragged: session i receives a different number of subpasses.
-            for block, out in _stream_blocks(encoder, message, channel, rng, 2 + i % 3):
+            n_subpasses = min_passes + i % 3
+            for block, out in _stream_blocks(encoder, message, channel, rng, n_subpasses):
                 observations.add_block(block, out)
             stores.append(observations)
         return encoders, stores
@@ -350,6 +355,20 @@ class TestBatchDecoder:
         encoders, stores = self._sessions(n_sessions)
         batch = BatchDecoder(encoders, beam_width=4)
         results = batch.decode_all(12, stores)
+        for encoder, observations, result in zip(encoders, stores, results):
+            reference = BubbleDecoder(encoder, beam_width=4).decode(12, observations)
+            _assert_identical(result, reference)
+            assert result.candidates_explored == reference.candidates_explored
+
+    @pytest.mark.parametrize("bit_mode", [False, True])
+    @pytest.mark.parametrize("min_passes", [9, 17])
+    def test_long_stores_match_per_session_reference(self, min_passes, bit_mode):
+        """Rows of >= 9 and >= 17 observations cross numpy's 8-wide pairwise
+        summation block, where the chunk's one ``sum(axis=2)`` must still
+        equal each session's own row sums bit for bit."""
+        encoders, stores = self._sessions(6, bit_mode=bit_mode, min_passes=min_passes)
+        assert min(store.count_at(0) for store in stores) >= min_passes
+        results = BatchDecoder(encoders, beam_width=4).decode_all(12, stores)
         for encoder, observations, result in zip(encoders, stores, results):
             reference = BubbleDecoder(encoder, beam_width=4).decode(12, observations)
             _assert_identical(result, reference)

@@ -1,6 +1,6 @@
 """Export hygiene: ``__all__`` is real, and README examples import cleanly.
 
-Two guarantees:
+Three guarantees:
 
 * every name in the ``__all__`` of the public packages (``repro``,
   ``repro.phy``, ``repro.core``, ``repro.link``, ``repro.mac``) actually
@@ -8,18 +8,36 @@ Two guarantees:
 * every ``import``/``from ... import`` statement appearing in a README code
   fence executes — so the documented examples cannot rot silently — and
   every symbol a README example pulls from ``repro`` is importable from the
-  package root.
+  package root;
+* ``import repro`` loads no scipy module (cold start).
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def test_import_repro_loads_no_scipy():
+    """scipy is imported inside the few functions that use it, so a fresh
+    interpreter's ``import repro`` pays only for numpy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys, repro; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 PUBLIC_PACKAGES = (
     "repro",

@@ -187,6 +187,11 @@ class TestConfigAndSummary:
             {"max_in_flight": 0},
             {"arrival_spacing": -1},
             {"max_symbols": 0},
+            {"payload_bits": 0},
+            {"k": 0},
+            {"k": 17},
+            {"c": 1},
+            {"beam_width": 0},
         ],
     )
     def test_invalid_config_rejected(self, kw):
