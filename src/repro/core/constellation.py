@@ -57,17 +57,15 @@ class Constellation(ABC):
     def map_axis(self, values: np.ndarray) -> np.ndarray:
         """Map ``c``-bit unsigned integers to one real coordinate."""
 
-    def map_values(self, values: np.ndarray | int, check: bool = True) -> np.ndarray:
+    def map_values(self, values: np.ndarray | int) -> np.ndarray:
         """Map ``2c``-bit unsigned integers to complex constellation points.
 
         The first ``c`` bits (most significant) form the I coordinate and
         the last ``c`` bits the Q coordinate, as in the paper; each is a
-        gather from the cached :meth:`axis_levels` table.  ``check=False``
-        skips the range check, for callers whose values fit in ``2c`` bits
-        by construction (the encoder's top-``2c``-bit hash words).
+        gather from the cached :meth:`axis_levels` table.
         """
         v = np.asarray(values, dtype=np.uint64)
-        if check and v.size and int(v.max()) >= (1 << self.bits_per_symbol):
+        if v.size and int(v.max()) >= (1 << self.bits_per_symbol):
             raise ValueError(
                 f"value {int(v.max())} does not fit in {self.bits_per_symbol} bits"
             )
@@ -197,13 +195,17 @@ class TruncatedGaussianConstellation(Constellation):
         probs = phi_lo + u * (phi_hi - phi_lo)
         raw_levels = math.sqrt(2.0) * special.erfinv(2.0 * probs - 1.0)
         axis_energy = float(np.mean(raw_levels**2))
-        self._levels = raw_levels * math.sqrt(average_power / (2.0 * axis_energy))
+        levels = raw_levels * math.sqrt(average_power / (2.0 * axis_energy))
+        # The computed levels *are* the base class's cached axis table.
+        levels.flags.writeable = False
+        self._axis_table = levels
 
     def map_axis(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.int64)
-        if values.size and (values.min() < 0 or values.max() >= self._levels.size):
+        levels = self.axis_levels()
+        if values.size and (values.min() < 0 or values.max() >= levels.size):
             raise ValueError("axis value out of range for this constellation")
-        return self._levels[values]
+        return levels[values]
 
 
 _CONSTELLATION_KINDS = {

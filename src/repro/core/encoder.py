@@ -215,7 +215,7 @@ class SpinalEncoder:
         word = self.hash_family.symbol_value(
             spine_values, pass_index, self.constellation.bits_per_symbol
         )
-        return self.constellation.map_values(word, check=False)
+        return self.constellation.map_values(word)
 
     def encode_passes(self, message_bits: np.ndarray, n_passes: int) -> np.ndarray:
         """Encode ``n_passes`` full (un-punctured) passes.

@@ -51,24 +51,13 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SPINE_DOMAIN = np.uint64(0xA24BAED4963EE407)
 _SYMBOL_DOMAIN = np.uint64(0x9FB21C651E98DF25)
 _PASS_STRIDE = np.uint64(0xD6E8FEB86659FD93)
-_SHIFT_30 = np.uint64(30)
-_SHIFT_27 = np.uint64(27)
-_SHIFT_31 = np.uint64(31)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """One splitmix64 finalisation round (vectorised, wrap-around arithmetic).
-
-    Runs in place, so ``z`` must be a temporary the caller owns.  A numpy
-    scalar cannot be mutated: for one the augmented assignments rebind, and
-    the mixed value is still what comes back.
-    """
-    z ^= z >> _SHIFT_30
-    z *= _MIX1
-    z ^= z >> _SHIFT_27
-    z *= _MIX2
-    z ^= z >> _SHIFT_31
-    return z
+    """One splitmix64 finalisation round (vectorised, wrap-around arithmetic)."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def splitmix64(value: np.ndarray | int) -> np.ndarray | int:
@@ -101,13 +90,11 @@ def hash_spine_keyed(
     m = np.asarray(segments, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix(s ^ key1)
-        # xor is associative, so the segment and domain terms fold on the
-        # segments' own shape before one full-size xor.
-        z = _mix(z ^ ((m * _GOLDEN) ^ _SPINE_DOMAIN))
+        z = _mix(z ^ (m * _GOLDEN) ^ _SPINE_DOMAIN)
         # A second absorption of the state guards against the (remote)
         # possibility of two (s, m) pairs colliding after one round.
-        z ^= s * _MIX1
-        return _mix(z)
+        z = _mix(z ^ (s * _MIX1))
+    return z
 
 
 def symbol_word_keyed(
@@ -123,8 +110,8 @@ def symbol_word_keyed(
     p = np.asarray(pass_index, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix(s ^ key2 ^ (p * _PASS_STRIDE))
-        z ^= (s * _MIX2) ^ _SYMBOL_DOMAIN
-        return _mix(z)
+        z = _mix(z ^ (s * _MIX2) ^ _SYMBOL_DOMAIN)
+    return z
 
 
 @dataclass(frozen=True)
