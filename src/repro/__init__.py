@@ -64,7 +64,6 @@ from repro.core import (
     RatelessSession,
     SpinalEncoder,
     SpinalParams,
-    StackDecoder,
     StridedPuncturing,
     TrialResult,
     TruncatedGaussianConstellation,
@@ -105,7 +104,6 @@ __all__ = [
     "VectorizedBubbleDecoder",
     "BatchDecoder",
     "MLDecoder",
-    "StackDecoder",
     "RatelessSession",
     "TrialResult",
     "Framer",

@@ -23,7 +23,7 @@ and Shah (HotNets 2011):
   (bit-identical results, a fraction of the work).
 * :mod:`repro.core.decoder_vectorized` — the whole-beam array-op engine and
   the :class:`BatchDecoder` front for decoding many concurrent sessions as
-  stacked kernels (bit-identical results again, with an optional numba tier).
+  stacked kernels (bit-identical results again).
 * :mod:`repro.core.rateless` — the sender/receiver rateless session used by
   every experiment.
 * :mod:`repro.core.crc` / :mod:`repro.core.framing` — termination checking.
@@ -38,7 +38,6 @@ from repro.core.crc import Crc, CRC8, CRC16_CCITT, CRC32
 from repro.core.decoder_bubble import BubbleDecoder, DecodeResult
 from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.decoder_ml import MLDecoder
-from repro.core.decoder_stack import StackDecoder
 from repro.core.decoder_vectorized import (
     BatchDecoder,
     DECODER_ENGINES,
@@ -76,7 +75,6 @@ __all__ = [
     "DECODER_ENGINES",
     "make_decoder_factory",
     "MLDecoder",
-    "StackDecoder",
     "DecodeResult",
     "PacketTransmission",
     "RatelessSession",

@@ -4,26 +4,27 @@ This module is the third generation of the practical decoder:
 
 * :class:`~repro.core.decoder_bubble.BubbleDecoder` — the from-scratch
   reference (one vectorised expansion per level, restarts every attempt);
-* :class:`~repro.core.decoder_incremental.IncrementalBubbleDecoder` — PR 1's
-  stateful engine (resumes from cached beams, caches cost-matrix entries);
+* :class:`~repro.core.decoder_incremental.IncrementalBubbleDecoder` — the
+  first stateful engine (resumes from cached beams, caches cost-matrix
+  entries);
 * :class:`VectorizedBubbleDecoder` (here) — same caching contract, but the
   per-attempt bookkeeping is restructured so an attempt touches only arrays
   that actually changed:
 
-  - **grow-in-place cost buffers**: each level owns one C-contiguous
-    ``(n_children, capacity)`` matrix; a new observation appends a column
-    instead of reallocating and copying the whole matrix (the incremental
-    engine pays a full copy per level per attempt);
-  - **cached row sums**: a level whose expansion and observation set are
-    unchanged reuses its summed branch costs, collapsing the level to one
-    broadcast add plus one ``argpartition`` — O(beam) instead of
-    O(beam x observations);
-  - **O(1) change detection**: :meth:`ReceivedObservations.version_at`
-    replaces per-attempt column comparisons for the common append-only case;
-  - **lazy sort orders**: the sorted-state index used to re-match rows after
-    beam drift is built only when a drift actually happens;
-  - **vectorized backtracking**: the winning path is recovered with
-    whole-beam gathers per level rather than a scalar parent walk.
+  - **parent-keyed blocks**: each level keeps the children of recently
+    seen parent states as blocks of one ``(blocks, 2^k, columns)`` cost
+    array, found with one dictionary probe per beam parent — a drifted beam
+    re-sorts nothing;
+  - **sized to what it holds**: a level holds the current beam's blocks
+    plus at most twice the beam width of earlier ones, a new parent takes
+    the least recently used slot, and cost columns grow only when the
+    observations outgrow them;
+  - **cached row sums**: a block whose observation set is unchanged reuses
+    its summed branch costs, collapsing the level to one broadcast add plus
+    one ``argpartition`` — O(beam) instead of O(beam x observations);
+  - **O(1) change detection**: :meth:`ReceivedObservations.version_at` and
+    the store's append-only contract replace per-attempt column comparisons
+    for the common growing-store case.
 
 The results contract is unchanged and exact: for any sequence of observation
 sets, ``decode`` returns the same ``message_bits`` and ``path_cost`` (to the
@@ -44,16 +45,9 @@ Every engine scores candidates through the one table-driven kernel,
 :func:`~repro.core.branch_kernel.branch_cost_kernel`: the single-session
 engine via :meth:`SpinalEncoder.branch_cost_columns`, the batch front with
 one hash key per stacked session.
-
-An optional numba ``@njit`` tier (enable with ``use_njit=True`` or
-``REPRO_NJIT=1``) compiles the beam-expansion hash; it is used only when
-numba imports, falls back to the pure-numpy path silently otherwise, and is
-bit-exact where active (integer hashing is exact arithmetic).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -69,127 +63,60 @@ __all__ = [
     "BatchDecoder",
     "DECODER_ENGINES",
     "make_decoder_factory",
-    "njit_available",
 ]
-
-NJIT_ENV = "REPRO_NJIT"
-
-
-def njit_available() -> bool:
-    """Whether the optional numba tier can be used in this interpreter."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _njit_requested(use_njit: bool | None) -> bool:
-    if use_njit is not None:
-        return bool(use_njit)
-    return os.environ.get(NJIT_ENV, "").lower() in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# Optional numba kernels.  Built lazily (and at most once per process); the
-# pure-numpy path below is the default and the only path exercised when numba
-# is not installed.
-_NJIT_KERNELS: dict | None = None
-
-
-def _build_njit_kernels() -> dict | None:
-    global _NJIT_KERNELS
-    if _NJIT_KERNELS is not None:
-        return _NJIT_KERNELS or None
-    if not njit_available():
-        _NJIT_KERNELS = {}
-        return None
-    import numba
-
-    from repro.core import hashing as _h
-
-    GOLDEN = _h._GOLDEN
-    MIX1 = _h._MIX1
-    MIX2 = _h._MIX2
-    SPINE_DOMAIN = _h._SPINE_DOMAIN
-    u64 = np.uint64
-
-    @numba.njit(inline="always")
-    def _mix(z):
-        z = (z ^ (z >> u64(30))) * MIX1
-        z = (z ^ (z >> u64(27))) * MIX2
-        return z ^ (z >> u64(31))
-
-    @numba.njit
-    def expand(states, width, key1):
-        """hash_spine of every state against every k-bit segment, flat."""
-        n = states.size
-        out = np.empty(n * width, dtype=np.uint64)
-        for i in range(n):
-            s = states[i]
-            a = _mix(s ^ key1)
-            tail = s * MIX1
-            for m in range(width):
-                z = _mix(a ^ (u64(m) * GOLDEN) ^ SPINE_DOMAIN)
-                out[i * width + m] = _mix(z ^ tail)
-        return out
-
-    _NJIT_KERNELS = {"expand": expand}
-    return _NJIT_KERNELS
 
 
 # ---------------------------------------------------------------------------
 class _LevelCache:
     """Persistent parent-keyed cost cache for one tree level.
 
-    Instead of caching only the last attempt's expansion, the level keeps
-    every parent block it has recently evaluated: block ``b`` holds the
-    ``2^k`` children of ``parent_keys[b]`` as rows
-    ``[b * width, (b + 1) * width)`` of the grow-in-place arrays.  An
-    attempt then reduces to a parent *lookup* — hits reuse their block's
-    child states, cost entries, and cached row sums in place, with no
-    per-attempt copying no matter how the beam drifted; only genuinely new
-    parents and genuinely new observation columns are ever computed.
+    Slot ``b`` holds the ``2^k`` children of parent state ``keys[b]``: their
+    states ``states[b]``, their branch costs against the level's first
+    ``col_filled[b]`` observations ``costs[b, :, :col_filled[b]]``, and the
+    row sums of those costs ``sums[b]``.  An attempt reduces to a parent
+    lookup — hits reuse their block's child states, cost entries and row
+    sums in place, whatever order the beam drifted into; only genuinely new
+    parents and genuinely new observation columns are ever computed.  A
+    row's sum depends only on that row, so a reused block's sums are the
+    floats a fresh decode would compute.
 
-    ``costs`` grows in both directions (rows when blocks append, columns
-    when observations arrive).  Column growth copies every retained row, so
-    :meth:`compact_grow` doubles as the eviction point: blocks whose
-    ``last_used`` stamp is cold get dropped there, keeping both the copy and
-    the resident matrix bounded no matter how long the transmission runs.
-    ``sums`` caches the pairwise row sums of ``costs[:, :n_obs]``; a row's
-    sum depends only on that row, so block reuse transfers sums for free.
-    The last attempt's pruning outputs (``kept_idx`` .. ``segments``) are
-    kept for resume and backtracking.
+    The arrays are sized to what they hold: slots for the current beam plus
+    ``keep`` earlier blocks, and only as many cost columns as the
+    observations need (see :meth:`reserve`).  A new parent's block takes the
+    least recently used slot, so a churning beam moves no data; the slots
+    are rebuilt (:meth:`compact_grow`) only when the beam outgrows them or
+    is far smaller than them, and more columns copy only the cost array.
+    Cache contents never influence decode outputs — only how much work the
+    next attempt reuses — so eviction is a pure performance policy.  The
+    last attempt's pruning outputs (``kept_idx`` .. ``segments``) are kept
+    for resume and backtracking.
     """
 
     __slots__ = (
-        "width", "n_blocks", "parent_keys", "col_filled", "last_used",
-        "states", "costs",
-        "sums", "n_obs", "obs_pass_indices", "obs_values", "obs_version",
-        "_sorted_keys", "_sort_order",
+        "width", "keep", "index", "keys", "col_filled", "last_used",
+        "states", "costs", "sums",
+        "n_obs", "obs_pass_indices", "obs_values", "obs_version",
         "kept_idx", "beam_states", "beam_costs", "parents", "segments",
     )
 
-    #: Compaction keeps at most this many blocks (the hottest ones).
-    KEEP_BLOCKS = 128
-    #: Blocks idle for more than this many attempts are dropped on compaction.
-    KEEP_ATTEMPTS = 8
-
-    def __init__(self, width: int) -> None:
+    def __init__(self, width: int, keep: int) -> None:
         self.width = width
-        self.n_blocks = 0
-        self.parent_keys = np.empty(0, dtype=np.uint64)
+        #: Blocks held beyond the current beam's, for parents that drift
+        #: out of the beam and back in.
+        self.keep = keep
+        #: Parent state -> slot of every resident block.
+        self.index: dict[int, int] = {}
+        self.keys = np.empty(0, dtype=np.uint64)
         self.col_filled = np.empty(0, dtype=np.int64)
+        #: Attempt that last used each slot; ``-1`` marks an empty slot.
         self.last_used = np.empty(0, dtype=np.int64)
-        self.states = np.empty(0, dtype=np.uint64)
-        self.costs = np.empty((0, 0), dtype=np.float64)
-        self.sums = np.empty(0, dtype=np.float64)
+        self.states = np.empty((0, width), dtype=np.uint64)
+        self.costs = np.empty((0, width, 0), dtype=np.float64)
+        self.sums = np.empty((0, width), dtype=np.float64)
         self.n_obs = 0
         self.obs_pass_indices = np.empty(0, dtype=np.int64)
         self.obs_values = np.empty(0, dtype=np.float64)
         self.obs_version = -1
-        self._sorted_keys: np.ndarray | None = None
-        self._sort_order: np.ndarray | None = None
         self.kept_idx: np.ndarray | None = None
         self.beam_states: np.ndarray | None = None
         self.beam_costs: np.ndarray | None = None
@@ -197,8 +124,9 @@ class _LevelCache:
         self.segments: np.ndarray | None = None
 
     @property
-    def n_rows(self) -> int:
-        return self.n_blocks * self.width
+    def n_blocks(self) -> int:
+        """Resident blocks."""
+        return len(self.index)
 
     def set_obs(
         self, pass_indices: np.ndarray, values: np.ndarray, version: int
@@ -208,107 +136,107 @@ class _LevelCache:
         self.n_obs = pass_indices.size
         self.obs_version = version
 
-    def lookup(self, parents: np.ndarray) -> np.ndarray:
-        """Block index per parent state, ``-1`` where the parent is unknown."""
-        if self.n_blocks == 0:
-            # A cache with no blocks has nothing to probe; returning early
-            # also guards the np.minimum clamp below, which would wrap to
-            # index -1 on an empty sorted array.
-            return np.full(parents.size, -1, dtype=np.int64)
-        if self._sorted_keys is None:
-            self._sort_order = np.argsort(self.parent_keys, kind="stable")
-            self._sorted_keys = self.parent_keys[self._sort_order]
-        idx = np.searchsorted(self._sorted_keys, parents)
-        idx = np.minimum(idx, self._sorted_keys.size - 1)
-        hit = self._sorted_keys[idx] == parents
-        return np.where(hit, self._sort_order[idx], np.int64(-1))
+    def lookup(self, parents: np.ndarray) -> list[int]:
+        """Slot per parent state, ``-1`` where the parent is unknown."""
+        get = self.index.get
+        return [get(p, -1) for p in parents.tolist()]
 
-    def needs_compaction(self, n_cols: int) -> bool:
-        """True when column capacity must grow or the block set got cold-heavy."""
-        return (
-            n_cols > self.costs.shape[1] or self.n_blocks > 3 * self.KEEP_BLOCKS
-        )
+    def reserve(self, blocks: np.ndarray, n_new: int, n_cols: int) -> np.ndarray:
+        """Make the arrays fit this beam and ``n_cols`` observation columns.
 
-    def compact_grow(self, n_cols: int, now: int) -> None:
-        """Grow column capacity, evicting cold blocks in the same copy.
-
-        Reallocation copies every retained row, so it doubles as the
-        eviction point: blocks that were not hit within the last
-        ``KEEP_ATTEMPTS`` attempts are dropped (their parents simply
-        recompute on the next miss), and at most ``KEEP_BLOCKS`` survive.
-        That bounds the copy and the resident matrix no matter how long the
-        transmission runs.  Cache contents never influence decode outputs —
-        only how much work the next attempt reuses — so eviction choices are
-        a pure performance policy.
+        ``blocks`` is the beam's slots (:meth:`lookup`, as an array), with
+        ``n_new`` misses; it comes back renumbered if the slots were rebuilt.
+        Slots about double as blocks arrive, up to room for the beam plus
+        ``keep`` earlier blocks; past that, new blocks evict the least
+        recently used.  Slots numbering over four times that bound (after
+        the unpruned expansion of an observation-free level) shrink back.
+        Columns only ever grow: exactly to the first observations a level
+        sees, then by at least four or a quarter, copying only the cost
+        array.
         """
-        n = self.n_blocks
-        keep = np.nonzero(self.last_used[:n] >= now - self.KEEP_ATTEMPTS)[0]
-        if keep.size > self.KEEP_BLOCKS:
-            hottest = np.argsort(self.last_used[keep], kind="stable")
-            keep = keep[np.sort(hottest[-self.KEEP_BLOCKS :])]
-        width = self.width
-        new_cap = max(n_cols, 2 * self.costs.shape[1], 16)
-        n_copy = min(self.n_obs, self.costs.shape[1])
-        rows = (
-            keep[:, None] * width + np.arange(width, dtype=np.int64)
-        ).reshape(-1)
-        # Allocate with row headroom so the appends that follow a compaction
-        # don't immediately trigger a full-copy regrowth.
-        row_cap = max(2 * rows.size, 8 * width)
-        states = np.empty(row_cap, dtype=np.uint64)
-        states[: rows.size] = self.states[rows]
-        self.states = states
-        costs = np.empty((row_cap, new_cap), dtype=np.float64)
-        costs[: rows.size, :n_copy] = self.costs[rows, :n_copy]
-        self.costs = costs
-        sums = np.empty(row_cap, dtype=np.float64)
-        sums[: rows.size] = self.sums[rows]
-        self.sums = sums
-        self.parent_keys = np.ascontiguousarray(self.parent_keys[keep])
-        self.col_filled = np.ascontiguousarray(self.col_filled[keep])
-        self.last_used = np.ascontiguousarray(self.last_used[keep])
-        self.n_blocks = keep.size
-        self._sorted_keys = None
-        self._sort_order = None
+        rows, cols = self.costs.shape[0], self.costs.shape[2]
+        if n_cols > cols:
+            cols = n_cols if not cols else max(n_cols, cols + max(4, cols // 4))
+        bound = self.keep + blocks.size
+        full = self.n_blocks + n_new > rows
+        if rows <= 4 * bound and not (full and rows < bound):
+            if cols > self.costs.shape[2]:
+                costs = np.empty((rows, self.width, cols), dtype=np.float64)
+                costs[:, :, : self.costs.shape[2]] = self.costs
+                self.costs = costs
+            return blocks
+        n_rows = min(bound, 2 * (self.n_blocks + n_new) + blocks.size)
+        kept = self.last_used >= 0
+        hits = blocks[blocks >= 0]
+        kept[hits] = False
+        cold = np.flatnonzero(kept)
+        spare = n_rows - n_new - hits.size
+        if cold.size > spare:
+            recent = np.argsort(self.last_used[cold], kind="stable")
+            kept[:] = False
+            kept[cold[recent[cold.size - spare :]]] = True
+        kept[hits] = True
+        if rows:
+            renumber = np.cumsum(kept) - 1
+            blocks = np.where(blocks >= 0, renumber[blocks], blocks)
+        self.compact_grow(np.flatnonzero(kept), n_rows, cols)
+        return blocks
 
-    def append_blocks(self, keys: np.ndarray, children: np.ndarray) -> int:
-        """Append one block per key; return the first new block index."""
-        b0 = self.n_blocks
-        r0 = b0 * self.width
-        r1 = r0 + children.size
-        if r1 > self.states.size:
-            new_cap = max(r1, 2 * self.states.size, 4 * self.width)
-            states = np.empty(new_cap, dtype=np.uint64)
-            states[:r0] = self.states[:r0]
-            self.states = states
-            costs = np.empty((new_cap, self.costs.shape[1]), dtype=np.float64)
-            costs[:r0, : self.n_obs] = self.costs[:r0, : self.n_obs]
-            self.costs = costs
-            sums = np.empty(new_cap, dtype=np.float64)
-            sums[:r0] = self.sums[:r0]
-            self.sums = sums
-        self.states[r0:r1] = children
-        self.parent_keys = np.concatenate([self.parent_keys, keys])
-        self.col_filled = np.concatenate(
-            [self.col_filled, np.zeros(keys.size, dtype=np.int64)]
-        )
-        self.last_used = np.concatenate(
-            [self.last_used, np.zeros(keys.size, dtype=np.int64)]
-        )
-        self.n_blocks = b0 + keys.size
-        self._sorted_keys = None
-        self._sort_order = None
-        return b0
+    def compact_grow(self, survivors: np.ndarray, n_rows: int, n_cols: int) -> None:
+        """Rebuild the arrays as ``n_rows`` slots of ``n_cols`` columns.
+
+        Blocks ``survivors`` (ascending) move to the front in order and every
+        other block is dropped; only filled cost columns are copied.
+        """
+        m = survivors.size
+        filled = int(self.col_filled[survivors].max()) if m else 0
+        states = np.empty((n_rows, self.width), dtype=np.uint64)
+        states[:m] = self.states[survivors]
+        costs = np.empty((n_rows, self.width, n_cols), dtype=np.float64)
+        costs[:m, :, :filled] = self.costs[survivors, :, :filled]
+        sums = np.empty((n_rows, self.width), dtype=np.float64)
+        sums[:m] = self.sums[survivors]
+        keys = np.empty(n_rows, dtype=np.uint64)
+        keys[:m] = self.keys[survivors]
+        col_filled = np.zeros(n_rows, dtype=np.int64)
+        col_filled[:m] = self.col_filled[survivors]
+        last_used = np.full(n_rows, -1, dtype=np.int64)
+        last_used[:m] = self.last_used[survivors]
+        self.states, self.costs, self.sums = states, costs, sums
+        self.keys, self.col_filled, self.last_used = keys, col_filled, last_used
+        self.index = dict(zip(keys[:m].tolist(), range(m)))
+
+    def store(self, parents: np.ndarray, children: np.ndarray, now: int) -> np.ndarray:
+        """Give each new parent the least recently used slot; return the slots.
+
+        The beam's hits must already carry ``now`` in :attr:`last_used`, so
+        they are never chosen; :meth:`reserve` guarantees enough other slots.
+        """
+        n = parents.size
+        last_used = self.last_used
+        if n < last_used.size:
+            slots = last_used.argpartition(n - 1)[:n]
+        else:
+            slots = np.arange(n)
+        index = self.index
+        for key in self.keys[slots[last_used[slots] >= 0]].tolist():
+            index.pop(key, None)
+        self.states[slots] = children
+        self.keys[slots] = parents
+        self.col_filled[slots] = 0
+        last_used[slots] = now
+        index.update(zip(parents.tolist(), slots.tolist()))
+        return slots
 
 
 class VectorizedBubbleDecoder:
     """Whole-beam array-op decoder; stateful drop-in for :class:`BubbleDecoder`.
 
     Constructor signature and the :meth:`decode` contract match
-    :class:`BubbleDecoder` exactly (plus ``use_njit`` for the optional numba
-    tier); like :class:`IncrementalBubbleDecoder`, consecutive calls share
-    per-level caches, so one instance serves one transmission — call
-    :meth:`reset` (or decode a different message length) to start over.
+    :class:`BubbleDecoder` exactly; like :class:`IncrementalBubbleDecoder`,
+    consecutive calls share per-level caches, so one instance serves one
+    transmission — call :meth:`reset` (or decode a different message length)
+    to start over.
     """
 
     def __init__(
@@ -316,7 +244,6 @@ class VectorizedBubbleDecoder:
         encoder: SpinalEncoder,
         beam_width: int = 16,
         max_unpruned_width: int | None = None,
-        use_njit: bool | None = None,
     ) -> None:
         if beam_width < 1:
             raise ValueError(f"beam_width must be at least 1, got {beam_width}")
@@ -332,15 +259,9 @@ class VectorizedBubbleDecoder:
         self._all_segments = np.arange(1 << k, dtype=np.uint64)
         self._width = 1 << k
         self._key1 = encoder.hash_family._key1
-        #: The numba tier is active only when requested *and* importable —
-        #: a request with numba absent falls back to pure numpy silently.
-        self.njit_active = False
-        self._njit = None
-        if _njit_requested(use_njit):
-            kernels = _build_njit_kernels()
-            if kernels is not None:
-                self._njit = kernels
-                self.njit_active = True
+        #: Earlier blocks a level keeps beside the current beam's, for
+        #: parents that drift out of the beam and back in.
+        self._keep_blocks = 2 * beam_width
         self.candidates_explored_total = 0
         self.decode_calls = 0
         self._tel = current_telemetry()
@@ -355,53 +276,31 @@ class VectorizedBubbleDecoder:
         self._last_store: ReceivedObservations | None = None
 
     # ------------------------------------------------------------------
-    def _expand(self, states: np.ndarray) -> np.ndarray:
-        if self.njit_active:
-            return self._njit["expand"](
-                np.ascontiguousarray(states, dtype=np.uint64), self._width, self._key1
-            )
-        children = hash_spine_keyed(
-            states[:, None], self._all_segments[None, :], self._key1
-        )
-        return children.reshape(-1)
-
-    def _fill_rows(
+    def _refill(
         self,
         cache: _LevelCache,
-        rows: np.ndarray,
+        blocks: np.ndarray,
         pass_indices: np.ndarray,
         values: np.ndarray,
         col0: int,
-    ) -> None:
-        """Write branch-cost columns ``[col0, col0 + len(pass_indices))`` of
-        the given (possibly scattered) cost-matrix rows, then refresh their
-        cached row sums over all ``[0, col0 + len(pass_indices))`` columns."""
-        # Consecutive rows (the common case: freshly appended blocks) go
-        # through plain slice views — no fancy-index gather/scatter copies.
-        # A strided row-prefix view sums bit-identically to a compacted
-        # copy: each row's prefix is contiguous, and numpy's pairwise
-        # reduction over axis=1 works row by row.
-        r0, r1 = int(rows[0]), int(rows[-1]) + 1
-        contiguous = r1 - r0 == rows.size
-        states = cache.states[r0:r1] if contiguous else cache.states[rows]
-        n_obs = col0 + pass_indices.size
-        block = self.encoder.branch_cost_columns(states, pass_indices, values)
-        # When the fill starts at column 0 the freshly computed block *is*
-        # the whole summed prefix, so sum it directly instead of re-reading
-        # the rows back out of the big matrix (same per-row pairwise
-        # reduction, so the floats are identical).
-        if contiguous:
-            cache.costs[r0:r1, col0:n_obs] = block
-            if col0 == 0:
-                cache.sums[r0:r1] = block.sum(axis=1)
-            else:
-                cache.sums[r0:r1] = cache.costs[r0:r1, :n_obs].sum(axis=1)
-        else:
-            cache.costs[rows, col0:n_obs] = block
-            if col0 == 0:
-                cache.sums[rows] = block.sum(axis=1)
-            else:
-                cache.sums[rows] = cache.costs[rows, :n_obs].sum(axis=1)
+    ) -> int:
+        """Fill columns ``[col0, n_obs)`` of the given blocks, re-sum their
+        rows over all ``n_obs`` columns, and return the entries computed.
+
+        The fancy-indexed ``costs[blocks, :, :n_obs]`` is a fresh C-contiguous
+        copy, so each row reduces exactly as the same row of a from-scratch
+        cost matrix does.
+        """
+        n_obs = pass_indices.size
+        fresh = self.encoder.branch_cost_columns(
+            cache.states[blocks], pass_indices[col0:], values[col0:]
+        )
+        cache.costs[blocks, :, col0:n_obs] = fresh.reshape(
+            blocks.size, self._width, n_obs - col0
+        )
+        cache.sums[blocks] = cache.costs[blocks, :, :n_obs].sum(axis=2)
+        cache.col_filled[blocks] = n_obs
+        return fresh.size
 
     @staticmethod
     def _column_overlap(
@@ -466,7 +365,6 @@ class VectorizedBubbleDecoder:
         attempt (see :class:`IncrementalBubbleDecoder` for the unit).
         """
         params = self.encoder.params
-        k = params.k
         n_segments = params.n_segments(n_message_bits)
         if observations.n_segments != n_segments:
             raise ValueError(
@@ -477,6 +375,7 @@ class VectorizedBubbleDecoder:
             self.reset()
         self._n_segments = n_segments
         self.decode_calls += 1
+        now = self.decode_calls
         tel = self._tel
         t0 = tel.now_s() if tel.enabled else 0.0
 
@@ -505,6 +404,10 @@ class VectorizedBubbleDecoder:
             states = self._levels[resume - 1].beam_states
             costs = self._levels[resume - 1].beam_costs
 
+        # Every level's columns were last set from ``_last_store``, and a
+        # store only ever appends, so with the same store each cached column
+        # set is a prefix of the current one and needs no comparison.
+        same_store = observations is self._last_store
         width = self._width
         explored = 0
         cache_hits = 0
@@ -514,60 +417,73 @@ class VectorizedBubbleDecoder:
             cache = self._levels[position] if position < len(self._levels) else None
             pass_indices, values = observations.for_position(position)
             n_obs = pass_indices.size
-            version = observations.version_at(position)
-            entries = 0
-            hashed = 0
-
-            if cache is not None and cache.n_obs:
-                common = min(
-                    self._column_overlap(cache, pass_indices, values), n_obs
-                )
-                if common < cache.n_obs:
-                    # The shared observation prefix shrank or diverged (a
-                    # bisection replay): every cached cost column beyond it
-                    # is stale in every block, so restart the level rather
-                    # than patch blocks column-wise.
-                    cache = None
+            if (
+                cache is not None
+                and cache.n_obs
+                and not same_store
+                and self._column_overlap(cache, pass_indices, values) < cache.n_obs
+            ):
+                # The shared observation prefix shrank or diverged (a
+                # bisection replay): every cached cost column beyond it is
+                # stale in every block, so restart the level rather than
+                # patch blocks column-wise.
+                cache = None
             if cache is None:
-                cache = _LevelCache(width)
-            if cache.needs_compaction(n_obs):
-                blocks_before = cache.n_blocks
-                cache.compact_grow(n_obs, self.decode_calls)
-                evicted += blocks_before - cache.n_blocks
+                cache = _LevelCache(width, self._keep_blocks)
 
-            blocks = cache.lookup(states)
-            miss = blocks < 0
+            found = cache.lookup(states)
+            n_miss = found.count(-1)
+            blocks = np.array(found, dtype=np.int64)
             if tel.enabled:
-                n_miss = int(np.count_nonzero(miss))
                 cache_misses += n_miss
                 cache_hits += states.size - n_miss
-            if miss.any():
-                miss_parents = states[miss]
-                children = self._expand(miss_parents)
-                hashed += children.size
-                b0 = cache.append_blocks(miss_parents, children)
-                blocks[miss] = np.arange(b0, cache.n_blocks, dtype=np.int64)
-            cache.last_used[blocks] = self.decode_calls
-            cache.set_obs(pass_indices, values, version)
-
-            if n_obs:
-                # Lazily fill cost columns for exactly the blocks this beam
-                # touches: newly appended blocks need all columns, retained
-                # blocks only the observations that arrived since they were
-                # last active — dormant blocks stay stale until re-hit.
-                active = np.unique(blocks)
-                stale = active[cache.col_filled[active] < n_obs]
-                if stale.size:
-                    offsets = np.arange(width, dtype=np.int64)
-                    for f in np.unique(cache.col_filled[stale]):
-                        f = int(f)
-                        sel = stale[cache.col_filled[stale] == f]
-                        rows = (sel[:, None] * width + offsets).reshape(-1)
-                        self._fill_rows(
-                            cache, rows, pass_indices[f:], values[f:], f
+                # Less the resident blocks after storing, below.
+                evicted += cache.n_blocks + n_miss
+            blocks = cache.reserve(blocks, n_miss, n_obs)
+            entries = 0
+            if n_miss:
+                miss = blocks < 0
+                cache.last_used[blocks[~miss]] = now
+                parents = states[miss]
+                children = hash_spine_keyed(
+                    parents[:, None], self._all_segments[None, :], self._key1
+                )
+                slots = cache.store(parents, children, now)
+                blocks[miss] = slots
+                if n_obs:
+                    # New blocks fill all columns in one kernel call, and the
+                    # fresh matrix is summed directly.
+                    fresh = self.encoder.branch_cost_columns(
+                        children, pass_indices, values
+                    )
+                    cache.costs[slots, :, :n_obs] = fresh.reshape(n_miss, width, n_obs)
+                    cache.sums[slots] = fresh.sum(axis=1).reshape(n_miss, width)
+                    cache.col_filled[slots] = n_obs
+                    entries += fresh.size
+            else:
+                cache.last_used[blocks] = now
+            if tel.enabled:
+                evicted -= cache.n_blocks
+            if n_obs and n_miss < states.size:
+                # Retained blocks are filled only up to the observations they
+                # last saw; bring this beam's up to date, one kernel call per
+                # distinct fill level (usually one).  Beam states are distinct
+                # spine hashes, so no block is listed twice.
+                filled = cache.col_filled[blocks]
+                levels = set(filled.tolist())
+                if len(levels) == 1:
+                    col0 = levels.pop()
+                    if col0 < n_obs:
+                        entries += self._refill(
+                            cache, blocks, pass_indices, values, col0
                         )
-                        entries += rows.size * (n_obs - f)
-                    cache.col_filled[stale] = n_obs
+                else:
+                    levels.discard(n_obs)
+                    for col0 in sorted(levels):
+                        entries += self._refill(
+                            cache, blocks[filled == col0], pass_indices, values, col0
+                        )
+            cache.set_obs(pass_indices, values, observations.version_at(position))
 
             # Work accounting: identical semantics to the incremental engine
             # — fresh matrix entries pro-rata per full node evaluation,
@@ -575,37 +491,29 @@ class VectorizedBubbleDecoder:
             if n_obs:
                 explored += -(-entries // n_obs)
             else:
-                explored += hashed
+                explored += n_miss * width
 
             # Cumulative costs and pruning — the same expressions as
-            # BubbleDecoder so ties and ulps agree.  Row sums depend only on
-            # their own row (numpy's pairwise summation is per contiguous
-            # row), so gathering cached per-block sums reproduces the exact
-            # floats a fresh full-matrix sum would produce.
-            n_rows = cache.n_rows
+            # BubbleDecoder so ties and ulps agree.
             if n_obs:
-                branch_blocks = cache.sums[:n_rows].reshape(-1, width)[blocks]
+                child_costs = costs[:, None] + cache.sums[blocks]
             else:
-                branch_blocks = np.zeros(
+                child_costs = costs[:, None] + np.zeros(
                     (states.size, width), dtype=np.float64
                 )
-            child_costs = costs[:, None] + branch_blocks
             flat_costs = child_costs.reshape(-1)
             if n_obs > 0:
                 keep = min(self.beam_width, flat_costs.size)
             else:
                 keep = min(self.max_unpruned_width, flat_costs.size)
             if keep < flat_costs.size:
-                kept_idx = np.argpartition(flat_costs, keep - 1)[:keep]
+                kept_idx = flat_costs.argpartition(keep - 1)[:keep]
             else:
                 kept_idx = np.arange(flat_costs.size)
 
-            kept_parents = kept_idx // width
-            kept_segments = (kept_idx % width).astype(np.uint64)
+            kept_parents, kept_segments = np.divmod(kept_idx, width)
             cache.kept_idx = kept_idx
-            cache.beam_states = cache.states[:n_rows].reshape(-1, width)[
-                blocks[kept_parents], kept_segments
-            ]
+            cache.beam_states = cache.states[blocks[kept_parents], kept_segments]
             cache.beam_costs = flat_costs[kept_idx]
             cache.parents = kept_parents
             cache.segments = kept_segments
@@ -616,17 +524,15 @@ class VectorizedBubbleDecoder:
             states = cache.beam_states
             costs = cache.beam_costs
 
-        # Vectorized backtracking: recover every survivor's segment path with
-        # one gather per level, then select the best leaf's column.
+        # Backtrack from the best leaf: one scalar step per level.
         last = self._levels[n_segments - 1]
-        nodes = np.arange(last.beam_costs.size)
-        paths = np.empty((n_segments, nodes.size), dtype=np.uint64)
+        best = int(last.beam_costs.argmin())
+        segments = np.empty(n_segments, dtype=np.uint64)
+        node = best
         for position in range(n_segments - 1, -1, -1):
             level = self._levels[position]
-            paths[position] = level.segments[nodes]
-            nodes = level.parents[nodes]
-        best = int(np.argmin(last.beam_costs))
-        segments = paths[:, best]
+            segments[position] = level.segments[node]
+            node = level.parents[node]
 
         message_bits = self.encoder.spine_generator.segments_to_bits(segments)
         self.candidates_explored_total += explored
@@ -1035,9 +941,9 @@ class BatchDecoder:
 
 
 # ---------------------------------------------------------------------------
-#: Decoding-engine registry behind the ``decoder=`` seam: every scenario
-#: (Monte-Carlo runner, CLI, link transport, relay, cell, code families)
-#: selects its engine by one of these names.
+#: Decoding-engine registry behind the ``decoder=`` seam of the Monte-Carlo
+#: runner and the CLI; the code families and the serve engine name their
+#: engine in code.
 DECODER_ENGINES = {
     "bubble": BubbleDecoder,
     "incremental": IncrementalBubbleDecoder,

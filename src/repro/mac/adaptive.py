@@ -26,7 +26,6 @@ per-symbol feedback versus a pre-committed rate decision — differs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,7 +35,6 @@ from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
 from repro.baselines.rate_adaptation import RateAdaptationPolicy, RateOption
 from repro.channels.base import Channel
 from repro.core.decoder_bubble import BubbleDecoder
-from repro.core.decoder_vectorized import make_decoder_factory
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.params import SpinalParams
 from repro.phy.fixed_rate import FixedRateSpinalCode
@@ -431,11 +429,8 @@ class AdaptiveSpinalLink:
         self.max_symbols = int(max_symbols)
         #: Legacy compatibility attributes: transmissions now go through the
         #: per-option codes below, not this shared encoder/decoder pair.
-        #: Built via the engine registry so the mac layer follows the same
-        #: REPRO_SPINAL_DECODER selection as the phy code families.
         self.encoder = SpinalEncoder(self.params)
-        engine = os.environ.get("REPRO_SPINAL_DECODER", "bubble")
-        self.decoder = make_decoder_factory(engine, self.beam_width)(self.encoder)
+        self.decoder = BubbleDecoder(self.encoder, beam_width=self.beam_width)
         #: One fixed-rate code per menu entry (built lazily so policies may
         #: carry options the traffic never selects).
         self._codes: dict = {}

@@ -15,7 +15,7 @@ scenario:
 * :mod:`repro.phy.session` — the code-agnostic session loop with the PR-1
   decode gate, per-packet budgets and pause/resume;
 * :mod:`repro.phy.spinal` — the paper's code (bit-identical adapter over
-  the existing encoder and incremental bubble decoder);
+  the existing encoder and any bubble decoder engine);
 * :mod:`repro.phy.fountain` — LT fountain codes with a per-symbol CRC
   erasure layer and an incremental peeling decoder;
 * :mod:`repro.phy.ldpc_ir` — incremental-redundancy LDPC: the hybrid-ARQ

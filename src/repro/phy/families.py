@@ -23,14 +23,14 @@ matrix's x-axis is comparable between families.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.channels.awgn import AWGNChannel
 from repro.channels.base import Channel
 from repro.channels.bsc import BSCChannel
-from repro.core.decoder_vectorized import make_decoder_factory
+from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
@@ -138,11 +138,8 @@ def _build_spinal(seed: int, snr_db: float, smoke: bool) -> SpinalCode:
     params = params.with_(seed=derive_seed(seed, "phy", "spinal"))
     encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
     framer = Framer(payload_bits=payload_bits, k=params.k)
-    # All registered engines are bit-identical, so the choice is a pure
-    # performance knob; REPRO_SPINAL_DECODER lets scenario drivers (cell,
-    # relay, transport) switch the whole family without new plumbing.
-    engine = os.environ.get("REPRO_SPINAL_DECODER", "incremental")
-    return SpinalCode(encoder, make_decoder_factory(engine, beam_width), framer)
+    decoder_factory = partial(VectorizedBubbleDecoder, beam_width=beam_width)
+    return SpinalCode(encoder, decoder_factory, framer)
 
 
 def _build_lt(seed: int, snr_db: float, smoke: bool) -> LTCode:
@@ -185,7 +182,7 @@ def _build_repetition(seed: int, snr_db: float, smoke: bool) -> RepetitionCode:
 register_code_family(
     CodeFamily(
         "spinal",
-        "Rateless spinal code (engine via REPRO_SPINAL_DECODER, tail-first puncturing)",
+        "Rateless spinal code (tail-first puncturing, vectorized bubble decoder)",
         _build_spinal,
     )
 )

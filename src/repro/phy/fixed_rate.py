@@ -18,13 +18,12 @@ whose entries are instances of this class at different ``n_passes``.
 
 from __future__ import annotations
 
-import os
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from repro.core.decoder_bubble import BubbleDecoder
-from repro.core.decoder_vectorized import make_decoder_factory
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.params import SpinalParams
 from repro.phy.protocol import CodeBlock, CodeInfo, DecodeStatus, NOT_ATTEMPTED
@@ -121,11 +120,9 @@ class FixedRateSpinalCode:
         self.encoder = SpinalEncoder(self.params)
         beam = int(beam_width)
         if decoder_factory is None:
-            # A fixed-rate frame is decoded once per ARQ attempt, so any
-            # registered engine gives identical results; honour the same
-            # environment knob as the rateless family.
-            engine = os.environ.get("REPRO_SPINAL_DECODER", "bubble")
-            decoder_factory = make_decoder_factory(engine, beam)
+            # A fixed-rate frame is decoded once per ARQ attempt, so the
+            # from-scratch engine has no cache to miss.
+            decoder_factory = partial(BubbleDecoder, beam_width=beam)
         self.decoder_factory = decoder_factory
         symbols_per_frame = self.n_passes * self.n_segments
         self.info = CodeInfo(

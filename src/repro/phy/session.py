@@ -208,6 +208,11 @@ class CodecTransmission:
         self.last_status = status
         if self._terminated(status):
             self.decoded = True
+            # Nothing reads the decoder again (deliver returns early and
+            # best_effort_decode is a no-op once a status exists), and the
+            # transport keeps terminated transmissions until the hop ends:
+            # release the decoder's caches now.
+            self.decoder = None
         tel = self._tel
         if tel.enabled:
             tel.counter("phy.decode_attempts")

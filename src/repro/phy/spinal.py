@@ -5,8 +5,10 @@ This adapter is deliberately *thin*: the encoder stream is the existing
 same :class:`~repro.core.encoder.SubpassBlock` objects — whole subpasses per
 call, the batching the PR-1 throughput pin measures), the observation store
 is :class:`~repro.core.encoder.ReceivedObservations`, and decode attempts go
-through whatever decoder the factory builds (the incremental bubble engine
-by default).  As a result a :class:`~repro.phy.session.CodecSession` over a
+through whatever decoder the factory builds (the registered ``spinal``
+family builds :class:`~repro.core.decoder_vectorized.VectorizedBubbleDecoder`;
+every engine gives the same decoded bits, so only decoder ``work`` depends on
+the choice).  As a result a :class:`~repro.phy.session.CodecSession` over a
 :class:`SpinalCode` consumes randomness, counts symbols, gates decode
 attempts and produces decoded bits **bit-identically** to the historical
 :class:`~repro.core.rateless.RatelessSession` — which is what lets the old

@@ -184,6 +184,54 @@ class TestSessionBattery:
         assert result.decode_attempts >= 1  # the best-effort decode ran
 
     @pytest.mark.parametrize("name", CODE_FAMILY_NAMES)
+    def test_terminated_transmission_releases_its_decoder(self, name):
+        """A decoded packet drops its decoder and keeps behaving the same.
+
+        Transports hold every packet's transmission until the hop ends, so
+        a decoded one must not pin its decoder's caches; ``deliver`` still
+        reports success without touching any count, ``best_effort_decode``
+        stays a no-op and ``decoded_payload`` still returns the estimate.
+        """
+        session = _session(name)
+        payload = _payload(session, f"release-{name}")
+        tx = session.open_transmission(payload, spawn_rng(SEED, "release", name))
+        while not tx.decoded:
+            assert tx.decoder is not None
+            block, received = tx.send_next_block()
+            tx.deliver(block, received)
+        assert tx.decoder is None
+        def state():
+            return (tx.decode_attempts, tx.work, tx.symbols_delivered, tx.last_status)
+
+        before = state()
+        decoded = tx.decoded_payload()
+        assert np.array_equal(decoded, payload)
+        block, received = tx.send_next_block()
+        assert tx.deliver(block, received) is True
+        assert tx.deliver(block, received, attempt=True) is True
+        tx.best_effort_decode()
+        assert tx.record_status(tx.last_status) is True
+        assert state() == before
+        assert np.array_equal(tx.decoded_payload(), decoded)
+
+    @pytest.mark.parametrize("name", CODE_FAMILY_NAMES)
+    def test_failed_transmission_keeps_its_decoder(self, name):
+        """Only success releases the decoder: an exhausted packet still
+        needs it for the transport's one best-effort decode."""
+        session = make_codec_session(
+            name, snr_db=-25.0, seed=SEED, smoke=True, max_symbols=8
+        )
+        tx = session.open_transmission(
+            _payload(session, f"keep-{name}"), spawn_rng(SEED, "keep", name)
+        )
+        while not tx.exhausted:
+            block, received = tx.send_next_block()
+            tx.deliver(block, received, attempt=False)
+        assert not tx.decoded and tx.decoder is not None
+        tx.best_effort_decode()
+        assert tx.decode_attempts == 1
+
+    @pytest.mark.parametrize("name", CODE_FAMILY_NAMES)
     def test_seed_determinism(self, name):
         session = _session(name)
         payload = _payload(session, name)

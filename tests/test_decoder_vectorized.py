@@ -9,7 +9,8 @@ tie-breaks) and ``beam_trace`` versus a fresh :class:`BubbleDecoder` on the
 same observations.  These tests enforce that over randomized
 (k, B, puncturing, channel) configurations, growing and shrinking
 (bisection-replayed) observation sets, degenerate beam widths, cache
-eviction pressure, the numba feature flag, and the batched path.
+eviction pressure, whole ``spinal``-family sessions against the incremental
+engine, and the batched path.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import pytest
 from repro.channels.awgn import AWGNChannel
 from repro.channels.bsc import BSCChannel
 from repro.core.decoder_bubble import BubbleDecoder
+from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.decoder_vectorized import (
     BatchDecoder,
     DECODER_ENGINES,
     VectorizedBubbleDecoder,
     _LevelCache,
     make_decoder_factory,
-    njit_available,
 )
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.framing import Framer
@@ -38,6 +39,9 @@ from repro.core.puncturing import (
     TailFirstPuncturing,
 )
 from repro.core.rateless import RatelessSession
+from repro.phy.families import channel_for_code, make_code
+from repro.phy.session import CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
@@ -175,46 +179,84 @@ class TestSubpassEquivalence:
             VectorizedBubbleDecoder(encoder, beam_width=8, max_unpruned_width=4)
 
 
+def _cache_bytes(decoder: VectorizedBubbleDecoder) -> int:
+    """Bytes held by a decoder's per-level block arrays."""
+    return sum(
+        level.states.nbytes + level.costs.nbytes + level.sums.nbytes
+        for level in decoder._levels
+    )
+
+
 class TestCacheBehaviour:
     def test_lookup_on_empty_cache_has_no_hits(self):
-        """Probing a block-less level must report all-miss, not wrap to -1.
-
-        This is the vectorized twin of the ``decoder_incremental`` empty
-        ``sorted_states`` regression: ``searchsorted`` misses clamped with
-        ``np.minimum(idx, size - 1)`` become index ``-1`` on an empty array.
-        """
-        cache = _LevelCache(4)
+        """Probing a block-less level must report all-miss."""
+        cache = _LevelCache(4, keep=8)
         probes = np.array([1, 2, 3], dtype=np.uint64)
         assert np.array_equal(cache.lookup(probes), np.full(3, -1, dtype=np.int64))
 
-    def test_eviction_under_long_session_stays_exact(self):
-        """Enough attempts to force compact_grow evictions repeatedly.
+    def test_block_rebuild_keeps_column_capacity(self):
+        """A rebuild forced by the beam's block count must not grow columns.
 
-        KEEP_* are shrunk so a short test exercises the eviction branches
-        (cold-block drop and hottest-block cap); cache contents are a pure
-        performance policy, so outcomes must stay bit-identical throughout.
+        Regression: the compaction used to double the column capacity on
+        every call, including the ones made only for the number of blocks,
+        so a long session with a churning beam grew its cost array without
+        bound.  Here the beam grows past the slots, then shrinks far below
+        them, at a fixed observation count.
         """
+        width, n_cols = 4, 3
+        cache = _LevelCache(width, keep=2)
+        capacity = None
+        rebuilds = 0
+        for step, n_parents in enumerate([2, 5, 40, 3, 60, 2], start=1):
+            parents = np.arange(100 * step, 100 * step + n_parents, dtype=np.uint64)
+            blocks = np.array(cache.lookup(parents), dtype=np.int64)
+            assert (blocks < 0).all()
+            arrays = cache.costs
+            cache.reserve(blocks, n_parents, n_cols)
+            rebuilds += cache.costs is not arrays
+            capacity = capacity or cache.costs.shape[2]
+            assert cache.costs.shape[2] == capacity >= n_cols
+            assert n_parents <= cache.costs.shape[0] <= cache.keep + n_parents
+            slots = cache.store(parents, np.zeros((n_parents, width), np.uint64), step)
+            cache.col_filled[slots] = n_cols
+        assert rebuilds == 6
+
+    def test_long_low_snr_session_stays_exact_and_bounded(self):
+        """Hundreds of attempts with a churning beam: exact, and bounded.
+
+        Every level keeps at most ``4 x (keep + beam)`` blocks of at most a
+        quarter more columns than observations (plus four), so the cache
+        stays within a fixed budget no matter how long the session runs.
+        """
+        beam = 4
         params = SpinalParams(k=3, c=4, seed=31)
         encoder = SpinalEncoder(params, puncturing=SymbolBySymbol())
         rng = spawn_rng(909, "vec-evict")
         message = random_message_bits(12, rng)
-        channel = AWGNChannel(snr_db=-2.0, adc_bits=14)  # noisy: the beam churns
+        channel = AWGNChannel(snr_db=-5.0, adc_bits=14)  # noisy: the beam churns
         n_segments = params.n_segments(12)
-        vectorized = VectorizedBubbleDecoder(encoder, beam_width=4)
-        fresh = BubbleDecoder(encoder, beam_width=4)
+        vectorized = VectorizedBubbleDecoder(encoder, beam_width=beam)
+        fresh = BubbleDecoder(encoder, beam_width=beam)
         observations = ReceivedObservations(n_segments)
-        compactions_possible = 0
-        for block, out in _stream_blocks(encoder, message, channel, rng, 40):
+        peak = 0
+        for block, out in _stream_blocks(encoder, message, channel, rng, 400):
             observations.add_block(block, out)
-            for cache in vectorized._levels:
-                cache.KEEP_BLOCKS  # attribute exists (class constant)
             reference = fresh.decode(12, observations)
             result = vectorized.decode(12, observations)
             _assert_identical(result, reference)
-            compactions_possible += 1
-        # The per-level block count stays bounded by the eviction policy.
-        for cache in vectorized._levels:
-            assert cache.n_blocks <= 3 * _LevelCache.KEEP_BLOCKS + vectorized.beam_width
+            peak = max(peak, _cache_bytes(vectorized))
+            if min(observations.count_at(p) for p in range(n_segments)) == 0:
+                continue  # unpruned levels may still be shrinking back
+            for cache in vectorized._levels:
+                assert cache.n_blocks <= cache.costs.shape[0]
+                assert cache.costs.shape[0] <= 4 * (cache.keep + beam)
+                assert cache.costs.shape[2] <= cache.n_obs + max(4, cache.n_obs // 4)
+        n_obs = max(observations.count_at(p) for p in range(n_segments))
+        assert n_obs >= 100
+        width = 1 << params.k
+        rows = 4 * (2 * beam + beam)
+        budget = n_segments * rows * width * 8 * (n_obs + n_obs // 4 + 2)
+        assert peak <= budget
 
     def test_work_accounting_is_no_more_than_fresh(self):
         params = SpinalParams(k=2, c=4, seed=8)
@@ -231,38 +273,6 @@ class TestCacheBehaviour:
             fresh_total += fresh.decode(8, observations).candidates_explored
             vec_total += vectorized.decode(8, observations).candidates_explored
         assert 0 < vec_total < fresh_total
-
-
-class TestNumbaTier:
-    def test_flag_off_by_default(self, small_encoder):
-        assert VectorizedBubbleDecoder(small_encoder).njit_active is False
-
-    @pytest.mark.skipif(njit_available(), reason="exercises the numba-absent fallback")
-    def test_requesting_njit_without_numba_falls_back_cleanly(self, small_encoder, rng):
-        """use_njit=True with no numba must be silent, inactive and correct."""
-        decoder = VectorizedBubbleDecoder(small_encoder, beam_width=4, use_njit=True)
-        assert decoder.njit_active is False
-        message = rng.integers(0, 2, size=16).astype(np.uint8)
-        channel = AWGNChannel(snr_db=10.0, adc_bits=14)
-        observations = ReceivedObservations(4)
-        for block, out in _stream_blocks(small_encoder, message, channel, rng, 3):
-            observations.add_block(block, out)
-        reference = BubbleDecoder(small_encoder, beam_width=4).decode(16, observations)
-        _assert_identical(decoder.decode(16, observations), reference)
-
-    @pytest.mark.skipif(not njit_available(), reason="numba not installed")
-    def test_njit_tier_is_bit_exact(self, small_encoder, rng):
-        decoder = VectorizedBubbleDecoder(small_encoder, beam_width=4, use_njit=True)
-        assert decoder.njit_active is True
-        message = rng.integers(0, 2, size=16).astype(np.uint8)
-        channel = AWGNChannel(snr_db=6.0, adc_bits=14)
-        observations = ReceivedObservations(4)
-        fresh = BubbleDecoder(small_encoder, beam_width=4)
-        for block, out in _stream_blocks(small_encoder, message, channel, rng, 6):
-            observations.add_block(block, out)
-            _assert_identical(
-                decoder.decode(16, observations), fresh.decode(16, observations)
-            )
 
 
 class TestEngineRegistry:
@@ -286,6 +296,83 @@ class TestEngineRegistry:
         assert isinstance(decoder, VectorizedBubbleDecoder)
         with pytest.raises(ValueError, match="unknown decoder"):
             SpinalRunConfig(decoder="magic")
+
+    @staticmethod
+    def _seam_decoders(seam):
+        """The decoders one engine seam builds, with the engine it must use."""
+        from repro.baselines.rate_adaptation import RateAdaptationPolicy
+        from repro.mac.adaptive import AdaptiveSpinalLink, spinal_rate_options
+        from repro.phy.fixed_rate import FixedRateSpinalCode
+
+        params = SpinalParams(k=4, c=6)
+        if seam == "spinal-family":
+            code = make_code("spinal", seed=0, snr_db=6.0, smoke=True)
+            return [code.decoder_factory(code.encoder)], VectorizedBubbleDecoder
+        if seam == "fixed-rate":
+            code = FixedRateSpinalCode(16, n_passes=2, params=params, beam_width=8)
+            return [code.decoder_factory(code.encoder)], BubbleDecoder
+        options = spinal_rate_options(4, (1, 2))
+        policy = RateAdaptationPolicy(
+            configs=options, thresholds={o: 0.0 for o in options}
+        )
+        link = AdaptiveSpinalLink(
+            policy, AWGNChannel(10.0), payload_bits=16, params=params, beam_width=8
+        )
+        code = link._code_for_option(options[-1])
+        return [link.decoder, code.decoder_factory(code.encoder)], BubbleDecoder
+
+    @pytest.mark.parametrize("seam", ["spinal-family", "fixed-rate", "adaptive-link"])
+    def test_each_seam_builds_one_fixed_engine(self, seam):
+        """The rateless family always decodes with the vectorized engine;
+        fixed-rate frames and the MAC's adaptive link keep the from-scratch
+        bubble engine, so their outputs do not depend on any setting."""
+        decoders, engine = self._seam_decoders(seam)
+        for decoder in decoders:
+            assert type(decoder) is engine
+            assert decoder.beam_width == 8
+
+
+class TestSpinalFamilySessions:
+    """The ``spinal`` family decodes with the vectorized engine; its sessions
+    must equal the same sessions decoded by the incremental engine."""
+
+    @staticmethod
+    def _run(code, snr_db, seed, budget):
+        session = CodecSession(code, channel_for_code(code, snr_db), max_symbols=budget)
+        rng = spawn_rng(909, "family-session", snr_db, seed)
+        return session.run(random_message_bits(session.payload_bits, rng), rng)
+
+    @pytest.mark.parametrize(
+        "smoke, points",
+        [
+            (False, ((-10, 2048), (-10, 96), (-2, 2048), (4, 2048), (12, 2048))),
+            (True, ((-6, 2048), (-6, 32), (0, 2048), (6, 2048), (12, 2048))),
+        ],
+        ids=["figure2", "smoke"],
+    )
+    def test_sessions_match_the_incremental_engine(self, smoke, points):
+        failures = 0
+        for snr, budget in points:
+            snr_db = float(snr)
+            for seed in range(3):
+                code = make_code("spinal", seed=seed, snr_db=snr_db, smoke=smoke)
+                engine = code.decoder_factory(code.encoder)
+                assert isinstance(engine, VectorizedBubbleDecoder)
+                beam = engine.beam_width
+                assert (code.encoder.params.k, beam) == ((4, 8) if smoke else (8, 16))
+                incremental = SpinalCode(
+                    code.encoder,
+                    lambda encoder: IncrementalBubbleDecoder(encoder, beam_width=beam),
+                    code.framer,
+                )
+                got = self._run(code, snr_db, seed, budget)
+                want = self._run(incremental, snr_db, seed, budget)
+                assert got.symbols_sent == want.symbols_sent
+                assert got.decode_attempts == want.decode_attempts
+                assert got.success == want.success
+                assert np.array_equal(got.decoded_payload, want.decoded_payload)
+                failures += not got.success
+        assert failures >= 2  # the exhausted, best-effort path is covered
 
 
 class TestSessionEquivalence:
