@@ -838,22 +838,36 @@ def _command_city_soak(args: argparse.Namespace) -> str:
     import json
     import time
 
+    from repro.mac.schedulers import make_scheduler
     from repro.net import NetworkConfig, simulate_network_replicas
+    from repro.phy.families import code_family
 
-    config = NetworkConfig(
-        n_cells=args.cells,
-        n_users=args.users,
-        packets_per_user=args.packets_per_user,
-        scheduler=args.scheduler,
-        code=args.code,
-        tier=args.tier,
-        seed=args.seed,
-        max_symbols=args.max_symbols,
-        cell_radius=args.cell_radius,
-        reference_snr_db=args.reference_snr,
-        epoch_symbols=args.epoch_symbols,
-        interference=not args.no_interference,
-    )
+    try:
+        config = NetworkConfig(
+            n_cells=args.cells,
+            n_users=args.users,
+            packets_per_user=args.packets_per_user,
+            scheduler=args.scheduler,
+            code=args.code,
+            tier=args.tier,
+            seed=args.seed,
+            max_symbols=args.max_symbols,
+            cell_radius=args.cell_radius,
+            reference_snr_db=args.reference_snr,
+            epoch_symbols=args.epoch_symbols,
+            interference=not args.no_interference,
+        )
+        # The geometry, scheduler and code family are otherwise first built
+        # inside the simulation (possibly in a worker): reject them here.
+        config.geometry()
+        make_scheduler(config.scheduler)
+        code_family(config.code)
+        if args.replicas < 1:
+            raise ValueError(f"n_replicas must be at least 1, got {args.replicas}")
+    except (ValueError, KeyError) as exc:
+        # One line and exit status 2, like argparse's own usage errors.
+        print(f"repro city-soak: error: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(2) from None
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
         start = time.perf_counter()
         replicas = simulate_network_replicas(

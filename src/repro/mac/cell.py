@@ -44,6 +44,7 @@ Model
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -488,6 +489,10 @@ class MacCell:
             return self._on_air.user
         return None
 
+    def _position(self, index: int) -> int:
+        """Where user ``index`` sits (or would sit) in ``states``, sorted by index."""
+        return bisect.bisect_left(self.states, index, key=lambda state: state.index)
+
     def detach_user(self, index: int) -> _UserState:
         """Remove a user (queue and in-flight transmission state intact).
 
@@ -499,10 +504,8 @@ class MacCell:
         sent so far are neither lost nor re-sent).  Detaching the user
         whose block is on the air is refused — land the block first.
         """
-        for position, state in enumerate(self.states):
-            if state.index == index:
-                break
-        else:
+        position = self._position(index)
+        if position == len(self.states) or self.states[position].index != index:
             raise ValueError(f"no user {index} in this cell")
         if self.on_air_user == index:
             raise RuntimeError(
@@ -513,11 +516,9 @@ class MacCell:
 
     def attach_state(self, state: _UserState) -> None:
         """Adopt a user migrated from another cell and contend it immediately."""
-        if any(existing.index == state.index for existing in self.states):
+        position = self._position(state.index)
+        if position < len(self.states) and self.states[position].index == state.index:
             raise ValueError(f"user {state.index} already in this cell")
-        position = 0
-        while position < len(self.states) and self.states[position].index < state.index:
-            position += 1
         self.states.insert(position, state)
         if state.queue:
             self._kick(self.clock.now)

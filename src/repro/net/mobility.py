@@ -2,18 +2,28 @@
 
 Positions update at *epoch* boundaries (``epoch_symbols`` symbol-times), not
 per symbol: channel coherence at walking speeds is many thousands of symbol
-times, and a coarser position clock is what lets the whole trajectory be
-precomputed as two arrays per axis.  Each coordinate of each user is an
-independent :func:`repro.channels.traces.random_walk_trace` — the same
-(vectorized) walk generator the time-varying channels use — reflected at the
-city bounds, with every stream derived from ``(seed, label, user)`` so a
-user's path never depends on how many other users exist or which process
-simulates it.
+times, so one position per user and epoch is enough.  Each coordinate of
+each user is an independent reflected Gaussian walk, bit-identical to
+:func:`repro.channels.traces.random_walk_trace` (the walk the time-varying
+channels use) reflected at the city bounds, with every stream derived from
+``(seed, label, user)`` so a user's path never depends on how many other
+users exist or which process simulates it.
 
-Trajectories are finite: a walk precomputed for ``n_epochs`` epochs *parks*
-at its final position if the simulation outlives it (position reads clamp to
-the last epoch).  The network layer sizes ``n_epochs`` from its worst-case
-makespan bound and stops scheduling epoch events once everyone is parked.
+Walks are filled lazily.  A walk model keeps only its recipe (initial
+placements, step, bounds, seed, horizon) plus the columns read so far; a
+read past them grows the filled horizon to at least double and replays
+every user's walk from its derived stream up to the new horizon, one
+vectorized step across all users per epoch.  Replay is exact: a longer
+Gaussian draw from the same stream begins with the shorter draw, and the
+reflected walk is a sequential fold over its steps, so the first ``n``
+positions of a longer walk are the ``n``-step walk.  A city run that ends
+after a few dozen epochs therefore never pays for the worst-case horizon
+its network sizes.
+
+Trajectories are finite: a walk of ``n_epochs`` epochs *parks* at its final
+position if the simulation outlives it (position reads clamp to the last
+epoch).  The network layer sizes ``n_epochs`` from its worst-case makespan
+bound and stops scheduling epoch events once everyone is parked.
 """
 
 from __future__ import annotations
@@ -22,47 +32,120 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channels.traces import random_walk_trace
 from repro.utils.rng import spawn_rng
 
 __all__ = ["MobilityModel"]
 
+# Epochs filled by the first read past column 0; later fills double.
+_FIRST_FILL = 32
+
 
 @dataclass(frozen=True)
-class MobilityModel:
-    """Precomputed per-user trajectories sampled on the epoch clock.
+class _WalkRecipe:
+    step: float
+    x_range: tuple[float, float]
+    y_range: tuple[float, float]
+    seed: int
 
-    ``xs``/``ys`` have shape ``(n_users, n_epochs + 1)``: column 0 is the
-    initial placement, column ``e`` the position during epoch ``e``.
+
+def _reflected_walks(
+    starts: np.ndarray, steps: np.ndarray, low: float, high: float
+) -> np.ndarray:
+    """Row ``u`` is ``random_walk_trace`` from ``starts[u]`` over ``steps[u]``.
+
+    Bit for bit: one add per epoch across all users is the same sequential
+    fold the per-user walk's prefix sum makes, and a step that leaves
+    ``[low, high]`` reflects exactly as it does there (both reflections
+    apply for a step wider than the box).  Vectorizing over users instead
+    of epochs is what makes a fill cheap: a walk of a few dozen epochs is
+    all per-call overhead when drawn one user at a time.
+    """
+    walks = np.empty_like(steps)
+    current = np.clip(starts, low, high)
+    for epoch in range(steps.shape[1]):
+        value = current + steps[:, epoch]
+        value = np.where(value > high, 2 * high - value, value)
+        value = np.where(value < low, 2 * low - value, value)
+        current = walks[:, epoch] = np.clip(value, low, high)
+    return walks
+
+
+class MobilityModel:
+    """Per-user trajectories sampled on the epoch clock.
+
+    Column 0 is the initial placement, column ``e`` the position during
+    epoch ``e``, for ``e`` up to :attr:`n_epochs`.  Built from explicit
+    ``xs``/``ys`` arrays of shape ``(n_users, n_epochs + 1)``, or by
+    :meth:`walks`, whose columns are computed on first read.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    epoch_symbols: int
-
-    def __post_init__(self) -> None:
-        if self.xs.shape != self.ys.shape or self.xs.ndim != 2:
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, epoch_symbols: int) -> None:
+        if xs.shape != ys.shape or xs.ndim != 2:
             raise ValueError("xs and ys must be equal-shape (n_users, n_epochs+1)")
-        if self.epoch_symbols < 0:
+        if epoch_symbols < 0:
             raise ValueError("epoch_symbols must be non-negative")
+        self.epoch_symbols = epoch_symbols
+        self._xs = xs
+        self._ys = ys
+        self._n_epochs = xs.shape[1] - 1
+        self._walk: _WalkRecipe | None = None
 
     @property
     def n_users(self) -> int:
-        return self.xs.shape[0]
+        return self._xs.shape[0]
 
     @property
     def n_epochs(self) -> int:
-        return self.xs.shape[1] - 1
+        return self._n_epochs
+
+    @property
+    def xs(self) -> np.ndarray:
+        """Every user's x over the whole horizon, ``(n_users, n_epochs + 1)``."""
+        self._column(self._n_epochs)
+        return self._xs
+
+    @property
+    def ys(self) -> np.ndarray:
+        """Every user's y over the whole horizon, ``(n_users, n_epochs + 1)``."""
+        self._column(self._n_epochs)
+        return self._ys
 
     def position(self, user: int, epoch: int) -> tuple[float, float]:
         """Where ``user`` is during ``epoch`` (parked at the final column)."""
-        column = min(epoch, self.n_epochs)
-        return float(self.xs[user, column]), float(self.ys[user, column])
+        column = self._column(epoch)
+        return float(self._xs[user, column]), float(self._ys[user, column])
 
     def positions(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
         """Every user's position during ``epoch`` (the vectorized accessor)."""
-        column = min(epoch, self.n_epochs)
-        return self.xs[:, column], self.ys[:, column]
+        column = self._column(epoch)
+        return self._xs[:, column], self._ys[:, column]
+
+    def _column(self, epoch: int) -> int:
+        """The column ``epoch`` reads, filled before it is returned."""
+        column = min(epoch, self._n_epochs)
+        if column >= self._xs.shape[1]:
+            self._fill(column)
+        return column
+
+    def _fill(self, column: int) -> None:
+        """Replay every walk up to a horizon covering ``column``."""
+        walk = self._walk
+        filled = self._xs.shape[1] - 1
+        horizon = min(self._n_epochs, max(column, 2 * filled, _FIRST_FILL))
+        tracks = []
+        for axis, track, (low, high) in (
+            ("x", self._xs, walk.x_range),
+            ("y", self._ys, walk.y_range),
+        ):
+            steps = np.empty((self.n_users, horizon))
+            for user in range(self.n_users):
+                stream = spawn_rng(walk.seed, "net-walk", user, axis)
+                steps[user] = stream.normal(0.0, walk.step, size=horizon)
+            grown = np.empty((self.n_users, horizon + 1))
+            grown[:, 0] = track[:, 0]
+            grown[:, 1:] = _reflected_walks(track[:, 0], steps, low, high)
+            tracks.append(grown)
+        self._xs, self._ys = tracks
 
     @classmethod
     def static(cls, positions: "list[tuple[float, float]] | tuple") -> "MobilityModel":
@@ -88,7 +171,8 @@ class MobilityModel:
         ``step`` is the per-epoch standard deviation of each coordinate's
         increment, in meters.  Explicit ``initial_positions`` (tests, staged
         scenarios) replace the uniform placement draw but keep the same walk
-        streams.
+        streams.  Only the placements are drawn here; the walks themselves
+        are filled as reads reach them.
         """
         if n_users < 0:
             raise ValueError(f"n_users must be non-negative, got {n_users}")
@@ -96,36 +180,22 @@ class MobilityModel:
             raise ValueError(f"n_epochs must be non-negative, got {n_epochs}")
         if step < 0:
             raise ValueError(f"step must be non-negative, got {step}")
+        if x_range[0] >= x_range[1] or y_range[0] >= y_range[1]:
+            raise ValueError(f"empty walk bounds {x_range} x {y_range}")
         if initial_positions is not None and len(initial_positions) != n_users:
             raise ValueError(
                 f"{len(initial_positions)} initial positions for {n_users} users"
             )
-        xs = np.empty((n_users, n_epochs + 1), dtype=np.float64)
-        ys = np.empty((n_users, n_epochs + 1), dtype=np.float64)
+        x0 = np.empty((n_users, 1), dtype=np.float64)
+        y0 = np.empty((n_users, 1), dtype=np.float64)
         for user in range(n_users):
             if initial_positions is None:
                 placement = spawn_rng(seed, "net-place", user)
-                x0 = float(placement.uniform(*x_range))
-                y0 = float(placement.uniform(*y_range))
+                x0[user, 0] = placement.uniform(*x_range)
+                y0[user, 0] = placement.uniform(*y_range)
             else:
-                x0, y0 = map(float, initial_positions[user])
-            xs[user, 0] = x0
-            ys[user, 0] = y0
-            if n_epochs:
-                xs[user, 1:] = random_walk_trace(
-                    x0,
-                    n_epochs,
-                    step,
-                    spawn_rng(seed, "net-walk", user, "x"),
-                    min_snr_db=x_range[0],
-                    max_snr_db=x_range[1],
-                )
-                ys[user, 1:] = random_walk_trace(
-                    y0,
-                    n_epochs,
-                    step,
-                    spawn_rng(seed, "net-walk", user, "y"),
-                    min_snr_db=y_range[0],
-                    max_snr_db=y_range[1],
-                )
-        return cls(xs=xs, ys=ys, epoch_symbols=int(epoch_symbols))
+                x0[user, 0], y0[user, 0] = initial_positions[user]
+        model = cls(xs=x0, ys=y0, epoch_symbols=int(epoch_symbols))
+        model._n_epochs = n_epochs
+        model._walk = _WalkRecipe(float(step), x_range, y_range, seed)
+        return model

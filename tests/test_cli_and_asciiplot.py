@@ -345,6 +345,30 @@ class TestServeSoakCommand:
         assert err[0].startswith("repro serve-soak: error: ")
 
 
+class TestCitySoakCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--cells", "0"],
+            ["--replicas", "0"],
+            ["--epoch-symbols", "-1"],
+            ["--users", "-1"],
+            ["--packets-per-user", "0"],
+            ["--max-symbols", "0"],
+            ["--cell-radius", "-5"],
+            ["--scheduler", "bogus"],
+            ["--code", "bogus"],
+        ],
+    )
+    def test_bad_input_is_one_line_and_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["city-soak", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("repro city-soak: error: ")
+
+
 class TestMeshCommand:
     def test_two_way_json_meets_the_saving_claim(self):
         import json as _json

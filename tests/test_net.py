@@ -20,11 +20,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from repro.channels.awgn import AWGNChannel
+from repro.channels.traces import random_walk_trace
 from repro.mac.cell import CellUser, MacCell, RatelessLink
 from repro.mac.schedulers import make_scheduler
 from repro.net import (
@@ -47,6 +49,7 @@ from repro.net import (
 )
 from repro.phy.families import bpsk_crossover_probability
 from repro.phy.session import CodecSession
+from repro.utils.rng import spawn_rng
 from repro.utils.units import db_to_linear, linear_to_db
 
 
@@ -83,6 +86,26 @@ def _pinned_mobility(xs_by_epoch, epoch_symbols: int) -> MobilityModel:
     return MobilityModel(
         xs=xs, ys=np.zeros_like(xs), epoch_symbols=epoch_symbols
     )
+
+
+def _eager_walks(n_users, n_epochs, step, x_range, y_range, seed):
+    """Reference trajectories: every walk drawn over the whole horizon at once."""
+    xs = np.empty((n_users, n_epochs + 1))
+    ys = np.empty((n_users, n_epochs + 1))
+    for user in range(n_users):
+        placement = spawn_rng(seed, "net-place", user)
+        xs[user, 0] = float(placement.uniform(*x_range))
+        ys[user, 0] = float(placement.uniform(*y_range))
+        for axis, out, (low, high) in (("x", xs, x_range), ("y", ys, y_range)):
+            out[user, 1:] = random_walk_trace(
+                out[user, 0],
+                n_epochs,
+                step,
+                spawn_rng(seed, "net-walk", user, axis),
+                min_snr_db=low,
+                max_snr_db=high,
+            )
+    return xs, ys
 
 
 class TestCityGeometry:
@@ -196,6 +219,98 @@ class TestMobilityModel:
                 )
         assert model.position(0, 5) == model.position(0, 500)
 
+    # Steps as large as the box: most epochs reflect, some twice.
+    REFLECTING = dict(
+        n_users=5, n_epochs=150, step=40.0, x_range=(-30.0, 30.0), y_range=(0.0, 50.0)
+    )
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20111114])
+    @pytest.mark.parametrize("order", ["increasing", "shuffled"])
+    def test_lazy_reads_equal_the_eager_walks(self, seed, order):
+        shape = self.REFLECTING
+        ref_x, ref_y = _eager_walks(**shape, seed=seed)
+        model = MobilityModel.walks(**shape, epoch_symbols=16, seed=seed)
+        horizon = shape["n_epochs"]
+        epochs = list(range(horizon + 20))  # the last 19 read parked columns
+        if order == "shuffled":
+            random.Random(seed).shuffle(epochs)
+        for epoch in epochs:
+            column = min(epoch, horizon)
+            xs, ys = model.positions(epoch)
+            assert np.array_equal(xs, ref_x[:, column])
+            assert np.array_equal(ys, ref_y[:, column])
+            user = epoch % shape["n_users"]
+            assert model.position(user, epoch) == (
+                float(ref_x[user, column]),
+                float(ref_y[user, column]),
+            )
+
+    @pytest.mark.parametrize("seed", [0, 3, 20111114])
+    @pytest.mark.parametrize("first_read", [None, 1, 40])
+    def test_xs_ys_equal_the_eager_walks(self, seed, first_read):
+        shape = self.REFLECTING
+        ref_x, ref_y = _eager_walks(**shape, seed=seed)
+        model = MobilityModel.walks(**shape, epoch_symbols=16, seed=seed)
+        if first_read is not None:
+            model.positions(first_read)  # a partial fill first
+        assert model.n_epochs == shape["n_epochs"]
+        assert np.array_equal(model.xs, ref_x) and np.array_equal(model.ys, ref_y)
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("n1, n2", [(1, 2), (17, 32), (32, 1024)])
+    def test_walk_prefix_is_the_shorter_walk(self, seed, n1, n2):
+        kwargs = dict(min_snr_db=-30.0, max_snr_db=30.0)
+        longer = random_walk_trace(
+            3.0, n2, 25.0, spawn_rng(seed, "net-walk", 0, "x"), **kwargs
+        )
+        shorter = random_walk_trace(
+            3.0, n1, 25.0, spawn_rng(seed, "net-walk", 0, "x"), **kwargs
+        )
+        assert np.array_equal(longer[:n1], shorter)
+
+    def test_city_run_fills_only_the_epochs_it_reaches(self, monkeypatch):
+        import repro.net.mobility as mobility
+
+        drawn = []
+
+        class CountingStream:
+            def __init__(self, stream):
+                self._stream = stream
+
+            def normal(self, loc, scale, size):
+                drawn.append(size)
+                return self._stream.normal(loc, scale, size=size)
+
+            def __getattr__(self, name):
+                return getattr(self._stream, name)
+
+        def counting_spawn(seed, *labels):
+            stream = spawn_rng(seed, *labels)
+            return CountingStream(stream) if labels[0] == "net-walk" else stream
+
+        monkeypatch.setattr(mobility, "spawn_rng", counting_spawn)
+        config = NetworkConfig(
+            n_cells=9,
+            n_users=60,
+            packets_per_user=2,
+            tier="flow",
+            seed=5,
+            cell_radius=150.0,
+            epoch_symbols=16,
+            mobility_step=60.0,
+            model=_model(),
+        )
+        network = CellNetwork(config)
+        network.run()
+        reached = network.epoch
+        # The shape must end early for the pin to mean anything.
+        assert 16 <= reached < network.mobility.n_epochs // 4
+        assert max(drawn) <= 2 * reached
+        # Doubling replays: each walk (one per user and axis) draws at most
+        # twice its final horizon in all.
+        walks = 2 * config.n_users
+        assert sum(drawn) <= walks * 2 * max(drawn)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MobilityModel(xs=np.zeros((2, 3)), ys=np.zeros((3, 2)), epoch_symbols=1)
@@ -214,6 +329,8 @@ class TestMobilityModel:
             MobilityModel.walks(
                 n_users=2, step=1.0, initial_positions=[(0.0, 0.0)], **kwargs
             )
+        with pytest.raises(ValueError):
+            MobilityModel.walks(n_users=2, step=1.0, **{**kwargs, "y_range": (1.0, 1.0)})
 
 
 class TestSinrChannels:
