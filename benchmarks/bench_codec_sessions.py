@@ -1,105 +1,21 @@
-"""Codec-session benchmarks: shim overhead and cross-family session cost.
+"""Codec-session benchmark: the cross-family session cost landscape.
 
-Two properties of the ``repro.phy`` redesign are worth guarding:
-
-* the legacy ``RatelessSession.run`` entry point is a *thin* shim over the
-  code-agnostic :class:`~repro.phy.session.CodecSession` — same decode
-  work, same noise draws, plus only a constant-time adapter construction —
-  so the compatibility layer must cost **< 5%** of wall-clock on top of the
-  direct codec path;
-* the generic session loop itself stays cheap across families: its
-  per-block bookkeeping (gating, status recording) is amortised by the
-  whole-block batching the encoders provide.
-
-The shim pin is measured as a ratio of medians over interleaved samples, so
-a machine-load drift hits both paths alike.
+The generic :class:`~repro.phy.session.CodecSession` loop stays cheap across
+families: its per-block bookkeeping (gating, status recording) is amortised
+by the whole-block batching the encoders provide.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 
-import numpy as np
+from _bench_utils import bench_smoke
 
-from _bench_utils import bench_smoke, bench_trials
-
-from repro.channels.awgn import AWGNChannel
-from repro.core.decoder_incremental import IncrementalBubbleDecoder
-from repro.core.encoder import SpinalEncoder
-from repro.core.framing import Framer
-from repro.core.params import SpinalParams
-from repro.core.rateless import RatelessSession
 from repro.phy.families import CODE_FAMILY_NAMES, make_codec_session
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
 _SEED = 20111114
-#: Accepted shim overhead: the redesign's acceptance threshold.
-_MAX_SHIM_OVERHEAD = 0.05
-
-
-def _spinal_session(max_symbols: int = 2048) -> RatelessSession:
-    params = SpinalParams(k=4, c=6)
-    return RatelessSession(
-        SpinalEncoder(params),
-        decoder_factory=lambda enc: IncrementalBubbleDecoder(enc, beam_width=8),
-        channel=AWGNChannel(snr_db=8.0, adc_bits=14),
-        framer=Framer(payload_bits=16, k=4),
-        max_symbols=max_symbols,
-    )
-
-
-def _time_trials(run_trial, n_trials: int) -> float:
-    start = time.perf_counter()
-    for trial in range(n_trials):
-        run_trial(trial)
-    return (time.perf_counter() - start) / n_trials
-
-
-def test_shim_overhead_under_5_percent(benchmark, reporter):
-    """``RatelessSession.run`` vs the direct ``CodecSession.run`` it wraps."""
-    legacy = _spinal_session()
-    direct = legacy.codec_session()
-    n_trials = bench_trials(20)
-    repeats = 3 if bench_smoke() else 7
-
-    def legacy_trial(trial: int) -> None:
-        rng = spawn_rng(_SEED, "bench-shim", trial)
-        legacy.run(random_message_bits(16, rng), rng)
-
-    def direct_trial(trial: int) -> None:
-        rng = spawn_rng(_SEED, "bench-shim", trial)
-        direct.run(random_message_bits(16, rng), rng)
-
-    # Warm both paths (hash tables, caches) before timing; the shim's single
-    # once-per-process DeprecationWarning fires here, so the timed region
-    # only pays its set-membership check.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_trial(0), direct_trial(0)
-
-    def measure():
-        # Alternate the two paths per repeat so load drift hits both alike.
-        legacy_samples, direct_samples = [], []
-        for _ in range(repeats):
-            legacy_samples.append(_time_trials(legacy_trial, n_trials))
-            direct_samples.append(_time_trials(direct_trial, n_trials))
-        return float(np.median(legacy_samples)), float(np.median(direct_samples))
-
-    legacy_s, direct_s = benchmark.pedantic(measure, rounds=1, iterations=1)
-    overhead = legacy_s / direct_s - 1.0
-    assert overhead < _MAX_SHIM_OVERHEAD, (
-        f"RatelessSession.run shim costs {overhead:+.1%} over CodecSession.run "
-        f"(limit {_MAX_SHIM_OVERHEAD:.0%}): {legacy_s * 1e6:.1f}µs vs "
-        f"{direct_s * 1e6:.1f}µs per trial"
-    )
-    reporter.add(
-        "Codec shim overhead — RatelessSession.run vs CodecSession.run",
-        f"legacy {legacy_s * 1e6:9.1f} µs/trial\n"
-        f"direct {direct_s * 1e6:9.1f} µs/trial\n"
-        f"overhead {overhead:+.2%} (limit {_MAX_SHIM_OVERHEAD:.0%})",
-    )
 
 
 def test_all_families_session_cost(benchmark, reporter):

@@ -24,8 +24,9 @@ from repro.core.decoder_bubble import BubbleDecoder
 from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.params import SpinalParams
-from repro.core.rateless import RatelessSession
 from repro.experiments.runner import SpinalRunConfig, run_spinal_point
+from repro.phy.session import CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.ldpc import BeliefPropagationDecoder, make_wifi_like_code
 from repro.modulation import BPSK
 from repro.utils.bitops import random_message_bits
@@ -81,21 +82,21 @@ def _rateless_trial_work(decoder_cls) -> tuple[int, int]:
 
     config = SpinalRunConfig()
     snr_db = -5.0
-    session = RatelessSession(
+    code = SpinalCode(
         config.build_encoder(),
-        decoder_factory=lambda enc: decoder_cls(enc, beam_width=config.beam_width),
-        channel=AWGNChannel(snr_db=snr_db, signal_power=1.0, adc_bits=config.adc_bits),
-        framer=config.build_framer(),
-        termination="genie",
-        max_symbols=config.symbol_budget(awgn_capacity_db(snr_db)),
-        search="sequential",
+        lambda enc: decoder_cls(enc, beam_width=config.beam_width),
+        config.build_framer(),
     )
-    codec = session.codec_session()
+    session = CodecSession(
+        code,
+        AWGNChannel(snr_db=snr_db, signal_power=1.0, adc_bits=config.adc_bits),
+        max_symbols=config.symbol_budget(awgn_capacity_db(snr_db)),
+    )
     candidates = attempts = 0
     for trial in range(4):
         rng = spawn_rng(config.seed, "trial", snr_db, trial)
         payload = random_message_bits(config.payload_bits, rng)
-        result = codec.run(payload, rng)
+        result = session.run(payload, rng)
         candidates += result.work
         attempts += result.decode_attempts
     return candidates, attempts

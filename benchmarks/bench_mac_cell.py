@@ -92,7 +92,7 @@ def _time_varying_users(n_packets: int):
     for u in range(4):
         trace = sinusoidal_trace(10.0, 9.0, 64, 64, phase=2 * np.pi * u / 4)
         channel = TimeVaryingAWGNChannel(trace, adc_bits=14)
-        session = config.build_session(channel, 512, search="sequential")
+        session = config.build_session(channel, 512)
         payloads = [
             random_message_bits(16, spawn_rng(9, "bench-tv", u, i))
             for i in range(n_packets)

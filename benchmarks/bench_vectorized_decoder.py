@@ -31,8 +31,9 @@ from repro.core.decoder_bubble import BubbleDecoder
 from repro.core.decoder_vectorized import BatchDecoder, VectorizedBubbleDecoder
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.params import SpinalParams
-from repro.core.rateless import RatelessSession
 from repro.experiments.runner import SpinalRunConfig
+from repro.phy.session import CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.theory.capacity import awgn_capacity_db
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
@@ -72,18 +73,14 @@ def _run_session_trials(engine_cls, snr_db: float, n_trials: int):
             timed.append(_TimedDecoder(engine_cls(encoder, beam_width=config.beam_width)))
             return timed[-1]
 
-        session = RatelessSession(
-            config.build_encoder(),
-            decoder_factory=factory,
-            channel=AWGNChannel(snr_db=snr_db, signal_power=1.0, adc_bits=config.adc_bits),
-            framer=config.build_framer(),
-            termination="genie",
+        session = CodecSession(
+            SpinalCode(config.build_encoder(), factory, config.build_framer()),
+            AWGNChannel(snr_db=snr_db, signal_power=1.0, adc_bits=config.adc_bits),
             max_symbols=config.symbol_budget(awgn_capacity_db(snr_db)),
-            search="sequential",
         )
         rng = spawn_rng(config.seed, "trial", snr_db, trial)
         payload = random_message_bits(config.payload_bits, rng)
-        result = session.codec_session().run(payload, rng)
+        result = session.run(payload, rng)
         times.append(sum(t.seconds for t in timed))
         outcomes.append(
             (result.symbols_sent, result.decode_attempts, result.payload_correct)

@@ -19,12 +19,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import BSCChannel, BubbleDecoder, Framer, RatelessSession, SpinalEncoder, SpinalParams
+from repro import (
+    BSCChannel,
+    CodecSession,
+    Framer,
+    IncrementalBubbleDecoder,
+    SpinalCode,
+    SpinalEncoder,
+    SpinalParams,
+)
 from repro.channels.base import BitChannel
 from repro.core.puncturing import TailFirstPuncturing
 from repro.theory import bsc_capacity
 from repro.utils.results import render_table
 from repro.utils.rng import spawn_rng
+
+
+def bit_mode_code() -> SpinalCode:
+    """The example's bit-mode spinal code: k=4, B=16, 32-bit messages."""
+    params = SpinalParams(k=4, bit_mode=True)
+    return SpinalCode(
+        SpinalEncoder(params, puncturing=TailFirstPuncturing()),
+        lambda enc: IncrementalBubbleDecoder(enc, beam_width=16),
+        Framer(payload_bits=32, k=params.k),
+    )
 
 
 class BurstyBitChannel(BitChannel):
@@ -56,19 +74,9 @@ class BurstyBitChannel(BitChannel):
 
 
 def run_bsc_sweep() -> None:
-    params = SpinalParams(k=4, bit_mode=True)
-    framer = Framer(payload_bits=32, k=params.k)
     rows = []
     for p in (0.01, 0.05, 0.1, 0.2, 0.3):
-        encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
-        session = RatelessSession(
-            encoder,
-            decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-            channel=BSCChannel(p),
-            framer=framer,
-            max_symbols=16384,
-            search="bisect",
-        )
+        session = CodecSession(bit_mode_code(), BSCChannel(p), max_symbols=16384)
         rng = spawn_rng(5, "bsc-example", p)
         rates = []
         for _ in range(15):
@@ -81,18 +89,8 @@ def run_bsc_sweep() -> None:
 
 
 def run_burst_demo() -> None:
-    params = SpinalParams(k=4, bit_mode=True)
-    framer = Framer(payload_bits=32, k=params.k)
-    encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
     channel = BurstyBitChannel(p_good=0.02, p_bad=0.35, p_enter_bad=0.02, p_leave_bad=0.1)
-    session = RatelessSession(
-        encoder,
-        decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-        channel=channel,
-        framer=framer,
-        max_symbols=16384,
-        search="bisect",
-    )
+    session = CodecSession(bit_mode_code(), channel, max_symbols=16384)
     rng = spawn_rng(5, "burst-example")
     rates, successes = [], 0
     for _ in range(15):

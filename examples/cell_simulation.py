@@ -39,7 +39,6 @@ CONFIG = SpinalRunConfig(
     payload_bits=PAYLOAD_BITS,
     params=PARAMS,
     beam_width=8,
-    search="sequential",
     max_symbols=1024,
 )
 SCHEDULERS = ("round-robin", "max-snr", "proportional-fair")
@@ -56,11 +55,7 @@ def payloads(user: int, n_packets: int):
 def static_cell_users(snrs_db, n_packets=6):
     return [
         CellUser(
-            RatelessLink(
-                CONFIG.build_session(
-                    AWGNChannel(snr, adc_bits=14), 1024, search="sequential"
-                )
-            ),
+            RatelessLink(CONFIG.build_session(AWGNChannel(snr, adc_bits=14), 1024)),
             payloads(user, n_packets),
         )
         for user, snr in enumerate(snrs_db)
@@ -74,7 +69,7 @@ def time_varying_users(n_users=4, n_packets=80):
             10.0, 9.0, 64, 64, phase=2 * np.pi * user / n_users
         )
         channel = TimeVaryingAWGNChannel(trace, adc_bits=14)
-        session = CONFIG.build_session(channel, 1024, search="sequential")
+        session = CONFIG.build_session(channel, 1024)
         users.append(CellUser(RatelessLink(session), payloads(user, n_packets)))
     return users
 

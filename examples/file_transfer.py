@@ -24,8 +24,9 @@ from repro import (
     AWGNChannel,
     BubbleDecoder,
     CRC16_CCITT,
+    CodecSession,
     Framer,
-    RatelessSession,
+    SpinalCode,
     SpinalEncoder,
     SpinalParams,
 )
@@ -56,16 +57,10 @@ def main() -> None:
     # per decode attempt.
     framer = Framer(payload_bits=payload_bits, k=params.k, crc=CRC16_CCITT)
     channel = AWGNChannel(snr_db=snr_db, adc_bits=14)
-    session = RatelessSession(
-        encoder,
-        decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-        channel=channel,
-        framer=framer,
-        termination="crc",
-        count_overhead=True,
-        max_symbols=2048,
-        search="sequential",
-    )
+    code = SpinalCode(encoder, lambda enc: BubbleDecoder(enc, beam_width=16), framer)
+    # "self" termination: the receiver stops on the framer's CRC check.  The
+    # session credits only the payload bits, so the CRC counts as overhead.
+    session = CodecSession(code, channel, termination="self", max_symbols=2048)
 
     received_payloads = []
     symbols_needed = []

@@ -23,7 +23,14 @@ import argparse
 
 import numpy as np
 
-from repro import BubbleDecoder, Framer, RatelessSession, SpinalEncoder, SpinalParams
+from repro import (
+    CodecSession,
+    Framer,
+    IncrementalBubbleDecoder,
+    SpinalCode,
+    SpinalEncoder,
+    SpinalParams,
+)
 from repro.baselines import ThresholdRateAdapter
 from repro.channels import TimeVaryingAWGNChannel
 from repro.channels.traces import random_walk_trace
@@ -35,21 +42,17 @@ from repro.utils.rng import spawn_rng
 def spinal_over_trace(packet_snrs_db, symbols_per_packet: int, rng) -> float:
     """Mean achieved rate of the rateless spinal code over the SNR trace."""
     params = SpinalParams(k=8, c=10)
-    encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
-    framer = Framer(payload_bits=24, k=params.k)
+    code = SpinalCode(
+        SpinalEncoder(params, puncturing=TailFirstPuncturing()),
+        lambda enc: IncrementalBubbleDecoder(enc, beam_width=16),
+        Framer(payload_bits=24, k=params.k),
+    )
     rates = []
     for snr_db in packet_snrs_db:
         # Within one packet the SNR still wiggles by +/- 1 dB symbol to symbol.
         within = snr_db + rng.normal(0.0, 1.0, size=symbols_per_packet)
         channel = TimeVaryingAWGNChannel(within, adc_bits=14)
-        session = RatelessSession(
-            encoder,
-            decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-            channel=channel,
-            framer=framer,
-            max_symbols=symbols_per_packet,
-            search="bisect",
-        )
+        session = CodecSession(code, channel, max_symbols=symbols_per_packet)
         payload = rng.integers(0, 2, size=24, dtype=np.uint8)
         trial = session.run(payload, rng)
         rates.append(trial.rate if trial.success else 0.0)

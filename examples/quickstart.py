@@ -19,8 +19,9 @@ import numpy as np
 from repro import (
     AWGNChannel,
     BubbleDecoder,
+    CodecSession,
     Framer,
-    RatelessSession,
+    SpinalCode,
     SpinalEncoder,
     SpinalParams,
 )
@@ -74,13 +75,12 @@ def main() -> None:
     print("  tree nodes   :", result.candidates_explored)
 
     print("\n=== 5. The full rateless loop ===")
-    framer = Framer(payload_bits=24, k=params.k)
-    session = RatelessSession(
+    code = SpinalCode(
         encoder,
-        decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-        channel=channel,
-        framer=framer,
-    ).codec_session()  # the code-agnostic session API (repro.phy)
+        lambda enc: BubbleDecoder(enc, beam_width=16),
+        Framer(payload_bits=24, k=params.k),
+    )
+    session = CodecSession(code, channel)  # the code-agnostic session API (repro.phy)
     rates = []
     for _ in range(20):
         payload = rng.integers(0, 2, size=24, dtype=np.uint8)

@@ -11,22 +11,20 @@ Quickstart::
 
     import numpy as np
     from repro import (
-        AWGNChannel, Framer, IncrementalBubbleDecoder, RatelessSession,
-        SpinalEncoder, SpinalParams,
+        AWGNChannel, CodecSession, Framer, IncrementalBubbleDecoder,
+        SpinalCode, SpinalEncoder, SpinalParams,
     )
 
     params = SpinalParams(k=8, c=10)
-    encoder = SpinalEncoder(params)
-    framer = Framer(payload_bits=24, k=params.k)
-    session = RatelessSession(
-        encoder,
-        decoder_factory=lambda enc: IncrementalBubbleDecoder(enc, beam_width=16),
-        channel=AWGNChannel(snr_db=10.0, adc_bits=14),
-        framer=framer,
+    code = SpinalCode(
+        SpinalEncoder(params),
+        lambda enc: IncrementalBubbleDecoder(enc, beam_width=16),
+        Framer(payload_bits=24, k=params.k),
     )
+    session = CodecSession(code, AWGNChannel(snr_db=10.0, adc_bits=14))
     rng = np.random.default_rng(0)
     payload = rng.integers(0, 2, size=24, dtype=np.uint8)
-    trial = session.codec_session().run(payload, rng)
+    trial = session.run(payload, rng)
     print(trial.rate, trial.payload_correct)
 
 Any other registered code family runs through the same loop (and the same
@@ -61,11 +59,9 @@ from repro.core import (
     MLDecoder,
     NoPuncturing,
     OffsetLinearConstellation,
-    RatelessSession,
     SpinalEncoder,
     SpinalParams,
     StridedPuncturing,
-    TrialResult,
     TruncatedGaussianConstellation,
 )
 from repro.netcode import (
@@ -104,8 +100,6 @@ __all__ = [
     "VectorizedBubbleDecoder",
     "BatchDecoder",
     "MLDecoder",
-    "RatelessSession",
-    "TrialResult",
     "Framer",
     "CRC8",
     "CRC16_CCITT",

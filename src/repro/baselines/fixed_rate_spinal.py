@@ -16,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.channels.awgn import AWGNChannel
-from repro.core.decoder_bubble import BubbleDecoder
-from repro.core.encoder import SpinalEncoder
 from repro.core.params import SpinalParams
 from repro.phy.fixed_rate import FixedRateSpinalCode
 from repro.phy.session import CodecSession
 from repro.utils.bitops import random_message_bits
-from repro.utils.deprecation import warn_once
 
 __all__ = ["FixedRateSpinalSystem", "FixedRateSpinalResult"]
 
@@ -77,10 +74,6 @@ class FixedRateSpinalSystem:
         self.n_passes = n_passes
         self.beam_width = beam_width
         self.adc_bits = adc_bits
-        #: Legacy compatibility attributes: frames now run through the codec
-        #: session over ``_code`` below, not this encoder/decoder pair.
-        self.encoder = SpinalEncoder(self.params)
-        self.decoder = BubbleDecoder(self.encoder, beam_width=beam_width)
         self._code = FixedRateSpinalCode(
             message_bits,
             n_passes=n_passes,
@@ -107,19 +100,10 @@ class FixedRateSpinalSystem:
     ) -> tuple[bool, int]:
         """Send one frame; return (frame correct, number of wrong bits).
 
-        .. deprecated::
-            This is a byte-identical shim over the ``repro.phy`` codec API:
-            a :class:`~repro.phy.fixed_rate.FixedRateSpinalCode` run through
-            a :class:`~repro.phy.session.CodecSession` whose budget is
-            exactly one frame.  The codec spelling also supports ARQ
-            retransmission, transports, relays and cells.
+        The frame is a :class:`~repro.phy.fixed_rate.FixedRateSpinalCode`
+        run through a :class:`~repro.phy.session.CodecSession` whose budget
+        is exactly one frame.
         """
-        warn_once(
-            "FixedRateSpinalSystem.transmit_frame",
-            "FixedRateSpinalSystem.transmit_frame is a shim over the repro.phy "
-            "codec API; prefer CodecSession(FixedRateSpinalCode(message_bits, "
-            "n_passes, ...), AWGNChannel(snr_db, ...)).run(payload, rng)",
-        )
         channel = AWGNChannel(
             snr_db=snr_db, signal_power=self.params.average_power, adc_bits=self.adc_bits
         )

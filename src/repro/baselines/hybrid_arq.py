@@ -25,7 +25,6 @@ from repro.baselines.ldpc_system import FixedRateLdpcSystem, LdpcConfig
 from repro.channels.awgn import AWGNChannel
 from repro.phy.ldpc_ir import LdpcIrCode
 from repro.phy.session import CodecSession
-from repro.utils.deprecation import warn_once
 
 __all__ = ["HybridArqLdpcSystem", "ArqTrialResult"]
 
@@ -71,20 +70,10 @@ class HybridArqLdpcSystem:
     def run_trial(self, snr_db: float, rng: np.random.Generator) -> ArqTrialResult:
         """Deliver one frame, retransmitting until decoded or out of attempts.
 
-        .. deprecated::
-            This is a byte-identical shim over the ``repro.phy`` codec API:
-            Chase combining is :class:`~repro.phy.ldpc_ir.LdpcIrCode` with
-            ``chunk_bits = n`` (whole-codeword repeats) run through a
-            :class:`~repro.phy.session.CodecSession` — which also unlocks
-            the finer puncturing schedules, transports, relays and cells
-            this one-shot interface never supported.
+        Chase combining is :class:`~repro.phy.ldpc_ir.LdpcIrCode` with
+        ``chunk_bits = n`` (whole-codeword repeats) run through a
+        :class:`~repro.phy.session.CodecSession`.
         """
-        warn_once(
-            "HybridArqLdpcSystem.run_trial",
-            "HybridArqLdpcSystem.run_trial is a shim over the repro.phy codec API; "
-            "prefer CodecSession(LdpcIrCode(snr_db, chunk_bits=n, ...), "
-            "AWGNChannel(snr_db)).run(payload, rng)",
-        )
         code = self.system.code
         ir_code = LdpcIrCode(
             snr_db=snr_db,

@@ -70,6 +70,7 @@ from repro.experiments.registry import (
     render_run,
     render_run_csv,
     render_run_plot,
+    resolve_run,
     run_experiment,
 )
 from repro.experiments.transport_sweep import (
@@ -591,28 +592,51 @@ def _command_list(args: argparse.Namespace) -> str:
     return registry.catalog_markdown() if args.markdown else registry.catalog()
 
 
-def _command_run(args: argparse.Namespace) -> str:
-    registry.load_all()
+def _plan_runs(args: argparse.Namespace) -> list:
+    """Validate a ``run`` invocation; return its ``(experiment, overrides)`` pairs.
+
+    Every requested experiment is resolved up front, so a bad name, override,
+    worker count or trial count fails before the first cell is computed.
+    """
     if args.all == bool(args.name):
         raise ValueError("run expects exactly one of <name> or --all")
     if args.all and args.sets:
         raise ValueError("--set cannot be combined with --all")
-    chosen = registry.names() if args.all else [args.name]
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    plan = []
+    for name in registry.names() if args.all else [args.name]:
+        experiment = registry.get(name)
+        overrides = _parse_overrides(experiment, args.sets)
+        resolve_run(
+            experiment, overrides, n_trials=args.trials, seed=args.seed, smoke=args.smoke
+        )
+        plan.append((experiment, overrides))
+    return plan
+
+
+def _command_run(args: argparse.Namespace) -> str:
+    registry.load_all()
+    try:
+        plan = _plan_runs(args)
+    except (ValueError, KeyError) as exc:
+        # One line and exit status 2, like argparse's own usage errors.
+        print(f"repro run: error: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(2) from None
     store = None if args.no_save else RunStore(args.out)
     pieces = []
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
-        for name in chosen:
-            experiment = registry.get(name)
+        for experiment, overrides in plan:
             outcome = run_experiment(
                 experiment,
-                overrides=_parse_overrides(experiment, args.sets),
+                overrides=overrides,
                 n_workers=args.workers,
                 n_trials=args.trials,
                 seed=args.seed,
                 store=store,
                 smoke=args.smoke,
             )
-            text = f"== {name}: {experiment.description}\n\n" + outcome.table()
+            text = f"== {experiment.name}: {experiment.description}\n\n" + outcome.table()
             if args.plot:
                 chart = render_run_plot(experiment, outcome.record)
                 if chart:

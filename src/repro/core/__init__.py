@@ -19,13 +19,11 @@ and Shah (HotNets 2011):
   maximum-likelihood decoder and the practical beam ("bubble") decoder with
   the graceful scale-down property.
 * :mod:`repro.core.decoder_incremental` — the stateful incremental engine
-  that reuses beam state across the rateless session's decode attempts
+  that reuses beam state across a rateless session's decode attempts
   (bit-identical results, a fraction of the work).
 * :mod:`repro.core.decoder_vectorized` — the whole-beam array-op engine and
   the :class:`BatchDecoder` front for decoding many concurrent sessions as
   stacked kernels (bit-identical results again).
-* :mod:`repro.core.rateless` — the sender/receiver rateless session used by
-  every experiment.
 * :mod:`repro.core.crc` / :mod:`repro.core.framing` — termination checking.
 """
 
@@ -49,12 +47,6 @@ from repro.core.framing import Framer
 from repro.core.hashing import SaltedHashFamily
 from repro.core.params import SpinalParams
 from repro.core.puncturing import NoPuncturing, StridedPuncturing
-from repro.core.rateless import (
-    PacketTransmission,
-    RatelessReceiver,
-    RatelessSession,
-    TrialResult,
-)
 from repro.core.spine import SpineGenerator
 
 __all__ = [
@@ -76,10 +68,6 @@ __all__ = [
     "make_decoder_factory",
     "MLDecoder",
     "DecodeResult",
-    "PacketTransmission",
-    "RatelessSession",
-    "RatelessReceiver",
-    "TrialResult",
     "Crc",
     "CRC8",
     "CRC16_CCITT",

@@ -85,9 +85,7 @@ def build_rateless_cell_users(params, snrs_db) -> list[CellUser]:
         channel = build_cell_channel(
             str(params["channel"]), float(snr_db), config.adc_bits, user, len(snrs_db)
         )
-        session = config.build_session(
-            channel, max_symbols=int(params["max_symbols"]), search="sequential"
-        )
+        session = config.build_session(channel, max_symbols=int(params["max_symbols"]))
         payloads = [
             random_message_bits(
                 config.payload_bits, spawn_rng(seed, "cell-payload", user, i)

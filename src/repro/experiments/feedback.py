@@ -33,7 +33,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import Axis, Column, SweepSpec
 from repro.link.feedback import BlockFeedback, DelayedFeedback, FeedbackModel, PerfectFeedback
-from repro.link.session import _accounted_link_session
+from repro.link.session import simulate_link_session
 from repro.utils.results import render_table
 
 __all__ = [
@@ -94,7 +94,7 @@ def feedback_aggregate(params, trials) -> dict:
     config = spinal_config_from_params(params)
     framer = config.build_framer()
     model = parse_feedback_model(str(params["model"]), framer.n_segments)
-    session = _accounted_link_session(
+    session = simulate_link_session(
         [int(t["symbols"]) for t in trials],
         payload_bits_per_packet=config.payload_bits,
         feedback=model,
@@ -179,7 +179,7 @@ def feedback_experiment(
         for snr_db in snr_values_db:
             measurement = run_spinal_point(config, float(snr_db))
             for model in models:
-                session = _accounted_link_session(
+                session = simulate_link_session(
                     measurement.symbols_sent,
                     payload_bits_per_packet=config.payload_bits,
                     feedback=model,

@@ -58,6 +58,7 @@ __all__ = [
     "names",
     "all_experiments",
     "load_all",
+    "resolve_run",
     "run_experiment",
     "render_run",
     "render_run_csv",
@@ -373,6 +374,41 @@ class RunOutcome:
         return render_run(self.experiment, self.record)
 
 
+def resolve_run(
+    experiment: Experiment,
+    overrides: Mapping[str, object] | None = None,
+    *,
+    n_trials: int | None = None,
+    seed: int | None = None,
+    smoke: bool = False,
+) -> tuple[SweepSpec, int, int]:
+    """The ``(spec, n_trials, seed)`` a :func:`run_experiment` call would run.
+
+    Raises ``ValueError``/``KeyError`` on bad overrides or trial counts
+    without computing anything, so callers can validate a whole batch of
+    runs before the first cell starts.
+    """
+    merged: dict = {}
+    if smoke:
+        merged.update(experiment.smoke)
+    if overrides:
+        merged.update(overrides)
+    default_trials = merged.pop("n_trials", experiment.n_trials)
+    default_seed = merged.pop("seed", experiment.seed)
+    resolved_trials = int(default_trials if n_trials is None else n_trials)
+    resolved_seed = int(default_seed if seed is None else seed)
+    if resolved_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {resolved_trials}")
+    if experiment.max_trials is not None and resolved_trials > experiment.max_trials:
+        raise ValueError(
+            f"experiment {experiment.name!r} supports at most "
+            f"{experiment.max_trials} trial(s) per cell — its kernel derives "
+            "all randomness from the base seed, so extra trials would only "
+            "duplicate the first"
+        )
+    return experiment.spec.with_values(merged), resolved_trials, resolved_seed
+
+
 def run_experiment(
     experiment: Experiment,
     overrides: Mapping[str, object] | None = None,
@@ -394,25 +430,9 @@ def run_experiment(
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    merged: dict = {}
-    if smoke:
-        merged.update(experiment.smoke)
-    if overrides:
-        merged.update(overrides)
-    default_trials = merged.pop("n_trials", experiment.n_trials)
-    default_seed = merged.pop("seed", experiment.seed)
-    resolved_trials = int(default_trials if n_trials is None else n_trials)
-    resolved_seed = int(default_seed if seed is None else seed)
-    if resolved_trials < 1:
-        raise ValueError(f"n_trials must be at least 1, got {resolved_trials}")
-    if experiment.max_trials is not None and resolved_trials > experiment.max_trials:
-        raise ValueError(
-            f"experiment {experiment.name!r} supports at most "
-            f"{experiment.max_trials} trial(s) per cell — its kernel derives "
-            "all randomness from the base seed, so extra trials would only "
-            "duplicate the first"
-        )
-    spec = experiment.spec.with_values(merged)
+    spec, resolved_trials, resolved_seed = resolve_run(
+        experiment, overrides, n_trials=n_trials, seed=seed, smoke=smoke
+    )
 
     resolved_hash = spec_hash(experiment.name, spec, resolved_trials, resolved_seed)
     spec_document = {

@@ -10,6 +10,18 @@ at the operating point (a trial is allowed several times the number of
 symbols an ideal code would need) so that low-SNR points neither truncate
 trials prematurely nor waste time transmitting far past the decoding point.
 
+Two search strategies find a trial's stopping point (``search``):
+
+* ``"sequential"`` — :meth:`CodecSession.run
+  <repro.phy.session.CodecSession.run>`, the on-line receiver that attempts
+  a decode after every subpass.
+* ``"bisect"`` — :func:`_run_bisect`: transmit lazily, gallop then
+  binary-search the smallest symbol prefix after which the termination
+  rule passes.  It touches far fewer decode attempts at low SNR; the
+  monotonicity it assumes (more symbols never hurt) is checked empirically
+  in the test suite, and any non-monotonicity is resolved conservatively
+  (towards more symbols) by a final sequential refinement step.
+
 Two performance knobs, both result-preserving:
 
 * ``decoder`` selects the receiver's decoding engine: ``"incremental"``
@@ -32,12 +44,14 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
+import numpy as np
+
 from repro.channels.awgn import AWGNChannel
 from repro.channels.base import Channel
 from repro.channels.bsc import BSCChannel
 from repro.core.crc import Crc
 from repro.core.decoder_vectorized import DECODER_ENGINES, make_decoder_factory
-from repro.core.encoder import SpinalEncoder
+from repro.core.encoder import ReceivedObservations, SpinalEncoder, SubpassBlock
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
 from repro.core.puncturing import (
@@ -47,9 +61,10 @@ from repro.core.puncturing import (
     SymbolBySymbol,
     TailFirstPuncturing,
 )
-from repro.core.rateless import RatelessSession
 from repro.experiments.registry import Experiment, default_aggregate, register
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
+from repro.phy.session import CodecResult, CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.theory.capacity import awgn_capacity_db, bsc_capacity
 from repro.utils.bitops import random_message_bits
 from repro.utils.parallel import stride_map
@@ -86,6 +101,10 @@ _BUDGET_FACTOR = 8.0
 _MIN_BUDGET_PASSES = 4
 #: Hard ceiling on the per-trial budget (protects the lowest SNR points).
 _MAX_BUDGET_SYMBOLS = 32768
+#: Recognised ``search`` strategies (see the module docstring).
+_SEARCHES = ("sequential", "bisect")
+#: Config termination rules and the :class:`CodecSession` rule each maps to.
+_TERMINATIONS = {"genie": "genie", "crc": "self"}
 
 
 def make_puncturing(name: str, **kwargs) -> PuncturingSchedule:
@@ -143,6 +162,15 @@ class SpinalRunConfig:
                 f"unknown decoder {self.decoder!r}; "
                 f"expected one of {sorted(DECODER_ENGINES)}"
             )
+        if self.termination not in _TERMINATIONS:
+            raise ValueError(
+                f"unknown termination rule {self.termination!r}; "
+                f"expected one of {sorted(_TERMINATIONS)}"
+            )
+        if self.search not in _SEARCHES:
+            raise ValueError(
+                f"unknown search strategy {self.search!r}; expected one of {_SEARCHES}"
+            )
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be at least 1, got {self.n_workers}")
 
@@ -166,31 +194,28 @@ class SpinalRunConfig:
         return make_decoder_factory(self.decoder, self.beam_width)
 
     def build_session(
-        self,
-        channel: Channel,
-        max_symbols: int | None = None,
-        search: str | None = None,
-    ) -> RatelessSession:
+        self, channel: Channel, max_symbols: int | None = None
+    ) -> CodecSession:
         """Assemble the complete rateless session for one channel.
 
         The single place session wiring happens, shared by the Monte-Carlo
         trial runner and the relay-topology builder so the two cannot
         drift.  ``max_symbols`` defaults to the config's value (or 4096 if
         unset — callers wanting the adaptive budget pass
-        :meth:`symbol_budget` explicitly); ``search`` defaults to the
-        config's strategy.
+        :meth:`symbol_budget` explicitly).  ``"crc"`` termination is the
+        session's ``"self"`` rule.  With ``count_overhead`` only the payload
+        bits are credited, otherwise the whole frame is (the paper's
+        Figure-2 convention).
         """
         if max_symbols is None:
             max_symbols = self.max_symbols if self.max_symbols is not None else 4096
-        return RatelessSession(
-            self.build_encoder(),
-            decoder_factory=self.decoder_factory(),
-            channel=channel,
-            framer=self.build_framer(),
-            termination=self.termination,
+        framer = self.build_framer()
+        return CodecSession(
+            SpinalCode(self.build_encoder(), self.decoder_factory(), framer),
+            channel,
+            termination=_TERMINATIONS[self.termination],
             max_symbols=max_symbols,
-            search=search if search is not None else self.search,
-            count_overhead=self.count_overhead,
+            credited_bits=framer.payload_bits if self.count_overhead else framer.framed_bits,
         )
 
     def symbol_budget(self, ideal_rate: float) -> int:
@@ -203,6 +228,114 @@ class SpinalRunConfig:
             return _MAX_BUDGET_SYMBOLS
         budget = int(math.ceil(_BUDGET_FACTOR * framer.framed_bits / ideal_rate))
         return max(floor_budget, min(budget, _MAX_BUDGET_SYMBOLS))
+
+
+def _run_bisect(
+    session: CodecSession, payload: np.ndarray, rng: np.random.Generator
+) -> CodecResult:
+    """One trial of a spinal session under the ``"bisect"`` search.
+
+    Subpasses are transmitted lazily and recorded; decode attempts run on
+    truncated prefixes of the recording.  A galloping phase doubles the
+    prefix from about one pass until a decode succeeds (or the budget runs
+    out), a binary search then finds the first succeeding subpass boundary,
+    and a sequential refinement step guards against non-monotone flukes.
+    Blocks and noise draws come in the same order as in
+    :meth:`CodecSession.run`, so up to the stopping point both searches see
+    identical channel output.
+    """
+    code: SpinalCode = session.code
+    encoder, framer = code.encoder, code.framer
+    max_symbols = session.max_symbols
+    min_symbols = code.min_symbols_to_attempt()
+    payload = np.asarray(payload, dtype=np.uint8)
+    framed = framer.frame(payload)
+    session.channel.reset()
+    stream = encoder.symbol_stream(framed)
+    decoder = code.decoder_factory(encoder)
+    blocks: list[SubpassBlock] = []
+    received: list[np.ndarray] = []
+    boundaries: list[int] = []
+    attempts = work = 0
+    last = None
+
+    def ensure_symbols(target: int) -> None:
+        """Transmit further subpasses until ``target`` symbols are on record."""
+        while not boundaries or boundaries[-1] < min(target, max_symbols):
+            block = next(stream)
+            received.append(session.channel.transmit(block.values, rng))
+            blocks.append(block)
+            boundaries.append((boundaries[-1] if boundaries else 0) + block.n_symbols)
+
+    def attempt(index: int, force: bool = False) -> bool:
+        nonlocal attempts, work, last
+        if not force and boundaries[index] < min_symbols:
+            return False
+        observations = ReceivedObservations(framer.n_segments).truncated(
+            boundaries[index], blocks, received
+        )
+        last = decoder.decode(framer.framed_bits, observations)
+        attempts += 1
+        work += last.candidates_explored
+        if session.termination == "genie":
+            return bool(np.array_equal(last.message_bits, framed))
+        return framer.check(last.message_bits)
+
+    def result(symbols_sent: int, success: bool) -> CodecResult:
+        decoded = framer.extract_payload(last.message_bits)
+        return CodecResult(
+            success=success,
+            payload_correct=bool(np.array_equal(decoded, payload)),
+            symbols_sent=symbols_sent,
+            credited_bits=session.credited_bits,
+            decode_attempts=attempts,
+            work=work,
+            decoded_payload=decoded,
+        )
+
+    # Galloping phase: keeps the expensive many-observation decode attempts
+    # confined to a factor of two around the true stopping point.
+    target = framer.n_segments
+    last_failure = -1
+    while True:
+        ensure_symbols(target)
+        index = len(boundaries) - 1
+        if attempt(index):
+            first_success = index
+            break
+        last_failure = index
+        if boundaries[-1] >= max_symbols:
+            if last is None:
+                attempt(index, force=True)
+            return result(boundaries[-1], success=False)
+        target = min(2 * boundaries[-1], max_symbols)
+
+    # Binary search between the last known failure and the first success.
+    lo, hi = last_failure + 1, first_success
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if attempt(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    # Guard against non-monotone flukes: the reported boundary must decode.
+    if not attempt(lo):
+        while lo < first_success and not attempt(lo):
+            lo += 1
+        attempt(lo)
+    return result(boundaries[lo], success=True)
+
+
+def _run_trial(
+    config: SpinalRunConfig,
+    session: CodecSession,
+    payload: np.ndarray,
+    rng: np.random.Generator,
+) -> CodecResult:
+    """One trial under the config's ``search`` strategy."""
+    if config.search == "bisect":
+        return _run_bisect(session, payload, rng)
+    return session.run(payload, rng)
 
 
 def _trial_batch(
@@ -223,7 +356,7 @@ def _trial_batch(
     for index, trial in batch:
         rng = spawn_rng(config.seed, "trial", label, trial)
         payload = random_message_bits(config.payload_bits, rng)
-        result = session._run(payload, rng)
+        result = _run_trial(config, session, payload, rng)
         outcomes.append((index, (result.rate, result.symbols_sent, result.payload_correct)))
     return outcomes
 
@@ -405,12 +538,12 @@ def run_one_spinal_trial(
     """One rateless transmission, as JSON-native metrics (kernel primitive)."""
     session = config.build_session(channel, max_symbols)
     payload = random_message_bits(config.payload_bits, rng)
-    result = session._run(payload, rng)
+    result = _run_trial(config, session, payload, rng)
     return {
         "rate": result.rate,
         "symbols": result.symbols_sent,
         "ok": result.payload_correct,
-        "candidates": result.candidates_explored,
+        "candidates": result.work,
     }
 
 

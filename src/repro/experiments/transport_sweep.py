@@ -90,7 +90,6 @@ class TransportSweepConfig:
             puncturing=self.puncturing,
             decoder=self.decoder,
             max_symbols=self.max_symbols,
-            search="sequential",
             seed=self.seed,
         )
 

@@ -5,10 +5,9 @@ session and turns them into link-level throughput and latency numbers for a
 given feedback model — the quantity experiment E13 sweeps.
 
 :func:`deliver_packets` bridges the physical and link layers directly: it
-transmits a sequence of payloads through a :class:`RatelessSession` (whose
-``decoder_factory`` decides between the from-scratch and incremental
-decoding engines) and applies a feedback model to the measured per-packet
-symbol requirements in one step.
+transmits a sequence of payloads through a
+:class:`~repro.phy.session.CodecSession` and applies a feedback model to the
+measured per-packet symbol requirements in one step.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.rateless import RatelessSession, TrialResult
 from repro.link.feedback import FeedbackModel
-from repro.utils.deprecation import warn_once
+from repro.phy.session import CodecResult, CodecSession
 
 __all__ = ["LinkSessionResult", "simulate_link_session", "deliver_packets"]
 
@@ -88,32 +86,11 @@ def simulate_link_session(
 
     An empty sequence is valid and yields a zero-packet result whose
     throughput properties are all well-defined (zero throughput, vacuously
-    perfect efficiency).
-
-    .. deprecated::
-        Model-based accounting is superseded by the *measured* transport:
-        ``repro.link.transport.run_link_transport(session, payloads, config)``
-        returns the same :class:`LinkSessionResult` via
-        ``TransportResult.link_session_result()`` from simulated protocol
-        dynamics, for any :class:`~repro.phy.session.CodecSession`.
+    perfect efficiency).  The *measured* counterpart is
+    ``run_link_transport(session, payloads, config).link_session_result()``
+    (:mod:`repro.link.transport`), which simulates the protocol dynamics
+    instead of assuming a model.
     """
-    warn_once(
-        "simulate_link_session",
-        "simulate_link_session applies a closed-form feedback model; prefer the "
-        "measured transport: repro.link.transport.run_link_transport(session, "
-        "payloads, config).link_session_result()",
-    )
-    return _accounted_link_session(
-        symbols_needed_per_packet, payload_bits_per_packet, feedback
-    )
-
-
-def _accounted_link_session(
-    symbols_needed_per_packet: Sequence[int],
-    payload_bits_per_packet: int,
-    feedback: FeedbackModel,
-) -> LinkSessionResult:
-    """The non-deprecated implementation behind :func:`simulate_link_session`."""
     needed = np.asarray(list(symbols_needed_per_packet), dtype=np.int64)
     if np.any(needed <= 0):
         raise ValueError("symbols_needed_per_packet must be positive")
@@ -131,24 +108,23 @@ def _accounted_link_session(
 
 
 def deliver_packets(
-    session: RatelessSession,
+    session: CodecSession,
     payloads: Sequence[np.ndarray],
     rng: np.random.Generator,
     feedback: FeedbackModel,
-) -> tuple[LinkSessionResult, list[TrialResult]]:
+) -> tuple[LinkSessionResult, list[CodecResult]]:
     """Transmit each payload ratelessly and account for feedback overhead.
 
     Runs one rateless trial per payload through ``session`` (each trial gets
     a fresh decoder from the session's factory, so the incremental engine's
     per-message caches never leak between packets), then applies ``feedback``
     to the measured symbol requirements.  Returns the link-level accounting
-    together with the underlying per-packet trial results, whose
-    ``candidates_explored`` totals expose the decoder work the engine choice
-    saved.  An empty payload sequence yields an empty (zero-throughput)
-    result and no trials.
+    together with the underlying per-packet trial results, whose ``work``
+    totals expose the decoder work the engine choice saved.  An empty
+    payload sequence yields an empty (zero-throughput) result and no trials.
     """
-    trials = [session._run(payload, rng) for payload in payloads]
-    link_result = _accounted_link_session(
+    trials = [session.run(payload, rng) for payload in payloads]
+    link_result = simulate_link_session(
         [trial.symbols_sent for trial in trials],
         session.payload_bits,
         feedback,

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.channels.awgn import AWGNChannel
-from repro.core.rateless import RatelessSession
 from repro.phy.session import CodecSession
 from repro.link.events import EventScheduler
 from repro.link.transport import (
@@ -89,7 +88,7 @@ def relay_hop_params(config: "SpinalRunConfig", hop: int):
 
 def build_relay_sessions(
     config: "SpinalRunConfig", hop_snrs_db: Sequence[float]
-) -> list[RatelessSession]:
+) -> list[CodecSession]:
     """One rateless session per hop, each with its own AWGN channel and code."""
     if len(hop_snrs_db) == 0:
         raise ValueError("a relay path needs at least one hop")
@@ -102,9 +101,7 @@ def build_relay_sessions(
             signal_power=params.average_power,
             adc_bits=config.adc_bits,
         )
-        # The transport is inherently an on-line sequential receiver, so the
-        # config's search strategy is overridden per hop.
-        sessions.append(hop_config.build_session(channel, search="sequential"))
+        sessions.append(hop_config.build_session(channel))
     return sessions
 
 
@@ -183,7 +180,7 @@ class RelayTransportResult:
 
 
 def simulate_relay_transport(
-    sessions: Sequence[RatelessSession],
+    sessions: Sequence[CodecSession],
     payloads: Sequence[np.ndarray],
     config: TransportConfig,
 ) -> RelayTransportResult:
@@ -594,7 +591,7 @@ def _dag_flow_bound(topology: DagTopology, xor_nodes: frozenset) -> dict[int, in
 
 def simulate_dag_transport(
     topology: DagTopology,
-    sessions: Sequence[RatelessSession | CodecSession],
+    sessions: Sequence[CodecSession],
     source_payloads: Mapping[str, Sequence[np.ndarray]],
     config: TransportConfig,
     xor_nodes: Sequence[str] = (),

@@ -51,8 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.channels.erasure import PacketErasureChannel
-from repro.core.rateless import PacketTransmission, RatelessSession
-from repro.phy.session import CodecSession
+from repro.phy.session import CodecSession, CodecTransmission
 from repro.link.events import (
     PRIORITY_ACK,
     PRIORITY_BLOCK,
@@ -81,7 +80,8 @@ def packet_rng(seed: int, hop: int, index: int) -> np.random.Generator:
     Factored out so tests and the relay topology derive the *same* streams
     as the transport: per-packet independence is what makes a packet's
     symbol requirement identical whether its blocks are interleaved with
-    other packets or sent back-to-back by :meth:`RatelessSession.run`.
+    other packets or sent back-to-back by :meth:`CodecSession.run
+    <repro.phy.session.CodecSession.run>`.
     """
     return spawn_rng(seed, "transport", "hop", hop, "packet", index)
 
@@ -211,7 +211,7 @@ class _PacketState:
 
     orig_index: int
     payload: np.ndarray
-    transmission: PacketTransmission | None = None
+    transmission: CodecTransmission | None = None
     acked: bool = False
     failed: bool = False
     delivered: bool = False
@@ -232,8 +232,7 @@ class HopTransport:
 
     ``session`` is *code-agnostic*: anything exposing the PHY-session
     surface — ``open_transmission(payload, rng)``, ``payload_bits``,
-    ``max_symbols``, ``channel`` — works, i.e. a historical (spinal)
-    :class:`~repro.core.rateless.RatelessSession` or a
+    ``max_symbols``, ``channel`` — works, i.e. a
     :class:`~repro.phy.session.CodecSession` over any registered code
     family.  The transport only ever drives the pausable transmission
     interface (``send_next_block`` / ``deliver`` / ``decoded`` /
@@ -243,7 +242,7 @@ class HopTransport:
     def __init__(
         self,
         scheduler: EventScheduler,
-        session: "RatelessSession | CodecSession",
+        session: CodecSession,
         config: TransportConfig,
         hop_index: int = 0,
         on_deliver: Callable[[int, np.ndarray, int], None] | None = None,
@@ -281,7 +280,7 @@ class HopTransport:
         self._kick_send(self.scheduler.now)
 
     # -- sender side ---------------------------------------------------------
-    def _transmission(self, seq: int) -> PacketTransmission:
+    def _transmission(self, seq: int) -> CodecTransmission:
         state = self.packets[seq]
         if state.transmission is None:
             state.transmission = self.session.open_transmission(
@@ -534,20 +533,18 @@ def _event_budget(config: TransportConfig, n_packets: int, budgets: Sequence[int
 
 
 def run_link_transport(
-    session: "RatelessSession | CodecSession",
+    session: CodecSession,
     payloads: Sequence[np.ndarray],
     config: TransportConfig,
 ) -> TransportResult:
     """Simulate a single-hop sliding-window transport of ``payloads``.
 
     Every payload is streamed through ``session``'s encoder, channel and
-    decoder under the configured ARQ protocol; the session may be the
-    historical spinal one or a :class:`~repro.phy.session.CodecSession`
-    over any code family.  The session's ``max_symbols`` acts as the
-    per-packet abort budget, and its ``termination`` rule decides when the
-    receiver considers a packet decoded.  A spinal session's ``search``
-    setting is ignored: the transport is inherently sequential (an on-line
-    receiver attempting a decode per block).
+    decoder under the configured ARQ protocol, for a
+    :class:`~repro.phy.session.CodecSession` over any code family.  The
+    session's ``max_symbols`` acts as the per-packet abort budget, and its
+    ``termination`` rule decides when the receiver considers a packet
+    decoded.
     """
     scheduler = EventScheduler()
     session.channel.reset()

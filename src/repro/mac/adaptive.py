@@ -132,7 +132,7 @@ class AdaptiveFrameTransmission:
     """One packet's fixed-rate transmission under threshold adaptation.
 
     Implements the same pausable interface as
-    :class:`~repro.core.rateless.PacketTransmission` (``send_next_block`` /
+    :class:`~repro.phy.session.CodecTransmission` (``send_next_block`` /
     ``deliver`` / ``decoded`` / ``exhausted``), so the cell simulator
     multiplexes adaptive and rateless users identically.  Each *attempt*
     re-observes the channel through ``observe`` (evaluated at selection

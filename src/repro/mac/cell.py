@@ -12,7 +12,7 @@ divides directly into the bits/symbol numbers of the rest of the library.
 Model
 -----
 * The scheduling quantum is one *block*: a rateless user's next subpass
-  (:class:`~repro.core.rateless.PacketTransmission`) or an adaptive user's
+  (:class:`~repro.phy.session.CodecTransmission`) or an adaptive user's
   next fixed-rate pass (:class:`~repro.mac.adaptive.AdaptiveFrameTransmission`).
   The medium carries one block at a time; the base station's decode attempt
   and the grant decision both happen at the block boundary (decode before
@@ -51,8 +51,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.rateless import PacketTransmission, RatelessSession
-from repro.phy.session import CodecSession
+from repro.phy.session import CodecSession, CodecTransmission
 from repro.link.events import (
     PRIORITY_BLOCK,
     PRIORITY_SEND,
@@ -151,13 +150,12 @@ class Link(Protocol):
 class RatelessLink:
     """A user running a rateless session (no rate selection).
 
-    Since the ``repro.phy`` redesign the session may be the historical
-    spinal :class:`~repro.core.rateless.RatelessSession` *or* a
-    :class:`~repro.phy.session.CodecSession` over any registered code
-    family — the cell only drives the pausable-transmission interface.
+    The session is a :class:`~repro.phy.session.CodecSession` over any
+    registered code family — the cell only drives the pausable-transmission
+    interface.
     """
 
-    session: "RatelessSession | CodecSession"
+    session: CodecSession
 
     @property
     def channel(self):
@@ -176,7 +174,7 @@ class RatelessLink:
         payload: np.ndarray,
         rng: np.random.Generator,
         observe: Callable[[], float],
-    ) -> PacketTransmission:
+    ) -> CodecTransmission:
         # A rateless sender needs no CSI: ``observe`` is part of the link
         # interface only because the adaptive baseline must pre-commit.
         return self.session.open_transmission(payload, rng)

@@ -18,9 +18,8 @@ this family implements it as a genuine rateless *symbol stream*:
   termination rule.
 
 With ``chunk_bits = n`` the schedule degenerates to whole-codeword
-retransmission with Chase combining — exactly the historical
-:class:`~repro.baselines.hybrid_arq.HybridArqLdpcSystem`, which is why that
-baseline can remain a byte-identical shim over this family.
+retransmission with Chase combining — which is how
+:class:`~repro.baselines.hybrid_arq.HybridArqLdpcSystem` runs its frames.
 """
 
 from __future__ import annotations
@@ -110,8 +109,8 @@ class LdpcIrCode:
     max_iterations, algorithm:
         Belief-propagation configuration.
     code, modulation_obj, decoder:
-        Optional prebuilt components (the hybrid-ARQ shim passes its own so
-        the construction — and therefore the outputs — match bit for bit).
+        Optional prebuilt components (the hybrid-ARQ baseline passes the
+        ones its fixed-rate LDPC system already built).
     """
 
     def __init__(

@@ -36,8 +36,7 @@ Any object *structurally* matching these protocols works; none of the
 implementations subclass anything from this module.  In particular a
 "block" is anything with ``values`` (what goes on the air) and
 ``n_symbols`` (channel uses) — the spinal family streams its existing
-:class:`~repro.core.encoder.SubpassBlock` unchanged, which is how the
-adapter stays bit-identical to the historical session.
+:class:`~repro.core.encoder.SubpassBlock` unchanged.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ class DecodeStatus:
     estimate:
         The decoder's current message estimate in the code's *termination*
         space (for spinal: the framed bits, so genie termination compares
-        exactly what the historical receiver compared).  ``None`` when the
+        the whole frame).  ``None`` when the
         decoder has no estimate yet (e.g. an incomplete fountain decode).
     payload:
         The payload-bits view of ``estimate`` (``None`` iff ``estimate`` is).
@@ -221,7 +220,6 @@ class RatelessCode(Protocol):
         """Genie-termination truth in the code's termination space.
 
         For spinal this is the *framed* message (payload + CRC + padding +
-        tail), so a genie session terminates on exactly the comparison the
-        historical :class:`~repro.core.rateless.RatelessReceiver` made.
+        tail): a genie session terminates once the whole frame is right.
         """
         ...  # pragma: no cover - protocol stub

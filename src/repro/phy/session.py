@@ -1,24 +1,17 @@
 """The code-agnostic rateless session loop: one implementation, any code.
 
-:class:`CodecSession` is the generalisation of the historical
-:class:`~repro.core.rateless.RatelessSession`: it owns a
-:class:`~repro.phy.protocol.RatelessCode`, a channel, a termination rule and
-a per-packet symbol budget, and runs the paper's protocol — stream blocks,
-attempt decodes, stop on the first success — for *any* code family.
+:class:`CodecSession` owns a :class:`~repro.phy.protocol.RatelessCode`, a
+channel, a termination rule and a per-packet symbol budget, and runs the
+paper's protocol — stream blocks, attempt decodes, stop on the first
+success — for *any* code family.
 
-:class:`CodecTransmission` is the per-packet state (the generalisation of
-:class:`~repro.core.rateless.PacketTransmission`): a pausable, resumable
+:class:`CodecTransmission` is the per-packet state: a pausable, resumable
 transmission that the link transport, the relay topology and the MAC cell
 advance one block at a time in any global interleaving.  Sending and
 delivering stay separate steps (a transport may discard a block at the
 receiver), noise comes from the packet's private generator, and the PR-1
 decode gate (``code.min_symbols_to_attempt()``) keeps hopeless early decode
 attempts — and above-capacity flukes — suppressed uniformly across families.
-
-The spinal adapter (:mod:`repro.phy.spinal`) drives this loop through the
-same encoder stream, observation store and incremental decoder as the
-historical session, so ``RatelessSession.run`` remains available as a
-bit-identical shim on top of this module.
 """
 
 from __future__ import annotations
@@ -41,11 +34,10 @@ TERMINATIONS = ("genie", "self")
 class CodecResult:
     """Outcome of transmitting one payload ratelessly through any code.
 
-    The code-agnostic counterpart of
-    :class:`~repro.core.rateless.TrialResult` — same accounting, but
     ``decoded_payload`` may be ``None`` for families whose best-effort
     decode can be structurally incomplete (an LT decoder missing blocks),
-    and decoder work is reported in the family's own unit.
+    and decoder ``work`` is reported in the family's own unit (tree nodes
+    for spinal).
     """
 
     success: bool
@@ -67,10 +59,9 @@ class CodecResult:
 class CodecTransmission:
     """A pausable, resumable transmission of one payload over one code.
 
-    Mirrors the contract of the historical ``PacketTransmission`` exactly —
     ``send_next_block`` / ``deliver`` / ``decoded`` / ``exhausted`` /
-    ``symbols_sent`` / ``symbols_delivered`` / ``decoded_payload()`` — which
-    is the interface the link transport and the MAC cell multiplex on.
+    ``symbols_sent`` / ``symbols_delivered`` / ``decoded_payload()`` is the
+    interface the link transport and the MAC cell multiplex on.
     """
 
     def __init__(
@@ -248,8 +239,8 @@ class CodecSession:
         Sender give-up budget in channel uses per packet.
     credited_bits:
         Bits credited per delivered packet when computing rates; defaults
-        to the code's ``payload_bits``.  The spinal shim passes its framed
-        length here to preserve the paper's Figure-2 rate convention.
+        to the code's ``payload_bits``.  Spinal experiments pass the framed
+        length here to keep the paper's Figure-2 rate convention.
     """
 
     def __init__(

@@ -8,17 +8,13 @@ is :class:`~repro.core.encoder.ReceivedObservations`, and decode attempts go
 through whatever decoder the factory builds (the registered ``spinal``
 family builds :class:`~repro.core.decoder_vectorized.VectorizedBubbleDecoder`;
 every engine gives the same decoded bits, so only decoder ``work`` depends on
-the choice).  As a result a :class:`~repro.phy.session.CodecSession` over a
-:class:`SpinalCode` consumes randomness, counts symbols, gates decode
-attempts and produces decoded bits **bit-identically** to the historical
-:class:`~repro.core.rateless.RatelessSession` — which is what lets the old
-session remain a shim over the new API (pinned by
-``tests/test_api_migration.py`` and the transport/cell equivalence suites).
+the choice).  Session outcomes are pinned bit-for-bit by
+``tests/test_api_migration.py`` and the transport/cell equivalence suites.
 
 The termination (estimate) space of the family is the *framed* message —
-payload plus CRC, padding and tail — so genie sessions compare exactly what
-the historical receiver compared, and ``verified`` is the framer's
-self-check (CRC plus known-bits), i.e. the historical ``"crc"`` rule.
+payload plus CRC, padding and tail — so genie sessions compare the whole
+frame, and ``verified`` is the framer's self-check (CRC plus known-bits):
+the ``"self"`` termination rule of a spinal session.
 """
 
 from __future__ import annotations
@@ -77,10 +73,10 @@ class _SpinalDecoder:
 class SpinalCode:
     """The paper's code, packaged as a :class:`~repro.phy.protocol.RatelessCode`.
 
-    Parameters mirror the pieces a :class:`~repro.core.rateless.RatelessSession`
-    is assembled from, so the old session can wrap its own parts::
+    ``decoder_factory`` builds a fresh decoder bound to the encoder for each
+    packet, e.g. ``lambda enc: IncrementalBubbleDecoder(enc, beam_width=16)``::
 
-        code = SpinalCode(encoder, decoder_factory, framer)
+        session = CodecSession(SpinalCode(encoder, decoder_factory, framer), channel)
     """
 
     def __init__(
@@ -110,8 +106,7 @@ class SpinalCode:
     def min_symbols_to_attempt(self) -> int:
         """Channel uses carrying fewer coded bits than the unknown bits.
 
-        The historical receiver's threshold, verbatim: below it a *reliable*
-        decode is information-theoretically impossible, so attempting one
+        Below this threshold a *reliable* decode is information-theoretically impossible, so attempting one
         only burns tree expansions (and could terminate on an
         above-capacity fluke).
         """

@@ -13,33 +13,6 @@ import pytest
 
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.params import SpinalParams
-from repro.utils import deprecation
-
-#: Every compatibility shim's ``warn_once`` key.  Historical tests exercise
-#: these entry points freely; pre-marking the keys keeps them warning-clean
-#: under the ``error::DeprecationWarning`` filter no matter which test runs
-#: first (``warn_once`` fires once per process, so without this the failure
-#: would land on whichever caller a given test selection happens to order
-#: first).  Tests that assert the warning itself call ``reset_warnings()``
-#: and then ``pytest.warns`` — see ``test_api_migration.py``.
-KNOWN_SHIM_KEYS = frozenset(
-    {
-        "RatelessSession.run",
-        "simulate_link_session",
-        "FixedRateSpinalSystem.transmit_frame",
-        "HybridArqLdpcSystem.run_trial",
-    }
-)
-
-
-@pytest.fixture(autouse=True)
-def _shim_warning_guard():
-    """Per-test save/restore of the once-per-process deprecation registry."""
-    saved = set(deprecation._WARNED)
-    deprecation._WARNED.update(KNOWN_SHIM_KEYS)
-    yield
-    deprecation._WARNED.clear()
-    deprecation._WARNED.update(saved)
 
 
 @pytest.fixture

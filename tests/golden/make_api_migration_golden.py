@@ -1,16 +1,17 @@
-"""Regenerate ``api_migration.json``: reference outputs of the legacy entry points.
+"""Regenerate ``api_migration.json``: reference outputs of the session API and baselines.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/golden/make_api_migration_golden.py
 
-The file this produces was generated at the commit *before* the
-``repro.phy`` codec API landed, so it captures the historical behaviour of
-``RatelessSession.run``, ``simulate_link_session``,
-``HybridArqLdpcSystem.run_trial`` and ``FixedRateSpinalSystem``.  The
-migration test (``tests/test_api_migration.py``) pins the deprecation shims
-byte-identical to these numbers; regenerating the file on a commit where the
-shims already exist is only valid because the shims are byte-identical.
+The committed file was generated at the commit *before* the ``repro.phy``
+codec API landed, so it captures the pre-codec behaviour of the spinal
+session, ``simulate_link_session``, ``HybridArqLdpcSystem.run_trial`` and
+``FixedRateSpinalSystem``.  The migration test
+(``tests/test_api_migration.py``) pins today's spellings to these numbers,
+and running this script must leave the file byte-unchanged.  The spinal
+trials keep their original field names: ``payload_bits`` is the session's
+``credited_bits`` and ``candidates_explored`` its decoder ``work``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
-from repro.core.rateless import RatelessSession
 from repro.channels.awgn import AWGNChannel
 from repro.fountain.lt import LTDecoder, LTEncoder
 from repro.link.feedback import DelayedFeedback, PerfectFeedback
 from repro.link.session import simulate_link_session
+from repro.phy.session import CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
@@ -42,15 +44,17 @@ SEED = 20111114
 
 
 def rateless_session_golden() -> dict:
-    params = SpinalParams(k=4, c=6)
-    encoder = SpinalEncoder(params)
     framer = Framer(payload_bits=16, k=4)
-    session = RatelessSession(
-        encoder,
-        decoder_factory=lambda enc: IncrementalBubbleDecoder(enc, beam_width=8),
-        channel=AWGNChannel(snr_db=8.0, adc_bits=14),
-        framer=framer,
+    code = SpinalCode(
+        SpinalEncoder(SpinalParams(k=4, c=6)),
+        lambda enc: IncrementalBubbleDecoder(enc, beam_width=8),
+        framer,
+    )
+    session = CodecSession(
+        code,
+        AWGNChannel(snr_db=8.0, adc_bits=14),
         max_symbols=512,
+        credited_bits=framer.framed_bits,
     )
     trials = []
     for trial in range(4):
@@ -62,9 +66,9 @@ def rateless_session_golden() -> dict:
                 "success": bool(result.success),
                 "payload_correct": bool(result.payload_correct),
                 "symbols_sent": int(result.symbols_sent),
-                "payload_bits": int(result.payload_bits),
+                "payload_bits": int(result.credited_bits),
                 "decode_attempts": int(result.decode_attempts),
-                "candidates_explored": int(result.candidates_explored),
+                "candidates_explored": int(result.work),
                 "decoded_payload": [int(b) for b in result.decoded_payload],
                 "rate": result.rate,
             }

@@ -1,25 +1,23 @@
-"""Migration pins: the legacy entry points are byte-identical shims.
+"""Migration pins: the codec session API reproduces the pre-codec numbers.
 
 ``tests/golden/api_migration.json`` was generated at the commit *before*
 the ``repro.phy`` codec API landed (see ``make_api_migration_golden.py``),
-so these tests prove the redesign's core promise: every old entry point —
-``RatelessSession.run``, ``simulate_link_session``,
-``HybridArqLdpcSystem.run_trial``, ``FixedRateSpinalSystem`` — still
-produces exactly the bytes it produced at git HEAD, while now delegating to
-the code-agnostic session underneath.  A second battery checks the
-deprecation contract: each shim emits exactly one DeprecationWarning per
-process, spelling out the new call.
+so these tests prove the redesign's core promise: a spinal
+:class:`~repro.phy.session.CodecSession`, ``simulate_link_session``,
+``HybridArqLdpcSystem.run_trial`` and ``FixedRateSpinalSystem`` produce
+exactly the bytes the pre-codec session, link accounting and baselines
+produced.  The golden file keeps its original field names:
+``payload_bits`` is the session's ``credited_bits`` and
+``candidates_explored`` its decoder ``work``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
 from repro.baselines.hybrid_arq import HybridArqLdpcSystem
@@ -29,12 +27,12 @@ from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
-from repro.core.rateless import RatelessSession
 from repro.fountain.lt import LTDecoder, LTEncoder
 from repro.link.feedback import DelayedFeedback, PerfectFeedback
 from repro.link.session import simulate_link_session
+from repro.phy.session import CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
-from repro.utils.deprecation import reset_warnings
 from repro.utils.rng import spawn_rng
 
 GOLDEN = json.loads(
@@ -43,26 +41,23 @@ GOLDEN = json.loads(
 SEED = GOLDEN["seed"]
 
 
-@pytest.fixture(autouse=True)
-def _quiet_deprecations():
-    """The shims under test warn by design; keep the run output clean."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        yield
-
-
-def _spinal_session() -> RatelessSession:
-    return RatelessSession(
+def _spinal_session() -> CodecSession:
+    framer = Framer(payload_bits=16, k=4)
+    code = SpinalCode(
         SpinalEncoder(SpinalParams(k=4, c=6)),
-        decoder_factory=lambda enc: IncrementalBubbleDecoder(enc, beam_width=8),
-        channel=AWGNChannel(snr_db=8.0, adc_bits=14),
-        framer=Framer(payload_bits=16, k=4),
+        lambda enc: IncrementalBubbleDecoder(enc, beam_width=8),
+        framer,
+    )
+    return CodecSession(
+        code,
+        AWGNChannel(snr_db=8.0, adc_bits=14),
         max_symbols=512,
+        credited_bits=framer.framed_bits,
     )
 
 
-class TestRatelessSessionShim:
-    def test_run_matches_git_head_golden(self):
+class TestSpinalSession:
+    def test_codec_session_matches_the_golden(self):
         session = _spinal_session()
         for trial, golden in enumerate(GOLDEN["rateless_session"]["trials"]):
             rng = spawn_rng(SEED, "api-golden", "rateless", trial)
@@ -71,26 +66,14 @@ class TestRatelessSessionShim:
             assert result.success == golden["success"]
             assert result.payload_correct == golden["payload_correct"]
             assert result.symbols_sent == golden["symbols_sent"]
-            assert result.payload_bits == golden["payload_bits"]
-            assert result.decode_attempts == golden["decode_attempts"]
-            assert result.candidates_explored == golden["candidates_explored"]
-            assert [int(b) for b in result.decoded_payload] == golden["decoded_payload"]
-            assert result.rate == golden["rate"]
-
-    def test_codec_session_matches_the_same_golden(self):
-        """The *new* spelling produces the same bytes as the old one."""
-        codec = _spinal_session().codec_session()
-        for trial, golden in enumerate(GOLDEN["rateless_session"]["trials"]):
-            rng = spawn_rng(SEED, "api-golden", "rateless", trial)
-            payload = random_message_bits(16, rng)
-            result = codec.run(payload, rng)
-            assert result.symbols_sent == golden["symbols_sent"]
+            assert result.credited_bits == golden["payload_bits"]
             assert result.decode_attempts == golden["decode_attempts"]
             assert result.work == golden["candidates_explored"]
             assert [int(b) for b in result.decoded_payload] == golden["decoded_payload"]
+            assert result.rate == golden["rate"]
 
 
-class TestLinkSessionShim:
+class TestLinkSession:
     def test_simulate_link_session_matches_golden(self):
         needed = [30, 41, 52, 28]
         for name, feedback in (
@@ -105,7 +88,7 @@ class TestLinkSessionShim:
             assert result.mean_packet_symbols == golden["mean_packet_symbols"]
 
 
-class TestBaselineShims:
+class TestBaselines:
     def test_hybrid_arq_matches_golden(self):
         system = HybridArqLdpcSystem(
             LdpcConfig(Fraction(1, 2), "BPSK"),
@@ -155,46 +138,3 @@ class TestLtGolden:
         assert [int(b) for b in decoder.data_bits()] == golden["decoded"]
         assert [int(b) for b in data] == golden["data"]
 
-
-class TestDeprecationContract:
-    def _one_warning(self, call):
-        reset_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-            call()
-        messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1, "each shim must warn exactly once per process"
-        return str(messages[0].message)
-
-    def test_rateless_run_warns_once_and_spells_the_new_call(self):
-        session = _spinal_session()
-        rng = spawn_rng(SEED, "warn", "rateless")
-        payload = random_message_bits(16, rng)
-        message = self._one_warning(lambda: session.run(payload, spawn_rng(SEED, "w", 0)))
-        assert "codec_session().run" in message
-
-    def test_simulate_link_session_warns_once(self):
-        message = self._one_warning(
-            lambda: simulate_link_session([10, 20], 16, PerfectFeedback())
-        )
-        assert "run_link_transport" in message
-
-    def test_hybrid_arq_warns_once(self):
-        system = HybridArqLdpcSystem(
-            LdpcConfig(Fraction(1, 2), "BPSK"), max_attempts=1,
-            codeword_bits=120, max_iterations=4,
-        )
-        message = self._one_warning(
-            lambda: system.run_trial(4.0, spawn_rng(SEED, "warn", "harq"))
-        )
-        assert "LdpcIrCode" in message
-
-    def test_fixed_rate_spinal_warns_once(self):
-        system = FixedRateSpinalSystem(
-            message_bits=16, n_passes=1, params=SpinalParams(k=4, c=6), beam_width=4
-        )
-        message = self._one_warning(
-            lambda: system.transmit_frame(10.0, spawn_rng(SEED, "warn", "fr"))
-        )
-        assert "FixedRateSpinalCode" in message

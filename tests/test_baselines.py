@@ -18,7 +18,6 @@ from repro.baselines import (
 )
 from repro.ldpc import make_wifi_like_code
 from repro.modulation import make_modulation
-from repro.utils.deprecation import reset_warnings
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +81,7 @@ class TestHybridArq:
             LdpcConfig(Fraction(1, 2), "BPSK"), max_attempts=4, max_iterations=25,
             algorithm="min-sum",
         )
-        # run_trial is a deliberate exercise of the deprecated shim (the
-        # battery documents legacy behaviour); make its warning explicit.
-        reset_warnings()
-        with pytest.warns(DeprecationWarning, match="codec API"):
-            trial = system.run_trial(snr_db=6.0, rng=rng)
+        trial = system.run_trial(snr_db=6.0, rng=rng)
         assert trial.success and trial.attempts == 1
         assert trial.rate == pytest.approx(0.5)
 

@@ -90,16 +90,14 @@ class TestCellScalingExperiment:
         session = config.build_session(
             AWGNChannel(12.0, adc_bits=config.adc_bits),  # 1 user: center SNR
             max_symbols=int(params["max_symbols"]),
-            search="sequential",
         )
-        codec = session.codec_session()
         seed = int(outcome.record["seed"])
         total = 0
         for index in range(int(params["packets_per_user"])):
             payload = random_message_bits(
                 config.payload_bits, spawn_rng(seed, "cell-payload", 0, index)
             )
-            total += codec.run(payload, packet_rng(seed, 0, index)).symbols_sent
+            total += session.run(payload, packet_rng(seed, 0, index)).symbols_sent
         assert cell["aggregate"]["makespan"] == total
         assert cell["aggregate"]["total_symbols"] == total
 

@@ -93,16 +93,37 @@ class TestRegistryCommands:
         )
         assert "SNR (dB)" in output  # chart x label
 
-    def test_run_requires_name_or_all(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            main(["run"])
-        with pytest.raises(ValueError, match="exactly one"):
-            main(["run", "rate", "--all"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run"], "exactly one"),
+            (["run", "rate", "--all"], "exactly one"),
+            (["run", "nonexistent"], "unknown experiment"),
+            (["run", "rate", "--set", "bogus=1"], "unknown parameter"),
+            (["run", "rate", "--set", "snr_db=abc"], "could not convert"),
+            (["run", "--all", "--set", "k=4"], "cannot be combined"),
+            (["run", "rate", "--workers", "0"], "--workers must be at least 1"),
+            (["run", "rate", "--trials", "0"], "n_trials must be at least 1"),
+            # cell-rateless-vs-adaptive (not the first experiment) allows one trial.
+            (["run", "--all", "--trials", "2"], "at most 1 trial"),
+        ],
+    )
+    def test_run_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--smoke", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("repro run: error: ")
+        assert message in err[0]
+        # Validation precedes every cell: nothing was computed or persisted.
+        assert not list(tmp_path.iterdir())
 
-    def test_run_rejects_unknown_set_name(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            main(["run", "rate", "--smoke", "--set", "bogus=1",
-                  "--out", str(tmp_path)])
+    def test_kernel_errors_are_stored_as_error_cells(self, tmp_path):
+        output = main(["run", "rate", "--smoke", "--set", "search=ternary",
+                       "--out", str(tmp_path)])
+        assert "unknown search strategy" in output
+        assert len(list(tmp_path.glob("rate-*.json"))) == 1
 
 
 class TestParser:

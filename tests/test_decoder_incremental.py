@@ -28,7 +28,9 @@ from repro.core.puncturing import (
     SymbolBySymbol,
     TailFirstPuncturing,
 )
-from repro.core.rateless import RatelessSession
+from repro.experiments.runner import _run_bisect
+from repro.phy.session import CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
@@ -231,14 +233,15 @@ class TestFigure2Acceptance:
         work = {}
         outcomes = {}
         for name, cls in [("fresh", BubbleDecoder), ("incremental", IncrementalBubbleDecoder)]:
-            session = RatelessSession(
+            code = SpinalCode(
                 config.build_encoder(),
-                decoder_factory=lambda enc, cls=cls: cls(enc, beam_width=config.beam_width),
-                channel=AWGNChannel(snr_db=snr_db, signal_power=1.0, adc_bits=config.adc_bits),
-                framer=config.build_framer(),
-                termination="genie",
+                lambda enc, cls=cls: cls(enc, beam_width=config.beam_width),
+                config.build_framer(),
+            )
+            session = CodecSession(
+                code,
+                AWGNChannel(snr_db=snr_db, signal_power=1.0, adc_bits=config.adc_bits),
                 max_symbols=config.symbol_budget(awgn_capacity_db(snr_db)),
-                search="sequential",
             )
             candidates = 0
             trail = []
@@ -246,7 +249,7 @@ class TestFigure2Acceptance:
                 rng = spawn_rng(config.seed, "trial", snr_db, trial)
                 payload = random_message_bits(config.payload_bits, rng)
                 result = session.run(payload, rng)
-                candidates += result.candidates_explored
+                candidates += result.work
                 trail.append(
                     (result.symbols_sent, result.decode_attempts, result.payload_correct)
                 )
@@ -257,19 +260,11 @@ class TestFigure2Acceptance:
 
 
 class TestSessionEquivalence:
-    def _session(self, factory, search):
+    def _session(self, factory):
         params = SpinalParams(k=4, c=6, seed=21)
         encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
-        framer = Framer(payload_bits=16, k=params.k)
-        return RatelessSession(
-            encoder,
-            decoder_factory=factory,
-            channel=AWGNChannel(snr_db=10.0, adc_bits=14),
-            framer=framer,
-            termination="genie",
-            max_symbols=512,
-            search=search,
-        )
+        code = SpinalCode(encoder, factory, Framer(payload_bits=16, k=params.k))
+        return CodecSession(code, AWGNChannel(snr_db=10.0, adc_bits=14), max_symbols=512)
 
     @pytest.mark.parametrize("search", ["sequential", "bisect"])
     def test_trials_identical_with_fewer_candidates(self, search):
@@ -278,13 +273,14 @@ class TestSessionEquivalence:
             ("fresh", lambda enc: BubbleDecoder(enc, beam_width=8)),
             ("incremental", lambda enc: IncrementalBubbleDecoder(enc, beam_width=8)),
         ]:
-            session = self._session(factory, search)
+            session = self._session(factory)
+            run = _run_bisect if search == "bisect" else CodecSession.run
             rng = spawn_rng(808, "equiv-session", search)
             payload = random_message_bits(16, rng)
-            results[name] = session.run(payload, rng)
+            results[name] = run(session, payload, rng)
         fresh, incr = results["fresh"], results["incremental"]
         assert incr.success == fresh.success
         assert incr.symbols_sent == fresh.symbols_sent
         assert incr.decode_attempts == fresh.decode_attempts
         assert np.array_equal(incr.decoded_payload, fresh.decoded_payload)
-        assert incr.candidates_explored < fresh.candidates_explored
+        assert incr.work < fresh.work

@@ -38,7 +38,7 @@ from repro.core.puncturing import (
     SymbolBySymbol,
     TailFirstPuncturing,
 )
-from repro.core.rateless import RatelessSession
+from repro.experiments.runner import _run_bisect
 from repro.phy.families import channel_for_code, make_code
 from repro.phy.session import CodecSession
 from repro.phy.spinal import SpinalCode
@@ -376,19 +376,11 @@ class TestSpinalFamilySessions:
 
 
 class TestSessionEquivalence:
-    def _session(self, factory, search):
+    def _session(self, factory):
         params = SpinalParams(k=4, c=6, seed=21)
         encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
-        framer = Framer(payload_bits=16, k=params.k)
-        return RatelessSession(
-            encoder,
-            decoder_factory=factory,
-            channel=AWGNChannel(snr_db=10.0, adc_bits=14),
-            framer=framer,
-            termination="genie",
-            max_symbols=512,
-            search=search,
-        )
+        code = SpinalCode(encoder, factory, Framer(payload_bits=16, k=params.k))
+        return CodecSession(code, AWGNChannel(snr_db=10.0, adc_bits=14), max_symbols=512)
 
     @pytest.mark.parametrize("search", ["sequential", "bisect"])
     def test_trials_identical_to_fresh_reference(self, search):
@@ -397,10 +389,11 @@ class TestSessionEquivalence:
             ("fresh", lambda enc: BubbleDecoder(enc, beam_width=8)),
             ("vectorized", lambda enc: VectorizedBubbleDecoder(enc, beam_width=8)),
         ]:
-            session = self._session(factory, search)
+            session = self._session(factory)
+            run = _run_bisect if search == "bisect" else CodecSession.run
             rng = spawn_rng(909, "vec-session", search)
             payload = random_message_bits(16, rng)
-            results[name] = session.codec_session().run(payload, rng)
+            results[name] = run(session, payload, rng)
         fresh, vec = results["fresh"], results["vectorized"]
         assert vec.symbols_sent == fresh.symbols_sent
         assert vec.decode_attempts == fresh.decode_attempts

@@ -9,7 +9,8 @@ Three guarantees:
   fence executes — so the documented examples cannot rot silently — and
   every symbol a README example pulls from ``repro`` is importable from the
   package root;
-* ``import repro`` loads no scipy module (cold start).
+* ``import repro`` loads no scipy module (cold start), and ``repro.core``
+  loads nothing from the layers above it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,26 @@ def test_import_repro_loads_no_scipy():
     code = "import sys, repro; print([m for m in sys.modules if m.startswith('scipy')])"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_core_loads_no_higher_layer():
+    """``repro.core`` is the bottom layer: importing it (without the package
+    root, which re-exports every layer) loads no ``repro.phy``,
+    ``repro.link`` or ``repro.experiments`` module."""
+    code = (
+        "import sys, types\n"
+        "root = types.ModuleType('repro')\n"
+        f"root.__path__ = [{str(SRC / 'repro')!r}]\n"
+        "sys.modules['repro'] = root\n"
+        "import repro.core\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.phy', 'repro.link', 'repro.experiments'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

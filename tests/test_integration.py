@@ -17,11 +17,12 @@ from repro import (
     AWGNChannel,
     BSCChannel,
     BubbleDecoder,
+    CodecSession,
     CRC16_CCITT,
     Framer,
     MLDecoder,
-    RatelessSession,
     RayleighBlockFadingChannel,
+    SpinalCode,
     SpinalEncoder,
     SpinalParams,
     TimeVaryingAWGNChannel,
@@ -29,17 +30,26 @@ from repro import (
 from repro.baselines import FixedRateLdpcSystem, LdpcConfig
 from repro.channels.traces import gilbert_elliott_trace
 from repro.core.puncturing import TailFirstPuncturing
+from repro.experiments.runner import _run_bisect
 from repro.theory import awgn_capacity_db, bsc_capacity
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
 
-def run_trials(session, payload_bits, n_trials, seed):
+def spinal_session(encoder, channel, framer, max_symbols, **kwargs) -> CodecSession:
+    """A beam-16 spinal session crediting the framed bits unless told otherwise."""
+    code = SpinalCode(encoder, lambda enc: BubbleDecoder(enc, beam_width=16), framer)
+    kwargs.setdefault("credited_bits", framer.framed_bits)
+    return CodecSession(code, channel, max_symbols=max_symbols, **kwargs)
+
+
+def run_trials(session, payload_bits, n_trials, seed, run=_run_bisect):
+    """``n_trials`` trials, by default under the experiment runner's bisect search."""
     rng = spawn_rng(seed, "integration")
     results = []
     for _ in range(n_trials):
         payload = random_message_bits(payload_bits, rng)
-        results.append(session.run(payload, rng))
+        results.append(run(session, payload, rng))
     return results
 
 
@@ -51,13 +61,8 @@ class TestAwgnEndToEnd:
         framer = Framer(payload_bits=16, k=4)
         rates = {}
         for snr_db in (0.0, 12.0, 25.0):
-            session = RatelessSession(
-                encoder,
-                decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-                channel=AWGNChannel(snr_db=snr_db, adc_bits=14),
-                framer=framer,
-                max_symbols=1024,
-                search="bisect",
+            session = spinal_session(
+                encoder, AWGNChannel(snr_db=snr_db, adc_bits=14), framer, 1024
             )
             results = run_trials(session, 16, 10, seed=int(snr_db))
             assert all(r.payload_correct for r in results)
@@ -71,20 +76,19 @@ class TestAwgnEndToEnd:
         params = SpinalParams(k=4, c=8, seed=6)
         encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
         framer = Framer(payload_bits=24, k=4, crc=CRC16_CCITT, tail_segments=1)
-        session = RatelessSession(
+        session = spinal_session(
             encoder,
-            decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-            channel=AWGNChannel(snr_db=12.0, adc_bits=14),
-            framer=framer,
-            termination="crc",
-            count_overhead=True,
-            max_symbols=512,
+            AWGNChannel(snr_db=12.0, adc_bits=14),
+            framer,
+            512,
+            termination="self",
+            credited_bits=framer.payload_bits,
         )
-        results = run_trials(session, 24, 8, seed=42)
+        results = run_trials(session, 24, 8, seed=42, run=CodecSession.run)
         assert all(r.success for r in results)
         assert all(r.payload_correct for r in results)
         # Rate counts only payload bits, so it is below the framed-bits rate.
-        assert all(r.payload_bits == 24 for r in results)
+        assert all(r.credited_bits == 24 for r in results)
 
     def test_ml_and_bubble_agree_end_to_end(self):
         """On easy channels the beam decoder reproduces the ML decision."""
@@ -112,14 +116,7 @@ class TestBscEndToEnd:
         params = SpinalParams(k=3, bit_mode=True, seed=8)
         encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
         framer = Framer(payload_bits=24, k=3)
-        session = RatelessSession(
-            encoder,
-            decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-            channel=BSCChannel(0.1),
-            framer=framer,
-            max_symbols=4096,
-            search="bisect",
-        )
+        session = spinal_session(encoder, BSCChannel(0.1), framer, 4096)
         results = run_trials(session, 24, 10, seed=9)
         assert all(r.payload_correct for r in results)
         mean_rate = float(np.mean([r.rate for r in results]))
@@ -132,13 +129,11 @@ class TestTimeVaryingChannels:
         params = SpinalParams(k=4, c=8, seed=10)
         encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
         framer = Framer(payload_bits=16, k=4)
-        session = RatelessSession(
+        session = spinal_session(
             encoder,
-            decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-            channel=RayleighBlockFadingChannel(average_snr_db=15.0, coherence_symbols=8),
-            framer=framer,
-            max_symbols=2048,
-            search="bisect",
+            RayleighBlockFadingChannel(average_snr_db=15.0, coherence_symbols=8),
+            framer,
+            2048,
         )
         results = run_trials(session, 16, 8, seed=11)
         assert sum(r.payload_correct for r in results) >= 7
@@ -149,13 +144,8 @@ class TestTimeVaryingChannels:
         params = SpinalParams(k=4, c=8, seed=13)
         encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
         framer = Framer(payload_bits=16, k=4)
-        session = RatelessSession(
-            encoder,
-            decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-            channel=TimeVaryingAWGNChannel(trace, adc_bits=14),
-            framer=framer,
-            max_symbols=512,
-            search="bisect",
+        session = spinal_session(
+            encoder, TimeVaryingAWGNChannel(trace, adc_bits=14), framer, 512
         )
         results = run_trials(session, 16, 8, seed=14)
         assert sum(r.payload_correct for r in results) >= 6
@@ -173,13 +163,8 @@ class TestTimeVaryingChannels:
         params = SpinalParams(k=4, c=8, seed=16)
         encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
         framer = Framer(payload_bits=16, k=4)
-        session = RatelessSession(
-            encoder,
-            decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=16),
-            channel=AWGNChannel(snr_db=bad_snr, adc_bits=14),
-            framer=framer,
-            max_symbols=1024,
-            search="bisect",
+        session = spinal_session(
+            encoder, AWGNChannel(snr_db=bad_snr, adc_bits=14), framer, 1024
         )
         results = run_trials(session, 16, 8, seed=17)
         spinal_rate = float(np.mean([r.rate for r in results]))

@@ -11,7 +11,6 @@ from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
-from repro.core.rateless import RatelessSession
 from repro.link import (
     BlockFeedback,
     DelayedFeedback,
@@ -19,8 +18,9 @@ from repro.link import (
     deliver_packets,
     simulate_link_session,
 )
+from repro.phy.session import CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
-from repro.utils.deprecation import reset_warnings
 from repro.utils.rng import spawn_rng
 
 
@@ -70,11 +70,7 @@ class TestBlockFeedback:
 
 class TestLinkSession:
     def test_perfect_feedback_efficiency_is_one(self):
-        # simulate_link_session is a deliberate exercise of the deprecated
-        # model-based accounting shim; make its warning explicit.
-        reset_warnings()
-        with pytest.warns(DeprecationWarning, match="run_link_transport"):
-            result = simulate_link_session([10, 20, 30], 24, PerfectFeedback())
+        result = simulate_link_session([10, 20, 30], 24, PerfectFeedback())
         assert result.feedback_efficiency == pytest.approx(1.0)
         assert result.throughput_bits_per_symbol == pytest.approx(72 / 60)
 
@@ -115,15 +111,12 @@ class TestLinkSession:
 class TestDeliverPackets:
     def _session(self, decoder_cls):
         params = SpinalParams(k=4, c=6, seed=45)
-        return RatelessSession(
+        code = SpinalCode(
             SpinalEncoder(params),
-            decoder_factory=lambda enc: decoder_cls(enc, beam_width=8),
-            channel=AWGNChannel(snr_db=12.0, adc_bits=14),
-            framer=Framer(payload_bits=16, k=params.k),
-            termination="genie",
-            max_symbols=256,
-            search="sequential",
+            lambda enc: decoder_cls(enc, beam_width=8),
+            Framer(payload_bits=16, k=params.k),
         )
+        return CodecSession(code, AWGNChannel(snr_db=12.0, adc_bits=14), max_symbols=256)
 
     def test_delivers_and_accounts(self):
         session = self._session(IncrementalBubbleDecoder)
@@ -148,7 +141,7 @@ class TestDeliverPackets:
             outcomes[name] = (
                 link_result.symbols_needed.tolist(),
                 link_result.throughput_bits_per_symbol,
-                sum(t.candidates_explored for t in trials),
+                sum(t.work for t in trials),
             )
         assert outcomes["fresh"][0] == outcomes["incremental"][0]
         assert outcomes["fresh"][1] == outcomes["incremental"][1]

@@ -130,7 +130,7 @@ class TestOpportunisticGain:
             # for multi-user diversity.
             trace = sinusoidal_trace(10.0, 9.0, 64, 64, phase=np.pi * u)
             channel = TimeVaryingAWGNChannel(trace, adc_bits=14)
-            session = _RUN_CONFIG.build_session(channel, 512, search="sequential")
+            session = _RUN_CONFIG.build_session(channel, 512)
             payloads = [
                 random_message_bits(16, spawn_rng(9, "tv", u, i)) for i in range(80)
             ]
@@ -166,7 +166,7 @@ class TestOpportunisticGain:
         for u in range(2):
             trace = sinusoidal_trace(10.0, 9.0, 64, 64, phase=np.pi * u)
             channel = Unpinned(trace, adc_bits=14)
-            session = _RUN_CONFIG.build_session(channel, 512, search="sequential")
+            session = _RUN_CONFIG.build_session(channel, 512)
             payloads = [
                 random_message_bits(16, spawn_rng(9, "tv", u, i)) for i in range(80)
             ]

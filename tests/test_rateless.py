@@ -1,4 +1,9 @@
-"""Unit tests for the rateless session (sender/channel/receiver loop)."""
+"""Unit tests for the spinal rateless session (sender/channel/receiver loop).
+
+Sessions are :class:`CodecSession` over a :class:`SpinalCode`; the
+``"bisect"`` search cases drive the experiment runner's bisect search over
+the same session.
+"""
 
 from __future__ import annotations
 
@@ -13,33 +18,46 @@ from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
 from repro.core.puncturing import TailFirstPuncturing
-from repro.core.rateless import RatelessReceiver, RatelessSession
+from repro.experiments.runner import SpinalRunConfig, _run_bisect
+from repro.phy.session import CodecResult, CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
 
 
-def make_session(**overrides):
-    """A small AWGN session used across this module."""
-    params = overrides.pop("params", SpinalParams(k=4, c=6, seed=11))
-    encoder = SpinalEncoder(params, puncturing=overrides.pop("puncturing", None))
-    framer = overrides.pop("framer", Framer(payload_bits=16, k=params.k))
-    defaults = dict(
-        decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=8),
-        channel=AWGNChannel(snr_db=10.0, adc_bits=14),
-        framer=framer,
-        termination="genie",
-        max_symbols=512,
-        search="sequential",
+def make_session(
+    channel=None,
+    params=None,
+    puncturing=None,
+    framer=None,
+    max_symbols: int = 512,
+) -> CodecSession:
+    """A small AWGN spinal session used across this module."""
+    params = params if params is not None else SpinalParams(k=4, c=6, seed=11)
+    framer = framer if framer is not None else Framer(payload_bits=16, k=params.k)
+    code = SpinalCode(
+        SpinalEncoder(params, puncturing=puncturing),
+        lambda enc: BubbleDecoder(enc, beam_width=8),
+        framer,
     )
-    defaults.update(overrides)
-    return RatelessSession(encoder, **defaults)
+    channel = channel if channel is not None else AWGNChannel(snr_db=10.0, adc_bits=14)
+    return CodecSession(
+        code, channel, max_symbols=max_symbols, credited_bits=framer.framed_bits
+    )
 
 
-class TestTrialResult:
+def run(session: CodecSession, search: str, payload, rng) -> CodecResult:
+    """One trial under ``search``: the session loop or the runner's bisect."""
+    if search == "bisect":
+        return _run_bisect(session, payload, rng)
+    return session.run(payload, rng)
+
+
+class TestResult:
     def test_rate_computation(self):
         session = make_session()
         rng = np.random.default_rng(0)
         trial = session.run(random_message_bits(16, rng), rng)
-        assert trial.rate == pytest.approx(trial.payload_bits / trial.symbols_sent)
+        assert trial.rate == pytest.approx(trial.credited_bits / trial.symbols_sent)
 
     def test_high_snr_trial_succeeds(self):
         session = make_session(channel=AWGNChannel(snr_db=20.0))
@@ -47,18 +65,16 @@ class TestTrialResult:
         trial = session.run(random_message_bits(16, rng), rng)
         assert trial.success and trial.payload_correct
         assert trial.decode_attempts >= 1
-        assert trial.candidates_explored > 0
+        assert trial.work > 0
 
     def test_rate_undefined_without_symbols(self):
-        from repro.core.rateless import TrialResult
-
-        trial = TrialResult(
+        trial = CodecResult(
             success=False,
             payload_correct=False,
             symbols_sent=0,
-            payload_bits=16,
+            credited_bits=16,
             decode_attempts=0,
-            candidates_explored=0,
+            work=0,
             decoded_payload=np.zeros(16, dtype=np.uint8),
         )
         with pytest.raises(ValueError):
@@ -74,27 +90,34 @@ class TestTermination:
             if trial.success:
                 assert trial.payload_correct
 
-    def test_crc_termination_with_overhead_accounting(self):
-        framer = Framer(payload_bits=16, k=4, crc=CRC16_CCITT)
-        session = make_session(
-            framer=framer, termination="crc", count_overhead=True,
-            channel=AWGNChannel(snr_db=15.0),
+    @staticmethod
+    def _crc_session(count_overhead: bool) -> CodecSession:
+        config = SpinalRunConfig(
+            payload_bits=16,
+            params=SpinalParams(k=4, c=6, seed=11),
+            beam_width=8,
+            puncturing="none",
+            crc=CRC16_CCITT,
+            termination="crc",
+            count_overhead=count_overhead,
         )
+        return config.build_session(AWGNChannel(snr_db=15.0), max_symbols=512)
+
+    def test_crc_termination_with_overhead_accounting(self):
+        session = self._crc_session(count_overhead=True)
+        assert session.termination == "self"
         rng = np.random.default_rng(3)
         trial = session.run(random_message_bits(16, rng), rng)
         assert trial.success
         # Overhead counted: credited bits are only the 16 payload bits.
-        assert trial.payload_bits == 16
+        assert trial.credited_bits == 16
 
     def test_without_overhead_accounting_credits_framed_bits(self):
-        framer = Framer(payload_bits=16, k=4, crc=CRC16_CCITT)
-        session = make_session(
-            framer=framer, termination="crc", count_overhead=False,
-            channel=AWGNChannel(snr_db=15.0),
-        )
+        session = self._crc_session(count_overhead=False)
         rng = np.random.default_rng(4)
         trial = session.run(random_message_bits(16, rng), rng)
-        assert trial.payload_bits == framer.framed_bits
+        assert trial.credited_bits == session.code.framer.framed_bits
+        assert trial.credited_bits > 16
 
     def test_budget_exhaustion_reports_failure(self):
         # At -15 dB with only 2 passes worth of budget, decoding must fail.
@@ -108,9 +131,9 @@ class TestTermination:
 class TestSearchStrategies:
     @pytest.mark.parametrize("search", ["sequential", "bisect"])
     def test_both_strategies_decode(self, search):
-        session = make_session(search=search, channel=AWGNChannel(snr_db=12.0))
+        session = make_session(channel=AWGNChannel(snr_db=12.0))
         rng = np.random.default_rng(6)
-        trial = session.run(random_message_bits(16, rng), rng)
+        trial = run(session, search, random_message_bits(16, rng), rng)
         assert trial.success and trial.payload_correct
 
     def test_bisect_and_sequential_agree_on_identical_noise(self):
@@ -119,47 +142,47 @@ class TestSearchStrategies:
         for seed in range(4):
             results = {}
             for search in ("sequential", "bisect"):
-                session = make_session(search=search, channel=AWGNChannel(snr_db=14.0))
+                session = make_session(channel=AWGNChannel(snr_db=14.0))
                 rng = np.random.default_rng(100 + seed)
-                payload_rng = np.random.default_rng(seed)
-                payload = random_message_bits(16, payload_rng)
-                results[search] = session.run(payload, rng).symbols_sent
+                payload = random_message_bits(16, np.random.default_rng(seed))
+                results[search] = run(session, search, payload, rng).symbols_sent
             assert results["sequential"] == results["bisect"]
 
     def test_bisect_uses_fewer_attempts_at_low_snr(self):
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
         payload = random_message_bits(16, np.random.default_rng(0))
-        sequential = make_session(search="sequential", channel=AWGNChannel(snr_db=-5.0),
-                                  max_symbols=2048).run(payload, rng_a)
-        bisect = make_session(search="bisect", channel=AWGNChannel(snr_db=-5.0),
-                              max_symbols=2048).run(payload, rng_b)
-        assert bisect.decode_attempts < sequential.decode_attempts
+        trials = {
+            search: run(
+                make_session(channel=AWGNChannel(snr_db=-5.0), max_symbols=2048),
+                search,
+                payload,
+                np.random.default_rng(7),
+            )
+            for search in ("sequential", "bisect")
+        }
+        assert trials["bisect"].decode_attempts < trials["sequential"].decode_attempts
 
 
 class TestPuncturedSessions:
     def test_tail_first_can_exceed_k(self):
         """At very high SNR, puncturing lifts the rate above k bits/symbol."""
         session = make_session(
-            puncturing=TailFirstPuncturing(),
-            channel=AWGNChannel(snr_db=35.0),
-            search="bisect",
+            puncturing=TailFirstPuncturing(), channel=AWGNChannel(snr_db=35.0)
         )
         rng = np.random.default_rng(8)
-        rates = [session.run(random_message_bits(16, rng), rng).rate for _ in range(10)]
+        rates = [
+            _run_bisect(session, random_message_bits(16, rng), rng).rate
+            for _ in range(10)
+        ]
         assert max(rates) > 4.0  # k = 4
 
 
 class TestBscSessions:
     def test_bit_mode_over_bsc(self):
         params = SpinalParams(k=3, bit_mode=True, seed=21)
-        encoder = SpinalEncoder(params)
-        framer = Framer(payload_bits=12, k=3)
-        session = RatelessSession(
-            encoder,
-            decoder_factory=lambda enc: BubbleDecoder(enc, beam_width=8),
+        session = make_session(
             channel=BSCChannel(0.05),
-            framer=framer,
+            params=params,
+            framer=Framer(payload_bits=12, k=3),
             max_symbols=4096,
         )
         rng = np.random.default_rng(9)
@@ -169,47 +192,19 @@ class TestBscSessions:
 
 class TestValidation:
     def test_rejects_domain_mismatch(self):
-        params = SpinalParams(k=4, c=6)
-        encoder = SpinalEncoder(params)
         with pytest.raises(ValueError):
-            RatelessSession(
-                encoder,
-                decoder_factory=lambda enc: BubbleDecoder(enc),
-                channel=BSCChannel(0.1),
-                framer=Framer(payload_bits=16, k=4),
-            )
+            make_session(channel=BSCChannel(0.1))
 
     def test_rejects_framer_k_mismatch(self):
-        params = SpinalParams(k=4, c=6)
         with pytest.raises(ValueError):
-            RatelessSession(
-                SpinalEncoder(params),
-                decoder_factory=lambda enc: BubbleDecoder(enc),
-                channel=AWGNChannel(10.0),
-                framer=Framer(payload_bits=16, k=8),
-            )
+            make_session(framer=Framer(payload_bits=16, k=8))
 
     def test_rejects_bad_search_and_budget(self):
-        params = SpinalParams(k=4, c=6)
-        encoder = SpinalEncoder(params)
-        framer = Framer(payload_bits=16, k=4)
+        with pytest.raises(ValueError, match="search"):
+            SpinalRunConfig(search="ternary")
         with pytest.raises(ValueError):
-            RatelessSession(encoder, lambda e: BubbleDecoder(e), AWGNChannel(10.0), framer,
-                            search="ternary")
-        with pytest.raises(ValueError):
-            RatelessSession(encoder, lambda e: BubbleDecoder(e), AWGNChannel(10.0), framer,
-                            max_symbols=0)
+            make_session(max_symbols=0)
 
-    def test_receiver_requires_genie_bits(self):
-        params = SpinalParams(k=4, c=6)
-        encoder = SpinalEncoder(params)
-        framer = Framer(payload_bits=16, k=4)
-        with pytest.raises(ValueError):
-            RatelessReceiver(BubbleDecoder(encoder), framer, termination="genie")
-
-    def test_receiver_rejects_unknown_termination(self):
-        params = SpinalParams(k=4, c=6)
-        encoder = SpinalEncoder(params)
-        framer = Framer(payload_bits=16, k=4)
-        with pytest.raises(ValueError):
-            RatelessReceiver(BubbleDecoder(encoder), framer, termination="oracle")
+    def test_rejects_bad_termination(self):
+        with pytest.raises(ValueError, match="termination"):
+            SpinalRunConfig(termination="oracle")

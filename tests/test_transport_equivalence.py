@@ -4,7 +4,7 @@ Three anchors keep the event-driven protocol honest:
 
 * **PerfectFeedback** — with a zero-delay lossless reverse channel the
   transport must spend *exactly* the per-packet symbol counts that
-  :meth:`RatelessSession.run` measures with the same noise streams, and its
+  :meth:`CodecSession.run` measures with the same noise streams, and its
   link-session view must match :func:`simulate_link_session` under
   :class:`PerfectFeedback` bit-for-bit;
 * **DelayedFeedback** — at window 1 the closed-form model brackets the
@@ -115,7 +115,7 @@ class TestDelayedFeedbackBracket:
         )
         result = run_link_transport(session, payloads, config)
         closed_form = DelayedFeedback(delay_symbols=delay)
-        block_slack = 2 * session.framer.n_segments
+        block_slack = 2 * session.code.framer.n_segments
 
         assert result.delivered.all()
         for needed, spent in zip(result.symbols_needed, result.symbols_spent):
