@@ -63,10 +63,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 from repro.experiments import registry
 from repro.experiments.figure2 import figure2_table
 from repro.experiments.registry import (
+    RunOutcome,
     render_run,
     render_run_csv,
     render_run_plot,
@@ -84,6 +86,12 @@ from repro.utils.results import render_table
 from repro.utils.store import RunStore, read_run
 
 __all__ = ["build_parser", "main"]
+
+
+def _usage_error(command: str, exc: Exception) -> NoReturn:
+    """Report bad input in one line and exit 2, like argparse's own usage errors."""
+    print(f"repro {command}: error: {exc.args[0]}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
@@ -620,9 +628,7 @@ def _command_run(args: argparse.Namespace) -> str:
     try:
         plan = _plan_runs(args)
     except (ValueError, KeyError) as exc:
-        # One line and exit status 2, like argparse's own usage errors.
-        print(f"repro run: error: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error("run", exc)
     store = None if args.no_save else RunStore(args.out)
     pieces = []
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
@@ -688,16 +694,34 @@ def _spinal_overrides_from_args(args: argparse.Namespace, bit_mode: bool) -> dic
     return overrides
 
 
-def _command_rate(args: argparse.Namespace) -> str:
-    outcome = run_experiment(
-        registry.get("rate"),
-        overrides={
-            **_spinal_overrides_from_args(args, bit_mode=False),
-            "snr_db": tuple(float(s) for s in args.snrs),
-        },
+def _run_checked(
+    command: str, overrides: dict, args: argparse.Namespace
+) -> RunOutcome:
+    """Run registry experiment ``command`` after rejecting bad input up front."""
+    experiment = registry.get(command)
+    try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        resolve_run(experiment, overrides, n_trials=args.trials, seed=args.seed)
+    except (ValueError, KeyError) as exc:
+        _usage_error(command, exc)
+    return run_experiment(
+        experiment,
+        overrides=overrides,
         n_trials=args.trials,
         seed=args.seed,
         n_workers=args.workers,
+    )
+
+
+def _command_rate(args: argparse.Namespace) -> str:
+    outcome = _run_checked(
+        "rate",
+        {
+            **_spinal_overrides_from_args(args, bit_mode=False),
+            "snr_db": tuple(float(s) for s in args.snrs),
+        },
+        args,
     )
     rows = [
         (params["snr_db"], agg["capacity"], agg["rate"], agg["rate_stderr"])
@@ -716,15 +740,13 @@ def _command_rate(args: argparse.Namespace) -> str:
 
 
 def _command_bsc(args: argparse.Namespace) -> str:
-    outcome = run_experiment(
-        registry.get("bsc"),
-        overrides={
+    outcome = _run_checked(
+        "bsc",
+        {
             **_spinal_overrides_from_args(args, bit_mode=True),
             "p": tuple(float(p) for p in args.crossovers),
         },
-        n_trials=args.trials,
-        seed=args.seed,
-        n_workers=args.workers,
+        args,
     )
     rows = [
         (params["p"], agg["capacity"], agg["rate"], agg["rate_stderr"])
@@ -780,23 +802,26 @@ def _command_transport(args: argparse.Namespace) -> str:
     protocols = (
         ("go-back-n", "selective-repeat") if args.protocol == "both" else (args.protocol,)
     )
-    config = TransportSweepConfig(
-        payload_bits=args.payload_bits,
-        params=SpinalParams(k=args.k, c=args.c),
-        beam_width=args.beam_width,
-        snr_db=args.snr,
-        snr_step_db=args.snr_step,
-        n_packets=args.packets,
-        protocols=protocols,
-        windows=tuple(args.window),
-        ack_delays=tuple(args.ack_delay),
-        hop_counts=tuple(args.hops),
-        ack_loss=args.ack_loss,
-        max_symbols=args.max_symbols,
-        seed=args.seed,
-        decoder=args.decoder,
-        n_workers=args.workers,
-    )
+    try:
+        config = TransportSweepConfig(
+            payload_bits=args.payload_bits,
+            params=SpinalParams(k=args.k, c=args.c),
+            beam_width=args.beam_width,
+            snr_db=args.snr,
+            snr_step_db=args.snr_step,
+            n_packets=args.packets,
+            protocols=protocols,
+            windows=tuple(args.window),
+            ack_delays=tuple(args.ack_delay),
+            hop_counts=tuple(args.hops),
+            ack_loss=args.ack_loss,
+            max_symbols=args.max_symbols,
+            seed=args.seed,
+            decoder=args.decoder,
+            n_workers=args.workers,
+        )
+    except ValueError as exc:
+        _usage_error("transport", exc)
     rows = run_transport_sweep(config)
     output = transport_sweep_table(rows)
     if args.plot and len(config.windows) >= 2:
@@ -843,9 +868,7 @@ def _command_serve_soak(args: argparse.Namespace) -> str:
             batching=not args.no_batching,
         )
     except ValueError as exc:
-        # One line and exit status 2, like argparse's own usage errors.
-        print(f"repro serve-soak: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error("serve-soak", exc)
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
         engine = SoakEngine(config)
         start = time.perf_counter()
@@ -889,9 +912,7 @@ def _command_city_soak(args: argparse.Namespace) -> str:
         if args.replicas < 1:
             raise ValueError(f"n_replicas must be at least 1, got {args.replicas}")
     except (ValueError, KeyError) as exc:
-        # One line and exit status 2, like argparse's own usage errors.
-        print(f"repro city-soak: error: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error("city-soak", exc)
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
         start = time.perf_counter()
         replicas = simulate_network_replicas(

@@ -40,6 +40,30 @@ Model
   timers are armed at arrival and disarmed on delivery — the cancellable
   event handles of :class:`~repro.link.events.EventScheduler` exist for
   exactly this.
+
+Grant cost
+----------
+A grant costs work in the users whose state changed since the last grant,
+not in the users queued.  Each cell keeps a sorted index of *eligible*
+users (a resolved head packet each) and a set of *dirty* users whose head
+must be resolved again before the next pick: an arrival, a head that
+finished (delivered, aborted or expired) and a user that just attached.
+Nothing else can change a resolved head:
+
+* the granted user's block lands before the next grant, and landing either
+  finishes the head or leaves it sendable;
+* a deadline timer is armed when its packet arrives, so at its tick it
+  fires before every grant scheduled after the head was last resolved; the
+  one grant that can precede it (pending since before the arrival) finds
+  the user dirty and expires the head itself.
+
+A head change always reaches the cell that holds the user *now*, so
+arrival and deadline events armed before a handoff land in the new cell.
+The scheduler receives the eligible index and a lazy ``view(user)``
+accessor (:meth:`~repro.mac.schedulers.Scheduler.pick`), so a CSI-blind
+discipline never reads a channel.  Heads open at the same grant tick as a
+full rescan of every queue would open them, which the golden scenarios in
+``tests/golden/mac_grant.json`` pin.
 """
 
 from __future__ import annotations
@@ -241,9 +265,22 @@ class _CellPacket:
 
 
 class _UserState:
-    """Mutable per-user simulation state."""
+    """Mutable per-user simulation state.
 
-    __slots__ = ("index", "config", "csi", "queue", "symbols_granted", "bits_delivered")
+    ``cell`` is the cell holding the user now (``None`` once detached and
+    not yet re-attached); events armed in one cell reach the user's head
+    through it after a handoff.
+    """
+
+    __slots__ = (
+        "index",
+        "config",
+        "csi",
+        "queue",
+        "symbols_granted",
+        "bits_delivered",
+        "cell",
+    )
 
     def __init__(self, index: int, config: CellUser) -> None:
         self.index = index
@@ -252,6 +289,7 @@ class _UserState:
         self.queue: deque[_CellPacket] = deque()
         self.symbols_granted = 0
         self.bits_delivered = 0
+        self.cell: MacCell | None = None
 
 
 class MacCell:
@@ -288,19 +326,20 @@ class MacCell:
         self._grant_pending = False
         self._on_air: _CellPacket | None = None
         self._tel = current_telemetry()
-        self.states = [
-            _UserState(config.uid if config.uid is not None else index, config)
-            for index, config in enumerate(users)
-        ]
-        # The grant path iterates ``states`` in order and promises the
-        # scheduler views sorted by user index; dynamic attach keeps the
-        # invariant, so require it of the initial list too.
-        if any(
-            a.index >= b.index for a, b in zip(self.states, self.states[1:])
-        ):
-            raise ValueError("user ids must be strictly increasing")
+        # Member users by id; the eligible index holds the ids with a
+        # resolved head, ascending, and ``_heads`` those heads.
+        self._users: dict[int, _UserState] = {}
+        self._eligible: list[int] = []
+        self._heads: dict[int, _CellPacket] = {}
+        self._dirty: set[int] = set()
+        for index, config in enumerate(users):
+            state = _UserState(config.uid if config.uid is not None else index, config)
+            if state.index in self._users:
+                raise ValueError(f"duplicate user id {state.index}")
+            self._users[state.index] = state
+            state.cell = self
         self.packets: list[_CellPacket] = []
-        for state in self.states:
+        for state in self._users.values():
             state.config.link.channel.reset()
             arrivals = state.config.arrivals
             for index, payload in enumerate(state.config.payloads):
@@ -335,14 +374,15 @@ class MacCell:
             packet.deadline_handle = self.clock.schedule(
                 packet.arrival + deadline,
                 PRIORITY_SEND,
-                lambda: self._expire(state, packet),
+                lambda: self._finish(state, packet, delivered=False),
             )
-        self._kick(self.clock.now)
+        if state.cell is not None:
+            state.cell._head_changed(state)
 
-    def _expire(self, state: _UserState, packet: _CellPacket) -> None:
-        if packet.finished:  # pragma: no cover - delivery cancels the timer
-            return
-        self._finish(state, packet, delivered=False)
+    def _head_changed(self, state: _UserState) -> None:
+        """Re-resolve ``state``'s head at the next grant, and make sure one comes."""
+        self._dirty.add(state.index)
+        self._kick(self.clock.now)
 
     # -- the medium ----------------------------------------------------------
     def _kick(self, time: int) -> None:
@@ -351,7 +391,7 @@ class MacCell:
         self._grant_pending = True
         self.clock.schedule(max(time, self.busy_until), PRIORITY_SEND, self._on_grant)
 
-    def _resolve_head(self, state: _UserState) -> _CellPacket | None:
+    def _resolve_head(self, state: _UserState) -> None:
         """Open the head packet's transmission; abort unstartable packets.
 
         A packet whose transmission is exhausted the moment it opens (an
@@ -361,7 +401,9 @@ class MacCell:
         a grant event scheduled *before* the packet arrived can fire ahead
         of the deadline timer at the same tick (FIFO among equal
         priorities), and the medium must not be handed to a doomed packet.
+        The user enters or leaves the eligible index with the outcome.
         """
+        user = state.index
         deadline = state.config.deadline
         while state.queue:
             packet = state.queue[0]
@@ -371,14 +413,18 @@ class MacCell:
             if packet.tx is None:
                 packet.tx = state.config.link.open(
                     packet.payload,
-                    cell_packet_rng(self.seed, state.index, packet.index),
+                    cell_packet_rng(self.seed, user, packet.index),
                     lambda state=state: float(state.csi(self.clock.now)),
                 )
             if packet.tx.exhausted and not packet.tx.decoded:
                 self._finish(state, packet, delivered=False)
                 continue
-            return packet
-        return None
+            if user not in self._heads:
+                bisect.insort(self._eligible, user)
+            self._heads[user] = packet
+            return
+        if self._heads.pop(user, None) is not None:
+            del self._eligible[bisect.bisect_left(self._eligible, user)]
 
     def _on_grant(self) -> None:
         self._grant_pending = False
@@ -390,46 +436,51 @@ class MacCell:
             # is busy.  Defer it to the block boundary.
             self._kick(self.busy_until)
             return
-        eligible: list[tuple[_UserState, _CellPacket]] = []
-        for state in self.states:
-            packet = self._resolve_head(state)
-            if packet is not None:
-                eligible.append((state, packet))
-        if not eligible:
+        if self._dirty:
+            # Resolving can finish a head, which marks its user dirty again;
+            # the loop has already resolved that user to its next head.
+            for user in sorted(self._dirty):
+                self._resolve_head(self._users[user])
+            self._dirty.clear()
+        if not self._eligible:
             return  # idle; a future arrival will kick the medium again
-        # CSI-blind disciplines never read csi_db, so skip the observation
-        # scan (pure reads, but O(users) of them per grant) and report NaN.
-        observes_csi = getattr(self.scheduler, "observes_csi", True)
-        views = [
-            UserView(
-                user=state.index,
-                csi_db=float(state.csi(now)) if observes_csi else float("nan"),
-                backlog=len(state.queue),
-                symbols_granted=state.symbols_granted,
-                bits_delivered=state.bits_delivered,
-            )
-            for state, _ in eligible
-        ]
-        choice = self.scheduler.pick(now, views)
-        by_user = {state.index: (state, packet) for state, packet in eligible}
-        if choice not in by_user:
+        views: dict[int, UserView] = {}
+
+        def view(user: int) -> UserView:
+            seen = views.get(user)
+            if seen is None:
+                state = self._users[user]
+                seen = views[user] = UserView(
+                    user=user,
+                    csi_db=float(state.csi(now)),
+                    backlog=len(state.queue),
+                    symbols_granted=state.symbols_granted,
+                    bits_delivered=state.bits_delivered,
+                )
+            return seen
+
+        choice = self.scheduler.pick(now, self._eligible, view)
+        packet = self._heads.get(choice)
+        if packet is None:
             raise ValueError(
                 f"scheduler {self.scheduler.name!r} picked user {choice}, "
-                f"eligible: {sorted(by_user)}"
+                f"eligible: {self._eligible}"
             )
-        state, packet = by_user[choice]
+        state = self._users[choice]
         channel = state.config.link.channel
         set_time = getattr(channel, "set_time", None)
         if set_time is not None:
             set_time(now)  # pin wall-clock channels to the shared cell clock
         block, received = packet.tx.send_next_block()
         state.symbols_granted += block.n_symbols
-        self.scheduler.on_grant(state.index, block.n_symbols, now)
+        self.scheduler.on_grant(choice, block.n_symbols, now)
         if self._tel.enabled:
             self._tel.counter("mac.grants", scheduler=self.scheduler.name)
             self._tel.observe("mac.grant_symbols", block.n_symbols)
-            chosen = next(v for v in views if v.user == choice)
-            if chosen.csi_db == chosen.csi_db:  # NaN when the scheduler is CSI-blind
+            # Only a scheduler that looked at the granted user's CSI reports
+            # it; a NaN report (a trace gap) has no histogram bucket.
+            chosen = views.get(choice)
+            if chosen is not None and chosen.csi_db == chosen.csi_db:
                 self._tel.observe("mac.granted_csi_db", chosen.csi_db)
         arrival = now + block.n_symbols
         self.busy_until = arrival
@@ -452,6 +503,11 @@ class MacCell:
             self._finish(state, packet, delivered=False)
 
     def _finish(self, state: _UserState, packet: _CellPacket, delivered: bool) -> None:
+        """Resolve ``packet`` in the cell whose event resolved it.
+
+        That cell records the completion time and credits its scheduler;
+        the head change goes to the cell holding the user now.
+        """
         packet.finished = True
         packet.delivered = delivered
         packet.completed = self.clock.now
@@ -470,7 +526,8 @@ class MacCell:
             bits = state.config.link.payload_bits
             state.bits_delivered += bits
             self.scheduler.on_delivered(state.index, bits, self.clock.now)
-        self._kick(self.clock.now)
+        if state.cell is not None:
+            state.cell._head_changed(state)
 
     # -- handoff (multi-cell networks) ---------------------------------------
     @property
@@ -487,10 +544,6 @@ class MacCell:
             return self._on_air.user
         return None
 
-    def _position(self, index: int) -> int:
-        """Where user ``index`` sits (or would sit) in ``states``, sorted by index."""
-        return bisect.bisect_left(self.states, index, key=lambda state: state.index)
-
     def detach_user(self, index: int) -> _UserState:
         """Remove a user (queue and in-flight transmission state intact).
 
@@ -502,30 +555,34 @@ class MacCell:
         sent so far are neither lost nor re-sent).  Detaching the user
         whose block is on the air is refused — land the block first.
         """
-        position = self._position(index)
-        if position == len(self.states) or self.states[position].index != index:
+        if index not in self._users:
             raise ValueError(f"no user {index} in this cell")
         if self.on_air_user == index:
             raise RuntimeError(
                 f"user {index} has a block on the air until t={self.busy_until}; "
                 "defer the handoff to the block boundary"
             )
-        return self.states.pop(position)
+        state = self._users.pop(index)
+        state.cell = None
+        self._dirty.discard(index)
+        if self._heads.pop(index, None) is not None:
+            del self._eligible[bisect.bisect_left(self._eligible, index)]
+        return state
 
     def attach_state(self, state: _UserState) -> None:
         """Adopt a user migrated from another cell and contend it immediately."""
-        position = self._position(state.index)
-        if position < len(self.states) and self.states[position].index == state.index:
+        if state.index in self._users:
             raise ValueError(f"user {state.index} already in this cell")
-        self.states.insert(position, state)
+        self._users[state.index] = state
+        state.cell = self
         if state.queue:
-            self._kick(self.clock.now)
+            self._head_changed(state)
 
     # -- driving -------------------------------------------------------------
     def _event_budget(self) -> int:
         budgets = sum(
             state.config.link.max_symbols * len(state.config.payloads)
-            for state in self.states
+            for state in self._users.values()
         )
         return 64 + 16 * len(self.packets) + 8 * budgets
 
@@ -562,7 +619,7 @@ class MacCell:
             )
         return CellResult(
             scheduler=self.scheduler.name,
-            n_users=len(self.states),
+            n_users=len(self._users),
             packets=tuple(outcomes),
             makespan=self.closed_at,
         )

@@ -1,8 +1,13 @@
 """MAC schedulers: who transmits on the shared medium next.
 
-The cell simulator (:mod:`repro.mac.cell`) calls :meth:`Scheduler.pick`
-every time the medium frees up, passing one :class:`UserView` per user that
-currently has traffic to send.  Three classic disciplines are provided:
+The cell simulator (:mod:`repro.mac.cell`) calls
+:meth:`Scheduler.pick` every time the medium frees up, passing the
+ascending ids of the users that currently have traffic to send and a lazy
+``view(user)`` accessor that builds one :class:`UserView` (the user's
+observed CSI among it) on demand.  A discipline reads only what it needs:
+round-robin never calls ``view``, so a grant costs it a bisection of the
+eligible ids and no channel reads; the CSI-reading disciplines view each
+eligible user once.  Three classic disciplines are provided:
 
 * :class:`RoundRobinScheduler` — TDMA: users take turns block by block,
   blind to channel state.  The fairness reference point.
@@ -24,9 +29,10 @@ other measurement in the library.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "UserView",
@@ -66,16 +72,15 @@ class Scheduler:
     #: Registry/report name of the discipline.
     name: str = "scheduler"
 
-    #: Whether :meth:`pick` reads ``csi_db``.  CSI-blind disciplines set
-    #: this ``False`` and the cell skips the per-user CSI observation at
-    #: every grant — at city scale that scan is the dominant cost of a
-    #: grant, and CSI reads are pure so skipping them is behavior-neutral.
-    observes_csi: bool = True
+    def pick(
+        self, now: int, eligible: Sequence[int], view: Callable[[int], UserView]
+    ) -> int:
+        """Return one of the ``eligible`` user ids to grant the medium.
 
-    def pick(self, now: int, views: Sequence[UserView]) -> int:
-        """Return the ``user`` index of one of ``views`` to grant the medium.
-
-        ``views`` is non-empty and ordered by user index.
+        ``eligible`` is non-empty, ascending and owned by the cell (read
+        it, do not keep or mutate it).  ``view(user)`` builds that eligible
+        user's :class:`UserView` at ``now``; call it only for users whose
+        state the discipline reads.
         """
         raise NotImplementedError
 
@@ -90,31 +95,38 @@ class RoundRobinScheduler(Scheduler):
     """TDMA: cycle through backlogged users, one block each, channel-blind."""
 
     name = "round-robin"
-    observes_csi = False  # turn order never consults the channel
 
     def __init__(self) -> None:
         self._cursor = -1
 
-    def pick(self, now: int, views: Sequence[UserView]) -> int:
-        for view in views:
-            if view.user > self._cursor:
-                self._cursor = view.user
-                return view.user
-        self._cursor = views[0].user
+    def pick(
+        self, now: int, eligible: Sequence[int], view: Callable[[int], UserView]
+    ) -> int:
+        # The first eligible user after the last one served, wrapping round;
+        # the cursor's own user may have left the index since.
+        position = bisect.bisect_right(eligible, self._cursor)
+        self._cursor = eligible[position if position < len(eligible) else 0]
         return self._cursor
 
 
 class MaxSnrScheduler(Scheduler):
-    """Pure opportunism: grant the highest observed SNR, ties to lowest index."""
+    """Pure opportunism: grant the highest observed SNR, ties to lowest index.
+
+    A NaN report never wins a comparison, so it displaces no one.
+    """
 
     name = "max-snr"
 
-    def pick(self, now: int, views: Sequence[UserView]) -> int:
-        best = views[0]
-        for view in views[1:]:
-            if view.csi_db > best.csi_db:
-                best = view
-        return best.user
+    def pick(
+        self, now: int, eligible: Sequence[int], view: Callable[[int], UserView]
+    ) -> int:
+        best = eligible[0]
+        best_csi = view(best).csi_db
+        for user in eligible:
+            csi_db = view(user).csi_db
+            if csi_db > best_csi:
+                best, best_csi = user, csi_db
+        return best
 
 
 class ProportionalFairScheduler(Scheduler):
@@ -155,13 +167,15 @@ class ProportionalFairScheduler(Scheduler):
         elapsed = now - self._updated[user]
         return average * 0.5 ** (elapsed / self.half_life)
 
-    def pick(self, now: int, views: Sequence[UserView]) -> int:
+    def pick(
+        self, now: int, eligible: Sequence[int], view: Callable[[int], UserView]
+    ) -> int:
         best = None
         best_metric = float("-inf")
-        for view in views:
-            snr_linear = 10.0 ** (view.csi_db / 10.0)
+        for user in eligible:
+            snr_linear = 10.0 ** (view(user).csi_db / 10.0)
             instantaneous = math.log2(1.0 + snr_linear)
-            metric = instantaneous / max(self._decayed_average(view.user, now), self.floor)
+            metric = instantaneous / max(self._decayed_average(user, now), self.floor)
             # A NaN CSI report (a tracing gap, a corrupt trace sample) makes
             # the metric NaN, and NaN compares false against everything — a
             # pick over all-NaN views would return no user at all.  Treat
@@ -171,8 +185,8 @@ class ProportionalFairScheduler(Scheduler):
             if math.isnan(metric):
                 metric = float("-inf")
             if best is None or metric > best_metric:
-                best, best_metric = view, metric
-        return best.user
+                best, best_metric = user, metric
+        return best
 
     def on_delivered(self, user: int, bits: int, now: int) -> None:
         self._average[user] = (

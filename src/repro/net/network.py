@@ -138,8 +138,7 @@ class NetworkConfig:
 
     Traffic is fully backlogged: every user starts with
     ``packets_per_user`` packets queued at t=0 (per-packet arrival
-    processes stay a single-cell feature for now — a handed-off user's
-    pending arrivals would still enqueue at its origin cell).
+    processes stay a single-cell feature for now).
     """
 
     n_cells: int = 4
@@ -367,8 +366,8 @@ class CellNetwork:
         self.handoff_counts = [0] * config.n_users
         self._pending_handoff = [False] * config.n_users
         # Per-epoch memo of each user's per-cell SNR vector: positions only
-        # change at epoch boundaries, but the schedulers observe CSI for
-        # every queued user at every grant — recomputing the path-loss law
+        # change at epoch boundaries, but CSI-reading schedulers observe
+        # every eligible user at every grant — recomputing the path-loss law
         # there dominated city-scale runs.  Cleared on every epoch tick.
         self._snr_cache: dict[int, np.ndarray] = {}
         # Scalar serving-cell SNR per user (the hot CSI read), invalidated
@@ -376,7 +375,7 @@ class CellNetwork:
         self._signal_cache: dict[int, float] = {}
         # Per-instant memo of the summed linear interference each cell hears.
         # Transmit activity is frozen while one event handler runs, but a
-        # grant's CSI scan asks every queued user — without the memo the
+        # CSI-reading grant asks every eligible user — without the memo the
         # interference sum is recomputed per user, O(users²) per cell.
         self._interference_cache: "tuple[int, list[float]] | None" = None
         self.serving = [

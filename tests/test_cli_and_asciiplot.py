@@ -176,6 +176,24 @@ class TestMainEndToEnd:
         assert "bits/symbol" in output  # the ASCII chart legend
         assert capsys.readouterr().out  # printed something
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rate", "10", "--trials", "0"], "n_trials must be at least 1"),
+            (["rate", "10", "--workers", "0"], "--workers must be at least 1"),
+            (["bsc", "0.1", "--trials", "0"], "n_trials must be at least 1"),
+            (["transport", "--hops", "0"], "hop counts must be at least 1"),
+        ],
+    )
+    def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro {argv[0]}: error: ")
+        assert message in err[0]
+
     def test_rate_single_point_skips_plot(self):
         output = main(
             [

@@ -16,6 +16,7 @@ from repro.baselines.rate_adaptation import RateAdaptationPolicy
 from repro.channels.awgn import AWGNChannel
 from repro.core.params import SpinalParams
 from repro.experiments.runner import SpinalRunConfig
+from repro.link.events import PRIORITY_ACK, EventScheduler
 from repro.link.topology import build_relay_sessions
 from repro.link.transport import TransportConfig, packet_rng, run_link_transport
 from repro.mac.adaptive import (
@@ -444,6 +445,71 @@ class TestDeadlineGrantRace:
         assert by_user[1].completed == 20  # expired exactly at the deadline
         assert by_user[1].symbols_sent == 0  # and never reached the air
         assert result.makespan == 20
+
+    def test_waiting_head_expires_at_a_grant_tick_without_reaching_the_air(self):
+        # Max-SNR grants user 1's 10-symbol blocks at t=0, 10, ..., 40, so
+        # user 0's head (arrival 5, deadline 25) is resolved and passed over
+        # at t=10 and t=20, then falls due exactly at the t=30 grant.  Its
+        # timer was armed before that grant was scheduled, so it fires first.
+        user0 = CellUser(
+            _FixedBlockLink(10, 1, snr_db=5.0),
+            _payloads(1, label="a"),
+            arrivals=(5,),
+            deadline=25,
+        )
+        user1 = CellUser(_FixedBlockLink(10, 5, snr_db=20.0), _payloads(1, label="b"))
+        result = simulate_cell([user0, user1], "max-snr", seed=1)
+        by_user = {p.user: p for p in result.packets}
+        assert (by_user[0].completed, by_user[0].delivered) == (30, False)
+        assert by_user[0].symbols_sent == 0
+        assert (by_user[1].completed, by_user[1].symbols_sent) == (50, 50)
+
+
+class TestHeadChangesFollowHandoffs:
+    """Events armed in one cell reach a migrated user's head in the next."""
+
+    def test_expiry_after_handoff_frees_the_new_cell_for_the_next_packet(self):
+        # User 0 arrives in cell A at t=2 and t=9 (deadline 30: due 32 and
+        # 39) while A's user 1 holds the medium until t=50.  At t=10 it moves
+        # to cell B, where max-SNR keeps granting user 2's 5-symbol blocks
+        # until t=35, so user 0's head waits in B until A's deadline timer
+        # expires it at t=32.  B's next grant, at t=35, must go to user 0's
+        # second packet (3 symbols, delivered at t=38), not the expired head.
+        clock = EventScheduler()
+        mover = CellUser(
+            _FixedBlockLink(3, 1, snr_db=5.0),
+            _payloads(2, label="mover"),
+            arrivals=(2, 9),
+            deadline=30,
+            uid=0,
+        )
+        blocker_a = CellUser(_FixedBlockLink(50, 1, snr_db=20.0), _payloads(1), uid=1)
+        blocker_b = CellUser(_FixedBlockLink(5, 7, snr_db=20.0), _payloads(1), uid=2)
+        cell_a = MacCell([mover, blocker_a], "max-snr", seed=3, clock=clock)
+        cell_b = MacCell([blocker_b], "max-snr", seed=3, clock=clock)
+        clock.schedule(10, PRIORITY_ACK, lambda: cell_b.attach_state(cell_a.detach_user(0)))
+        clock.run(max_events=1000)
+        head, second = cell_a.result().packets[:2]
+        assert (head.completed, head.delivered, head.symbols_sent) == (32, False, 0)
+        assert (second.completed, second.delivered, second.symbols_sent) == (38, True, 3)
+        assert cell_b.result().packets[0].completed == 35
+        assert cell_b.closed_at == 38  # B carried the second packet
+
+    def test_arrival_after_handoff_wakes_the_new_cell(self):
+        # User 0 leaves cell A with an empty queue for an idle cell B; its
+        # packet arriving at t=20 must be granted in B at once.
+        clock = EventScheduler()
+        mover = CellUser(
+            _FixedBlockLink(4, 2, snr_db=10.0), _payloads(1), arrivals=(20,), uid=0
+        )
+        stayer = CellUser(_FixedBlockLink(8, 1, snr_db=10.0), _payloads(1), uid=1)
+        cell_a = MacCell([mover, stayer], "round-robin", seed=3, clock=clock)
+        cell_b = MacCell([], "round-robin", seed=3, clock=clock, allow_empty=True)
+        clock.schedule(5, PRIORITY_ACK, lambda: cell_b.attach_state(cell_a.detach_user(0)))
+        clock.run(max_events=1000)
+        packet = cell_a.result().packets[0]
+        assert (packet.completed, packet.delivered, packet.symbols_sent) == (28, True, 8)
+        assert cell_b.closed_at == 28
 
 
 class TestReportCsvPlotConflict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channels.awgn import TimeVaryingAWGNChannel
+from repro.channels.awgn import AWGNChannel, TimeVaryingAWGNChannel
 from repro.channels.traces import sinusoidal_trace
 from repro.core.params import SpinalParams
 from repro.experiments.runner import SpinalRunConfig
@@ -43,49 +43,90 @@ def _view(user, csi_db, backlog=1):
     )
 
 
+def _pick(scheduler, now, views):
+    """``scheduler.pick`` over ``views``, passed the way the cell passes them."""
+    by_user = {view.user: view for view in views}
+    return scheduler.pick(now, sorted(by_user), by_user.__getitem__)
+
+
+def _blind(*args):
+    raise AssertionError("round-robin read a user's state")
+
+
 class TestRoundRobin:
     def test_cycles_through_eligible_users(self):
         scheduler = RoundRobinScheduler()
         views = [_view(0, 5.0), _view(1, 25.0), _view(2, 10.0)]
-        picks = [scheduler.pick(t, views) for t in range(6)]
+        picks = [_pick(scheduler, t, views) for t in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_skips_users_without_backlog(self):
         scheduler = RoundRobinScheduler()
-        assert scheduler.pick(0, [_view(0, 5.0), _view(2, 5.0)]) == 0
-        assert scheduler.pick(1, [_view(0, 5.0), _view(2, 5.0)]) == 2
+        assert _pick(scheduler, 0, [_view(0, 5.0), _view(2, 5.0)]) == 0
+        assert _pick(scheduler, 1, [_view(0, 5.0), _view(2, 5.0)]) == 2
         # User 1 shows up again: the rotation resumes after the cursor (2).
-        assert scheduler.pick(2, [_view(0, 5.0), _view(1, 5.0)]) == 0
-        assert scheduler.pick(3, [_view(0, 5.0), _view(1, 5.0)]) == 1
+        assert _pick(scheduler, 2, [_view(0, 5.0), _view(1, 5.0)]) == 0
+        assert _pick(scheduler, 3, [_view(0, 5.0), _view(1, 5.0)]) == 1
+
+    def test_wraps_when_the_cursor_is_past_the_last_eligible_user(self):
+        scheduler = RoundRobinScheduler()
+        assert scheduler.pick(0, [3, 8], _blind) == 3
+        assert scheduler.pick(1, [3, 8], _blind) == 8
+        assert scheduler.pick(2, [1, 3, 5], _blind) == 1  # nobody after 8: wrap
+        assert scheduler.pick(3, [1, 3, 5], _blind) == 3
+
+    def test_resumes_after_the_cursor_when_its_user_detached(self):
+        scheduler = RoundRobinScheduler()
+        assert scheduler.pick(0, [2, 4, 6], _blind) == 2
+        assert scheduler.pick(1, [2, 4, 6], _blind) == 4
+        # User 4 left the cell: the turn passes to the next id after it.
+        assert scheduler.pick(2, [2, 6], _blind) == 6
+        scheduler.pick(3, [2, 6], _blind)  # 2 again
+        assert scheduler.pick(4, [1, 3], _blind) == 3  # first id after 2
+
+    def test_never_reads_csi_inside_a_cell(self):
+        users = []
+        for u in range(3):
+            session = _RUN_CONFIG.build_session(AWGNChannel(10.0, adc_bits=14), 512)
+            payloads = [
+                random_message_bits(16, spawn_rng(3, "blind", u, i)) for i in range(2)
+            ]
+            users.append(CellUser(RatelessLink(session), payloads, csi=_blind))
+        assert simulate_cell(users, "round-robin", seed=5).n_delivered == 6
 
 
 class TestMaxSnr:
     def test_picks_highest_observed_snr(self):
         scheduler = MaxSnrScheduler()
-        assert scheduler.pick(0, [_view(0, 5.0), _view(1, 25.0), _view(2, 10.0)]) == 1
+        assert _pick(scheduler, 0, [_view(0, 5.0), _view(1, 25.0), _view(2, 10.0)]) == 1
 
     def test_ties_break_to_lowest_user(self):
         scheduler = MaxSnrScheduler()
-        assert scheduler.pick(0, [_view(1, 10.0), _view(2, 10.0)]) == 1
+        assert _pick(scheduler, 0, [_view(1, 10.0), _view(2, 10.0)]) == 1
+
+    def test_nan_report_never_displaces_the_incumbent(self):
+        scheduler = MaxSnrScheduler()
+        assert _pick(scheduler, 0, [_view(0, -10.0), _view(1, float("nan"))]) == 0
+        assert _pick(scheduler, 0, [_view(4, float("nan")), _view(9, float("nan"))]) == 4
 
 
 class TestProportionalFair:
     def test_unserved_users_win_at_equal_snr(self):
         scheduler = ProportionalFairScheduler(half_life=64)
         views = [_view(0, 10.0), _view(1, 10.0)]
-        assert scheduler.pick(0, views) == 0  # tie: lowest index
+        assert _pick(scheduler, 0, views) == 0  # tie: lowest index
         scheduler.on_delivered(0, 16, 0)
-        assert scheduler.pick(1, views) == 1  # user 0 now has throughput history
+        assert _pick(scheduler, 1, views) == 1  # user 0 now has throughput history
 
     def test_served_history_decays_back_to_parity(self):
         scheduler = ProportionalFairScheduler(half_life=8)
         scheduler.on_delivered(0, 16, 0)
         views = [_view(0, 10.0), _view(1, 5.0)]
         # Immediately after service the worse channel wins on fairness...
-        assert scheduler.pick(1, views) == 1
+        assert _pick(scheduler, 1, views) == 1
         scheduler.on_delivered(1, 16, 1)
         # ...and far in the future both histories have decayed: rate wins.
-        assert scheduler.pick(10_000, views) == 0
+        assert _pick(scheduler, 10_000, views) == 0
 
     def test_rejects_bad_half_life(self):
         with pytest.raises(ValueError, match="half_life"):
@@ -102,16 +143,25 @@ class TestFactoryAndProtocol:
         with pytest.raises(ValueError, match="unknown scheduler"):
             make_scheduler("lottery")
 
+    def test_csi_schedulers_view_only_eligible_users(self):
+        for scheduler in (MaxSnrScheduler(), ProportionalFairScheduler()):
+            seen = set()
+
+            def view(user):
+                seen.add(user)
+                return _view(user, float(user))
+
+            assert scheduler.pick(0, [2, 5, 7], view) == 7
+            assert seen == {2, 5, 7}
+
     def test_cell_rejects_ineligible_pick(self):
         class Rogue(Scheduler):
             name = "rogue"
 
-            def pick(self, now, views):
+            def pick(self, now, eligible, view):
                 return 999
 
         payloads = [random_message_bits(16, spawn_rng(1, "rogue", i)) for i in range(1)]
-        from repro.channels.awgn import AWGNChannel
-
         session = _RUN_CONFIG.build_session(AWGNChannel(10.0, adc_bits=14), 512)
         with pytest.raises(ValueError, match="picked user 999"):
             simulate_cell([CellUser(RatelessLink(session), payloads)], Rogue())
@@ -190,15 +240,15 @@ class TestProportionalFairEdgeCases:
     def test_first_grant_is_well_defined(self):
         """No history at all (every average zero) must not divide by zero."""
         scheduler = ProportionalFairScheduler()
-        assert scheduler.pick(0, [_view(0, 10.0), _view(1, 20.0)]) == 1
+        assert _pick(scheduler, 0, [_view(0, 10.0), _view(1, 20.0)]) == 1
 
     def test_nan_csi_user_is_never_preferred(self):
         scheduler = ProportionalFairScheduler()
-        assert scheduler.pick(0, [_view(0, float("nan")), _view(1, -10.0)]) == 1
-        assert scheduler.pick(0, [_view(3, -10.0), _view(7, float("nan"))]) == 3
+        assert _pick(scheduler, 0, [_view(0, float("nan")), _view(1, -10.0)]) == 1
+        assert _pick(scheduler, 0, [_view(3, -10.0), _view(7, float("nan"))]) == 3
 
     def test_all_nan_csi_still_grants_someone(self):
         """All-NaN views fall back to the lowest-index user, not a crash."""
         scheduler = ProportionalFairScheduler()
         views = [_view(4, float("nan")), _view(9, float("nan"))]
-        assert scheduler.pick(0, views) == 4
+        assert _pick(scheduler, 0, views) == 4
