@@ -767,14 +767,27 @@ def _command_bsc(args: argparse.Namespace) -> str:
 def _command_figure2(args: argparse.Namespace) -> str:
     from repro.experiments.runner import SpinalRunConfig
 
+    try:
+        if not args.snr_step > 0:
+            raise ValueError(f"--snr-step must be positive, got {args.snr_step}")
+        if args.snr_min > args.snr_max:
+            raise ValueError(
+                f"--snr-min ({args.snr_min}) must not exceed --snr-max ({args.snr_max})"
+            )
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        if args.ldpc_frames < 1:
+            raise ValueError(f"--ldpc-frames must be at least 1, got {args.ldpc_frames}")
+        config = SpinalRunConfig(
+            n_trials=args.trials, decoder=args.decoder, n_workers=args.workers
+        )
+    except ValueError as exc:
+        _usage_error("figure2", exc)
     snrs = []
     snr = args.snr_min
     while snr <= args.snr_max + 1e-9:
         snrs.append(round(snr, 6))
         snr += args.snr_step
-    config = SpinalRunConfig(
-        n_trials=args.trials, decoder=args.decoder, n_workers=args.workers
-    )
     data = figure2_table(
         snr_values_db=snrs,
         spinal_config=config,

@@ -70,12 +70,18 @@ class TransportSweepConfig:
     n_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_packets < 0:
-            raise ValueError(f"n_packets must be non-negative, got {self.n_packets}")
+        if self.n_packets < 1:
+            raise ValueError(f"n_packets must be at least 1, got {self.n_packets}")
+        if self.max_symbols < 1:
+            raise ValueError(f"max_symbols must be at least 1, got {self.max_symbols}")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be at least 1, got {self.n_workers}")
         if any(h < 1 for h in self.hop_counts):
             raise ValueError("hop counts must be at least 1")
+        if any(w < 1 for w in self.windows):
+            raise ValueError(f"window sizes must be at least 1, got {self.windows}")
+        if any(d < 0 for d in self.ack_delays):
+            raise ValueError(f"ack delays must be non-negative, got {self.ack_delays}")
 
     def with_(self, **changes) -> "TransportSweepConfig":
         return replace(self, **changes)

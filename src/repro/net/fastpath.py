@@ -16,6 +16,14 @@ so results are independent of grant interleaving and worker count, exactly
 like the bit-exact tier.  Calibration itself is a pure function of its
 seed and is memoized per process.
 
+Calibration runs in lock-step: each grid point's samples go through
+:meth:`~repro.phy.session.CodecSession.run_many`, which steps every live
+sample one block at a time and decodes all of a step's gate-open samples in
+one call of the code's batch hook (one
+:class:`~repro.core.decoder_vectorized.BatchDecoder` call for spinal codes).
+Each sample keeps its own payload and noise stream, so every entry equals a
+sequential ``session.run`` of that sample, for every code family.
+
 Fidelity contract: the flow tier is *calibrated*, not exact — tests pin its
 relative aggregate-goodput error against the bit-exact network on small
 configs, and the calibration is re-run whenever codec behavior changes
@@ -30,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from repro.phy.families import make_codec_session
+from repro.phy.session import CodecSession
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
@@ -218,6 +227,14 @@ def calibrate_symbol_model(
     codec's first few block sizes to set the flow tier's grant quantum.
     Pure function of its arguments — workers recalibrating independently
     get byte-identical models.
+
+    Each grid point is measured in two lock-step
+    :meth:`~repro.phy.session.CodecSession.run_many` batches, samples 0–7
+    first.  The dead-point rule reads only those: if all 8 exhausted their
+    budget, the rest of the row is filled with ``-1`` without running them;
+    otherwise the remaining samples run as the second batch.  That is the
+    order a one-sample-at-a-time loop would stop in, so the row is the same
+    as running each sample alone and stopping after 8 straight failures.
     """
     grid = tuple(float(snr) for snr in snr_grid_db)
     if not grid:
@@ -238,18 +255,16 @@ def calibrate_symbol_model(
             adc_bits=adc_bits,
         )
         payload_bits = session.payload_bits
-        row = []
-        for sample in range(samples_per_point):
-            rng = spawn_rng(seed, "fastpath-cal", family, gi, sample)
-            payload = random_message_bits(session.payload_bits, rng)
-            outcome = session.run(payload, rng)
-            row.append(int(outcome.symbols_sent) if outcome.success else -1)
-            # Dead-point early abort: a grid SNR whose first 8 runs all
-            # exhaust the budget is below the code's operating floor; fill
-            # the rest as failures instead of burning full budgets on them.
-            if len(row) >= 8 and all(value < 0 for value in row):
-                row.extend([-1] * (samples_per_point - len(row)))
-                break
+        # Dead-point early abort: a grid SNR whose first 8 runs all exhaust
+        # the budget is below the code's operating floor; fill the rest as
+        # failures instead of burning full budgets on them.
+        row = _measure(session, seed, family, gi, range(min(8, samples_per_point)))
+        if len(row) == 8 and all(value < 0 for value in row):
+            row.extend([-1] * (samples_per_point - 8))
+        else:
+            row.extend(
+                _measure(session, seed, family, gi, range(len(row), samples_per_point))
+            )
         rows.append(tuple(row))
         # Probe the grant quantum: the sizes of the first few blocks.
         probe_rng = spawn_rng(seed, "fastpath-probe", family, gi)
@@ -270,6 +285,23 @@ def calibrate_symbol_model(
         snr_grid_db=grid,
         samples=tuple(rows),
     )
+
+
+def _measure(
+    session: CodecSession, seed: int, family: str, gi: int, samples: range
+) -> list[int]:
+    """Symbols-to-decode of calibration ``samples`` at grid point ``gi``.
+
+    One lock-step :meth:`~repro.phy.session.CodecSession.run_many` batch;
+    sample ``s`` draws its payload and noise from its own stream, so each
+    entry (``-1`` for an exhausted run) equals a sequential ``run`` of it.
+    """
+    rngs = [spawn_rng(seed, "fastpath-cal", family, gi, s) for s in samples]
+    payloads = [random_message_bits(session.payload_bits, rng) for rng in rngs]
+    return [
+        int(outcome.symbols_sent) if outcome.success else -1
+        for outcome in session.run_many(payloads, rngs)
+    ]
 
 
 _MODEL_CACHE: dict[tuple, SymbolCountModel] = {}

@@ -15,7 +15,11 @@ MAC cell can drive any of them:
     (:meth:`~RatelessCode.new_decoder`), and declares the earliest point a
     decode attempt can possibly succeed
     (:meth:`~RatelessCode.min_symbols_to_attempt` — the PR-1
-    "cannot-reliably-succeed-yet" gate, generalised per code).
+    "cannot-reliably-succeed-yet" gate, generalised per code).  A code may
+    also offer an optional ``decode_batch(decoders) -> list[DecodeStatus]``
+    hook that decodes several of its receivers at once (spinal codes do,
+    through one batched kernel call); :meth:`CodecSession.run_many
+    <repro.phy.session.CodecSession.run_many>` uses it when present.
 
 ``SymbolSource``
     An endless per-packet stream of :class:`CodeBlock`-shaped blocks.

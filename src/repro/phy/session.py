@@ -3,7 +3,8 @@
 :class:`CodecSession` owns a :class:`~repro.phy.protocol.RatelessCode`, a
 channel, a termination rule and a per-packet symbol budget, and runs the
 paper's protocol — stream blocks, attempt decodes, stop on the first
-success — for *any* code family.
+success — for *any* code family, one packet at a time (:meth:`~CodecSession.run`)
+or many in lock-step with batched decodes (:meth:`~CodecSession.run_many`).
 
 :class:`CodecTransmission` is the per-packet state: a pausable, resumable
 transmission that the link transport, the relay topology and the MAC cell
@@ -17,6 +18,7 @@ attempts — and above-capacity flukes — suppressed uniformly across families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -297,6 +299,77 @@ class CodecSession:
             if transmission.exhausted:
                 transmission.best_effort_decode()
                 return self._result(transmission, success=False)
+
+    def run_many(
+        self,
+        payloads: Sequence[np.ndarray],
+        rngs: Sequence[np.random.Generator],
+    ) -> list[CodecResult]:
+        """Transmit several payloads in lock-step; one result per payload.
+
+        The channel is reset once and every transmission opened up front.
+        Each step, every live transmission sends one block.  When the code
+        has a ``decode_batch`` hook, each block is absorbed without decoding
+        and the transmissions whose decode gate is open (the gate
+        :meth:`CodecTransmission.deliver` applies) are decoded together in
+        one hook call, each status fed back through
+        :meth:`CodecTransmission.record_status`.  A code without the hook
+        delivers each block with the gate, exactly as :meth:`run` does: only
+        its own receiver knows when to decline an attempt the gate allows
+        (a fixed-rate frame decodes only at its boundary).  Decoded
+        transmissions then finish as successes, and exhausted ones take
+        :meth:`run`'s terminal step — one best-effort decode, then failure.
+
+        Outcome contract: over a memoryless channel (noise drawn only from
+        each transmission's private ``rng``), result ``i`` equals
+        ``run(payloads[i], rngs[i])`` in ``success``, ``payload_correct``,
+        ``symbols_sent``, ``decode_attempts`` and ``decoded_payload``.  A
+        channel with state (a block-fading gain, a trace cursor) is shared
+        by the interleaved transmissions instead.  Decoder ``work`` counts
+        in the code's batch units when the code has a ``decode_batch`` hook
+        (the spinal family's :class:`~repro.core.decoder_vectorized.BatchDecoder`
+        candidates, as in the serve engine); codes without one report
+        :meth:`run`'s work.
+        """
+        if len(payloads) != len(rngs):
+            raise ValueError(
+                f"got {len(payloads)} payloads but {len(rngs)} generators"
+            )
+        self.channel.reset()
+        transmissions = [
+            self.open_transmission(payload, rng)
+            for payload, rng in zip(payloads, rngs)
+        ]
+        decode_batch = getattr(self.code, "decode_batch", None)
+        results: list[CodecResult | None] = [None] * len(transmissions)
+        live = list(range(len(transmissions)))
+        while live:
+            attempting = []
+            for index in live:
+                transmission = transmissions[index]
+                block, received = transmission.send_next_block()
+                if decode_batch is None:
+                    transmission.deliver(block, received)
+                    continue
+                transmission.deliver(block, received, attempt=False)
+                if block.n_symbols > 0 and transmission.attempt_ready:
+                    attempting.append(transmission)
+            if attempting:
+                statuses = decode_batch([t.decoder for t in attempting])
+                for transmission, status in zip(attempting, statuses):
+                    transmission.record_status(status)
+            still_live = []
+            for index in live:
+                transmission = transmissions[index]
+                if transmission.decoded:
+                    results[index] = self._result(transmission, success=True)
+                elif transmission.exhausted:
+                    transmission.best_effort_decode()
+                    results[index] = self._result(transmission, success=False)
+                else:
+                    still_live.append(index)
+            live = still_live
+        return results
 
     # ------------------------------------------------------------------
     def _result(self, transmission: CodecTransmission, success: bool) -> CodecResult:

@@ -25,7 +25,8 @@ Architecture — one tick of the shared symbol-time clock:
    session loop's, while the decode work is amortised across the batch.
 3. **Send decisions and admissions** (``PRIORITY_SEND``): undecoded sessions
    immediately send their next block (continuous streaming with immediate
-   feedback, the same protocol :meth:`CodecSession.run` models); finished
+   feedback, the same protocol :meth:`CodecSession.run` models) from the
+   spinal code's own sender, exactly as any spinal session does; finished
    sessions free an in-flight slot and the FIFO backlog admits the next
    request.
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from repro.channels.awgn import AWGNChannel
 from repro.core.decoder_vectorized import BatchDecoder, make_decoder_factory
-from repro.core.encoder import SpinalEncoder, SubpassBlock
+from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
 from repro.core.puncturing import TailFirstPuncturing
@@ -64,7 +65,7 @@ from repro.link.events import (
 from repro.obs.telemetry import current as current_telemetry
 from repro.phy.protocol import DecodeStatus
 from repro.phy.session import CodecResult, CodecSession, CodecTransmission
-from repro.phy.spinal import SpinalCode
+from repro.phy.spinal import SpinalCode, spinal_status
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import derive_seed, spawn_rng
 
@@ -312,78 +313,6 @@ class SoakResult:
         return data
 
 
-#: Subpasses pre-encoded per vectorized hash dispatch by the windowed source.
-#: Sized to cover a typical session's whole transmission in one or two
-#: refills at smoke shapes without encoding far past the decode point.
-_ENCODE_WINDOW = 8
-
-
-class _WindowedSpinalSource:
-    """Drop-in spinal symbol source that pre-encodes subpasses in windows.
-
-    The per-packet stream (:class:`~repro.phy.spinal._SpinalSource`) pays one
-    vectorized hash dispatch per subpass block — a handful of symbols each —
-    so at serving scale the fixed numpy overhead dominates the sender.  The
-    keyed hash behind :meth:`~repro.core.encoder.SpinalEncoder.values_from_spines`
-    is elementwise in ``(spine value, pass index)`` (the same property the
-    decoders' incremental caches rely on), so evaluating ``window`` subpasses'
-    worth of pairs in one concatenated call yields byte-identical values to
-    the per-subpass stream while paying the dispatch cost once per window.
-
-    Pre-encoding past the block actually consumed is safe: transmitted values
-    are a pure function of the payload, and channel noise is drawn per block,
-    in send order, from the transmission's private rng — never here.
-    """
-
-    __slots__ = (
-        "_encoder", "_spine", "_n_segments", "_times_sent", "_subpass",
-        "_queue", "_window",
-    )
-
-    def __init__(
-        self, encoder: SpinalEncoder, framed: np.ndarray, window: int = _ENCODE_WINDOW
-    ) -> None:
-        self._encoder = encoder
-        self._spine = encoder.spine(framed)
-        self._n_segments = int(self._spine.size)
-        self._times_sent = np.zeros(self._n_segments, dtype=np.int64)
-        self._subpass = 0
-        self._queue: deque[SubpassBlock] = deque()
-        self._window = window
-
-    def next_block(self) -> SubpassBlock:
-        if not self._queue:
-            self._refill()
-        return self._queue.popleft()
-
-    def _refill(self) -> None:
-        spans: list[tuple[int, np.ndarray, np.ndarray]] = []
-        while len(spans) < self._window:
-            positions = self._encoder.puncturing.subpass_positions(
-                self._subpass, self._n_segments
-            )
-            if positions.size:
-                pass_indices = self._times_sent[positions].copy()
-                self._times_sent[positions] += 1
-                spans.append((self._subpass, positions, pass_indices))
-            self._subpass += 1
-        values = self._encoder.values_from_spines(
-            self._spine[np.concatenate([span[1] for span in spans])],
-            np.concatenate([span[2] for span in spans]),
-        )
-        offset = 0
-        for subpass_index, positions, pass_indices in spans:
-            self._queue.append(
-                SubpassBlock(
-                    subpass_index=subpass_index,
-                    positions=positions,
-                    pass_indices=pass_indices,
-                    values=values[offset : offset + positions.size],
-                )
-            )
-            offset += positions.size
-
-
 class _SymbolBufferPool:
     """Preallocated per-slot symbol buffers for the in-flight window.
 
@@ -521,12 +450,6 @@ class SoakEngine:
             flight.tx = self.sessions[i].open_transmission(
                 flight.payload, spawn_rng(config.seed, "serve", "packet", i)
             )
-            # Swap in the windowed pre-encoder: byte-identical blocks (see
-            # _WindowedSpinalSource), one hash dispatch per window instead of
-            # per subpass.
-            flight.tx.source = _WindowedSpinalSource(
-                self.sessions[i].code.encoder, self.framer.frame(flight.payload)
-            )
 
         def arrive(flight: _Flight) -> None:
             pending.append(flight)
@@ -613,18 +536,7 @@ class SoakEngine:
                     state["max_batch"] = max(state["max_batch"], 1)
             if tel.enabled:
                 tel.observe("serve.batch_width", len(members))
-            framer = self.framer
-            return [
-                DecodeStatus(
-                    attempted=True,
-                    estimate=result.message_bits,
-                    payload=framer.extract_payload(result.message_bits),
-                    verified=framer.check(result.message_bits),
-                    work=result.candidates_explored,
-                    detail=result,
-                )
-                for result in results
-            ]
+            return [spinal_status(self.framer, result) for result in results]
 
         def resend(flight: _Flight) -> None:
             clock.schedule(clock.now, PRIORITY_SEND, lambda: send(flight))

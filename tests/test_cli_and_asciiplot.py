@@ -183,6 +183,17 @@ class TestMainEndToEnd:
             (["rate", "10", "--workers", "0"], "--workers must be at least 1"),
             (["bsc", "0.1", "--trials", "0"], "n_trials must be at least 1"),
             (["transport", "--hops", "0"], "hop counts must be at least 1"),
+            (["transport", "--window", "0"], "window sizes must be at least 1"),
+            (["transport", "--packets", "0"], "n_packets must be at least 1"),
+            (["transport", "--max-symbols", "0"], "max_symbols must be at least 1"),
+            (["transport", "--ack-delay", "-1"], "ack delays must be non-negative"),
+            (["figure2", "--snr-step", "0"], "--snr-step must be positive"),
+            (["figure2", "--snr-step", "-5"], "--snr-step must be positive"),
+            (["figure2", "--trials", "0"], "--trials must be at least 1"),
+            (
+                ["figure2", "--snr-min", "10", "--snr-max", "0"],
+                "must not exceed --snr-max",
+            ),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):

@@ -11,6 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.decoder_vectorized import VectorizedBubbleDecoder, make_decoder_factory
+from repro.core.encoder import SpinalEncoder
+from repro.core.framing import Framer
+from repro.core.params import SpinalParams
+from repro.core.puncturing import TailFirstPuncturing
 from repro.experiments.code_family_matrix import code_family_matrix_point
 from repro.phy.families import (
     CODE_FAMILY_NAMES,
@@ -21,6 +26,7 @@ from repro.phy.families import (
 )
 from repro.phy.protocol import RatelessCode
 from repro.phy.session import CodecSession
+from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
@@ -390,3 +396,93 @@ class TestSessionSeamEdgeCases:
         attempts, work = tx.decode_attempts, tx.work
         assert tx.record_status(tx.last_status)
         assert (tx.decode_attempts, tx.work) == (attempts, work)
+
+
+def _outcome(result):
+    """Everything ``run_many`` promises to share with ``run`` (not work)."""
+    decoded = result.decoded_payload
+    return (
+        result.symbols_sent,
+        result.success,
+        result.decode_attempts,
+        result.payload_correct,
+        None if decoded is None else decoded.tolist(),
+    )
+
+
+class TestRunMany:
+    """``CodecSession.run_many`` is ``run`` in lock-step, item for item."""
+
+    def _items(self, session, label, n=6):
+        rngs = [spawn_rng(SEED, "run-many", label, i) for i in range(n)]
+        return [random_message_bits(session.payload_bits, r) for r in rngs], rngs
+
+    @pytest.mark.parametrize("snr_db", [-8.0, 2.0, 12.0])
+    @pytest.mark.parametrize("adc_bits", [None, 3])
+    @pytest.mark.parametrize("name", CODE_FAMILY_NAMES)
+    def test_each_result_equals_its_own_run(self, name, adc_bits, snr_db):
+        session = make_codec_session(
+            name, snr_db=snr_db, seed=SEED, smoke=True, max_symbols=128,
+            adc_bits=adc_bits,
+        )
+        label = (name, adc_bits, snr_db)
+        payloads, rngs = self._items(session, label)
+        alone = [session.run(p, r) for p, r in zip(payloads, rngs)]
+        payloads, rngs = self._items(session, label)
+        together = session.run_many(payloads, rngs)
+        assert [_outcome(r) for r in together] == [_outcome(r) for r in alone]
+
+    def test_exhausted_sessions_take_the_best_effort_step(self):
+        session = make_codec_session(
+            "spinal", snr_db=-25.0, seed=SEED, smoke=True, max_symbols=16
+        )
+        payloads, rngs = self._items(session, "exhausted")
+        results = session.run_many(payloads, rngs)
+        assert not any(r.success for r in results)
+        assert all(r.symbols_sent >= 16 and r.decode_attempts >= 1 for r in results)
+        assert all(r.decoded_payload is not None for r in results)
+
+    def test_unregistered_spinal_engine_decodes_one_by_one(self):
+        """A decoder the batch decoder cannot stand in for keeps its work."""
+
+        class Custom(VectorizedBubbleDecoder):
+            pass
+
+        base = make_code("spinal", seed=SEED, smoke=True)
+        code = SpinalCode(
+            base.encoder, lambda enc: Custom(enc, beam_width=8), base.framer
+        )
+        session = CodecSession(code, channel_for_code(code, 4.0), max_symbols=128)
+        payloads, rngs = self._items(session, "custom")
+        alone = [session.run(p, r) for p, r in zip(payloads, rngs)]
+        payloads, rngs = self._items(session, "custom")
+        together = session.run_many(payloads, rngs)
+        assert [(_outcome(r), r.work) for r in together] == [
+            (_outcome(r), r.work) for r in alone
+        ]
+
+    def test_empty_and_mismatched_inputs(self):
+        session = _session("spinal")
+        assert session.run_many([], []) == []
+        payloads, rngs = self._items(session, "mismatch", n=2)
+        with pytest.raises(ValueError):
+            session.run_many(payloads, rngs[:1])
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_spinal_source_blocks_equal_the_encoder_symbol_stream(k):
+    """The windowed sender emits ``symbol_stream``'s blocks byte for byte."""
+    params = SpinalParams(k=k, c=6, seed=SEED)
+    encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
+    framer = Framer(payload_bits=24, k=k)
+    code = SpinalCode(encoder, make_decoder_factory("vectorized", 4), framer)
+    payload = random_message_bits(24, spawn_rng(SEED, "window", k))
+    source = code.new_encoder(payload)
+    stream = encoder.symbol_stream(framer.frame(payload))
+    for _ in range(3 * 8 + 5):  # past three whole pre-encoding windows
+        got, want = source.next_block(), next(stream)
+        assert got.subpass_index == want.subpass_index
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.pass_indices, want.pass_indices)
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)

@@ -47,8 +47,13 @@ from repro.net import (
     simulate_network,
     simulate_network_replicas,
 )
-from repro.phy.families import bpsk_crossover_probability
+from repro.phy.families import (
+    CODE_FAMILY_NAMES,
+    bpsk_crossover_probability,
+    make_codec_session,
+)
 from repro.phy.session import CodecSession
+from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 from repro.utils.units import db_to_linear, linear_to_db
 
@@ -438,7 +443,64 @@ class TestFlowTransmission:
         assert link.payload_bits == 32 and link.max_symbols == 256
 
 
+def _sequential_calibration(
+    family, grid, samples_per_point, seed, max_symbols, adc_bits
+):
+    """Oracle: one ``session.run`` per sample, then the dead-point rule."""
+    rows = []
+    for gi, snr_db in enumerate(grid):
+        session = make_codec_session(
+            family, snr_db=snr_db, seed=0, smoke=True, max_symbols=max_symbols,
+            termination="genie", adc_bits=adc_bits,
+        )
+        row = []
+        for sample in range(samples_per_point):
+            rng = spawn_rng(seed, "fastpath-cal", family, gi, sample)
+            outcome = session.run(random_message_bits(session.payload_bits, rng), rng)
+            row.append(outcome.symbols_sent if outcome.success else -1)
+            if len(row) >= 8 and all(value < 0 for value in row):
+                row.extend([-1] * (samples_per_point - len(row)))
+                break
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 class TestCalibration:
+    # -15 dB is a dead point for every family at this budget (the first 8
+    # runs exhaust; repetition may fluke one decode, which keeps it live).
+    GRID = (-15.0, 4.0, 14.0)
+
+    @pytest.mark.parametrize("samples_per_point", [5, 8, 9])
+    @pytest.mark.parametrize("adc_bits", [None, 3])
+    @pytest.mark.parametrize("family", CODE_FAMILY_NAMES)
+    def test_lock_step_calibration_equals_the_sequential_oracle(
+        self, family, adc_bits, samples_per_point
+    ):
+        model = calibrate_symbol_model(
+            family, self.GRID, samples_per_point, seed=5, smoke=True,
+            max_symbols=96, adc_bits=adc_bits,
+        )
+        assert model.samples == _sequential_calibration(
+            family, self.GRID, samples_per_point, 5, 96, adc_bits
+        )
+
+    def test_dead_point_skips_the_remaining_samples(self, monkeypatch):
+        """A dead point runs only its first 8 samples; a live one runs all."""
+        batches = []
+        run_many = CodecSession.run_many
+
+        def counting(session, payloads, rngs):
+            batches.append(len(payloads))
+            return run_many(session, payloads, rngs)
+
+        monkeypatch.setattr(CodecSession, "run_many", counting)
+        model = calibrate_symbol_model(
+            "spinal", (-15.0, 14.0), 20, seed=5, smoke=True, max_symbols=96
+        )
+        assert model.samples[0] == (-1,) * 20
+        assert all(value > 0 for value in model.samples[1])
+        assert batches == [8, 8, 12]
+
     def test_calibration_is_a_pure_function_of_its_arguments(self):
         kwargs = dict(
             snr_grid_db=(2.0, 8.0),

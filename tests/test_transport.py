@@ -316,3 +316,11 @@ class TestDeterminism:
             TransportSweepConfig(n_workers=0)
         with pytest.raises(ValueError, match="hop counts"):
             TransportSweepConfig(hop_counts=(0,))
+        with pytest.raises(ValueError, match="window sizes"):
+            TransportSweepConfig(windows=(1, 0))
+        with pytest.raises(ValueError, match="ack delays"):
+            TransportSweepConfig(ack_delays=(0, -1))
+        with pytest.raises(ValueError, match="n_packets"):
+            TransportSweepConfig(n_packets=0)
+        with pytest.raises(ValueError, match="max_symbols"):
+            TransportSweepConfig(max_symbols=0)
