@@ -23,10 +23,10 @@ from repro import (
     BSCChannel,
     CodecSession,
     Framer,
-    IncrementalBubbleDecoder,
     SpinalCode,
     SpinalEncoder,
     SpinalParams,
+    VectorizedBubbleDecoder,
 )
 from repro.channels.base import BitChannel
 from repro.core.puncturing import TailFirstPuncturing
@@ -40,7 +40,7 @@ def bit_mode_code() -> SpinalCode:
     params = SpinalParams(k=4, bit_mode=True)
     return SpinalCode(
         SpinalEncoder(params, puncturing=TailFirstPuncturing()),
-        lambda enc: IncrementalBubbleDecoder(enc, beam_width=16),
+        lambda enc: VectorizedBubbleDecoder(enc, beam_width=16),
         Framer(payload_bits=32, k=params.k),
     )
 

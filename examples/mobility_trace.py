@@ -26,10 +26,10 @@ import numpy as np
 from repro import (
     CodecSession,
     Framer,
-    IncrementalBubbleDecoder,
     SpinalCode,
     SpinalEncoder,
     SpinalParams,
+    VectorizedBubbleDecoder,
 )
 from repro.baselines import ThresholdRateAdapter
 from repro.channels import TimeVaryingAWGNChannel
@@ -44,7 +44,7 @@ def spinal_over_trace(packet_snrs_db, symbols_per_packet: int, rng) -> float:
     params = SpinalParams(k=8, c=10)
     code = SpinalCode(
         SpinalEncoder(params, puncturing=TailFirstPuncturing()),
-        lambda enc: IncrementalBubbleDecoder(enc, beam_width=16),
+        lambda enc: VectorizedBubbleDecoder(enc, beam_width=16),
         Framer(payload_bits=24, k=params.k),
     )
     rates = []

@@ -11,14 +11,14 @@ Quickstart::
 
     import numpy as np
     from repro import (
-        AWGNChannel, CodecSession, Framer, IncrementalBubbleDecoder,
-        SpinalCode, SpinalEncoder, SpinalParams,
+        AWGNChannel, CodecSession, Framer, SpinalCode, SpinalEncoder,
+        SpinalParams, VectorizedBubbleDecoder,
     )
 
     params = SpinalParams(k=8, c=10)
     code = SpinalCode(
         SpinalEncoder(params),
-        lambda enc: IncrementalBubbleDecoder(enc, beam_width=16),
+        lambda enc: VectorizedBubbleDecoder(enc, beam_width=16),
         Framer(payload_bits=24, k=params.k),
     )
     session = CodecSession(code, AWGNChannel(snr_db=10.0, adc_bits=14))
@@ -49,7 +49,6 @@ from repro.channels import (
 from repro.core import (
     BatchDecoder,
     BubbleDecoder,
-    IncrementalBubbleDecoder,
     VectorizedBubbleDecoder,
     CRC8,
     CRC16_CCITT,
@@ -96,7 +95,6 @@ __all__ = [
     "SpinalParams",
     "SpinalEncoder",
     "BubbleDecoder",
-    "IncrementalBubbleDecoder",
     "VectorizedBubbleDecoder",
     "BatchDecoder",
     "MLDecoder",

@@ -115,13 +115,6 @@ def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     """Arguments shared by every command that drives the Monte-Carlo runner."""
     parser.add_argument(
-        "--decoder",
-        choices=("incremental", "vectorized", "bubble"),
-        default="incremental",
-        help="decoding engine: stateful incremental, whole-beam vectorized, "
-        "or from-scratch bubble (identical results, different speed)",
-    )
-    parser.add_argument(
         "--workers",
         "-j",
         type=int,
@@ -535,6 +528,8 @@ def _command_obs(args: argparse.Namespace) -> str:
     from repro.obs.exporters import validate_directory
 
     problems = validate_directory(args.directory)
+    if len(problems) == 1:
+        raise SystemExit(f"telemetry validation failed: {problems[0]}")
     if problems:
         raise SystemExit(
             "telemetry validation failed:\n" + "\n".join(f"  - {p}" for p in problems)
@@ -659,8 +654,13 @@ def _command_run(args: argparse.Namespace) -> str:
 
 def _command_report(args: argparse.Namespace) -> str:
     registry.load_all()
-    record = read_run(args.run_file)
-    experiment = registry.get(record["experiment"])
+    try:
+        record = read_run(args.run_file)
+        experiment = registry.get(record["experiment"])
+    except OSError as exc:
+        _usage_error("report", ValueError(f"cannot read {args.run_file}: {exc.strerror}"))
+    except (ValueError, KeyError) as exc:
+        _usage_error("report", exc)
     if args.csv:
         if args.plot:
             raise ValueError("--csv cannot be combined with --plot")
@@ -681,13 +681,20 @@ def _command_report(args: argparse.Namespace) -> str:
 # -- back-compat aliases ------------------------------------------------------
 
 
+def _check_code_args(args: argparse.Namespace) -> None:
+    """Reject code sizes that every cell of a sweep would fail on."""
+    if args.payload_bits < 1:
+        raise ValueError(f"--payload-bits must be at least 1, got {args.payload_bits}")
+    if args.beam_width < 1:
+        raise ValueError(f"--beam-width must be at least 1, got {args.beam_width}")
+
+
 def _spinal_overrides_from_args(args: argparse.Namespace, bit_mode: bool) -> dict:
     overrides = {
         "payload_bits": args.payload_bits,
         "k": args.k,
         "beam_width": args.beam_width,
         "puncturing": args.puncturing,
-        "decoder": args.decoder,
     }
     if not bit_mode:
         overrides["c"] = args.c
@@ -702,6 +709,10 @@ def _run_checked(
     try:
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        _check_code_args(args)
+        for p in overrides.get("p", ()):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"crossover probability must be in [0, 1], got {p}")
         resolve_run(experiment, overrides, n_trials=args.trials, seed=args.seed)
     except (ValueError, KeyError) as exc:
         _usage_error(command, exc)
@@ -778,9 +789,7 @@ def _command_figure2(args: argparse.Namespace) -> str:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
         if args.ldpc_frames < 1:
             raise ValueError(f"--ldpc-frames must be at least 1, got {args.ldpc_frames}")
-        config = SpinalRunConfig(
-            n_trials=args.trials, decoder=args.decoder, n_workers=args.workers
-        )
+        config = SpinalRunConfig(n_trials=args.trials, n_workers=args.workers)
     except ValueError as exc:
         _usage_error("figure2", exc)
     snrs = []
@@ -816,6 +825,7 @@ def _command_transport(args: argparse.Namespace) -> str:
         ("go-back-n", "selective-repeat") if args.protocol == "both" else (args.protocol,)
     )
     try:
+        _check_code_args(args)
         config = TransportSweepConfig(
             payload_bits=args.payload_bits,
             params=SpinalParams(k=args.k, c=args.c),
@@ -830,7 +840,6 @@ def _command_transport(args: argparse.Namespace) -> str:
             ack_loss=args.ack_loss,
             max_symbols=args.max_symbols,
             seed=args.seed,
-            decoder=args.decoder,
             n_workers=args.workers,
         )
     except ValueError as exc:

@@ -18,12 +18,11 @@ and Shah (HotNets 2011):
 * :mod:`repro.core.decoder_ml` / :mod:`repro.core.decoder_bubble` — the ideal
   maximum-likelihood decoder and the practical beam ("bubble") decoder with
   the graceful scale-down property.
-* :mod:`repro.core.decoder_incremental` — the stateful incremental engine
-  that reuses beam state across a rateless session's decode attempts
-  (bit-identical results, a fraction of the work).
-* :mod:`repro.core.decoder_vectorized` — the whole-beam array-op engine and
-  the :class:`BatchDecoder` front for decoding many concurrent sessions as
-  stacked kernels (bit-identical results again).
+* :mod:`repro.core.decoder_vectorized` — the stateful engine every rateless
+  receiver runs: it reuses beam state across a session's decode attempts
+  (bit-identical results, a fraction of the work, counted in tree nodes by
+  a per-level ledger), plus the :class:`BatchDecoder` front for decoding
+  many concurrent sessions as stacked kernels.
 * :mod:`repro.core.crc` / :mod:`repro.core.framing` — termination checking.
 """
 
@@ -34,13 +33,11 @@ from repro.core.constellation import (
 )
 from repro.core.crc import Crc, CRC8, CRC16_CCITT, CRC32
 from repro.core.decoder_bubble import BubbleDecoder, DecodeResult
-from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.decoder_ml import MLDecoder
 from repro.core.decoder_vectorized import (
     BatchDecoder,
     DECODER_ENGINES,
     VectorizedBubbleDecoder,
-    make_decoder_factory,
 )
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.framing import Framer
@@ -61,11 +58,9 @@ __all__ = [
     "NoPuncturing",
     "StridedPuncturing",
     "BubbleDecoder",
-    "IncrementalBubbleDecoder",
     "VectorizedBubbleDecoder",
     "BatchDecoder",
     "DECODER_ENGINES",
-    "make_decoder_factory",
     "MLDecoder",
     "DecodeResult",
     "Crc",

@@ -47,8 +47,9 @@ class DecodeResult:
         Cumulative cost of the winning tree path (sum of squared Euclidean
         distances for AWGN, Hamming distance for BSC).
     candidates_explored:
-        Total number of tree nodes whose cost was evaluated; the natural
-        measure of decoder work (used by experiments E5/E6/E14).
+        Decoder work of this attempt in tree nodes, the unit defined in
+        :mod:`repro.core.decoder_vectorized` (used by experiments
+        E5/E6/E14).  A from-scratch decode pays one per node it scores.
     beam_trace:
         Number of nodes retained after pruning at each level.
     """

@@ -1,45 +1,67 @@
 """Vectorized batch decoding engine: whole-beam array ops, batched sessions.
 
-This module is the third generation of the practical decoder:
+:class:`VectorizedBubbleDecoder` is the practical decoder every rateless
+receiver runs.  It returns what a fresh
+:class:`~repro.core.decoder_bubble.BubbleDecoder` (the from-scratch
+reference) returns on the same observations, but it keeps state between
+the attempts of one transmission, so an attempt touches only arrays that
+actually changed:
 
-* :class:`~repro.core.decoder_bubble.BubbleDecoder` — the from-scratch
-  reference (one vectorised expansion per level, restarts every attempt);
-* :class:`~repro.core.decoder_incremental.IncrementalBubbleDecoder` — the
-  first stateful engine (resumes from cached beams, caches cost-matrix
-  entries);
-* :class:`VectorizedBubbleDecoder` (here) — same caching contract, but the
-  per-attempt bookkeeping is restructured so an attempt touches only arrays
-  that actually changed:
+- **resume**: the beam kept at tree level ``t`` depends only on the
+  observations at positions ``0..t``, so an attempt restarts at the first
+  level whose observations changed;
+- **parent-keyed blocks**: each level keeps the children of recently
+  seen parent states as blocks of one ``(blocks, 2^k, columns)`` cost
+  array, found with one dictionary probe per beam parent — a drifted beam
+  re-sorts nothing;
+- **sized to what it holds**: a level holds the current beam's blocks
+  plus at most twice the beam width of earlier ones, a new parent takes
+  the least recently used slot, and cost columns grow only when the
+  observations outgrow them;
+- **cached row sums**: a block whose observation set is unchanged reuses
+  its summed branch costs, collapsing the level to one broadcast add plus
+  one ``argpartition`` — O(beam) instead of O(beam x observations);
+- **O(1) change detection**: :meth:`ReceivedObservations.version_at` and
+  the store's append-only contract replace per-attempt column comparisons
+  for the common growing-store case.
 
-  - **parent-keyed blocks**: each level keeps the children of recently
-    seen parent states as blocks of one ``(blocks, 2^k, columns)`` cost
-    array, found with one dictionary probe per beam parent — a drifted beam
-    re-sorts nothing;
-  - **sized to what it holds**: a level holds the current beam's blocks
-    plus at most twice the beam width of earlier ones, a new parent takes
-    the least recently used slot, and cost columns grow only when the
-    observations outgrow them;
-  - **cached row sums**: a block whose observation set is unchanged reuses
-    its summed branch costs, collapsing the level to one broadcast add plus
-    one ``argpartition`` — O(beam) instead of O(beam x observations);
-  - **O(1) change detection**: :meth:`ReceivedObservations.version_at` and
-    the store's append-only contract replace per-attempt column comparisons
-    for the common growing-store case.
+The results contract is exact: for any sequence of observation sets —
+growing (the on-line sequential receiver), or truncated and replayed in
+any order (the bisection search) — ``decode`` returns the same
+``message_bits`` and ``path_cost`` (to the last ulp, same tie-breaks) and
+``beam_trace`` as a fresh :class:`BubbleDecoder`, which the randomized
+differential suite in ``tests/test_decoder_vectorized.py`` locks down.
 
-The results contract is unchanged and exact: for any sequence of observation
-sets, ``decode`` returns the same ``message_bits`` and ``path_cost`` (to the
-last ulp, same tie-breaks) as a fresh :class:`BubbleDecoder`, which the
-randomized differential suite in ``tests/test_decoder_vectorized.py`` locks
-down.  ``candidates_explored`` keeps the incremental engine's semantics: the
-cost work actually performed in this attempt, in units of one full tree-node
-evaluation.
+Decoder work
+------------
+``candidates_explored`` counts the work of one attempt in tree nodes: one
+unit is one node scored against every observation at its level, which is
+what the from-scratch decoder pays per node.  The count is a function of
+the attempt history alone, never of what the block caches happen to
+hold: it is the number of cost entries a cache of *only the last attempt*
+would have to compute.  A per-level ledger — the parent states the last
+attempt expanded at the level and the observation columns it saw there —
+applies the rule:
+
+- levels before the resume level cost nothing, and an attempt whose
+  observations are unchanged costs 0;
+- at a level with ``n_obs`` observations, the columns shared with the
+  last attempt (their common prefix) are free for rows whose parent the
+  last attempt expanded there; every row pays the columns beyond that
+  prefix; the level costs ``ceil(entries / n_obs)``;
+- at an observation-free level, the expansion costs ``n_parents x 2^k``
+  unless the parent beam is the last attempt's, in the same order.
+
+These are the "tree nodes" the k-sweep and scale-down experiments report;
+``tests/golden/decoder_work.json`` pins them per attempt.
 
 :class:`BatchDecoder` is the batch front: it decodes *many* concurrent
 sessions (all users of a MAC cell, all hops of a relay chain, a worker's
 whole trial batch) per call, stacking every session's beam into single hash
 / constellation / distance kernels so the per-session numpy dispatch
-overhead is amortised across the batch.  Per-session results are bit-exact
-with :class:`BubbleDecoder` run one session at a time.
+overhead is amortised across the batch.  Per-session results, work
+included, are bit-exact with :class:`BubbleDecoder` run one session at a
+time.
 
 Every engine scores candidates through the one table-driven kernel,
 :func:`~repro.core.branch_kernel.branch_cost_kernel`: the single-session
@@ -53,17 +75,11 @@ import numpy as np
 
 from repro.core.branch_kernel import branch_cost_kernel
 from repro.core.decoder_bubble import BubbleDecoder, DecodeResult
-from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.hashing import hash_spine_keyed
 from repro.obs.telemetry import current as current_telemetry
 
-__all__ = [
-    "VectorizedBubbleDecoder",
-    "BatchDecoder",
-    "DECODER_ENGINES",
-    "make_decoder_factory",
-]
+__all__ = ["VectorizedBubbleDecoder", "BatchDecoder", "DECODER_ENGINES"]
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +102,14 @@ class _LevelCache:
     least recently used slot, so a churning beam moves no data; the slots
     are rebuilt (:meth:`compact_grow`) only when the beam outgrows them or
     is far smaller than them, and more columns copy only the cost array.
-    Cache contents never influence decode outputs — only how much work the
-    next attempt reuses — so eviction is a pure performance policy.  The
+    Cache contents never influence decode outputs or work counts — only
+    how much computation the next attempt reuses — so eviction is a pure
+    performance policy.
+
+    The level's ledger is what the last attempt saw here: its observation
+    columns (``obs_pass_indices``, ``obs_values``) and the parent states it
+    expanded (``seen_parents``).  Work is counted against the ledger alone
+    (see the module docstring), and it survives :meth:`drop_blocks`.  The
     last attempt's pruning outputs (``kept_idx`` .. ``segments``) are kept
     for resume and backtracking.
     """
@@ -95,7 +117,7 @@ class _LevelCache:
     __slots__ = (
         "width", "keep", "index", "keys", "col_filled", "last_used",
         "states", "costs", "sums",
-        "n_obs", "obs_pass_indices", "obs_values", "obs_version",
+        "n_obs", "obs_pass_indices", "obs_values", "obs_version", "seen_parents",
         "kept_idx", "beam_states", "beam_costs", "parents", "segments",
     )
 
@@ -104,6 +126,22 @@ class _LevelCache:
         #: Blocks held beyond the current beam's, for parents that drift
         #: out of the beam and back in.
         self.keep = keep
+        self.drop_blocks()
+        self.n_obs = 0
+        self.obs_pass_indices = np.empty(0, dtype=np.int64)
+        self.obs_values = np.empty(0, dtype=np.float64)
+        self.obs_version = -1
+        #: Parent states the last attempt expanded at this level, in order.
+        self.seen_parents: list[int] = []
+        self.kept_idx: np.ndarray | None = None
+        self.beam_states: np.ndarray | None = None
+        self.beam_costs: np.ndarray | None = None
+        self.parents: np.ndarray | None = None
+        self.segments: np.ndarray | None = None
+
+    def drop_blocks(self) -> None:
+        """Forget every cached block; the ledger stays."""
+        width = self.width
         #: Parent state -> slot of every resident block.
         self.index: dict[int, int] = {}
         self.keys = np.empty(0, dtype=np.uint64)
@@ -113,15 +151,27 @@ class _LevelCache:
         self.states = np.empty((0, width), dtype=np.uint64)
         self.costs = np.empty((0, width, 0), dtype=np.float64)
         self.sums = np.empty((0, width), dtype=np.float64)
-        self.n_obs = 0
-        self.obs_pass_indices = np.empty(0, dtype=np.int64)
-        self.obs_values = np.empty(0, dtype=np.float64)
-        self.obs_version = -1
-        self.kept_idx: np.ndarray | None = None
-        self.beam_states: np.ndarray | None = None
-        self.beam_costs: np.ndarray | None = None
-        self.parents: np.ndarray | None = None
-        self.segments: np.ndarray | None = None
+
+    def work(self, parents: list[int], common: int, n_obs: int) -> int:
+        """Tree nodes this level costs, from the ledger (module docstring).
+
+        ``parents`` is this attempt's parent beam and ``common`` the length
+        of the observation prefix it shares with the ledger's columns.
+        """
+        seen = self.seen_parents
+        n_parents = len(parents)
+        if not n_obs:
+            return 0 if parents == seen else n_parents * self.width
+        if not common:
+            reused = 0
+        elif parents == seen:
+            reused = n_parents
+        else:
+            known = set(seen)
+            reused = sum(parent in known for parent in parents)
+        # A reused parent's rows pay only the columns past the shared prefix.
+        entries = (n_parents * n_obs - reused * common) * self.width
+        return -(-entries // n_obs)
 
     @property
     def n_blocks(self) -> int:
@@ -233,10 +283,11 @@ class VectorizedBubbleDecoder:
     """Whole-beam array-op decoder; stateful drop-in for :class:`BubbleDecoder`.
 
     Constructor signature and the :meth:`decode` contract match
-    :class:`BubbleDecoder` exactly; like :class:`IncrementalBubbleDecoder`,
-    consecutive calls share per-level caches, so one instance serves one
-    transmission — call :meth:`reset` (or decode a different message length)
-    to start over.
+    :class:`BubbleDecoder` exactly, except that ``candidates_explored``
+    counts only this attempt's work (see the module docstring).
+    Consecutive calls share per-level caches and ledgers, so one instance
+    serves one transmission — call :meth:`reset` (or decode a different
+    message length) to start over.
     """
 
     def __init__(
@@ -269,7 +320,8 @@ class VectorizedBubbleDecoder:
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Drop all cached state (the cumulative work counters survive)."""
+        """Drop all cached state and ledgers (the cumulative work counters
+        survive)."""
         self._levels: list[_LevelCache] = []
         self._n_segments: int | None = None
         self._last_result: DecodeResult | None = None
@@ -283,9 +335,9 @@ class VectorizedBubbleDecoder:
         pass_indices: np.ndarray,
         values: np.ndarray,
         col0: int,
-    ) -> int:
-        """Fill columns ``[col0, n_obs)`` of the given blocks, re-sum their
-        rows over all ``n_obs`` columns, and return the entries computed.
+    ) -> None:
+        """Fill columns ``[col0, n_obs)`` of the given blocks and re-sum
+        their rows over all ``n_obs`` columns.
 
         The fancy-indexed ``costs[blocks, :, :n_obs]`` is a fresh C-contiguous
         copy, so each row reduces exactly as the same row of a from-scratch
@@ -300,7 +352,6 @@ class VectorizedBubbleDecoder:
         )
         cache.sums[blocks] = cache.costs[blocks, :, :n_obs].sum(axis=2)
         cache.col_filled[blocks] = n_obs
-        return fresh.size
 
     @staticmethod
     def _column_overlap(
@@ -361,8 +412,8 @@ class VectorizedBubbleDecoder:
 
         Semantics (message bits, path cost, beam trace) are identical to
         ``BubbleDecoder.decode`` on the same observations;
-        ``candidates_explored`` counts only the cost work performed in *this*
-        attempt (see :class:`IncrementalBubbleDecoder` for the unit).
+        ``candidates_explored`` counts this attempt's work in tree nodes, from
+        the per-level ledgers (see the module docstring for the unit).
         """
         params = self.encoder.params
         n_segments = params.n_segments(n_message_bits)
@@ -414,22 +465,27 @@ class VectorizedBubbleDecoder:
         cache_misses = 0
         evicted = 0
         for position in range(resume, n_segments):
-            cache = self._levels[position] if position < len(self._levels) else None
             pass_indices, values = observations.for_position(position)
             n_obs = pass_indices.size
-            if (
-                cache is not None
-                and cache.n_obs
-                and not same_store
-                and self._column_overlap(cache, pass_indices, values) < cache.n_obs
-            ):
-                # The shared observation prefix shrank or diverged (a
-                # bisection replay): every cached cost column beyond it is
-                # stale in every block, so restart the level rather than
-                # patch blocks column-wise.
-                cache = None
-            if cache is None:
+            if position == len(self._levels):
                 cache = _LevelCache(width, self._keep_blocks)
+                self._levels.append(cache)
+                common = 0
+            else:
+                cache = self._levels[position]
+                if same_store:
+                    common = cache.n_obs
+                else:
+                    common = self._column_overlap(cache, pass_indices, values)
+                    if common < cache.n_obs:
+                        # The shared observation prefix shrank or diverged (a
+                        # bisection replay): every cached cost column beyond
+                        # it is stale in every block, so restart the level's
+                        # blocks rather than patch them column-wise.
+                        cache.drop_blocks()
+            beam = states.tolist()
+            explored += cache.work(beam, common, n_obs)
+            cache.seen_parents = beam
 
             found = cache.lookup(states)
             n_miss = found.count(-1)
@@ -440,7 +496,6 @@ class VectorizedBubbleDecoder:
                 # Less the resident blocks after storing, below.
                 evicted += cache.n_blocks + n_miss
             blocks = cache.reserve(blocks, n_miss, n_obs)
-            entries = 0
             if n_miss:
                 miss = blocks < 0
                 cache.last_used[blocks[~miss]] = now
@@ -459,7 +514,6 @@ class VectorizedBubbleDecoder:
                     cache.costs[slots, :, :n_obs] = fresh.reshape(n_miss, width, n_obs)
                     cache.sums[slots] = fresh.sum(axis=1).reshape(n_miss, width)
                     cache.col_filled[slots] = n_obs
-                    entries += fresh.size
             else:
                 cache.last_used[blocks] = now
             if tel.enabled:
@@ -474,24 +528,14 @@ class VectorizedBubbleDecoder:
                 if len(levels) == 1:
                     col0 = levels.pop()
                     if col0 < n_obs:
-                        entries += self._refill(
-                            cache, blocks, pass_indices, values, col0
-                        )
+                        self._refill(cache, blocks, pass_indices, values, col0)
                 else:
                     levels.discard(n_obs)
                     for col0 in sorted(levels):
-                        entries += self._refill(
+                        self._refill(
                             cache, blocks[filled == col0], pass_indices, values, col0
                         )
             cache.set_obs(pass_indices, values, observations.version_at(position))
-
-            # Work accounting: identical semantics to the incremental engine
-            # — fresh matrix entries pro-rata per full node evaluation,
-            # expansion hashing charged at observation-free levels.
-            if n_obs:
-                explored += -(-entries // n_obs)
-            else:
-                explored += n_miss * width
 
             # Cumulative costs and pruning — the same expressions as
             # BubbleDecoder so ties and ulps agree.
@@ -517,10 +561,6 @@ class VectorizedBubbleDecoder:
             cache.beam_costs = flat_costs[kept_idx]
             cache.parents = kept_parents
             cache.segments = kept_segments
-            if position < len(self._levels):
-                self._levels[position] = cache
-            else:
-                self._levels.append(cache)
             states = cache.beam_states
             costs = cache.beam_costs
 
@@ -941,26 +981,9 @@ class BatchDecoder:
 
 
 # ---------------------------------------------------------------------------
-#: Decoding-engine registry behind the ``decoder=`` seam of the Monte-Carlo
-#: runner and the CLI; the code families and the serve engine name their
-#: engine in code.
+#: The decoding engines, by name: the from-scratch reference and the stateful
+#: engine.  Batched decode hooks accept decoders of these types only.
 DECODER_ENGINES = {
     "bubble": BubbleDecoder,
-    "incremental": IncrementalBubbleDecoder,
     "vectorized": VectorizedBubbleDecoder,
 }
-
-
-def make_decoder_factory(name: str, beam_width: int):
-    """A ``decoder_factory`` (encoder -> decoder) for a registered engine."""
-    try:
-        cls = DECODER_ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown decoder {name!r}; expected one of {sorted(DECODER_ENGINES)}"
-        ) from None
-
-    def factory(encoder: SpinalEncoder):
-        return cls(encoder, beam_width=beam_width)
-
-    return factory

@@ -76,7 +76,7 @@ class ReceivedObservations:
     so far), together with the pass index that salted it.
 
     The store is append-only: observations are never removed or reordered,
-    which is what lets the incremental decoders treat "same store object,
+    which is what lets the stateful decoder treat "same store object,
     same per-position version" (see :meth:`version_at`) as proof that a
     position's columns are unchanged since the last decode attempt.
     """
@@ -277,7 +277,7 @@ class SpinalEncoder:
         value)``, never on the shape of the call, so the matrix can be
         assembled column-by-column (or row-by-row) across decode attempts and
         still be bit-identical to a single batched evaluation — the property
-        the incremental decoder's caching relies on.
+        the stateful decoder's caching relies on.
         """
         spines = np.asarray(candidate_spines, dtype=np.uint64).reshape(-1)
         pass_indices = np.asarray(pass_indices, dtype=np.int64)

@@ -22,20 +22,17 @@ Two search strategies find a trial's stopping point (``search``):
   in the test suite, and any non-monotonicity is resolved conservatively
   (towards more symbols) by a final sequential refinement step.
 
-Two performance knobs, both result-preserving:
+Every receiver decodes with
+:class:`~repro.core.decoder_vectorized.VectorizedBubbleDecoder`, which
+reuses beam state across a trial's decode attempts; a trial's
+``candidates`` are its decoder work in tree nodes (the unit is defined in
+that module).
 
-* ``decoder`` selects the receiver's decoding engine: ``"incremental"``
-  (default — :class:`IncrementalBubbleDecoder`, which reuses beam state
-  across a trial's decode attempts), ``"vectorized"``
-  (:class:`~repro.core.decoder_vectorized.VectorizedBubbleDecoder`, the
-  whole-beam array-op engine) or ``"bubble"`` (the from-scratch reference
-  :class:`BubbleDecoder`).  All engines produce bit-identical trial
-  outcomes; the stateful ones just evaluate far fewer tree nodes.
-* ``n_workers`` fans the point's independent trials out over worker
-  *processes*.  Every trial derives its generator from
-  ``spawn_rng(seed, "trial", label, trial)`` regardless of which worker
-  runs it and results are re-assembled in trial order, so any worker count
-  returns exactly the same measurement as ``n_workers=1``.
+``n_workers`` fans the point's independent trials out over worker
+*processes*.  Every trial derives its generator from
+``spawn_rng(seed, "trial", label, trial)`` regardless of which worker runs
+it and results are re-assembled in trial order, so any worker count
+returns exactly the same measurement as ``n_workers=1``.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from repro.channels.awgn import AWGNChannel
 from repro.channels.base import Channel
 from repro.channels.bsc import BSCChannel
 from repro.core.crc import Crc
-from repro.core.decoder_vectorized import DECODER_ENGINES, make_decoder_factory
+from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import ReceivedObservations, SpinalEncoder, SubpassBlock
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
@@ -132,11 +129,8 @@ class SpinalRunConfig:
     messages, ``k = 8``, ``c = 10``, beam width ``B = 16``, 14-bit ADC,
     genie termination, with decode attempts after every symbol.
 
-    ``decoder`` picks the decoding engine (``"incremental"`` by default,
-    ``"vectorized"`` for the whole-beam array-op engine, ``"bubble"`` for
-    the from-scratch reference — identical results either way, different
-    amounts of work) and ``n_workers`` the number of worker processes the point's
-    trials are fanned out over (any value returns results identical to
+    ``n_workers`` is the number of worker processes the point's trials are
+    fanned out over (any value returns results identical to
     ``n_workers=1``; see the module docstring).
     """
 
@@ -153,15 +147,9 @@ class SpinalRunConfig:
     seed: int = 20111114
     max_symbols: int | None = None
     count_overhead: bool = False
-    decoder: str = "incremental"
     n_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.decoder not in DECODER_ENGINES:
-            raise ValueError(
-                f"unknown decoder {self.decoder!r}; "
-                f"expected one of {sorted(DECODER_ENGINES)}"
-            )
         if self.termination not in _TERMINATIONS:
             raise ValueError(
                 f"unknown termination rule {self.termination!r}; "
@@ -191,7 +179,7 @@ class SpinalRunConfig:
         return SpinalEncoder(self.params, puncturing=make_puncturing(self.puncturing))
 
     def decoder_factory(self):
-        return make_decoder_factory(self.decoder, self.beam_width)
+        return partial(VectorizedBubbleDecoder, beam_width=self.beam_width)
 
     def build_session(
         self, channel: Channel, max_symbols: int | None = None
@@ -439,7 +427,9 @@ def run_spinal_bsc_curve(
 # keeps the ported experiment modules' numbers identical to their
 # pre-registry versions.
 
-#: Fixed parameters shared by every spinal-rate experiment spec.
+#: Fixed parameters shared by every spinal-rate experiment spec.  ``decoder``
+#: is an inert label: every receiver decodes with the vectorized engine, but
+#: the key stays in the spec so its hash and store file names do not move.
 _SPINAL_FIXED = {
     "payload_bits": 24,
     "k": 8,
@@ -478,7 +468,6 @@ def spinal_config_from_params(params) -> SpinalRunConfig:
         beam_width=int(params["beam_width"]),
         adc_bits=None if adc_bits is None else int(adc_bits),
         puncturing=str(params.get("puncturing", "tail-first")),
-        decoder=str(params.get("decoder", "incremental")),
         search=str(params.get("search", "bisect")),
         max_symbols=None if max_symbols is None else int(max_symbols),
         seed=int(params.get("seed", 20111114)),
@@ -495,7 +484,6 @@ def spinal_overrides(config: SpinalRunConfig) -> dict:
         "adc_bits": config.adc_bits,
         "puncturing": config.puncturing,
         "constellation": config.params.constellation,
-        "decoder": config.decoder,
         "bit_mode": config.params.bit_mode,
         "search": config.search,
         "max_symbols": config.max_symbols,

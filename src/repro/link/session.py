@@ -116,7 +116,7 @@ def deliver_packets(
     """Transmit each payload ratelessly and account for feedback overhead.
 
     Runs one rateless trial per payload through ``session`` (each trial gets
-    a fresh decoder from the session's factory, so the incremental engine's
+    a fresh decoder from the session's factory, so the stateful engine's
     per-message caches never leak between packets), then applies ``feedback``
     to the measured symbol requirements.  Returns the link-level accounting
     together with the underlying per-packet trial results, whose ``work``

@@ -231,6 +231,8 @@ def validate_jsonl(path: str | Path) -> list[str]:
         first.get("kind") != "meta" or first.get("schema") != JSONL_SCHEMA
     ):
         problems.append(f"line 1: expected meta header with schema {JSONL_SCHEMA!r}")
+    if not problems and len(lines) == 1:
+        problems.append("no records after the meta header")
     return problems
 
 

@@ -7,10 +7,12 @@ the batching ``benchmarks/bench_codec_throughput.py`` measures —
 pre-encoded a window of subpasses per hash dispatch), the observation store is
 :class:`~repro.core.encoder.ReceivedObservations`, and decode attempts go
 through whatever decoder the factory builds (the registered ``spinal``
-family builds :class:`~repro.core.decoder_vectorized.VectorizedBubbleDecoder`;
-every engine gives the same decoded bits, so only decoder ``work`` depends on
-the choice).  Session outcomes are pinned bit-for-bit by
-``tests/test_api_migration.py`` and the transport/cell equivalence suites.
+family builds :class:`~repro.core.decoder_vectorized.VectorizedBubbleDecoder`,
+whose ``work`` is the tree nodes its attempt history needs; the
+from-scratch :class:`~repro.core.decoder_bubble.BubbleDecoder` gives the
+same decoded bits and counts every node of every attempt).  Session
+outcomes are pinned bit-for-bit by ``tests/test_api_migration.py`` and the
+transport/cell equivalence suites.
 
 :meth:`SpinalCode.decode_batch` is the optional batch hook of
 :meth:`~repro.phy.session.CodecSession.run_many`: it decodes many packets'
@@ -67,7 +69,7 @@ class _SpinalSource:
     worth of ``(spine value, pass index)`` pairs in one concatenated
     :meth:`~repro.core.encoder.SpinalEncoder.values_from_spines` call.  The
     keyed symbol hash is elementwise in those pairs (the property the
-    decoders' incremental caches rely on), so the values are identical,
+    stateful decoder's caches rely on), so the values are identical,
     while the fixed numpy dispatch cost — which dominates a subpass of a
     handful of symbols — is paid once per window.
 
@@ -150,7 +152,7 @@ class SpinalCode:
     """The paper's code, packaged as a :class:`~repro.phy.protocol.RatelessCode`.
 
     ``decoder_factory`` builds a fresh decoder bound to the encoder for each
-    packet, e.g. ``lambda enc: IncrementalBubbleDecoder(enc, beam_width=16)``::
+    packet, e.g. ``lambda enc: VectorizedBubbleDecoder(enc, beam_width=16)``::
 
         session = CodecSession(SpinalCode(encoder, decoder_factory, framer), channel)
     """

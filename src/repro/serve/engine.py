@@ -47,11 +47,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.channels.awgn import AWGNChannel
-from repro.core.decoder_vectorized import BatchDecoder, make_decoder_factory
+from repro.core.decoder_vectorized import BatchDecoder, VectorizedBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
@@ -386,7 +387,7 @@ class SoakEngine:
         self.channel = AWGNChannel(
             snr_db=config.snr_db, signal_power=params.average_power
         )
-        factory = make_decoder_factory("incremental", config.beam_width)
+        factory = partial(VectorizedBubbleDecoder, beam_width=config.beam_width)
         self.sessions: list[CodecSession] = []
         for i in range(config.n_sessions):
             encoder = SpinalEncoder(
@@ -604,8 +605,11 @@ def run_sequential_baseline(config: SoakConfig) -> list[CodecResult]:
 
     Uses the same derived payload and noise streams as the engine, so the
     per-session outcomes (symbols, attempts, success, correctness) must
-    match the soak's :meth:`SoakResult.outcomes` exactly — only decoder
-    ``work`` differs (incremental engine units vs from-scratch batch units).
+    match the soak's :meth:`SoakResult.outcomes` exactly.  Only decoder
+    ``work`` differs: each session's :class:`VectorizedBubbleDecoder` counts
+    the tree nodes its attempt history needs (the unit is defined in
+    :mod:`repro.core.decoder_vectorized`), while the engine's batch decodes
+    count from-scratch candidates.
     """
     engine = SoakEngine(config)
     results = []

@@ -24,7 +24,7 @@ import numpy as np
 from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
 from repro.baselines.hybrid_arq import HybridArqLdpcSystem
 from repro.baselines.ldpc_system import LdpcConfig
-from repro.core.decoder_incremental import IncrementalBubbleDecoder
+from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
@@ -47,7 +47,7 @@ def rateless_session_golden() -> dict:
     framer = Framer(payload_bits=16, k=4)
     code = SpinalCode(
         SpinalEncoder(SpinalParams(k=4, c=6)),
-        lambda enc: IncrementalBubbleDecoder(enc, beam_width=8),
+        lambda enc: VectorizedBubbleDecoder(enc, beam_width=8),
         framer,
     )
     session = CodecSession(

@@ -23,7 +23,7 @@ from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
 from repro.baselines.hybrid_arq import HybridArqLdpcSystem
 from repro.baselines.ldpc_system import LdpcConfig
 from repro.channels.awgn import AWGNChannel
-from repro.core.decoder_incremental import IncrementalBubbleDecoder
+from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
@@ -45,7 +45,7 @@ def _spinal_session() -> CodecSession:
     framer = Framer(payload_bits=16, k=4)
     code = SpinalCode(
         SpinalEncoder(SpinalParams(k=4, c=6)),
-        lambda enc: IncrementalBubbleDecoder(enc, beam_width=8),
+        lambda enc: VectorizedBubbleDecoder(enc, beam_width=8),
         framer,
     )
     return CodecSession(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.decoder_vectorized import VectorizedBubbleDecoder, make_decoder_factory
+from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
@@ -475,7 +475,7 @@ def test_spinal_source_blocks_equal_the_encoder_symbol_stream(k):
     params = SpinalParams(k=k, c=6, seed=SEED)
     encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
     framer = Framer(payload_bits=24, k=k)
-    code = SpinalCode(encoder, make_decoder_factory("vectorized", 4), framer)
+    code = SpinalCode(encoder, lambda enc: VectorizedBubbleDecoder(enc, beam_width=4), framer)
     payload = random_message_bits(24, spawn_rng(SEED, "window", k))
     source = code.new_encoder(payload)
     stream = encoder.symbol_stream(framer.frame(payload))

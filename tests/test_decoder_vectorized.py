@@ -9,11 +9,19 @@ tie-breaks) and ``beam_trace`` versus a fresh :class:`BubbleDecoder` on the
 same observations.  These tests enforce that over randomized
 (k, B, puncturing, channel) configurations, growing and shrinking
 (bisection-replayed) observation sets, degenerate beam widths, cache
-eviction pressure, whole ``spinal``-family sessions against the incremental
-engine, and the batched path.
+eviction pressure, whole ``spinal``-family sessions and runner-level
+searches against the from-scratch reference, and the batched path.
+
+The stateful engine's ``candidates_explored`` is pinned too: never more
+than a fresh decode's per attempt, strictly less over a session, and equal
+attempt by attempt to ``tests/golden/decoder_work.json``.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +29,11 @@ import pytest
 from repro.channels.awgn import AWGNChannel
 from repro.channels.bsc import BSCChannel
 from repro.core.decoder_bubble import BubbleDecoder
-from repro.core.decoder_incremental import IncrementalBubbleDecoder
 from repro.core.decoder_vectorized import (
     BatchDecoder,
     DECODER_ENGINES,
     VectorizedBubbleDecoder,
     _LevelCache,
-    make_decoder_factory,
 )
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.framing import Framer
@@ -44,6 +50,15 @@ from repro.phy.session import CodecSession
 from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
+
+_GOLDEN_DIR = Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location(
+    "make_decoder_work_golden", _GOLDEN_DIR / "make_decoder_work_golden.py"
+)
+work_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(work_golden)
+
+WORK_GOLDEN = json.loads((_GOLDEN_DIR / "decoder_work.json").read_text())
 
 _SCHEDULES = {
     "none": NoPuncturing,
@@ -103,17 +118,23 @@ class TestSubpassEquivalence:
         fresh = BubbleDecoder(encoder, beam_width=beam)
         vectorized = VectorizedBubbleDecoder(encoder, beam_width=beam)
         observations = ReceivedObservations(n_segments)
+        fresh_total = vec_total = 0
         for block, received in _stream_blocks(encoder, message, channel, rng, n_subpasses):
             observations.add_block(block, received)
             reference = fresh.decode(n_bits, observations)
             result = vectorized.decode(n_bits, observations)
             _assert_identical(result, reference)
+            assert result.candidates_explored <= reference.candidates_explored
+            fresh_total += reference.candidates_explored
+            vec_total += result.candidates_explored
+        assert vec_total < fresh_total  # strictly less work over the session
 
-    def test_equivalence_under_shrinking_observations(self):
+    @pytest.mark.parametrize("seed, label", [(909, "vec-shrink"), (808, "equiv-shrink")])
+    def test_equivalence_under_shrinking_observations(self, seed, label):
         """The bisection strategy replays truncated prefixes in any order."""
         params = SpinalParams(k=3, c=6, seed=99)
         encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
-        rng = spawn_rng(909, "vec-shrink")
+        rng = spawn_rng(seed, label)
         message = random_message_bits(12, rng)
         channel = AWGNChannel(snr_db=8.0, adc_bits=14)
         sent = _stream_blocks(encoder, message, channel, rng, 12)
@@ -131,6 +152,7 @@ class TestSubpassEquivalence:
             reference = fresh.decode(12, view)
             result = vectorized.decode(12, view)
             _assert_identical(result, reference)
+            assert result.candidates_explored <= reference.candidates_explored
 
     def test_repeat_decode_is_free_and_identical(self):
         params = SpinalParams(k=2, c=4, seed=5)
@@ -258,44 +280,21 @@ class TestCacheBehaviour:
         budget = n_segments * rows * width * 8 * (n_obs + n_obs // 4 + 2)
         assert peak <= budget
 
-    def test_work_accounting_is_no_more_than_fresh(self):
-        params = SpinalParams(k=2, c=4, seed=8)
-        encoder = SpinalEncoder(params, puncturing=SymbolBySymbol())
-        rng = spawn_rng(909, "vec-work")
-        message = random_message_bits(8, rng)
-        channel = AWGNChannel(snr_db=8.0, adc_bits=14)
-        observations = ReceivedObservations(4)
-        fresh = BubbleDecoder(encoder, beam_width=4)
-        vectorized = VectorizedBubbleDecoder(encoder, beam_width=4)
-        fresh_total = vec_total = 0
-        for block, out in _stream_blocks(encoder, message, channel, rng, 16):
-            observations.add_block(block, out)
-            fresh_total += fresh.decode(8, observations).candidates_explored
-            vec_total += vectorized.decode(8, observations).candidates_explored
-        assert 0 < vec_total < fresh_total
-
 
 class TestEngineRegistry:
     def test_registry_names(self):
-        assert set(DECODER_ENGINES) == {"bubble", "incremental", "vectorized"}
+        assert DECODER_ENGINES == {
+            "bubble": BubbleDecoder,
+            "vectorized": VectorizedBubbleDecoder,
+        }
 
-    def test_factory_builds_requested_engine(self, small_encoder):
-        decoder = make_decoder_factory("vectorized", 8)(small_encoder)
-        assert isinstance(decoder, VectorizedBubbleDecoder)
-        assert decoder.beam_width == 8
-
-    def test_factory_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown decoder"):
-            make_decoder_factory("magic", 8)
-
-    def test_run_config_accepts_vectorized(self):
+    def test_run_config_builds_the_vectorized_engine(self):
         from repro.experiments.runner import SpinalRunConfig
 
-        config = SpinalRunConfig(decoder="vectorized")
+        config = SpinalRunConfig(beam_width=8)
         decoder = config.decoder_factory()(config.build_encoder())
-        assert isinstance(decoder, VectorizedBubbleDecoder)
-        with pytest.raises(ValueError, match="unknown decoder"):
-            SpinalRunConfig(decoder="magic")
+        assert type(decoder) is VectorizedBubbleDecoder
+        assert decoder.beam_width == 8
 
     @staticmethod
     def _seam_decoders(seam):
@@ -334,7 +333,7 @@ class TestEngineRegistry:
 
 class TestSpinalFamilySessions:
     """The ``spinal`` family decodes with the vectorized engine; its sessions
-    must equal the same sessions decoded by the incremental engine."""
+    must equal the same sessions decoded from scratch by the reference."""
 
     @staticmethod
     def _run(code, snr_db, seed, budget):
@@ -350,7 +349,7 @@ class TestSpinalFamilySessions:
         ],
         ids=["figure2", "smoke"],
     )
-    def test_sessions_match_the_incremental_engine(self, smoke, points):
+    def test_sessions_match_the_from_scratch_reference(self, smoke, points):
         failures = 0
         for snr, budget in points:
             snr_db = float(snr)
@@ -360,13 +359,13 @@ class TestSpinalFamilySessions:
                 assert isinstance(engine, VectorizedBubbleDecoder)
                 beam = engine.beam_width
                 assert (code.encoder.params.k, beam) == ((4, 8) if smoke else (8, 16))
-                incremental = SpinalCode(
+                reference = SpinalCode(
                     code.encoder,
-                    lambda encoder: IncrementalBubbleDecoder(encoder, beam_width=beam),
+                    lambda encoder: BubbleDecoder(encoder, beam_width=beam),
                     code.framer,
                 )
                 got = self._run(code, snr_db, seed, budget)
-                want = self._run(incremental, snr_db, seed, budget)
+                want = self._run(reference, snr_db, seed, budget)
                 assert got.symbols_sent == want.symbols_sent
                 assert got.decode_attempts == want.decode_attempts
                 assert got.success == want.success
@@ -382,8 +381,9 @@ class TestSessionEquivalence:
         code = SpinalCode(encoder, factory, Framer(payload_bits=16, k=params.k))
         return CodecSession(code, AWGNChannel(snr_db=10.0, adc_bits=14), max_symbols=512)
 
+    @pytest.mark.parametrize("seed, label", [(909, "vec-session"), (808, "equiv-session")])
     @pytest.mark.parametrize("search", ["sequential", "bisect"])
-    def test_trials_identical_to_fresh_reference(self, search):
+    def test_trials_identical_to_fresh_reference(self, search, seed, label):
         results = {}
         for name, factory in [
             ("fresh", lambda enc: BubbleDecoder(enc, beam_width=8)),
@@ -391,14 +391,40 @@ class TestSessionEquivalence:
         ]:
             session = self._session(factory)
             run = _run_bisect if search == "bisect" else CodecSession.run
-            rng = spawn_rng(909, "vec-session", search)
+            rng = spawn_rng(seed, label, search)
             payload = random_message_bits(16, rng)
             results[name] = run(session, payload, rng)
         fresh, vec = results["fresh"], results["vectorized"]
+        assert vec.success == fresh.success
         assert vec.symbols_sent == fresh.symbols_sent
         assert vec.decode_attempts == fresh.decode_attempts
         assert np.array_equal(vec.decoded_payload, fresh.decoded_payload)
         assert vec.work < fresh.work
+
+
+class TestDecoderWorkGolden:
+    """Per-attempt ``candidates_explored`` of seeded sessions, pinned.
+
+    The golden was recorded with the engine the ledger replaced (see
+    ``tests/golden/make_decoder_work_golden.py``, which also defines the
+    sessions); registry trials store these counts as ``candidates``.
+    """
+
+    def test_golden_covers_every_axis(self):
+        cases = work_golden.case_params()
+        sessions = WORK_GOLDEN["sessions"]
+        assert WORK_GOLDEN["seed"] == work_golden.SEED
+        assert [s["case"] for s in sessions] == [dict(sorted(c.items())) for c in cases]
+        assert {c["search"] for c in cases} == {"sequential", "bisect"}
+        assert {c["adc_bits"] for c in cases} == {None, 14}
+        assert {c["shape"] for c in cases} == {"k-sweep", "scale-down", "low-snr", "bsc"}
+        assert all(s["work"] == sum(s["attempts"]) for s in sessions)
+        assert max(len(s["attempts"]) for s in sessions) > 50
+
+    @pytest.mark.parametrize("index", range(len(WORK_GOLDEN["sessions"])))
+    def test_session_work_matches_the_golden(self, index):
+        case = work_golden.case_params()[index]
+        assert work_golden.run_case(case) == WORK_GOLDEN["sessions"][index]
 
 
 class TestBatchDecoder:

@@ -1,6 +1,6 @@
 """Golden-vector regression tests for the hot-path identity of the code.
 
-The incremental decoding engine caches and reuses salted hash outputs and
+The stateful decoding engine caches and reuses salted hash outputs and
 branch costs across decode attempts, so any silent change to the hash
 family, the spine recurrence, or the encoder's symbol generation would
 corrupt results in ways ordinary behavioural tests may miss.  These vectors

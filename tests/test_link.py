@@ -7,7 +7,7 @@ import pytest
 
 from repro.channels.awgn import AWGNChannel
 from repro.core.decoder_bubble import BubbleDecoder
-from repro.core.decoder_incremental import IncrementalBubbleDecoder
+from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
@@ -119,7 +119,7 @@ class TestDeliverPackets:
         return CodecSession(code, AWGNChannel(snr_db=12.0, adc_bits=14), max_symbols=256)
 
     def test_delivers_and_accounts(self):
-        session = self._session(IncrementalBubbleDecoder)
+        session = self._session(VectorizedBubbleDecoder)
         rng = spawn_rng(3, "link-deliver")
         payloads = [random_message_bits(16, rng) for _ in range(4)]
         link_result, trials = deliver_packets(session, payloads, rng, PerfectFeedback())
@@ -131,7 +131,7 @@ class TestDeliverPackets:
 
     def test_engine_choice_is_invisible_at_link_level(self):
         outcomes = {}
-        for name, cls in [("fresh", BubbleDecoder), ("incremental", IncrementalBubbleDecoder)]:
+        for name, cls in [("fresh", BubbleDecoder), ("vectorized", VectorizedBubbleDecoder)]:
             session = self._session(cls)
             rng = spawn_rng(4, "link-engines")
             payloads = [random_message_bits(16, rng) for _ in range(3)]
@@ -143,12 +143,12 @@ class TestDeliverPackets:
                 link_result.throughput_bits_per_symbol,
                 sum(t.work for t in trials),
             )
-        assert outcomes["fresh"][0] == outcomes["incremental"][0]
-        assert outcomes["fresh"][1] == outcomes["incremental"][1]
-        assert outcomes["incremental"][2] < outcomes["fresh"][2]
+        assert outcomes["fresh"][0] == outcomes["vectorized"][0]
+        assert outcomes["fresh"][1] == outcomes["vectorized"][1]
+        assert outcomes["vectorized"][2] < outcomes["fresh"][2]
 
     def test_empty_payload_sequence(self):
-        session = self._session(IncrementalBubbleDecoder)
+        session = self._session(VectorizedBubbleDecoder)
         link_result, trials = deliver_packets(
             session, [], spawn_rng(5, "empty"), PerfectFeedback()
         )

@@ -239,6 +239,23 @@ class TestExporters:
         problems = validate_directory(tmp_path)
         assert len(problems) >= 3
 
+    def test_check_fails_on_an_export_with_no_records(self, tmp_path, capsys):
+        """A meta-header-only export (nothing was recorded) is not ``ok``."""
+        from repro.cli import main
+
+        paths = write_all(Telemetry(wall_clock=_FakeWall()), tmp_path)
+        assert len(paths["jsonl"].read_text().splitlines()) == 1
+        assert validate_directory(tmp_path) == [
+            "telemetry.jsonl: no records after the meta header"
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "check", str(tmp_path)])
+        assert excinfo.value.code  # nonzero
+        assert str(excinfo.value).splitlines() == [
+            "telemetry validation failed: telemetry.jsonl: no records after the meta header"
+        ]
+        assert "ok:" not in capsys.readouterr().out
+
     def test_report_renders_counters_and_histograms(self, tmp_path):
         paths = write_all(_populated_telemetry(), tmp_path)
         text = render_report(paths["jsonl"])

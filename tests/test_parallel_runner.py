@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.decoder_bubble import BubbleDecoder
 from repro.core.params import SpinalParams
 from repro.experiments.runner import (
     SpinalRunConfig,
@@ -59,17 +60,23 @@ class TestParallelDeterminism:
         assert parallel.symbols_sent == serial.symbols_sent
         assert parallel.decoded_ok == serial.decoded_ok
 
-    def test_decoder_choice_preserves_measurements(self):
-        incremental = run_spinal_point(_FAST_AWGN.with_(n_trials=4), 8.0)
-        bubble = run_spinal_point(_FAST_AWGN.with_(n_trials=4, decoder="bubble"), 8.0)
-        assert bubble.rates == incremental.rates
-        assert bubble.symbols_sent == incremental.symbols_sent
+    def test_measurements_match_the_from_scratch_decoder(self, monkeypatch):
+        """The stateful engine measures exactly what a fresh decoder does."""
+        vectorized = run_spinal_point(_FAST_AWGN.with_(n_trials=4), 8.0)
+        monkeypatch.setattr(
+            SpinalRunConfig,
+            "decoder_factory",
+            lambda config: lambda enc: BubbleDecoder(enc, beam_width=config.beam_width),
+        )
+        bubble = run_spinal_point(_FAST_AWGN.with_(n_trials=4), 8.0)
+        assert bubble.rates == vectorized.rates
+        assert bubble.symbols_sent == vectorized.symbols_sent
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n_workers"):
             SpinalRunConfig(n_workers=0)
-        with pytest.raises(ValueError, match="decoder"):
-            SpinalRunConfig(decoder="turbo")
+        with pytest.raises(ValueError, match="search"):
+            SpinalRunConfig(search="turbo")
 
 
 class TestSpawnRngStability:
