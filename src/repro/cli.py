@@ -933,6 +933,8 @@ def _command_city_soak(args: argparse.Namespace) -> str:
         code_family(config.code)
         if args.replicas < 1:
             raise ValueError(f"n_replicas must be at least 1, got {args.replicas}")
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
     except (ValueError, KeyError) as exc:
         _usage_error("city-soak", exc)
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:

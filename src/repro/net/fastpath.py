@@ -32,6 +32,7 @@ configs, and the calibration is re-run whenever codec behavior changes
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -97,16 +98,20 @@ class SymbolCountModel:
 
         A calibration failure sample maps to an unreachable requirement
         (``2 * max_symbols``): the flow packet then spends its whole budget
-        and is aborted, mirroring what the exact tier did.
+        and is aborted, mirroring what the exact tier did.  A NaN SNR has no
+        place on the grid and raises :class:`ValueError`.
         """
-        grid = np.asarray(self.snr_grid_db)
-        right = int(np.searchsorted(grid, float(snr_db)))
+        snr_db = float(snr_db)
+        if snr_db != snr_db:
+            raise ValueError("cannot draw a requirement at a NaN SNR")
+        grid = self.snr_grid_db
+        right = bisect.bisect_left(grid, snr_db)
         left = max(0, right - 1)
         right = min(right, len(grid) - 1)
         if right == left:
             weight = 0.0
         else:
-            weight = (float(snr_db) - grid[left]) / (grid[right] - grid[left])
+            weight = (snr_db - grid[left]) / (grid[right] - grid[left])
         chosen = right if rng.random() < weight else left
         row = self.samples[chosen]
         drawn = row[int(rng.integers(len(row)))]
@@ -205,8 +210,13 @@ class FlowLink:
         rng: np.random.Generator,
         observe: Callable[[], float],
     ) -> FlowTransmission:
-        # One draw against the SINR observed at open time: requirement and
-        # block pacing are fixed for the packet's lifetime.
+        """Open one packet: a single requirement draw at the observed SINR.
+
+        Requirement and block pacing are fixed for the packet's lifetime.
+        ``payload`` is never read (the network hands every flow packet the
+        same empty one); it is in the signature because the cell's ``Link``
+        protocol opens every link the same way.
+        """
         return FlowTransmission(self.model, float(observe()), rng)
 
 

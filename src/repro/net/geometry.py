@@ -51,6 +51,15 @@ class CityGeometry:
     def __post_init__(self) -> None:
         if len(self.cell_x) != len(self.cell_y) or not self.cell_x:
             raise ValueError("need matching, non-empty cell coordinate tuples")
+        for name in (
+            "cell_radius",
+            "reference_snr_db",
+            "path_loss_exponent",
+            "reference_distance",
+            "min_distance",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("cell_radius", "reference_distance", "min_distance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -44,7 +44,9 @@ Fidelity tiers
 ``tier="exact"`` runs real codecs per block; ``tier="flow"`` swaps each
 user's PHY for a calibrated :class:`~repro.net.fastpath.FlowLink` while
 keeping *all* of the above machinery (medium contention, interference
-activity, mobility, handoff) unchanged.
+activity, mobility, handoff) unchanged.  A flow packet's outcome is a drawn
+symbol count, so it carries one shared empty payload instead of drawing
+payload bits.
 """
 
 from __future__ import annotations
@@ -218,6 +220,11 @@ def network_payloads(
     ]
 
 
+# The one payload every flow-tier packet carries: empty and read-only.
+_NO_PAYLOAD = np.zeros(0, dtype=np.uint8)
+_NO_PAYLOAD.flags.writeable = False
+
+
 def default_symbol_model(config: NetworkConfig) -> SymbolCountModel:
     """Calibrate (memoized) a flow model spanning the config's SINR range.
 
@@ -373,11 +380,16 @@ class CellNetwork:
         # Scalar serving-cell SNR per user (the hot CSI read), invalidated
         # with the epoch cache and per-user on handoff.
         self._signal_cache: dict[int, float] = {}
-        # Per-instant memo of the summed linear interference each cell hears.
-        # Transmit activity is frozen while one event handler runs, but a
-        # CSI-reading grant asks every eligible user — without the memo the
-        # interference sum is recomputed per user, O(users²) per cell.
-        self._interference_cache: "tuple[int, list[float]] | None" = None
+        # Per-epoch memo of each transmitting user's per-cell received power
+        # in linear units: a user's SNR row only changes at epoch
+        # boundaries, so its dB->linear conversion is paid once per epoch
+        # however many packets it interferes with.  Cleared with the SNR
+        # cache.
+        self._linear_cache: dict[int, list[float]] = {}
+        # Memo of the last interference sum, keyed on (executing event,
+        # serving cell): a CSI-reading grant scans only users of the
+        # granting cell, so the whole scan pays for one sum.
+        self._interference_memo: "tuple[tuple[int, int], float] | None" = None
         self.serving = [
             int(np.argmax(self._user_snrs(user))) for user in range(config.n_users)
         ]
@@ -447,7 +459,7 @@ class CellNetwork:
 
         if config.tier == "flow":
             link = FlowLink(model=self._model)
-            payload_bits = link.payload_bits
+            payloads = (_NO_PAYLOAD,) * config.packets_per_user
         else:
             x0, y0 = self.mobility.position(user, 0)
             snr0 = self.geometry.snr_db(x0, y0, self.serving[user])
@@ -463,10 +475,10 @@ class CellNetwork:
                     code, channel, termination="genie", max_symbols=config.max_symbols
                 )
             )
-            payload_bits = code.info.payload_bits
+            payloads = network_payloads(config, user, code.info.payload_bits)
         return CellUser(
             link=link,
-            payloads=network_payloads(config, user, payload_bits),
+            payloads=payloads,
             csi=csi,
             uid=user,
         )
@@ -481,31 +493,40 @@ class CellNetwork:
             )
         return cached
 
-    def _interference_linear(self) -> list[float]:
-        """Summed linear interference power heard at each cell, right now.
+    def _user_linear(self, user: int) -> list[float]:
+        """User ``user``'s per-cell received power (linear), this epoch."""
+        cached = self._linear_cache.get(user)
+        if cached is None:
+            cached = self._linear_cache[user] = [
+                db_to_linear(float(snr_db)) for snr_db in self._user_snrs(user)
+            ]
+        return cached
 
-        Keyed on the clock's executing-event index: transmit activity only
-        changes inside grant/block events, so it is frozen for the duration
-        of any one action (in particular a grant's whole CSI scan).  Terms
-        are accumulated in cell-index order exactly as the uncached per-user
-        path did, so the memo is bit-transparent.
+    def _interference_linear(self, serving: int) -> float:
+        """Summed linear interference power heard at cell ``serving``, right now.
+
+        Memoized per (executing event, ``serving``).  Who is on the air
+        changes only inside grant and block events.  Every read inside a
+        grant event (head opens, the CSI scan, the channel pin) is for a
+        user of the granting cell, and the one change the grant makes, its
+        own cell's transmitter, is outside that cell's sum.  Terms are
+        accumulated in cell-index order, so every read of the same instant
+        sums the same floats in the same order.
         """
-        key = self.clock.n_processed
-        cached = self._interference_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        transmitters = [cell.on_air_user for cell in self.cells]
-        totals = [
-            sum(
-                db_to_linear(float(self._user_snrs(tx_user)[serving]))
-                for index, tx_user in enumerate(transmitters)
-                # Intra-cell is TDMA: one transmitter, no self-interference.
-                if index != serving and tx_user is not None
-            )
-            for serving in range(len(self.cells))
-        ]
-        self._interference_cache = (key, totals)
-        return totals
+        key = (self.clock.n_processed, serving)
+        memo = self._interference_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        total = 0.0
+        for index, cell in enumerate(self.cells):
+            # Intra-cell is TDMA: one transmitter, no self-interference.
+            if index == serving:
+                continue
+            tx_user = cell.on_air_user
+            if tx_user is not None:
+                total += self._user_linear(tx_user)[serving]
+        self._interference_memo = (key, total)
+        return total
 
     def sinr_db(self, user: int) -> float:
         """User ``user``'s uplink SINR at its serving cell, right now."""
@@ -518,7 +539,7 @@ class CellNetwork:
             return signal_db
         if not self.cells:
             return signal_db  # construction-time read: nothing is live yet
-        total = self._interference_linear()[self.serving[user]]
+        total = self._interference_linear(self.serving[user])
         if total == 0.0:
             # No active interferers: return the serving SNR *unchanged* (no
             # dB round-trip), so interference-free degenerates bit-exactly.
@@ -537,6 +558,7 @@ class CellNetwork:
         if self._tel.enabled:
             self._tel.counter("net.epochs")
         self._snr_cache.clear()
+        self._linear_cache.clear()
         self._signal_cache.clear()
         n_users = self.config.n_users
         if n_users:

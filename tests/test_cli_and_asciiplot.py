@@ -410,6 +410,12 @@ class TestCitySoakCommand:
             ["--cell-radius", "-5"],
             ["--scheduler", "bogus"],
             ["--code", "bogus"],
+            ["--reference-snr", "nan"],
+            ["--reference-snr", "inf"],
+            ["--cell-radius", "nan"],
+            ["--cell-radius", "inf"],
+            ["--workers", "0"],
+            ["--workers", "-1"],
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, capsys):

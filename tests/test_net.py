@@ -136,6 +136,16 @@ class TestCityGeometry:
             )
         with pytest.raises(ValueError):
             _grid(radius=-1.0)
+        for name in (
+            "cell_radius",
+            "reference_snr_db",
+            "path_loss_exponent",
+            "reference_distance",
+            "min_distance",
+        ):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    dataclasses.replace(_grid(), **{name: value})
 
     def test_path_loss_law(self):
         geometry = _grid(n_cells=1)
@@ -389,7 +399,7 @@ class TestSymbolCountModel:
 
     def test_sample_requirement_consumes_exactly_two_draws(self):
         model = _model(samples=((40,), (60,), (80,)))
-        for snr in (-20.0, -5.0, 1.0, 9.9, 15.0, 40.0):
+        for snr in (-20.0, -5.0, 1.0, 9.9, 15.0, 40.0, math.inf, -math.inf):
             rng = np.random.default_rng(5)
             shadow = np.random.default_rng(5)
             model.sample_requirement(snr, rng)
@@ -405,6 +415,46 @@ class TestSymbolCountModel:
         assert draws == {40, 60}  # midway: both neighbors appear
         assert model.sample_requirement(-30.0, rng) == 40  # clamped low
         assert model.sample_requirement(30.0, rng) == 80  # clamped high
+
+    @pytest.mark.parametrize(
+        "grid, snrs",
+        [
+            (
+                (-5.0, 5.0, 15.0),
+                # Grid points, midpoints, off-grid values, beyond both ends.
+                (-5.0, 5.0, 15.0, 0.0, 10.0, -4.999, 14.25, -30.0, 30.0,
+                 math.inf, -math.inf),
+            ),
+            ((7.5,), (7.5, 0.0, 20.0, math.inf, -math.inf)),  # one-point grid
+        ],
+    )
+    def test_bisect_lookup_matches_the_searchsorted_spelling(self, grid, snrs):
+        samples = tuple((40 + 10 * g, 41 + 10 * g) for g in range(len(grid)))
+        model = dataclasses.replace(_model(), snr_grid_db=grid, samples=samples)
+
+        def searchsorted_requirement(snr_db, rng):
+            array = np.asarray(model.snr_grid_db)
+            right = int(np.searchsorted(array, float(snr_db)))
+            left = max(0, right - 1)
+            right = min(right, len(array) - 1)
+            if right == left:
+                weight = 0.0
+            else:
+                weight = (float(snr_db) - array[left]) / (array[right] - array[left])
+            chosen = right if rng.random() < weight else left
+            row = model.samples[chosen]
+            drawn = row[int(rng.integers(len(row)))]
+            return drawn if drawn > 0 else 2 * model.max_symbols
+
+        for snr in snrs:
+            for seed in range(16):
+                got = model.sample_requirement(snr, np.random.default_rng(seed))
+                want = searchsorted_requirement(snr, np.random.default_rng(seed))
+                assert got == want, (snr, seed)
+
+    def test_nan_snr_is_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _model().sample_requirement(math.nan, np.random.default_rng(0))
 
     def test_failure_sample_maps_to_unreachable_requirement(self):
         model = _model(samples=((-1,), (-1,), (-1,)))
@@ -761,6 +811,96 @@ class TestHandoff:
             cell.detach_user(7)
         cell.run()
         assert cell.on_air_user is None  # medium free after completion
+
+
+def _reference_sinr_db(network: CellNetwork, user: int) -> float:
+    """User ``user``'s SINR from scratch: no memo, no per-epoch cache.
+
+    The geometry's SNR row at the current-epoch position, then one
+    ``db_to_linear`` per on-air transmitter of every other cell, summed in
+    cell-index order.
+    """
+
+    def snrs(u: int) -> np.ndarray:
+        return network.geometry.snrs_db(*network.mobility.position(u, network.epoch))
+
+    serving = network.serving[user]
+    signal_db = float(snrs(user)[serving])
+    total = 0.0
+    for index, cell in enumerate(network.cells):
+        transmitter = cell.on_air_user
+        if index != serving and transmitter is not None:
+            total += db_to_linear(float(snrs(transmitter)[serving]))
+    if total == 0.0:
+        return signal_db
+    return linear_to_db(db_to_linear(signal_db) / (1.0 + total))
+
+
+class TestInterference:
+    """The live SINR every grant reads, against a from-scratch reference."""
+
+    @pytest.mark.parametrize("scheduler", ["round-robin", "max-snr"])
+    @pytest.mark.parametrize("tier", ["flow", "exact"])
+    def test_every_user_reads_the_reference_sinr_after_every_grant(
+        self, monkeypatch, tier, scheduler
+    ):
+        config = NetworkConfig(
+            n_cells=9,
+            n_users=18,
+            packets_per_user=2,
+            scheduler=scheduler,
+            code="spinal",
+            tier=tier,
+            seed=20111114,
+            max_symbols=256,
+            cell_radius=100.0,
+            reference_snr_db=16.0,
+            epoch_symbols=32,
+            mobility_step=120.0,
+            model=_model() if tier == "flow" else None,
+        )
+        counts = {"checks": 0, "interfered": 0}
+        original = MacCell._on_grant
+
+        def checked_grant(cell):
+            original(cell)
+            for user in range(config.n_users):
+                want = _reference_sinr_db(network, user)
+                assert network.sinr_db(user) == want
+                counts["checks"] += 1
+                serving = network.serving[user]
+                signal_db = float(network._user_snrs(user)[serving])
+                counts["interfered"] += want != signal_db
+
+        # Patch before construction: cells schedule their first grant then.
+        monkeypatch.setattr(MacCell, "_on_grant", checked_grant)
+        network = CellNetwork(config)
+        result = network.run()
+        assert all(packet.delivered for packet in result.packets)
+        assert counts["interfered"] > 0 and counts["checks"] > counts["interfered"]
+        assert network.epoch >= 2  # the per-epoch caches were cleared mid-run
+        assert result.n_handoffs >= 1
+
+    def test_flow_packets_draw_no_payload_streams(self, monkeypatch):
+        import repro.net.network as network_module
+
+        drawn = []
+        real_spawn_rng = network_module.spawn_rng
+
+        def counting_spawn_rng(seed, *labels):
+            drawn.append(labels[0])
+            return real_spawn_rng(seed, *labels)
+
+        monkeypatch.setattr(network_module, "spawn_rng", counting_spawn_rng)
+        config = NetworkConfig(n_cells=4, n_users=5, packets_per_user=3, model=_model())
+        CellNetwork(dataclasses.replace(config, tier="exact"))
+        assert drawn.count("net-payload") == config.n_users * config.packets_per_user
+        drawn.clear()
+        network = CellNetwork(dataclasses.replace(config, tier="flow"))
+        assert drawn.count("net-payload") == 0
+        payloads = [packet.payload for cell in network.cells for packet in cell.packets]
+        assert len(payloads) == config.n_users * config.packets_per_user
+        assert all(p.size == 0 and not p.flags.writeable for p in payloads)
 
 
 class TestSharding:
