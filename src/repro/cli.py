@@ -62,6 +62,7 @@ worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import NoReturn
 
@@ -681,12 +682,22 @@ def _command_report(args: argparse.Namespace) -> str:
 # -- back-compat aliases ------------------------------------------------------
 
 
-def _check_code_args(args: argparse.Namespace) -> None:
+def _check_code_args(args: argparse.Namespace, bit_mode: bool = False) -> None:
     """Reject code sizes that every cell of a sweep would fail on."""
     if args.payload_bits < 1:
         raise ValueError(f"--payload-bits must be at least 1, got {args.payload_bits}")
     if args.beam_width < 1:
         raise ValueError(f"--beam-width must be at least 1, got {args.beam_width}")
+    SpinalParams(k=args.k, c=args.c, bit_mode=bit_mode)  # raises on a bad k or c
+
+
+def _check_snr(option: str, snr_db: float) -> None:
+    """Reject a NaN SNR, which runs to budget and delivers nothing.
+
+    ``inf`` stays valid: it is the noiseless limit.
+    """
+    if math.isnan(snr_db):
+        raise ValueError(f"{option} must be a number of dB, got nan")
 
 
 def _spinal_overrides_from_args(args: argparse.Namespace, bit_mode: bool) -> dict:
@@ -709,7 +720,9 @@ def _run_checked(
     try:
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
-        _check_code_args(args)
+        _check_code_args(args, bit_mode="c" not in overrides)
+        for snr_db in overrides.get("snr_db", ()):
+            _check_snr("SNR", snr_db)
         for p in overrides.get("p", ()):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"crossover probability must be in [0, 1], got {p}")
@@ -826,6 +839,8 @@ def _command_transport(args: argparse.Namespace) -> str:
     )
     try:
         _check_code_args(args)
+        _check_snr("--snr", args.snr)
+        _check_snr("--snr-step", args.snr_step)
         config = TransportSweepConfig(
             payload_bits=args.payload_bits,
             params=SpinalParams(k=args.k, c=args.c),
@@ -876,6 +891,7 @@ def _command_serve_soak(args: argparse.Namespace) -> str:
     if args.smoke:
         n_sessions, max_in_flight = 32, 16
     try:
+        _check_snr("--snr", args.snr)
         config = SoakConfig(
             n_sessions=n_sessions,
             max_in_flight=max_in_flight,

@@ -27,7 +27,10 @@ Model
   convention with *hop ≡ user* (:func:`cell_packet_rng`), which is what
   makes a single-user round-robin cell bit-identical to the single-hop
   transport — the PR-2 equivalence discipline extended one layer up, pinned
-  by the test suite.
+  by the test suite.  A cell derives every packet's stream at construction,
+  in one :func:`~repro.utils.rng.spawn_seeds` batch, and builds each
+  packet's generator (exactly its :func:`cell_packet_rng`) when the packet
+  opens.
 * Channels whose state evolves with *wall-clock* time (a
   :class:`~repro.channels.awgn.TimeVaryingAWGNChannel` pinned to the cell
   clock via ``set_time``) make scheduling genuinely matter: an opportunistic
@@ -74,6 +77,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.phy.session import CodecSession, CodecTransmission
 from repro.link.events import (
@@ -86,6 +90,7 @@ from repro.link.transport import packet_rng
 from repro.mac.metrics import CellResult, PacketOutcome
 from repro.obs.telemetry import current as current_telemetry
 from repro.mac.schedulers import Scheduler, UserView, make_scheduler
+from repro.utils.rng import spawn_seeds
 
 __all__ = [
     "CellUser",
@@ -108,6 +113,11 @@ def cell_packet_rng(seed: int, user: int, index: int) -> np.random.Generator:
     symbol (the equivalence test relies on this).
     """
     return packet_rng(seed, user, index)
+
+
+def _packet_labels(user: int, index: int) -> tuple:
+    """The labels :func:`cell_packet_rng` derives its stream from."""
+    return ("transport", "hop", user, "packet", index)
 
 
 def spread_snrs(center_db: float, spread_db: float, n_users: int) -> list[float]:
@@ -242,6 +252,7 @@ class _CellPacket:
         "arrival",
         "payload",
         "payload_bits",
+        "seed",
         "tx",
         "finished",
         "delivered",
@@ -250,13 +261,20 @@ class _CellPacket:
     )
 
     def __init__(
-        self, user: int, index: int, arrival: int, payload: np.ndarray, payload_bits: int
+        self,
+        user: int,
+        index: int,
+        arrival: int,
+        payload: np.ndarray,
+        payload_bits: int,
+        seed: ISeedSequence,
     ) -> None:
         self.user = user
         self.index = index
         self.arrival = arrival
         self.payload = payload
         self.payload_bits = payload_bits
+        self.seed = seed
         self.tx = None
         self.finished = False
         self.delivered = False
@@ -339,6 +357,16 @@ class MacCell:
             self._users[state.index] = state
             state.cell = self
         self.packets: list[_CellPacket] = []
+        seeds = iter(
+            spawn_seeds(
+                self.seed,
+                [
+                    _packet_labels(state.index, index)
+                    for state in self._users.values()
+                    for index in range(len(state.config.payloads))
+                ],
+            )
+        )
         for state in self._users.values():
             state.config.link.channel.reset()
             arrivals = state.config.arrivals
@@ -352,6 +380,7 @@ class MacCell:
                     arrival,
                     np.asarray(payload),
                     state.config.link.payload_bits,
+                    next(seeds),
                 )
                 self.packets.append(packet)
                 if arrival == 0:
@@ -413,7 +442,7 @@ class MacCell:
             if packet.tx is None:
                 packet.tx = state.config.link.open(
                     packet.payload,
-                    cell_packet_rng(self.seed, user, packet.index),
+                    np.random.default_rng(packet.seed),
                     lambda state=state: float(state.csi(self.clock.now)),
                 )
             if packet.tx.exhausted and not packet.tx.decoded:

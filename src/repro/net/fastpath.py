@@ -41,7 +41,7 @@ import numpy as np
 from repro.phy.families import make_codec_session
 from repro.phy.session import CodecSession
 from repro.utils.bitops import random_message_bits
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import spawn_rng, spawn_rngs
 
 __all__ = [
     "FlowLink",
@@ -306,7 +306,7 @@ def _measure(
     sample ``s`` draws its payload and noise from its own stream, so each
     entry (``-1`` for an exhausted run) equals a sequential ``run`` of it.
     """
-    rngs = [spawn_rng(seed, "fastpath-cal", family, gi, s) for s in samples]
+    rngs = list(spawn_rngs(seed, [("fastpath-cal", family, gi, s) for s in samples]))
     payloads = [random_message_bits(session.payload_bits, rng) for rng in rngs]
     return [
         int(outcome.symbols_sent) if outcome.success else -1

@@ -7,7 +7,10 @@ each user is an independent reflected Gaussian walk, bit-identical to
 :func:`repro.channels.traces.random_walk_trace` (the walk the time-varying
 channels use) reflected at the city bounds, with every stream derived from
 ``(seed, label, user)`` so a user's path never depends on how many other
-users exist or which process simulates it.
+users exist or which process simulates it.  The placements and each
+axis's walk streams are derived for all users in one
+:func:`~repro.utils.rng.spawn_rngs` batch, exactly the streams per-user
+:func:`~repro.utils.rng.spawn_rng` calls would give.
 
 Walks are filled lazily.  A walk model keeps only its recipe (initial
 placements, step, bounds, seed, horizon) plus the columns read so far; a
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import spawn_rngs
 
 __all__ = ["MobilityModel"]
 
@@ -138,8 +141,10 @@ class MobilityModel:
             ("y", self._ys, walk.y_range),
         ):
             steps = np.empty((self.n_users, horizon))
-            for user in range(self.n_users):
-                stream = spawn_rng(walk.seed, "net-walk", user, axis)
+            streams = spawn_rngs(
+                walk.seed, [("net-walk", user, axis) for user in range(self.n_users)]
+            )
+            for user, stream in enumerate(streams):
                 steps[user] = stream.normal(0.0, walk.step, size=horizon)
             grown = np.empty((self.n_users, horizon + 1))
             grown[:, 0] = track[:, 0]
@@ -188,13 +193,14 @@ class MobilityModel:
             )
         x0 = np.empty((n_users, 1), dtype=np.float64)
         y0 = np.empty((n_users, 1), dtype=np.float64)
-        for user in range(n_users):
-            if initial_positions is None:
-                placement = spawn_rng(seed, "net-place", user)
+        if initial_positions is None:
+            placements = spawn_rngs(seed, [("net-place", user) for user in range(n_users)])
+            for user, placement in enumerate(placements):
                 x0[user, 0] = placement.uniform(*x_range)
                 y0[user, 0] = placement.uniform(*y_range)
-            else:
-                x0[user, 0], y0[user, 0] = initial_positions[user]
+        else:
+            for user, (x, y) in enumerate(initial_positions):
+                x0[user, 0], y0[user, 0] = x, y
         model = cls(xs=x0, ys=y0, epoch_symbols=int(epoch_symbols))
         model._n_epochs = n_epochs
         model._walk = _WalkRecipe(float(step), x_range, y_range, seed)

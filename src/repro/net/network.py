@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from repro.obs.telemetry import current as current_telemetry
 from repro.phy.families import bpsk_crossover_probability, channel_for_code, make_code
 from repro.phy.session import CodecSession
 from repro.utils.bitops import random_message_bits
-from repro.utils.rng import derive_seed, spawn_rng
+from repro.utils.rng import derive_seed, spawn_rngs
 from repro.utils.units import db_to_linear, linear_to_db
 
 __all__ = [
@@ -211,13 +212,23 @@ def network_code(config: NetworkConfig, user: int, snr_db: float):
 
 
 def network_payloads(
-    config: NetworkConfig, user: int, payload_bits: int
-) -> list[np.ndarray]:
-    """The per-user payload streams (the seed-label convention, made public)."""
-    return [
-        random_message_bits(payload_bits, spawn_rng(config.seed, "net-payload", user, p))
-        for p in range(config.packets_per_user)
-    ]
+    config: NetworkConfig, payload_bits: Mapping[int, int]
+) -> dict[int, list[np.ndarray]]:
+    """Each user's payloads (the seed-label convention, made public).
+
+    ``payload_bits`` gives each user to draw for its code's payload size.
+    Packet ``p`` of user ``u`` is drawn from
+    ``spawn_rng(config.seed, "net-payload", u, p)``; the streams of all the
+    users are derived in one :func:`~repro.utils.rng.spawn_rngs` batch.
+    """
+    packets = range(config.packets_per_user)
+    rngs = spawn_rngs(
+        config.seed, [("net-payload", user, p) for user in payload_bits for p in packets]
+    )
+    return {
+        user: [random_message_bits(bits, next(rngs)) for _ in packets]
+        for user, bits in payload_bits.items()
+    }
 
 
 # The one payload every flow-tier packet carries: empty and read-only.
@@ -401,12 +412,28 @@ class CellNetwork:
         # Channels read construction-time SINR (no cell busy yet) through the
         # same callback they use live, so `cells` must exist, empty, first.
         self.cells: list[MacCell] = []
+        members = [
+            user
+            for user in range(config.n_users)
+            if restrict_to_cell is None or self.serving[user] == restrict_to_cell
+        ]
+        links = {user: self._build_link(user) for user in members}
+        if config.tier == "flow":
+            payloads = dict.fromkeys(members, (_NO_PAYLOAD,) * config.packets_per_user)
+        else:
+            payloads = network_payloads(
+                config, {user: link.payload_bits for user, link in links.items()}
+            )
         users_by_cell: list[list[CellUser]] = [[] for _ in range(config.n_cells)]
-        for user in range(config.n_users):
-            cell = self.serving[user]
-            if restrict_to_cell is not None and cell != restrict_to_cell:
-                continue
-            users_by_cell[cell].append(self._build_user(user))
+        for user in members:
+            users_by_cell[self.serving[user]].append(
+                CellUser(
+                    link=links[user],
+                    payloads=payloads[user],
+                    csi=lambda now, user=user: self.sinr_db(user),
+                    uid=user,
+                )
+            )
         self.cells[:] = [
             MacCell(
                 cell_users,
@@ -448,39 +475,25 @@ class CellNetwork:
             initial_positions=positions,
         )
 
-    def _build_user(self, user: int) -> CellUser:
+    def _build_link(self, user: int) -> "FlowLink | RatelessLink":
         config = self.config
-
-        def csi(now: int, user=user) -> float:
-            return self.sinr_db(user)
+        if config.tier == "flow":
+            return FlowLink(model=self._model)
 
         def sinr_fn(user=user) -> float:
             return self.sinr_db(user)
 
-        if config.tier == "flow":
-            link = FlowLink(model=self._model)
-            payloads = (_NO_PAYLOAD,) * config.packets_per_user
-        else:
-            x0, y0 = self.mobility.position(user, 0)
-            snr0 = self.geometry.snr_db(x0, y0, self.serving[user])
-            code = network_code(config, user, snr0)
-            if code.info.domain == "symbol":
-                channel = SinrChannel(
-                    sinr_fn, signal_power=code.info.signal_power, adc_bits=config.adc_bits
-                )
-            else:
-                channel = SinrBitChannel(sinr_fn)
-            link = RatelessLink(
-                CodecSession(
-                    code, channel, termination="genie", max_symbols=config.max_symbols
-                )
+        x0, y0 = self.mobility.position(user, 0)
+        snr0 = self.geometry.snr_db(x0, y0, self.serving[user])
+        code = network_code(config, user, snr0)
+        if code.info.domain == "symbol":
+            channel = SinrChannel(
+                sinr_fn, signal_power=code.info.signal_power, adc_bits=config.adc_bits
             )
-            payloads = network_payloads(config, user, code.info.payload_bits)
-        return CellUser(
-            link=link,
-            payloads=payloads,
-            csi=csi,
-            uid=user,
+        else:
+            channel = SinrBitChannel(sinr_fn)
+        return RatelessLink(
+            CodecSession(code, channel, termination="genie", max_symbols=config.max_symbols)
         )
 
     # -- live radio state ----------------------------------------------------

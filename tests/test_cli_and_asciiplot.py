@@ -200,6 +200,13 @@ class TestMainEndToEnd:
             (["bsc", "-0.1"], "crossover probability must be in [0, 1]"),
             (["transport", "--beam-width", "0"], "--beam-width must be at least 1"),
             (["report", "/nonexistent.json"], "cannot read /nonexistent.json"),
+            (["rate", "nan", "--trials", "2"], "SNR must be a number of dB, got nan"),
+            (["rate", "10", "--k", "0"], "k must be in [1, 16], got 0"),
+            (["rate", "10", "--c", "0"], "c must be in [2, 16], got 0"),
+            (["bsc", "0.1", "--k", "0"], "k must be in [1, 16], got 0"),
+            (["transport", "--snr", "nan"], "--snr must be a number of dB, got nan"),
+            (["transport", "--snr-step", "nan"], "--snr-step must be a number of dB"),
+            (["serve-soak", "--snr", "nan"], "--snr must be a number of dB, got nan"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):
@@ -395,6 +402,12 @@ class TestServeSoakCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("repro serve-soak: error: ")
+
+    def test_infinite_snr_is_the_noiseless_limit(self):
+        import json as _json
+
+        summary = _json.loads(main(["serve-soak", "--snr", "inf", "--smoke", "--json"]))
+        assert summary["delivered"] == summary["n_sessions"] > 0
 
 
 class TestCitySoakCommand:

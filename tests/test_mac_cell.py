@@ -96,6 +96,20 @@ class TestSingleUserEquivalence:
         b = packet_rng(13, 2, 5).integers(1 << 30, size=4)
         assert np.array_equal(a, b)
 
+    def test_cell_packets_carry_their_cell_packet_rng(self):
+        users = [
+            _rateless_user(10.0, _payloads(3), uid=4),
+            _rateless_user(10.0, _payloads(2), uid=9),
+        ]
+        cell = MacCell(users, "round-robin", seed=13)
+        assert [(p.user, p.index) for p in cell.packets] == [
+            (4, 0), (4, 1), (4, 2), (9, 0), (9, 1)
+        ]
+        for packet in cell.packets:
+            reference = cell_packet_rng(13, packet.user, packet.index)
+            stream = np.random.default_rng(packet.seed)
+            assert stream.bit_generator.state == reference.bit_generator.state
+
 
 class TestDeterminism:
     def _cell(self, seed, scheduler="proportional-fair"):

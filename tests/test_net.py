@@ -24,6 +24,7 @@ import random
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.channels.awgn import AWGNChannel
 from repro.channels.traces import random_walk_trace
@@ -54,7 +55,7 @@ from repro.phy.families import (
 )
 from repro.phy.session import CodecSession
 from repro.utils.bitops import random_message_bits
-from repro.utils.rng import spawn_rng
+from repro.utils.rng import spawn_rng, spawn_rngs
 from repro.utils.units import db_to_linear, linear_to_db
 
 
@@ -299,11 +300,15 @@ class TestMobilityModel:
             def __getattr__(self, name):
                 return getattr(self._stream, name)
 
-        def counting_spawn(seed, *labels):
-            stream = spawn_rng(seed, *labels)
-            return CountingStream(stream) if labels[0] == "net-walk" else stream
+        def counting_spawn(seed, label_rows):
+            label_rows = list(label_rows)
+            streams = spawn_rngs(seed, label_rows)
+            return (
+                CountingStream(stream) if labels[0] == "net-walk" else stream
+                for labels, stream in zip(label_rows, streams)
+            )
 
-        monkeypatch.setattr(mobility, "spawn_rng", counting_spawn)
+        monkeypatch.setattr(mobility, "spawn_rngs", counting_spawn)
         config = NetworkConfig(
             n_cells=9,
             n_users=60,
@@ -653,8 +658,8 @@ class TestDegeneration:
                         )
                     ),
                     payloads=network_payloads(
-                        config, user, code.info.payload_bits
-                    ),
+                        config, {user: code.info.payload_bits}
+                    )[user],
                 )
             )
         reference = MacCell(users, make_scheduler(scheduler), seed=config.seed).run()
@@ -885,13 +890,14 @@ class TestInterference:
         import repro.net.network as network_module
 
         drawn = []
-        real_spawn_rng = network_module.spawn_rng
+        real_spawn_rngs = network_module.spawn_rngs
 
-        def counting_spawn_rng(seed, *labels):
-            drawn.append(labels[0])
-            return real_spawn_rng(seed, *labels)
+        def counting_spawn_rngs(seed, label_rows):
+            label_rows = list(label_rows)
+            drawn.extend(labels[0] for labels in label_rows)
+            return real_spawn_rngs(seed, label_rows)
 
-        monkeypatch.setattr(network_module, "spawn_rng", counting_spawn_rng)
+        monkeypatch.setattr(network_module, "spawn_rngs", counting_spawn_rngs)
         config = NetworkConfig(n_cells=4, n_users=5, packets_per_user=3, model=_model())
         CellNetwork(dataclasses.replace(config, tier="exact"))
         assert drawn.count("net-payload") == config.n_users * config.packets_per_user
@@ -901,6 +907,32 @@ class TestInterference:
         payloads = [packet.payload for cell in network.cells for packet in cell.packets]
         assert len(payloads) == config.n_users * config.packets_per_user
         assert all(p.size == 0 and not p.flags.writeable for p in payloads)
+
+    def test_flow_city_derives_every_stream_in_bulk(self, monkeypatch):
+        # spawn_rng hands np.random.default_rng an integer seed, which numpy
+        # hashes itself; the batched streams hand it finished seed sequences.
+        scalar = []
+        real_default_rng = np.random.default_rng
+
+        def counting_default_rng(seed=None):
+            if not isinstance(seed, ISeedSequence):
+                scalar.append(seed)
+            return real_default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        config = NetworkConfig(
+            n_cells=4,
+            n_users=12,
+            packets_per_user=2,
+            tier="flow",
+            epoch_symbols=16,
+            mobility_step=60.0,
+            model=_model(),
+        )
+        network = CellNetwork(config)
+        result = network.run()
+        assert network.epoch >= 2 and len(result.packets) == 24
+        assert scalar == []
 
 
 class TestSharding:
