@@ -2,12 +2,11 @@
 
 Environment variables control the fidelity/runtime trade-off:
 
-* ``REPRO_BENCH_TRIALS`` — Monte-Carlo trials per spinal operating point
-  (default 30; EXPERIMENTS.md numbers use the default).
-* ``REPRO_BENCH_LDPC_FRAMES`` — frames per LDPC (SNR, config) point
-  (default 40).
-* ``REPRO_BENCH_WORKERS`` — worker processes for the parallel trial runner
-  (default 2; per-trial seeding keeps results identical for any count).
+* ``REPRO_BENCH_TRIALS`` — Monte-Carlo trials per grid cell of the
+  registry-sweep benchmarks (each benchmark passes its own default).
+* ``REPRO_BENCH_WORKERS`` — worker processes for the registry-sweep
+  benchmarks (default 2; per-trial seeding keeps results identical for any
+  count).
 * ``REPRO_BENCH_SMOKE`` — set to ``1`` for a fast CI smoke run: every knob
   above collapses to its minimum useful value.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["bench_trials", "bench_ldpc_frames", "bench_workers", "bench_smoke"]
+__all__ = ["bench_trials", "bench_workers", "bench_smoke"]
 
 
 def bench_smoke() -> bool:
@@ -25,21 +24,14 @@ def bench_smoke() -> bool:
 
 
 def bench_trials(default: int = 30) -> int:
-    """Number of Monte-Carlo trials per spinal measurement point."""
+    """Number of Monte-Carlo trials per grid cell."""
     if bench_smoke():
         default = min(default, 3)
     return int(os.environ.get("REPRO_BENCH_TRIALS", default))
 
 
-def bench_ldpc_frames(default: int = 40) -> int:
-    """Number of frames per LDPC Monte-Carlo point."""
-    if bench_smoke():
-        default = min(default, 5)
-    return int(os.environ.get("REPRO_BENCH_LDPC_FRAMES", default))
-
-
 def bench_workers(default: int = 2) -> int:
-    """Worker processes for parallel-runner benchmarks."""
+    """Worker processes for registry-sweep benchmarks."""
     if bench_smoke():
         default = min(default, 2)
     return int(os.environ.get("REPRO_BENCH_WORKERS", default))

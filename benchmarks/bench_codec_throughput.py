@@ -10,7 +10,6 @@ most useful for performance-regression tracking):
 * a full rateless trial with the from-scratch versus the stateful
   vectorized decoding engine (the engine must show a >= 3x reduction in
   tree-node evaluations at the Figure-2 low-SNR operating point);
-* the process-parallel Monte-Carlo runner (``n_workers`` fan-out);
 * one LDPC belief-propagation decode (rate 1/2, 40 iterations).
 """
 
@@ -18,13 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from _bench_utils import bench_trials, bench_workers
 from repro.channels.awgn import AWGNChannel
 from repro.core.decoder_bubble import BubbleDecoder
 from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.params import SpinalParams
-from repro.experiments.runner import SpinalRunConfig, run_spinal_point
+from repro.experiments.runner import SpinalRunConfig
 from repro.phy.session import CodecSession
 from repro.phy.spinal import SpinalCode
 from repro.ldpc import BeliefPropagationDecoder, make_wifi_like_code
@@ -113,24 +111,6 @@ def test_stateful_engine_rateless_trial(benchmark, reporter):
         f"Figure-2 config at -5 dB SNR, sequential receiver, {attempts} decode "
         f"attempts over 4 trials: {fresh_candidates} tree nodes from scratch vs "
         f"{candidates} with the vectorized engine ({reduction:.1f}x reduction)",
-    )
-
-
-def test_parallel_trial_runner(benchmark, reporter):
-    """Trial-level fan-out over worker processes (identical results)."""
-    n_workers = bench_workers()
-    config = SpinalRunConfig(
-        n_trials=max(4, bench_trials(8)), search="sequential", n_workers=n_workers
-    )
-    serial = run_spinal_point(config.with_(n_workers=1), 5.0)
-    parallel = benchmark(run_spinal_point, config, 5.0)
-    assert parallel.rates == serial.rates
-    assert parallel.symbols_sent == serial.symbols_sent
-    reporter.add(
-        "Codec throughput (E14) — parallel Monte-Carlo runner",
-        f"{config.n_trials} rateless trials at 5 dB fanned over "
-        f"{n_workers} worker processes; results identical to the serial run "
-        "(see pytest-benchmark table for timing)",
     )
 
 

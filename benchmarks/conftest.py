@@ -1,16 +1,17 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark module regenerates one of the paper's figures/claims (see the
-experiment index in DESIGN.md) and reports the corresponding table through
-the session-scoped ``reporter`` fixture.  Tables are printed to stdout (visible
-with ``pytest benchmarks/ --benchmark-only -s``) **and** written to
-``benchmark_tables.txt`` at the repository root, so a plain
-``pytest benchmarks/ --benchmark-only`` run still leaves the regenerated
-figure data on disk; EXPERIMENTS.md records the numbers from such a run.
+Every benchmark module times one layer of the stack (codec kernels,
+sessions, registry sweeps, the MAC cell, the serve reactor, city networks,
+network coding) and reports a summary table through the session-scoped
+``reporter`` fixture.  Tables are printed to stdout (visible with
+``pytest benchmarks/bench_<name>.py --benchmark-only -s``) **and** written to
+``benchmark_tables.txt`` at the repository root.  The paper's figures and
+claims are registry experiments, regenerated with ``repro run`` (README,
+"Unified experiment registry" and "Experiments catalog").
 
-The pytest-benchmark fixture wraps the computational kernel of each
-experiment, so the harness doubles as a performance regression test.
-Fidelity knobs (environment variables) are documented in ``_bench_utils.py``.
+The pytest-benchmark fixture wraps each benchmark's computational kernel,
+so the harness doubles as a performance regression test.  Fidelity knobs
+(environment variables) are documented in ``_bench_utils.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class _Reporter:
         self.output_path = output_path
         self.output_path.write_text(
             "Tables regenerated by `pytest benchmarks/ --benchmark-only`\n"
-            "(one section per paper figure/claim; see DESIGN.md experiment index)\n"
+            "(one section per benchmark table)\n"
         )
 
     def add(self, title: str, table: str) -> None:

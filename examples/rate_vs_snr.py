@@ -2,8 +2,9 @@
 """A miniature Figure 2: spinal rate vs SNR against the bounds and one LDPC point.
 
 The full figure (26 SNR points, 8 LDPC configurations, many trials) is
-regenerated by the benchmark harness; this example produces a coarse version
-in well under a minute so you can see the shape immediately:
+``repro run figure2`` plus ``repro figure2 --with-ldpc``; this example runs
+the same registry experiments on a coarse grid in well under a minute so you
+can see the shape immediately:
 
 * the spinal code tracks the Shannon bound across a 40 dB SNR range with a
   single configuration and no channel-state feedback;
@@ -15,43 +16,38 @@ Run with:  python examples/rate_vs_snr.py
 
 from __future__ import annotations
 
-from repro.baselines import FixedRateLdpcSystem, LdpcConfig
-from repro.experiments.runner import SpinalRunConfig, run_spinal_curve
-from repro.theory import awgn_capacity_db, ppv_fixed_block_bound_db
+from repro.experiments import get, run_experiment
 from repro.utils.results import render_table
-from repro.utils.rng import spawn_rng
-from fractions import Fraction
 
 
 def main() -> None:
-    snr_grid = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+    snr_grid = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
     print("Measuring spinal code (m=24, k=8, c=10, B=16) ...")
-    spinal = run_spinal_curve(SpinalRunConfig(n_trials=15), snr_grid)
+    figure2 = run_experiment(get("figure2"), overrides={"snr_db": snr_grid}, n_trials=15)
 
     print("Measuring LDPC rate-1/2 QAM-16 baseline ...")
-    ldpc_config = LdpcConfig(Fraction(1, 2), "QAM-16")
-    ldpc = FixedRateLdpcSystem(ldpc_config)
-    ldpc_rates = []
-    for snr_db in snr_grid:
-        rng = spawn_rng(7, "example-ldpc", snr_db)
-        ldpc_rates.append(ldpc.achieved_rate(snr_db, n_frames=20, rng=rng))
+    ldpc = run_experiment(
+        get("ldpc-rate"),
+        overrides={"snr_db": snr_grid, "rate": "1/2", "modulation": "QAM-16", "frames": 20},
+    )
 
-    rows = []
-    for i, snr_db in enumerate(snr_grid):
-        rows.append(
-            (
-                snr_db,
-                awgn_capacity_db(snr_db),
-                ppv_fixed_block_bound_db(snr_db),
-                spinal.points[i].mean_rate,
-                ldpc_rates[i],
-            )
+    rows = [
+        (
+            params["snr_db"],
+            spinal["aggregate"]["shannon"],
+            spinal["aggregate"]["fixed_block"],
+            spinal["aggregate"]["rate"],
+            baseline["aggregate"]["achieved_rate"],
         )
+        for (_key, params, spinal), (_, _, baseline) in zip(
+            figure2.successful_cells(), ldpc.successful_cells()
+        )
+    ]
     print()
     print(
         render_table(
-            ["SNR(dB)", "Shannon", "fixed-block bound", "Spinal m=24", ldpc_config.label],
+            ["SNR(dB)", "Shannon", "fixed-block bound", "Spinal m=24", "LDPC rate 1/2 QAM-16"],
             rows,
         )
     )

@@ -35,8 +35,9 @@ transports, relays and cells) via ``repro.phy``::
     lt = make_codec_session("lt", snr_db=10.0)
     trial = lt.run(rng.integers(0, 2, size=lt.payload_bits, dtype=np.uint8), rng)
 
-See DESIGN.md for the complete system inventory and EXPERIMENTS.md for the
-paper-versus-measured comparison of every figure.
+The README's "Layout" section is the system inventory and its "Experiments
+catalog" lists every registered experiment; ``repro run <name>`` regenerates
+any figure or claim of the paper.
 """
 
 from repro.channels import (

@@ -14,16 +14,19 @@ The registry commands work for *every* experiment in
   ``--plot`` for an ASCII chart) of a persisted run file without
   recomputing anything; failed cells render as footnoted rows either way.
 
-The historical commands remain as thin back-compat aliases over the same
-registry:
+Five aliases are argument spellings over the same registry: each turns its
+flags into overrides, rejects bad input before the first cell, and calls
+``run_experiment``:
 
-* ``rate``      — measure the spinal rate at one or more AWGN SNRs;
-* ``bsc``       — measure the bit-mode spinal rate at one or more crossover
-  probabilities;
-* ``figure2``   — regenerate a coarse Figure 2 (spinal + bounds, optional LDPC);
-* ``ldpc``      — measure one fixed-rate LDPC configuration across SNRs;
-* ``transport`` — simulate the sliding-window ARQ transport and report
-  measured goodput over the protocol grid.
+* ``rate``      — ``rate``: the spinal rate at one or more AWGN SNRs;
+* ``bsc``       — ``bsc``: the bit-mode spinal rate at one or more
+  crossover probabilities;
+* ``figure2``   — ``figure2``: a coarse Figure 2 (spinal + bounds, plus one
+  ``ldpc-rate`` run per LDPC baseline with ``--with-ldpc``);
+* ``ldpc``      — ``ldpc-rate``: one fixed-rate LDPC configuration across
+  SNRs;
+* ``transport`` — ``transport``: measured goodput of the sliding-window ARQ
+  transport over the protocol grid.
 
 ``serve-soak`` drives the async session service (``repro.serve``): N
 concurrent spinal sessions through one event loop with batched decoding and
@@ -64,10 +67,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from fractions import Fraction
 from typing import NoReturn
 
+import numpy as np
+
+from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS
 from repro.experiments import registry
-from repro.experiments.figure2 import figure2_table
+from repro.experiments.metrics import crossover_snr
 from repro.experiments.registry import (
     RunOutcome,
     render_run,
@@ -76,12 +83,10 @@ from repro.experiments.registry import (
     resolve_run,
     run_experiment,
 )
-from repro.experiments.transport_sweep import (
-    TransportSweepConfig,
-    run_transport_sweep,
-    transport_sweep_table,
-)
+from repro.experiments.transport_sweep import TransportSweepConfig
 from repro.core.params import SpinalParams
+from repro.ldpc.construction import WIFI_LIKE_RATES
+from repro.link.transport import TransportConfig
 from repro.utils.asciiplot import ascii_plot
 from repro.utils.results import render_table
 from repro.utils.store import RunStore, read_run
@@ -679,7 +684,7 @@ def _command_report(args: argparse.Namespace) -> str:
     return text
 
 
-# -- back-compat aliases ------------------------------------------------------
+# -- aliases -----------------------------------------------------------------
 
 
 def _check_code_args(args: argparse.Namespace, bit_mode: bool = False) -> None:
@@ -700,7 +705,12 @@ def _check_snr(option: str, snr_db: float) -> None:
         raise ValueError(f"{option} must be a number of dB, got nan")
 
 
-def _spinal_overrides_from_args(args: argparse.Namespace, bit_mode: bool) -> dict:
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
+
+
+def _code_overrides_from_args(args: argparse.Namespace, bit_mode: bool) -> dict:
     overrides = {
         "payload_bits": args.payload_bits,
         "k": args.k,
@@ -718,8 +728,7 @@ def _run_checked(
     """Run registry experiment ``command`` after rejecting bad input up front."""
     experiment = registry.get(command)
     try:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        _check_workers(args.workers)
         _check_code_args(args, bit_mode="c" not in overrides)
         for snr_db in overrides.get("snr_db", ()):
             _check_snr("SNR", snr_db)
@@ -742,7 +751,7 @@ def _command_rate(args: argparse.Namespace) -> str:
     outcome = _run_checked(
         "rate",
         {
-            **_spinal_overrides_from_args(args, bit_mode=False),
+            **_code_overrides_from_args(args, bit_mode=False),
             "snr_db": tuple(float(s) for s in args.snrs),
         },
         args,
@@ -767,7 +776,7 @@ def _command_bsc(args: argparse.Namespace) -> str:
     outcome = _run_checked(
         "bsc",
         {
-            **_spinal_overrides_from_args(args, bit_mode=True),
+            **_code_overrides_from_args(args, bit_mode=True),
             "p": tuple(float(p) for p in args.crossovers),
         },
         args,
@@ -789,8 +798,6 @@ def _command_bsc(args: argparse.Namespace) -> str:
 
 
 def _command_figure2(args: argparse.Namespace) -> str:
-    from repro.experiments.runner import SpinalRunConfig
-
     try:
         if not args.snr_step > 0:
             raise ValueError(f"--snr-step must be positive, got {args.snr_step}")
@@ -802,7 +809,7 @@ def _command_figure2(args: argparse.Namespace) -> str:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
         if args.ldpc_frames < 1:
             raise ValueError(f"--ldpc-frames must be at least 1, got {args.ldpc_frames}")
-        config = SpinalRunConfig(n_trials=args.trials, n_workers=args.workers)
+        _check_workers(args.workers)
     except ValueError as exc:
         _usage_error("figure2", exc)
     snrs = []
@@ -810,23 +817,40 @@ def _command_figure2(args: argparse.Namespace) -> str:
     while snr <= args.snr_max + 1e-9:
         snrs.append(round(snr, 6))
         snr += args.snr_step
-    data = figure2_table(
-        snr_values_db=snrs,
-        spinal_config=config,
-        include_ldpc=args.with_ldpc,
-        ldpc_frames=args.ldpc_frames,
-    )
-    output = data.as_table()
-    crossover = data.spinal_beats_fixed_block_until_db()
+    cells = run_experiment(
+        registry.get("figure2"),
+        overrides={"snr_db": tuple(snrs)},
+        n_trials=args.trials,
+        n_workers=args.workers,
+    ).successful_cells()
+    shannon = [cell["aggregate"]["shannon"] for _key, _params, cell in cells]
+    fixed_block = [cell["aggregate"]["fixed_block"] for _key, _params, cell in cells]
+    spinal = [cell["aggregate"]["rate"] for _key, _params, cell in cells]
+    columns = {"Shannon": shannon, "FixedBlk": fixed_block, "Spinal": spinal}
+    if args.with_ldpc:
+        for config in FIGURE2_LDPC_CONFIGS:
+            outcome = run_experiment(
+                registry.get("ldpc-rate"),
+                overrides={
+                    "snr_db": tuple(snrs),
+                    "rate": str(config.code_rate),
+                    "modulation": config.modulation,
+                    "frames": args.ldpc_frames,
+                },
+                n_workers=args.workers,
+            )
+            columns[config.label] = [
+                cell["aggregate"]["achieved_rate"]
+                for _key, _params, cell in outcome.successful_cells()
+            ]
+    output = render_table(["SNR(dB)", *columns], zip(snrs, *columns.values()))
+    crossover = crossover_snr(np.array(snrs), np.array(spinal), np.array(fixed_block))
     if crossover is not None:
         output += f"\nspinal beats the n=24 fixed-block bound up to {crossover:.1f} dB"
     if args.plot:
         output += "\n\n" + ascii_plot(
             snrs,
-            {
-                "Shannon": data.shannon.mean_rates(),
-                "spinal": data.spinal.mean_rates(),
-            },
+            {"Shannon": shannon, "spinal": spinal},
             x_label="SNR (dB)",
             y_label="bits/symbol",
         )
@@ -841,43 +865,43 @@ def _command_transport(args: argparse.Namespace) -> str:
         _check_code_args(args)
         _check_snr("--snr", args.snr)
         _check_snr("--snr-step", args.snr_step)
-        config = TransportSweepConfig(
-            payload_bits=args.payload_bits,
-            params=SpinalParams(k=args.k, c=args.c),
-            beam_width=args.beam_width,
-            snr_db=args.snr,
-            snr_step_db=args.snr_step,
+        _check_workers(args.workers)
+        TransportSweepConfig(  # validates the grid before the first cell
             n_packets=args.packets,
-            protocols=protocols,
             windows=tuple(args.window),
             ack_delays=tuple(args.ack_delay),
             hop_counts=tuple(args.hops),
-            ack_loss=args.ack_loss,
             max_symbols=args.max_symbols,
-            seed=args.seed,
-            n_workers=args.workers,
         )
+        TransportConfig(ack_loss=args.ack_loss)
     except ValueError as exc:
         _usage_error("transport", exc)
-    rows = run_transport_sweep(config)
-    output = transport_sweep_table(rows)
-    if args.plot and len(config.windows) >= 2:
-        # Goodput vs window size, one curve per protocol, at the first
-        # (hops, ack delay) grid point — the sweep's headline trade-off.
-        hops0, delay0 = config.hop_counts[0], config.ack_delays[0]
-        curves = {}
-        for protocol in protocols:
-            curves[protocol] = [
-                row.goodput
-                for row in rows
-                if row.hops == hops0 and row.protocol == protocol and row.ack_delay == delay0
-            ]
-        output += "\n\n" + ascii_plot(
-            list(config.windows),
-            curves,
-            x_label=f"window size (hops={hops0}, ack delay={delay0})",
-            y_label="goodput",
-        )
+    experiment = registry.get("transport")
+    outcome = run_experiment(
+        experiment,
+        overrides={
+            "hops": tuple(args.hops),
+            "protocol": protocols,
+            "window": tuple(args.window),
+            "ack_delay": tuple(args.ack_delay),
+            "payload_bits": args.payload_bits,
+            "k": args.k,
+            "c": args.c,
+            "beam_width": args.beam_width,
+            "snr_db": args.snr,
+            "snr_step_db": args.snr_step,
+            "n_packets": args.packets,
+            "ack_loss": args.ack_loss,
+            "max_symbols": args.max_symbols,
+        },
+        seed=args.seed,
+        n_workers=args.workers,
+    )
+    output = outcome.table()
+    if args.plot:
+        chart = render_run_plot(experiment, outcome.record)
+        if chart:
+            output += "\n\n" + chart
     return output
 
 
@@ -1080,6 +1104,26 @@ def _command_mesh(args: argparse.Namespace) -> str:
 
 
 def _command_ldpc(args: argparse.Namespace) -> str:
+    try:
+        for snr_db in args.snrs:
+            # LDPC LLRs need a positive noise energy: no noiseless limit here.
+            if not math.isfinite(snr_db):
+                raise ValueError(f"SNR must be a finite number of dB, got {snr_db}")
+        try:
+            rate = Fraction(args.rate).limit_denominator(12)
+        except (ValueError, ZeroDivisionError):
+            rate = None
+        if rate not in WIFI_LIKE_RATES:
+            raise ValueError(
+                f"--rate must be one of {', '.join(str(r) for r in WIFI_LIKE_RATES)}, "
+                f"got {args.rate}"
+            )
+        if args.frames < 1:
+            raise ValueError(f"--frames must be at least 1, got {args.frames}")
+        if args.iterations < 1:
+            raise ValueError(f"--iterations must be at least 1, got {args.iterations}")
+    except ValueError as exc:
+        _usage_error("ldpc", exc)
     outcome = run_experiment(
         registry.get("ldpc-rate"),
         overrides={

@@ -11,7 +11,7 @@ declarative table/plot rendering.  ``repro list`` enumerates them,
 ``repro run <name>`` executes them, ``repro report <run.json>`` re-renders
 persisted runs.
 
-Module index (legacy wrapper functions kept for scripting):
+Module index:
 
 * :mod:`repro.experiments.runner` — shared Monte-Carlo machinery plus the
   ``rate``/``bsc`` experiments;
@@ -32,8 +32,8 @@ Module index (legacy wrapper functions kept for scripting):
 * :mod:`repro.experiments.transport_sweep` — ``transport`` (measured
   ARQ/relay goodput).
 
-The benchmark modules under ``benchmarks/`` are thin wrappers that call into
-this package and print the resulting tables.
+There is no second Python API: scripts run an experiment with
+``run_experiment(get(name), overrides=...)`` and read the outcome's cells.
 """
 
 from repro.experiments.registry import (
@@ -49,18 +49,9 @@ from repro.experiments.registry import (
 from repro.experiments.runner import (
     SpinalRunConfig,
     make_puncturing,
-    run_spinal_bsc_curve,
-    run_spinal_bsc_point,
-    run_spinal_curve,
-    run_spinal_point,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.experiments.transport_sweep import (
-    TransportSweepConfig,
-    TransportSweepRow,
-    run_transport_sweep,
-    transport_sweep_table,
-)
+from repro.experiments.transport_sweep import TransportSweepConfig
 
 __all__ = [
     "Experiment",
@@ -77,12 +68,5 @@ __all__ = [
     "run_experiment",
     "SpinalRunConfig",
     "make_puncturing",
-    "run_spinal_point",
-    "run_spinal_curve",
-    "run_spinal_bsc_point",
-    "run_spinal_bsc_curve",
     "TransportSweepConfig",
-    "TransportSweepRow",
-    "run_transport_sweep",
-    "transport_sweep_table",
 ]

@@ -7,34 +7,22 @@ experiment repeats the rate-vs-SNR measurement for several message lengths
 and reports each length's rate together with the corresponding
 finite-blocklength bound.
 
-Registered as ``blocklength``; ``blocklength_experiment`` is a thin wrapper
-over the registry engine that adapts cells to the historical rows.
+Registered as ``blocklength`` (``repro run blocklength``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
-    require_engine_compatible,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
 from repro.theory.finite_blocklength import ppv_fixed_block_bound_db
-from repro.utils.results import render_table
 
-__all__ = [
-    "BlocklengthRow",
-    "blocklength_experiment",
-    "blocklength_table",
-    "BLOCKLENGTH_EXPERIMENT",
-]
+__all__ = ["BLOCKLENGTH_EXPERIMENT"]
 
 DEFAULT_MESSAGE_LENGTHS = (16, 24, 48, 96)
 
@@ -100,67 +88,3 @@ BLOCKLENGTH_EXPERIMENT = register(
         ),
     )
 )
-
-
-@dataclass(frozen=True)
-class BlocklengthRow:
-    """One (message length, SNR) measurement."""
-
-    payload_bits: int
-    snr_db: float
-    mean_rate: float
-    capacity: float
-    fixed_block_bound: float
-
-    @property
-    def beats_fixed_block_bound(self) -> bool:
-        return self.mean_rate > self.fixed_block_bound
-
-
-def blocklength_experiment(
-    payload_lengths=DEFAULT_MESSAGE_LENGTHS,
-    snr_values_db=(0.0, 10.0, 20.0),
-    base_config: SpinalRunConfig | None = None,
-) -> list[BlocklengthRow]:
-    """Measure the spinal rate for several message lengths."""
-    if base_config is None:
-        base_config = SpinalRunConfig(n_trials=25)
-    require_engine_compatible(base_config)
-    overrides = spinal_overrides(base_config)
-    overrides.pop("payload_bits")
-    overrides["payload_bits"] = tuple(int(m) for m in payload_lengths)
-    overrides["snr_db"] = tuple(float(s) for s in snr_values_db)
-    outcome = run_experiment(
-        BLOCKLENGTH_EXPERIMENT,
-        overrides=overrides,
-        n_trials=base_config.n_trials,
-        seed=base_config.seed,
-        n_workers=base_config.n_workers,
-    )
-    return [
-        BlocklengthRow(
-            payload_bits=int(params["payload_bits"]),
-            snr_db=float(params["snr_db"]),
-            mean_rate=cell["aggregate"]["rate"],
-            capacity=cell["aggregate"]["capacity"],
-            fixed_block_bound=cell["aggregate"]["ppv_bound"],
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def blocklength_table(rows: list[BlocklengthRow]) -> str:
-    return render_table(
-        ["m (bits)", "SNR(dB)", "mean rate", "capacity", "PPV bound(m)", "beats bound"],
-        [
-            (
-                row.payload_bits,
-                row.snr_db,
-                row.mean_rate,
-                row.capacity,
-                row.fixed_block_bound,
-                row.beats_fixed_block_bound,
-            )
-            for row in rows
-        ],
-    )

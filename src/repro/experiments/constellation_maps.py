@@ -7,35 +7,21 @@ ablation measures the achieved rate of the three implemented maps — the
 paper's sign/magnitude linear map, the offset-linear (uniform PAM) map, and
 the truncated-Gaussian map — across SNR.
 
-Registered as ``constellation-maps``; ``constellation_experiment`` is a
-thin wrapper over the registry engine that adapts cells to the historical
-rows.
+Registered as ``constellation-maps`` (``repro run constellation-maps``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
-    require_engine_compatible,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.theory.capacity import awgn_capacity_db
-from repro.utils.results import render_table
 
-__all__ = [
-    "ConstellationRow",
-    "constellation_experiment",
-    "constellation_table",
-    "CONSTELLATION_EXPERIMENT",
-]
+__all__ = ["CONSTELLATION_EXPERIMENT"]
 
 DEFAULT_MAPS = ("linear", "offset-linear", "truncated-gaussian")
 
@@ -90,58 +76,3 @@ CONSTELLATION_EXPERIMENT = register(
         ),
     )
 )
-
-
-@dataclass(frozen=True)
-class ConstellationRow:
-    """One (constellation, SNR) measurement."""
-
-    constellation: str
-    snr_db: float
-    mean_rate: float
-    fraction_of_capacity: float
-
-
-def constellation_experiment(
-    constellation_kinds=DEFAULT_MAPS,
-    snr_values_db=(0.0, 10.0, 20.0),
-    base_config: SpinalRunConfig | None = None,
-) -> list[ConstellationRow]:
-    """Measure every implemented mapping function at several SNRs."""
-    if base_config is None:
-        base_config = SpinalRunConfig(n_trials=25)
-    require_engine_compatible(base_config)
-    overrides = spinal_overrides(base_config)
-    overrides.pop("constellation")
-    overrides["constellation"] = tuple(str(c) for c in constellation_kinds)
-    overrides["snr_db"] = tuple(float(s) for s in snr_values_db)
-    outcome = run_experiment(
-        CONSTELLATION_EXPERIMENT,
-        overrides=overrides,
-        n_trials=base_config.n_trials,
-        seed=base_config.seed,
-        n_workers=base_config.n_workers,
-    )
-    return [
-        ConstellationRow(
-            constellation=str(params["constellation"]),
-            snr_db=float(params["snr_db"]),
-            mean_rate=cell["aggregate"]["rate"],
-            fraction_of_capacity=cell["aggregate"]["fraction_of_capacity"],
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def constellation_table(rows: list[ConstellationRow]) -> str:
-    """Pivot into one column per mapping function."""
-    kinds = list(dict.fromkeys(row.constellation for row in rows))
-    snrs = sorted({row.snr_db for row in rows})
-    lookup = {(row.constellation, row.snr_db): row.mean_rate for row in rows}
-    headers = ["SNR(dB)", "capacity"] + list(kinds)
-    table_rows = []
-    for snr_db in snrs:
-        row = [snr_db, awgn_capacity_db(snr_db)]
-        row.extend(lookup.get((kind, snr_db), float("nan")) for kind in kinds)
-        table_rows.append(row)
-    return render_table(headers, table_rows)

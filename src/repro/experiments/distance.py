@@ -13,30 +13,23 @@ properties linear codes lack:
 These are analytical/statistical experiments (no channel), so they run fast
 and double as strong correctness tests of the hash layer.
 
-Registered as ``distance`` (a single-cell experiment — no swept axes);
-``distance_experiment`` is a thin wrapper over the registry engine that
-rebuilds the historical :class:`DistanceProfile` from the persisted cell.
+Registered as ``distance``, a single-cell experiment with no swept axes
+(``repro run distance``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.encoder import SpinalEncoder
 from repro.core.hashing import avalanche_score
 from repro.core.params import SpinalParams
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.spec import Column, SweepSpec
 from repro.utils.bitops import random_message_bits
-from repro.utils.results import render_table
 from repro.utils.rng import spawn_rng
 
 __all__ = [
-    "DistanceProfile",
-    "distance_experiment",
-    "distance_table",
     "codeword_distance",
     "DISTANCE_EXPERIMENT",
 ]
@@ -121,81 +114,3 @@ DISTANCE_EXPERIMENT = register(
         smoke={"n_samples": 20, "n_message_bits": 16, "k": 4},
     )
 )
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Summary statistics of the codeword-distance experiment."""
-
-    n_message_bits: int
-    n_passes: int
-    one_bit_flip_distances: np.ndarray
-    random_pair_distances: np.ndarray
-    avalanche: float
-
-    @property
-    def min_one_bit_distance(self) -> float:
-        return float(self.one_bit_flip_distances.min())
-
-    @property
-    def mean_one_bit_distance(self) -> float:
-        return float(self.one_bit_flip_distances.mean())
-
-    @property
-    def mean_random_distance(self) -> float:
-        return float(self.random_pair_distances.mean())
-
-    @property
-    def distance_ratio(self) -> float:
-        """Mean 1-bit-flip distance relative to the mean random-pair distance.
-
-        For a *linear* code with a sparse generator this ratio is far below 1
-        (a single message bit touches few coded symbols); for the hashed
-        spinal construction it should be close to 1 — flipping one bit makes
-        the downstream coded sequence look like a fresh random sequence.
-        """
-        return self.mean_one_bit_distance / self.mean_random_distance
-
-
-def distance_experiment(
-    n_message_bits: int = 32,
-    k: int = 8,
-    c: int = 6,
-    n_passes: int = 2,
-    n_samples: int = 200,
-    seed: int = 20111114,
-) -> DistanceProfile:
-    """Sample codeword distances for 1-bit flips and for random message pairs."""
-    outcome = run_experiment(
-        DISTANCE_EXPERIMENT,
-        overrides={
-            "n_message_bits": int(n_message_bits),
-            "k": int(k),
-            "c": int(c),
-            "n_passes": int(n_passes),
-            "n_samples": int(n_samples),
-        },
-        seed=seed,
-    )
-    (_key, _params, cell), = outcome.successful_cells()
-    trial = cell["trials"][0]
-    return DistanceProfile(
-        n_message_bits=int(n_message_bits),
-        n_passes=int(n_passes),
-        one_bit_flip_distances=np.asarray(trial["one_bit_flip_distances"]),
-        random_pair_distances=np.asarray(trial["random_pair_distances"]),
-        avalanche=trial["avalanche"],
-    )
-
-
-def distance_table(profile: DistanceProfile) -> str:
-    rows = [
-        ("messages (bits)", profile.n_message_bits),
-        ("passes", profile.n_passes),
-        ("mean distance, 1-bit flip", profile.mean_one_bit_distance),
-        ("min distance, 1-bit flip", profile.min_one_bit_distance),
-        ("mean distance, random pair", profile.mean_random_distance),
-        ("flip/random distance ratio", profile.distance_ratio),
-        ("hash avalanche score (ideal 0.5)", profile.avalanche),
-    ]
-    return render_table(["quantity", "value"], rows)

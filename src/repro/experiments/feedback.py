@@ -18,35 +18,24 @@ sees the same trial streams); the cell aggregate prices the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
-    require_engine_compatible,
-    run_spinal_point,
     spinal_config_from_params,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, SweepSpec
 from repro.link.feedback import BlockFeedback, DelayedFeedback, FeedbackModel, PerfectFeedback
 from repro.link.session import simulate_link_session
-from repro.utils.results import render_table
 
 __all__ = [
-    "FeedbackRow",
-    "feedback_experiment",
-    "feedback_table",
-    "default_feedback_models",
     "parse_feedback_model",
     "DEFAULT_MODEL_SPECS",
     "FEEDBACK_EXPERIMENT",
 ]
 
-#: Declarative spellings of :func:`default_feedback_models`, in the same order.
+#: The feedback models the E13 sweep prices, as ``model`` axis spellings.
 DEFAULT_MODEL_SPECS = (
     "perfect",
     "delayed:2",
@@ -55,11 +44,6 @@ DEFAULT_MODEL_SPECS = (
     "block:4x:1",
     "block:16x:2",
 )
-
-
-def default_feedback_models(n_segments: int) -> list[FeedbackModel]:
-    """A representative set of feedback models for the E13 sweep."""
-    return [parse_feedback_model(spec, n_segments) for spec in DEFAULT_MODEL_SPECS]
 
 
 def parse_feedback_model(spec: str, n_segments: int) -> FeedbackModel:
@@ -146,91 +130,3 @@ FEEDBACK_EXPERIMENT = register(
         },
     )
 )
-
-
-@dataclass(frozen=True)
-class FeedbackRow:
-    """Throughput of one feedback model at one SNR."""
-
-    model: str
-    snr_db: float
-    throughput: float
-    ideal_throughput: float
-    efficiency: float
-    mean_symbols_per_packet: float
-
-
-def feedback_experiment(
-    snr_values_db=(5.0, 15.0),
-    config: SpinalRunConfig | None = None,
-    models: list[FeedbackModel] | None = None,
-) -> list[FeedbackRow]:
-    """Apply each feedback model to measured per-packet symbol counts.
-
-    With the default models this routes through the experiment registry;
-    custom :class:`FeedbackModel` objects cannot be spelled as axis values,
-    so that path measures with :func:`run_spinal_point` and prices the
-    models directly (same numbers, no persistence).
-    """
-    if config is None:
-        config = SpinalRunConfig(n_trials=40)
-    if models is not None:
-        rows = []
-        for snr_db in snr_values_db:
-            measurement = run_spinal_point(config, float(snr_db))
-            for model in models:
-                session = simulate_link_session(
-                    measurement.symbols_sent,
-                    payload_bits_per_packet=config.payload_bits,
-                    feedback=model,
-                )
-                rows.append(
-                    FeedbackRow(
-                        model=model.describe(),
-                        snr_db=float(snr_db),
-                        throughput=session.throughput_bits_per_symbol,
-                        ideal_throughput=session.ideal_throughput_bits_per_symbol,
-                        efficiency=session.feedback_efficiency,
-                        mean_symbols_per_packet=session.mean_packet_symbols,
-                    )
-                )
-        return rows
-    require_engine_compatible(config)
-    outcome = run_experiment(
-        FEEDBACK_EXPERIMENT,
-        overrides={
-            **spinal_overrides(config),
-            "snr_db": tuple(float(s) for s in snr_values_db),
-        },
-        n_trials=config.n_trials,
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
-    return [
-        FeedbackRow(
-            model=cell["aggregate"]["model_label"],
-            snr_db=float(params["snr_db"]),
-            throughput=cell["aggregate"]["throughput"],
-            ideal_throughput=cell["aggregate"]["ideal_throughput"],
-            efficiency=cell["aggregate"]["efficiency"],
-            mean_symbols_per_packet=cell["aggregate"]["symbols_per_packet"],
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def feedback_table(rows: list[FeedbackRow]) -> str:
-    return render_table(
-        ["feedback model", "SNR(dB)", "throughput", "ideal", "efficiency", "sym/packet"],
-        [
-            (
-                row.model,
-                row.snr_db,
-                row.throughput,
-                row.ideal_throughput,
-                row.efficiency,
-                row.mean_symbols_per_packet,
-            )
-            for row in rows
-        ],
-    )

@@ -10,46 +10,27 @@ This module regenerates every curve of the paper's only quantitative figure:
 * the eight fixed-rate LDPC configurations (648-bit wifi-like codes over
   BPSK/QAM-4/QAM-16/QAM-64 with 40-iteration BP decoding).
 
-`figure2_table` assembles everything into the text table printed by
-``benchmarks/bench_figure2_*.py`` and consumed by EXPERIMENTS.md.
+The ``figure2`` experiment registered here carries the first four curves
+(``repro run figure2``); each LDPC curve is one ``ldpc-rate`` run over a
+:data:`~repro.baselines.ldpc_system.FIGURE2_LDPC_CONFIGS` entry, which is
+what ``repro figure2 --with-ldpc`` adds (README, "Unified experiment
+registry").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS, FixedRateLdpcSystem, LdpcConfig
-from repro.experiments.metrics import crossover_snr
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
     SPINAL_SMOKE,
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
-    is_engine_compatible,
     rate_cell_aggregate,
-    run_spinal_curve,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.theory.capacity import awgn_capacity_db
 from repro.theory.finite_blocklength import ppv_fixed_block_bound_db
-from repro.utils.results import RateMeasurement, SweepResult, render_table
-from repro.utils.rng import spawn_rng
 
-__all__ = [
-    "DEFAULT_SNR_GRID_DB",
-    "Figure2Data",
-    "shannon_curve",
-    "fixed_block_bound_curve",
-    "spinal_figure2_curve",
-    "ldpc_figure2_curves",
-    "figure2_table",
-    "FIGURE2_EXPERIMENT",
-]
+__all__ = ["DEFAULT_SNR_GRID_DB", "FIGURE2_EXPERIMENT"]
 
 #: SNR grid of the paper's figure: -10 dB to 40 dB.
 DEFAULT_SNR_GRID_DB: tuple[float, ...] = tuple(float(s) for s in range(-10, 42, 2))
@@ -88,163 +69,3 @@ FIGURE2_EXPERIMENT = register(
         plot=PlotSpec(x="snr_db", y="rate", x_label="SNR (dB)", y_label="bits/symbol"),
     )
 )
-
-
-def shannon_curve(snr_values_db) -> SweepResult:
-    """The "Shannon bound" curve of Figure 2."""
-    sweep = SweepResult(name="Shannon bound")
-    for snr_db in snr_values_db:
-        point = RateMeasurement(snr_db=float(snr_db))
-        point.add_trial(awgn_capacity_db(float(snr_db)), symbols=0, ok=True)
-        sweep.add_point(point)
-    return sweep
-
-
-def fixed_block_bound_curve(
-    snr_values_db, block_length: int = 24, error_probability: float = 1e-4
-) -> SweepResult:
-    """The dashed "fixed-block approx. bound (len=24, err.prob=1e-4)" curve."""
-    sweep = SweepResult(
-        name=f"fixed-block bound (len={block_length}, eps={error_probability:g})"
-    )
-    for snr_db in snr_values_db:
-        point = RateMeasurement(snr_db=float(snr_db))
-        point.add_trial(
-            ppv_fixed_block_bound_db(float(snr_db), block_length, error_probability),
-            symbols=0,
-            ok=True,
-        )
-        sweep.add_point(point)
-    return sweep
-
-
-def spinal_figure2_curve(
-    snr_values_db=DEFAULT_SNR_GRID_DB,
-    config: SpinalRunConfig | None = None,
-) -> SweepResult:
-    """The measured spinal curve with the paper's Figure 2 parameters.
-
-    Routed through the experiment registry (cell *and* trial process
-    fan-out, identical numbers to the direct runner); configs using knobs
-    the declarative spec does not carry fall back to
-    :func:`run_spinal_curve`.
-    """
-    if config is None:
-        config = SpinalRunConfig()
-    name = "Spinal m=24 B=16"
-    if not is_engine_compatible(config):
-        return run_spinal_curve(config, snr_values_db, name=name)
-    outcome = run_experiment(
-        FIGURE2_EXPERIMENT,
-        overrides={
-            **spinal_overrides(config),
-            "snr_db": tuple(float(s) for s in snr_values_db),
-        },
-        n_trials=config.n_trials,
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
-    sweep = SweepResult(name=name, metadata={"config": config})
-    for _key, params, cell in outcome.successful_cells():
-        point = RateMeasurement(snr_db=float(params["snr_db"]))
-        for trial in cell["trials"]:
-            point.add_trial(trial["rate"], trial["symbols"], trial["ok"])
-        sweep.add_point(point)
-    return sweep
-
-
-def ldpc_figure2_curves(
-    snr_values_db=DEFAULT_SNR_GRID_DB,
-    configs: tuple[LdpcConfig, ...] = FIGURE2_LDPC_CONFIGS,
-    n_frames: int = 40,
-    max_iterations: int = 40,
-    algorithm: str = "sum-product",
-    seed: int = 20111114,
-) -> dict[str, SweepResult]:
-    """Measured achieved-rate curves for the eight LDPC baseline configurations."""
-    curves: dict[str, SweepResult] = {}
-    for config in configs:
-        system = FixedRateLdpcSystem(
-            config, max_iterations=max_iterations, algorithm=algorithm
-        )
-        sweep = SweepResult(name=config.label, metadata={"nominal": system.nominal_rate})
-        for snr_db in snr_values_db:
-            rng = spawn_rng(seed, "ldpc", config.label, snr_db)
-            successes = system.transmit_frames(float(snr_db), n_frames, rng)
-            point = RateMeasurement(snr_db=float(snr_db))
-            for ok in successes:
-                point.add_trial(
-                    system.nominal_rate if ok else 0.0,
-                    symbols=system.symbols_per_frame,
-                    ok=bool(ok),
-                )
-            sweep.add_point(point)
-        curves[config.label] = sweep
-    return curves
-
-
-@dataclass
-class Figure2Data:
-    """All curves of Figure 2 plus derived headline numbers."""
-
-    snr_values_db: list[float]
-    shannon: SweepResult
-    fixed_block_bound: SweepResult
-    spinal: SweepResult
-    ldpc: dict[str, SweepResult] = field(default_factory=dict)
-
-    def spinal_fraction_of_capacity(self) -> np.ndarray:
-        """Per-SNR ratio of the spinal rate to the Shannon bound."""
-        spinal = np.array(self.spinal.mean_rates())
-        capacity = np.array(self.shannon.mean_rates())
-        return spinal / np.maximum(capacity, 1e-12)
-
-    def spinal_beats_fixed_block_until_db(self) -> float | None:
-        """E2: the SNR up to which the spinal code beats the length-24 bound."""
-        return crossover_snr(
-            np.array(self.snr_values_db),
-            np.array(self.spinal.mean_rates()),
-            np.array(self.fixed_block_bound.mean_rates()),
-        )
-
-    def as_table(self) -> str:
-        """Render every curve on the shared SNR grid as a text table."""
-        headers = ["SNR(dB)", "Shannon", "FixedBlk", "Spinal"] + list(self.ldpc)
-        rows = []
-        for i, snr_db in enumerate(self.snr_values_db):
-            row = [
-                snr_db,
-                self.shannon.points[i].mean_rate,
-                self.fixed_block_bound.points[i].mean_rate,
-                self.spinal.points[i].mean_rate,
-            ]
-            row.extend(self.ldpc[name].points[i].mean_rate for name in self.ldpc)
-            rows.append(row)
-        return render_table(headers, rows)
-
-
-def figure2_table(
-    snr_values_db=DEFAULT_SNR_GRID_DB,
-    spinal_config: SpinalRunConfig | None = None,
-    ldpc_frames: int = 40,
-    include_ldpc: bool = True,
-    ldpc_algorithm: str = "sum-product",
-) -> Figure2Data:
-    """Regenerate the complete Figure 2 data set.
-
-    ``include_ldpc=False`` skips the (comparatively slow) LDPC Monte-Carlo,
-    which is useful for quick spinal-only runs; the benchmark harness splits
-    the two across separate benchmark functions for the same reason.
-    """
-    snr_list = [float(s) for s in snr_values_db]
-    data = Figure2Data(
-        snr_values_db=snr_list,
-        shannon=shannon_curve(snr_list),
-        fixed_block_bound=fixed_block_bound_curve(snr_list),
-        spinal=spinal_figure2_curve(snr_list, config=spinal_config),
-    )
-    if include_ldpc:
-        data.ldpc = ldpc_figure2_curves(
-            snr_list, n_frames=ldpc_frames, algorithm=ldpc_algorithm
-        )
-    return data

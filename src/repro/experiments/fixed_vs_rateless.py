@@ -15,36 +15,24 @@ configuration search, no mis-selection, fine-grained stopping).
 Registered as ``fixed-vs-rateless``: the per-trial kernel measures the
 rateless session; the cell aggregate performs the hindsight fixed-rate
 search (its streams use the historical ``("fixed-spinal", snr, passes)``
-labels).  ``fixed_vs_rateless_experiment`` is a thin wrapper that adapts
-cells to the historical rows.
+labels).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
-    require_engine_compatible,
     spinal_config_from_params,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.utils.results import render_table
 from repro.utils.rng import spawn_rng
 
-__all__ = [
-    "FixedVsRatelessRow",
-    "fixed_vs_rateless_experiment",
-    "fixed_vs_rateless_table",
-    "FIXED_VS_RATELESS_EXPERIMENT",
-]
+__all__ = ["FIXED_VS_RATELESS_EXPERIMENT"]
 
 DEFAULT_PASS_CHOICES = (1, 2, 3, 4, 6, 8, 12)
 
@@ -57,9 +45,9 @@ def fixed_vs_rateless_point(params, rng) -> dict:
 def fixed_vs_rateless_aggregate(params, trials) -> dict:
     """Mean rateless rate plus the hindsight-best fixed-rate configuration.
 
-    The fixed-rate search draws from ``fixed_search_seed`` when set (the
-    wrapper's historical independent ``seed`` argument), falling back to
-    the run's base seed.
+    The fixed-rate search draws from ``fixed_search_seed`` when set (a seed
+    independent of the rateless trials'), falling back to the run's base
+    seed.
     """
     out = rate_cell_aggregate(params, trials)
     config = spinal_config_from_params(params)
@@ -128,76 +116,3 @@ FIXED_VS_RATELESS_EXPERIMENT = register(
         ),
     )
 )
-
-
-@dataclass(frozen=True)
-class FixedVsRatelessRow:
-    """One SNR point of the rateless-vs-fixed-rate-spinal comparison."""
-
-    snr_db: float
-    capacity: float
-    rateless_rate: float
-    best_fixed_rate: float
-    best_fixed_passes: int
-
-    @property
-    def rateless_gain(self) -> float:
-        """Rateless rate minus the best hindsight-chosen fixed spinal rate."""
-        return self.rateless_rate - self.best_fixed_rate
-
-
-def fixed_vs_rateless_experiment(
-    snr_values_db=(0.0, 5.0, 10.0, 15.0, 20.0),
-    config: SpinalRunConfig | None = None,
-    pass_choices=DEFAULT_PASS_CHOICES,
-    n_fixed_frames: int = 25,
-    seed: int = 20111114,
-) -> list[FixedVsRatelessRow]:
-    """Compare rateless operation against hindsight-optimal fixed-rate spinal.
-
-    As historically, the rateless trials draw from ``config.seed`` and the
-    fixed-rate search from the independent ``seed`` argument.
-    """
-    if config is None:
-        config = SpinalRunConfig(n_trials=25)
-    require_engine_compatible(config)
-    outcome = run_experiment(
-        FIXED_VS_RATELESS_EXPERIMENT,
-        overrides={
-            **spinal_overrides(config),
-            "snr_db": tuple(float(s) for s in snr_values_db),
-            "pass_choices": tuple(int(p) for p in pass_choices),
-            "n_fixed_frames": int(n_fixed_frames),
-            "fixed_search_seed": int(seed),
-        },
-        n_trials=config.n_trials,
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
-    return [
-        FixedVsRatelessRow(
-            snr_db=float(params["snr_db"]),
-            capacity=cell["aggregate"]["capacity"],
-            rateless_rate=cell["aggregate"]["rate"],
-            best_fixed_rate=cell["aggregate"]["best_fixed_rate"],
-            best_fixed_passes=int(cell["aggregate"]["best_fixed_passes"]),
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def fixed_vs_rateless_table(rows: list[FixedVsRatelessRow]) -> str:
-    return render_table(
-        ["SNR(dB)", "capacity", "rateless", "best fixed spinal", "passes", "rateless gain"],
-        [
-            (
-                row.snr_db,
-                row.capacity,
-                row.rateless_rate,
-                row.best_fixed_rate,
-                row.best_fixed_passes,
-                row.rateless_gain,
-            )
-            for row in rows
-        ],
-    )

@@ -6,25 +6,22 @@ linearly with k".  This experiment sweeps k at fixed SNR and message length
 and reports both the achieved rate and the decoder work per delivered
 message, making that trade-off measurable.
 
-Registered as ``k-sweep``; ``k_sweep_experiment`` is a thin wrapper over
-the registry engine that adapts cells to the historical rows.
+Registered as ``k-sweep`` (``repro run k-sweep``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.channels.awgn import AWGNChannel
-from repro.experiments.registry import Experiment, default_aggregate, register, run_experiment
+from repro.experiments.registry import Experiment, default_aggregate, register
 from repro.experiments.runner import (
     run_one_spinal_trial,
     spinal_config_from_params,
     spinal_fixed,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.utils.results import mean, render_table
+from repro.utils.results import mean
 
-__all__ = ["KSweepRow", "k_sweep_experiment", "k_sweep_table", "K_SWEEP_EXPERIMENT"]
+__all__ = ["K_SWEEP_EXPERIMENT"]
 
 
 def k_sweep_point(params, rng) -> dict:
@@ -87,62 +84,3 @@ K_SWEEP_EXPERIMENT = register(
         plot=PlotSpec(x="k", y="rate", x_label="segment size k", y_label="bits/symbol"),
     )
 )
-
-
-@dataclass(frozen=True)
-class KSweepRow:
-    """Aggregate outcome for one segment size."""
-
-    k: int
-    snr_db: float
-    mean_rate: float
-    mean_candidates_per_message: float
-    max_rate_bound: float
-
-
-def k_sweep_experiment(
-    k_values=(2, 3, 4, 6, 8),
-    snr_db: float = 15.0,
-    payload_bits: int = 24,
-    n_trials: int = 25,
-    beam_width: int = 16,
-    seed: int = 20111114,
-) -> list[KSweepRow]:
-    """Measure rate and decoder work as a function of k at one SNR."""
-    for k in k_values:
-        if payload_bits % int(k) != 0:
-            raise ValueError(
-                f"payload_bits={payload_bits} must be divisible by every k (got k={k})"
-            )
-    outcome = run_experiment(
-        K_SWEEP_EXPERIMENT,
-        overrides={
-            "k": tuple(int(k) for k in k_values),
-            "snr_db": float(snr_db),
-            "payload_bits": int(payload_bits),
-            "beam_width": int(beam_width),
-        },
-        n_trials=n_trials,
-        seed=seed,
-    )
-    return [
-        KSweepRow(
-            k=int(params["k"]),
-            snr_db=float(snr_db),
-            mean_rate=cell["aggregate"]["rate"],
-            mean_candidates_per_message=cell["aggregate"]["candidates"],
-            max_rate_bound=cell["aggregate"]["max_rate_bound"],
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def k_sweep_table(rows: list[KSweepRow]) -> str:
-    return render_table(
-        ["k", "SNR(dB)", "mean rate", "tree nodes / message"],
-        [
-            (row.k, row.snr_db, row.mean_rate, row.mean_candidates_per_message)
-            for row in rows
-        ],
-        float_format="{:.2f}",
-    )

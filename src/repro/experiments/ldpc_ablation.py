@@ -10,25 +10,17 @@ Two registry experiments live here:
 * ``ldpc-ablation`` — the E12 (algorithm × iteration budget) FER sweep;
 * ``ldpc-rate`` — achieved rate of one fixed LDPC configuration across SNR
   (what the ``repro ldpc`` CLI command measures).
-
-``ldpc_iteration_experiment`` is a thin wrapper over the registry engine
-that adapts cells to the historical rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.baselines.ldpc_system import FixedRateLdpcSystem, LdpcConfig
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.utils.results import render_table
 
 __all__ = [
-    "LdpcAblationRow",
-    "ldpc_iteration_experiment",
-    "ldpc_iteration_table",
     "LDPC_ABLATION_EXPERIMENT",
     "LDPC_RATE_EXPERIMENT",
 ]
@@ -145,65 +137,3 @@ LDPC_RATE_EXPERIMENT = register(
         ),
     )
 )
-
-
-@dataclass(frozen=True)
-class LdpcAblationRow:
-    """One (config, algorithm, iterations) FER measurement."""
-
-    config_label: str
-    algorithm: str
-    max_iterations: int
-    snr_db: float
-    frame_error_rate: float
-
-
-def ldpc_iteration_experiment(
-    config: LdpcConfig | None = None,
-    snr_db: float = 1.0,
-    iteration_budgets=DEFAULT_ITERATIONS,
-    algorithms=("sum-product", "min-sum"),
-    n_frames: int = 100,
-    seed: int = 20111114,
-) -> list[LdpcAblationRow]:
-    """Sweep the BP iteration budget for one configuration near its waterfall."""
-    if config is None:
-        config = LdpcConfig(Fraction(1, 2), "BPSK")
-    outcome = run_experiment(
-        LDPC_ABLATION_EXPERIMENT,
-        overrides={
-            "algorithm": tuple(str(a) for a in algorithms),
-            "iterations": tuple(int(i) for i in iteration_budgets),
-            "rate": str(config.code_rate),
-            "modulation": config.modulation,
-            "snr_db": float(snr_db),
-            "frames": int(n_frames),
-        },
-        seed=seed,
-    )
-    return [
-        LdpcAblationRow(
-            config_label=cell["aggregate"]["config_label"],
-            algorithm=str(params["algorithm"]),
-            max_iterations=int(params["iterations"]),
-            snr_db=float(snr_db),
-            frame_error_rate=cell["aggregate"]["fer"],
-        )
-        for _key, params, cell in outcome.cells()
-    ]
-
-
-def ldpc_iteration_table(rows: list[LdpcAblationRow]) -> str:
-    return render_table(
-        ["config", "algorithm", "iterations", "SNR(dB)", "FER"],
-        [
-            (
-                row.config_label,
-                row.algorithm,
-                row.max_iterations,
-                row.snr_db,
-                row.frame_error_rate,
-            )
-            for row in rows
-        ],
-    )

@@ -6,32 +6,21 @@ successive spine value in every pass."  This experiment compares the
 available schedules at high SNR and reports how often the achieved rate
 exceeds the un-punctured ceiling of ``k``.
 
-Registered as ``puncturing``; ``puncturing_experiment`` is a thin wrapper
-over the registry engine that adapts cells to the historical rows.
+Registered as ``puncturing`` (``repro run puncturing``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
-    require_engine_compatible,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.utils.results import mean, render_table, std_error
+from repro.utils.results import mean, std_error
 
-__all__ = [
-    "PuncturingRow",
-    "puncturing_experiment",
-    "puncturing_table",
-    "PUNCTURING_EXPERIMENT",
-]
+__all__ = ["PUNCTURING_EXPERIMENT"]
 
 DEFAULT_SCHEDULES = ("none", "symbol", "strided", "tail-first")
 
@@ -100,70 +89,3 @@ PUNCTURING_EXPERIMENT = register(
         ),
     )
 )
-
-
-@dataclass(frozen=True)
-class PuncturingRow:
-    """One (schedule, SNR) measurement."""
-
-    schedule: str
-    snr_db: float
-    mean_rate: float
-    max_rate: float
-    fraction_above_k: float
-    k: int
-
-    @property
-    def exceeds_k(self) -> bool:
-        """Whether any trial beat the un-punctured ceiling of k bits/symbol."""
-        return self.max_rate > self.k
-
-
-def puncturing_experiment(
-    snr_values_db=(20.0, 30.0, 40.0),
-    schedules=DEFAULT_SCHEDULES,
-    base_config: SpinalRunConfig | None = None,
-) -> list[PuncturingRow]:
-    """Measure every schedule at high SNR."""
-    if base_config is None:
-        base_config = SpinalRunConfig(n_trials=25)
-    require_engine_compatible(base_config)
-    overrides = spinal_overrides(base_config)
-    overrides.pop("puncturing")
-    overrides["schedule"] = tuple(str(s) for s in schedules)
-    overrides["snr_db"] = tuple(float(s) for s in snr_values_db)
-    outcome = run_experiment(
-        PUNCTURING_EXPERIMENT,
-        overrides=overrides,
-        n_trials=base_config.n_trials,
-        seed=base_config.seed,
-        n_workers=base_config.n_workers,
-    )
-    return [
-        PuncturingRow(
-            schedule=str(params["schedule"]),
-            snr_db=float(params["snr_db"]),
-            mean_rate=cell["aggregate"]["rate"],
-            max_rate=cell["aggregate"]["max_rate"],
-            fraction_above_k=cell["aggregate"]["fraction_above_k"],
-            k=int(params["k"]),
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def puncturing_table(rows: list[PuncturingRow]) -> str:
-    return render_table(
-        ["schedule", "SNR(dB)", "mean rate", "max rate", "frac > k", "k"],
-        [
-            (
-                row.schedule,
-                row.snr_db,
-                row.mean_rate,
-                row.max_rate,
-                row.fraction_above_k,
-                row.k,
-            )
-            for row in rows
-        ],
-    )

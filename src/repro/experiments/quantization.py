@@ -6,34 +6,22 @@ show that 14 bits is effectively transparent and to find how few bits the
 decoder can actually live with — a practically relevant question for a
 receiver that feeds raw I/Q samples to the decoder.
 
-Registered as ``quantization`` (the ``adc_bits`` axis admits ``none`` for
-"no quantiser"); ``quantization_experiment`` is a thin wrapper over the
-registry engine that adapts cells to the historical rows.
+Registered as ``quantization``; the ``adc_bits`` axis admits ``none`` for
+"no quantiser".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
-    require_engine_compatible,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.utils.results import render_table
 
-__all__ = [
-    "QuantizationRow",
-    "quantization_experiment",
-    "quantization_table",
-    "QUANTIZATION_EXPERIMENT",
-]
+__all__ = ["QUANTIZATION_EXPERIMENT"]
 
 DEFAULT_ADC_BITS = (4, 6, 8, 10, 14, None)
 
@@ -88,59 +76,3 @@ QUANTIZATION_EXPERIMENT = register(
         ),
     )
 )
-
-
-@dataclass(frozen=True)
-class QuantizationRow:
-    """One (ADC depth, SNR) measurement; ``adc_bits=None`` means no quantiser."""
-
-    adc_bits: int | None
-    snr_db: float
-    mean_rate: float
-    fraction_of_capacity: float
-
-
-def quantization_experiment(
-    adc_bit_depths=DEFAULT_ADC_BITS,
-    snr_values_db=(10.0, 25.0),
-    base_config: SpinalRunConfig | None = None,
-) -> list[QuantizationRow]:
-    """Measure the spinal rate as the ADC depth varies."""
-    if base_config is None:
-        base_config = SpinalRunConfig(n_trials=25)
-    require_engine_compatible(base_config)
-    overrides = spinal_overrides(base_config)
-    overrides.pop("adc_bits")
-    overrides["adc_bits"] = tuple(adc_bit_depths)
-    overrides["snr_db"] = tuple(float(s) for s in snr_values_db)
-    outcome = run_experiment(
-        QUANTIZATION_EXPERIMENT,
-        overrides=overrides,
-        n_trials=base_config.n_trials,
-        seed=base_config.seed,
-        n_workers=base_config.n_workers,
-    )
-    return [
-        QuantizationRow(
-            adc_bits=params["adc_bits"],
-            snr_db=float(params["snr_db"]),
-            mean_rate=cell["aggregate"]["rate"],
-            fraction_of_capacity=cell["aggregate"]["fraction_of_capacity"],
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def quantization_table(rows: list[QuantizationRow]) -> str:
-    return render_table(
-        ["ADC bits", "SNR(dB)", "mean rate", "fraction of capacity"],
-        [
-            (
-                "inf" if row.adc_bits is None else row.adc_bits,
-                row.snr_db,
-                row.mean_rate,
-                row.fraction_of_capacity,
-            )
-            for row in rows
-        ],
-    )

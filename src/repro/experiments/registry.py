@@ -352,10 +352,10 @@ class RunOutcome:
     def successful_cells(self) -> list[tuple[str, dict, dict]]:
         """Like :meth:`cells`, but raise if any cell is an error record.
 
-        The legacy wrapper functions promise rows for every grid point, so
-        they surface the engine's structured error cells as one exception
-        carrying the original kernel error text instead of failing later on
-        a missing aggregate key.
+        Callers that read a metric from every grid point use this to surface
+        the engine's structured error cells as one exception carrying the
+        original kernel error text instead of failing later on a missing
+        aggregate key.
         """
         cells = self.cells()
         errors = [

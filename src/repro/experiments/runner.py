@@ -1,9 +1,12 @@
-"""Shared Monte-Carlo runner for spinal-code rate measurements.
+"""Shared Monte-Carlo machinery for spinal-code rate measurements.
 
 Every experiment that measures "rate achieved by the practical decoder at
-operating point X" goes through :class:`SpinalRunConfig` and the
-``run_spinal_*`` functions here, so that trial seeding, symbol budgets and
-termination handling are consistent across figures.
+operating point X" builds its receiver from :class:`SpinalRunConfig` and
+runs each trial through :func:`run_one_spinal_trial`, so symbol budgets and
+termination handling are consistent across figures.  Trials fan out through
+the registry engine (:func:`repro.experiments.registry.run_experiment`),
+which derives every trial's generator from ``(seed, labels...)`` alone, so
+any worker count returns the same measurement.
 
 The symbol budget per trial is chosen adaptively from the channel capacity
 at the operating point (a trial is allowed several times the number of
@@ -27,12 +30,6 @@ Every receiver decodes with
 reuses beam state across a trial's decode attempts; a trial's
 ``candidates`` are its decoder work in tree nodes (the unit is defined in
 that module).
-
-``n_workers`` fans the point's independent trials out over worker
-*processes*.  Every trial derives its generator from
-``spawn_rng(seed, "trial", label, trial)`` regardless of which worker runs
-it and results are re-assembled in trial order, so any worker count
-returns exactly the same measurement as ``n_workers=1``.
 """
 
 from __future__ import annotations
@@ -64,22 +61,13 @@ from repro.phy.session import CodecResult, CodecSession
 from repro.phy.spinal import SpinalCode
 from repro.theory.capacity import awgn_capacity_db, bsc_capacity
 from repro.utils.bitops import random_message_bits
-from repro.utils.parallel import stride_map
-from repro.utils.results import RateMeasurement, SweepResult, mean, std_error
-from repro.utils.rng import spawn_rng
+from repro.utils.results import mean, std_error
 
 __all__ = [
     "SpinalRunConfig",
     "make_puncturing",
-    "run_spinal_point",
-    "run_spinal_curve",
-    "run_spinal_bsc_point",
-    "run_spinal_bsc_curve",
     "spinal_fixed",
-    "spinal_overrides",
     "spinal_config_from_params",
-    "is_engine_compatible",
-    "require_engine_compatible",
     "run_one_spinal_trial",
     "awgn_trial",
     "bsc_trial",
@@ -128,10 +116,6 @@ class SpinalRunConfig:
     The defaults reproduce the paper's Figure 2 configuration: 24-bit
     messages, ``k = 8``, ``c = 10``, beam width ``B = 16``, 14-bit ADC,
     genie termination, with decode attempts after every symbol.
-
-    ``n_workers`` is the number of worker processes the point's trials are
-    fanned out over (any value returns results identical to
-    ``n_workers=1``; see the module docstring).
     """
 
     payload_bits: int = 24
@@ -143,11 +127,9 @@ class SpinalRunConfig:
     tail_segments: int = 0
     termination: str = "genie"
     search: str = "bisect"
-    n_trials: int = 30
     seed: int = 20111114
     max_symbols: int | None = None
     count_overhead: bool = False
-    n_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.termination not in _TERMINATIONS:
@@ -159,8 +141,6 @@ class SpinalRunConfig:
             raise ValueError(
                 f"unknown search strategy {self.search!r}; expected one of {_SEARCHES}"
             )
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be at least 1, got {self.n_workers}")
 
     def with_(self, **changes) -> "SpinalRunConfig":
         """Copy with fields replaced (sweep convenience)."""
@@ -326,106 +306,12 @@ def _run_trial(
     return session.run(payload, rng)
 
 
-def _trial_batch(
-    config: SpinalRunConfig,
-    channel: Channel,
-    max_symbols: int,
-    label: float | None,
-    batch: list[tuple[int, int]],
-) -> list[tuple[int, tuple[float, int, bool]]]:
-    """Run a batch of trials; the worker entry point of the parallel runner.
-
-    A top-level function so it pickles under any multiprocessing start
-    method.  Each trial spawns its generator from the trial index alone, so
-    the outcome is independent of how trials are batched across workers.
-    """
-    session = config.build_session(channel, max_symbols)
-    outcomes = []
-    for index, trial in batch:
-        rng = spawn_rng(config.seed, "trial", label, trial)
-        payload = random_message_bits(config.payload_bits, rng)
-        result = _run_trial(config, session, payload, rng)
-        outcomes.append((index, (result.rate, result.symbols_sent, result.payload_correct)))
-    return outcomes
-
-
-def _run_point(
-    config: SpinalRunConfig,
-    channel: Channel,
-    ideal_rate: float,
-    snr_db: float | None,
-    param: float | None,
-) -> RateMeasurement:
-    """Run ``config.n_trials`` independent trials over one channel instance."""
-    label = snr_db if snr_db is not None else param
-    max_symbols = config.symbol_budget(ideal_rate)
-    outcomes = stride_map(
-        partial(_trial_batch, config, channel, max_symbols, label),
-        list(range(config.n_trials)),
-        config.n_workers,
-    )
-    measurement = RateMeasurement(snr_db=snr_db, param=param)
-    for rate, symbols, ok in outcomes:
-        measurement.add_trial(rate, symbols, ok)
-    return measurement
-
-
-def run_spinal_point(config: SpinalRunConfig, snr_db: float) -> RateMeasurement:
-    """Measure the spinal code's achieved rate at one AWGN SNR."""
-    if config.params.bit_mode:
-        raise ValueError("AWGN measurements need symbol-mode params (bit_mode=False)")
-    channel = AWGNChannel(
-        snr_db=snr_db,
-        signal_power=config.params.average_power,
-        adc_bits=config.adc_bits,
-    )
-    return _run_point(
-        config, channel, ideal_rate=awgn_capacity_db(snr_db), snr_db=snr_db, param=None
-    )
-
-
-def run_spinal_curve(
-    config: SpinalRunConfig, snr_values_db, name: str = "Spinal"
-) -> SweepResult:
-    """Measure the spinal rate-vs-SNR curve over a list of SNRs."""
-    sweep = SweepResult(name=name, metadata={"config": config})
-    for snr_db in snr_values_db:
-        sweep.add_point(run_spinal_point(config, float(snr_db)))
-    return sweep
-
-
-def run_spinal_bsc_point(config: SpinalRunConfig, crossover_probability: float) -> RateMeasurement:
-    """Measure the spinal code's achieved rate over a BSC (bit mode)."""
-    if not config.params.bit_mode:
-        raise ValueError("BSC measurements need bit-mode params (bit_mode=True)")
-    channel = BSCChannel(crossover_probability)
-    return _run_point(
-        config,
-        channel,
-        ideal_rate=bsc_capacity(crossover_probability),
-        snr_db=None,
-        param=crossover_probability,
-    )
-
-
-def run_spinal_bsc_curve(
-    config: SpinalRunConfig, crossover_probabilities, name: str = "Spinal (BSC)"
-) -> SweepResult:
-    """Measure the spinal rate-vs-crossover-probability curve over a BSC."""
-    sweep = SweepResult(name=name, metadata={"config": config})
-    for p in crossover_probabilities:
-        sweep.add_point(run_spinal_bsc_point(config, float(p)))
-    return sweep
-
-
 # -- registry bindings --------------------------------------------------------
 #
-# The declarative side of the Monte-Carlo runner: JSON-native parameter
-# mappings in and out, so every spinal-rate experiment can be expressed as a
-# registry spec.  The kernels replicate the historical per-trial streams
-# (``spawn_rng(seed, "trial", label, trial)``) bit-exactly, which is what
-# keeps the ported experiment modules' numbers identical to their
-# pre-registry versions.
+# JSON-native parameter mappings in and out, so every spinal-rate experiment
+# is a registry spec.  Each trial draws from ``spawn_rng(seed, "trial",
+# label, trial)``, where ``label`` is the cell's SNR or crossover
+# probability, so cells at the same operating point share their streams.
 
 #: Fixed parameters shared by every spinal-rate experiment spec.  ``decoder``
 #: is an inert label: every receiver decodes with the vectorized engine, but
@@ -474,52 +360,6 @@ def spinal_config_from_params(params) -> SpinalRunConfig:
     )
 
 
-def spinal_overrides(config: SpinalRunConfig) -> dict:
-    """Spec overrides reproducing a :class:`SpinalRunConfig` (wrapper glue)."""
-    return {
-        "payload_bits": config.payload_bits,
-        "k": config.params.k,
-        "c": config.params.c,
-        "beam_width": config.beam_width,
-        "adc_bits": config.adc_bits,
-        "puncturing": config.puncturing,
-        "constellation": config.params.constellation,
-        "bit_mode": config.params.bit_mode,
-        "search": config.search,
-        "max_symbols": config.max_symbols,
-    }
-
-
-def is_engine_compatible(config: SpinalRunConfig) -> bool:
-    """Whether a config is expressible as a registry spec.
-
-    The declarative specs cover the parameters the experiments actually
-    sweep (including ``search`` and ``max_symbols``); configs using the
-    exotic knobs (CRC framing, tail segments, non-genie termination,
-    overhead accounting, a custom hash-family seed or signal power) fall
-    back to the direct runner functions.
-    """
-    return (
-        config.crc is None
-        and config.tail_segments == 0
-        and config.termination == "genie"
-        and config.count_overhead is False
-        and config.params.seed == SpinalParams().seed
-        and config.params.average_power == 1.0
-    )
-
-
-def require_engine_compatible(config: SpinalRunConfig) -> None:
-    """Raise if a config cannot be expressed as a registry spec."""
-    if not is_engine_compatible(config):
-        raise ValueError(
-            "this experiment is registry-driven and only supports the declarative "
-            "spinal parameters; configs using crc, tail_segments, termination, "
-            "count_overhead, or a custom hash-family seed/signal power must use "
-            "repro.experiments.runner directly"
-        )
-
-
 def run_one_spinal_trial(
     config: SpinalRunConfig, channel: Channel, max_symbols: int, rng
 ) -> dict:
@@ -563,12 +403,12 @@ def bsc_trial(params, rng) -> dict:
 
 
 def awgn_seed_labels(params, trial) -> tuple:
-    """The historical per-trial stream labels of :func:`run_spinal_point`."""
+    """Per-trial stream labels of an AWGN rate cell: ``("trial", snr_db, trial)``."""
     return ("trial", float(params["snr_db"]), trial)
 
 
 def bsc_seed_labels(params, trial) -> tuple:
-    """The historical per-trial stream labels of :func:`run_spinal_bsc_point`."""
+    """Per-trial stream labels of a BSC rate cell: ``("trial", p, trial)``."""
     return ("trial", float(params["p"]), trial)
 
 

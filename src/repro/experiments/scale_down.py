@@ -6,36 +6,21 @@ to capacity."  This experiment sweeps B at a few SNRs and also records the
 decoder work (tree nodes expanded) so the rate/complexity trade-off is
 explicit.
 
-Registered as ``scale-down``; ``scale_down_experiment`` is a thin wrapper
-over the registry engine that adapts cells to the historical rows.
+Registered as ``scale-down`` (``repro run scale-down``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
-    require_engine_compatible,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.theory.capacity import awgn_capacity_db
-from repro.utils.results import render_table
 
-__all__ = [
-    "ScaleDownRow",
-    "scale_down_experiment",
-    "scale_down_table",
-    "SCALE_DOWN_EXPERIMENT",
-]
+__all__ = ["SCALE_DOWN_EXPERIMENT"]
 
 DEFAULT_BEAM_WIDTHS = (1, 2, 4, 8, 16, 32, 64, 256)
 
@@ -90,77 +75,3 @@ SCALE_DOWN_EXPERIMENT = register(
         ),
     )
 )
-
-
-@dataclass(frozen=True)
-class ScaleDownRow:
-    """One (SNR, B) measurement."""
-
-    snr_db: float
-    beam_width: int
-    mean_rate: float
-    fraction_of_capacity: float
-
-
-def scale_down_experiment(
-    snr_values_db=(5.0, 10.0, 20.0),
-    beam_widths=DEFAULT_BEAM_WIDTHS,
-    base_config: SpinalRunConfig | None = None,
-) -> list[ScaleDownRow]:
-    """Sweep the decoder beam width at several SNRs."""
-    if base_config is None:
-        base_config = SpinalRunConfig(n_trials=25)
-    require_engine_compatible(base_config)
-    overrides = spinal_overrides(base_config)
-    overrides.pop("beam_width")
-    overrides["snr_db"] = tuple(float(s) for s in snr_values_db)
-    overrides["beam_width"] = tuple(int(b) for b in beam_widths)
-    outcome = run_experiment(
-        SCALE_DOWN_EXPERIMENT,
-        overrides=overrides,
-        n_trials=base_config.n_trials,
-        seed=base_config.seed,
-        n_workers=base_config.n_workers,
-    )
-    return [
-        ScaleDownRow(
-            snr_db=float(params["snr_db"]),
-            beam_width=int(params["beam_width"]),
-            mean_rate=cell["aggregate"]["rate"],
-            fraction_of_capacity=cell["aggregate"]["fraction_of_capacity"],
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def scale_down_table(rows: list[ScaleDownRow]) -> str:
-    """Pivot the scale-down rows into one column per beam width."""
-    snrs = sorted({row.snr_db for row in rows})
-    beams = sorted({row.beam_width for row in rows})
-    lookup = {(row.snr_db, row.beam_width): row.mean_rate for row in rows}
-    headers = ["SNR(dB)", "capacity"] + [f"B={b}" for b in beams]
-    table_rows = []
-    for snr_db in snrs:
-        row = [snr_db, awgn_capacity_db(snr_db)]
-        row.extend(lookup.get((snr_db, b), float("nan")) for b in beams)
-        table_rows.append(row)
-    return render_table(headers, table_rows)
-
-
-def monotonicity_violations(rows: list[ScaleDownRow], tolerance: float = 0.15) -> int:
-    """Count (SNR, B) pairs where growing B reduced the rate by more than ``tolerance``.
-
-    Used by tests as a sanity check of the scale-down property: small
-    fluctuations are Monte-Carlo noise, large regressions would indicate a
-    decoder bug.
-    """
-    violations = 0
-    snrs = sorted({row.snr_db for row in rows})
-    for snr_db in snrs:
-        curve = sorted(
-            (row for row in rows if row.snr_db == snr_db), key=lambda r: r.beam_width
-        )
-        rates = np.array([row.mean_rate for row in curve])
-        drops = rates[:-1] - rates[1:]
-        violations += int(np.sum(drops > tolerance * np.maximum(rates[:-1], 1e-9)))
-    return violations

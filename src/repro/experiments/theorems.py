@@ -10,40 +10,25 @@ Theorem 2 (BSC): with bit-mode encoding over a binary symmetric channel the
 rate should approach ``C_bsc(p) = 1 - H2(p)`` with no constant gap.
 
 Both are registry experiments (``repro run theorem1-gap`` / ``repro run
-theorem2-bsc``); the ``theorem*_experiment`` functions are thin wrappers
-that run the registered spec and adapt the cells to the historical row
-dataclasses.
+theorem2-bsc``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.params import SpinalParams
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
     SPINAL_SMOKE,
-    SpinalRunConfig,
     awgn_seed_labels,
     awgn_trial,
     bsc_seed_labels,
     bsc_trial,
     rate_cell_aggregate,
-    require_engine_compatible,
     spinal_fixed,
-    spinal_overrides,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.theory.bounds import spinal_awgn_rate_bound, spinal_gap_constant
-from repro.utils.results import render_table
+from repro.theory.bounds import spinal_awgn_rate_bound
 
 __all__ = [
-    "Theorem1Row",
-    "theorem1_gap_experiment",
-    "theorem1_table",
-    "Theorem2Row",
-    "theorem2_bsc_experiment",
-    "theorem2_table",
     "THEOREM1_EXPERIMENT",
     "THEOREM2_EXPERIMENT",
 ]
@@ -116,131 +101,3 @@ THEOREM2_EXPERIMENT = register(
         plot=PlotSpec(x="p", y="rate", x_label="crossover probability", y_label="bits/bit"),
     )
 )
-
-
-@dataclass(frozen=True)
-class Theorem1Row:
-    """One SNR point of the Theorem-1 gap measurement."""
-
-    snr_db: float
-    capacity: float
-    theorem_rate: float
-    measured_rate: float
-
-    @property
-    def measured_gap(self) -> float:
-        """Capacity minus measured rate, in bits/symbol."""
-        return self.capacity - self.measured_rate
-
-    @property
-    def beats_theorem_bound(self) -> bool:
-        """True when the practical decoder does at least as well as Theorem 1."""
-        return self.measured_rate >= self.theorem_rate
-
-
-def theorem1_gap_experiment(
-    snr_values_db=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0),
-    config: SpinalRunConfig | None = None,
-) -> list[Theorem1Row]:
-    """Measure the capacity gap of the practical decoder across SNR (E3)."""
-    if config is None:
-        config = SpinalRunConfig(payload_bits=32, n_trials=30)
-    require_engine_compatible(config)
-    outcome = run_experiment(
-        THEOREM1_EXPERIMENT,
-        overrides={
-            **spinal_overrides(config),
-            "snr_db": tuple(float(s) for s in snr_values_db),
-        },
-        n_trials=config.n_trials,
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
-    return [
-        Theorem1Row(
-            snr_db=float(params["snr_db"]),
-            capacity=aggregate["capacity"],
-            theorem_rate=aggregate["theorem_rate"],
-            measured_rate=aggregate["rate"],
-        )
-        for _key, params, cell in outcome.successful_cells()
-        for aggregate in (cell["aggregate"],)
-    ]
-
-
-def theorem1_table(rows: list[Theorem1Row]) -> str:
-    """Render the Theorem-1 gap rows, including the Δ constant for reference."""
-    header_note = f"Theorem 1 gap constant Δ = {spinal_gap_constant():.4f} bits/symbol"
-    table = render_table(
-        ["SNR(dB)", "capacity", "C - Δ (Thm 1)", "measured", "measured gap", "beats bound"],
-        [
-            (
-                row.snr_db,
-                row.capacity,
-                row.theorem_rate,
-                row.measured_rate,
-                row.measured_gap,
-                row.beats_theorem_bound,
-            )
-            for row in rows
-        ],
-    )
-    return header_note + "\n" + table
-
-
-@dataclass(frozen=True)
-class Theorem2Row:
-    """One crossover-probability point of the Theorem-2 BSC measurement."""
-
-    crossover_probability: float
-    capacity: float
-    measured_rate: float
-
-    @property
-    def fraction_of_capacity(self) -> float:
-        return self.measured_rate / self.capacity if self.capacity > 0 else 0.0
-
-
-def theorem2_bsc_experiment(
-    crossover_probabilities=(0.01, 0.02, 0.05, 0.1, 0.2, 0.3),
-    config: SpinalRunConfig | None = None,
-) -> list[Theorem2Row]:
-    """Measure the BSC rate of bit-mode spinal codes against capacity (E4)."""
-    if config is None:
-        config = SpinalRunConfig(
-            payload_bits=32,
-            params=SpinalParams(k=4, bit_mode=True),
-            puncturing="tail-first",
-            n_trials=30,
-        )
-    if not config.params.bit_mode:
-        raise ValueError("theorem2 experiment requires bit-mode parameters")
-    require_engine_compatible(config)
-    outcome = run_experiment(
-        THEOREM2_EXPERIMENT,
-        overrides={
-            **spinal_overrides(config),
-            "p": tuple(float(p) for p in crossover_probabilities),
-        },
-        n_trials=config.n_trials,
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
-    return [
-        Theorem2Row(
-            crossover_probability=float(params["p"]),
-            capacity=cell["aggregate"]["capacity"],
-            measured_rate=cell["aggregate"]["rate"],
-        )
-        for _key, params, cell in outcome.successful_cells()
-    ]
-
-
-def theorem2_table(rows: list[Theorem2Row]) -> str:
-    return render_table(
-        ["p", "C_bsc", "measured", "fraction of capacity"],
-        [
-            (row.crossover_probability, row.capacity, row.measured_rate, row.fraction_of_capacity)
-            for row in rows
-        ],
-    )

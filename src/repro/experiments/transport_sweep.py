@@ -8,47 +8,35 @@ RTT (ACK delay) x hop count, optionally with ACK loss.  Every grid point
 transports the *same* pseudo-random packet burst with the same per-packet
 noise streams, so comparisons across points are paired.
 
-Grid points are independent simulations, so ``n_workers`` fans them out
-over worker processes exactly like the Monte-Carlo runner fans trials:
-results are re-assembled in grid order and every random stream is derived
-from ``(seed, labels...)`` irrespective of worker assignment, making the
-sweep bit-deterministic for any worker count.
+Registered as ``transport`` (``repro run transport``, or the ``repro
+transport`` spelling).  Every random stream is derived from ``(seed,
+labels...)``, so grid points fan out over the registry engine's workers
+with results identical for any worker count.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 
 from repro.core.params import SpinalParams
-from repro.experiments.registry import Experiment, register, run_experiment
+from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import SpinalRunConfig
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
 from repro.link.topology import build_relay_sessions, simulate_relay_transport
 from repro.link.transport import TransportConfig
 from repro.utils.bitops import random_message_bits
-from repro.utils.parallel import stride_map
-from repro.utils.results import render_table
 from repro.utils.rng import spawn_rng
 
-__all__ = [
-    "TransportSweepConfig",
-    "TransportSweepRow",
-    "run_transport_sweep",
-    "transport_sweep_table",
-    "TRANSPORT_EXPERIMENT",
-]
+__all__ = ["TransportSweepConfig", "TRANSPORT_EXPERIMENT"]
 
 
 @dataclass(frozen=True)
 class TransportSweepConfig:
-    """One transport measurement campaign (the E15 grid).
+    """One transport measurement campaign (the E15 grid), validated.
 
     ``snr_db`` is the first hop's SNR; each additional hop degrades by
     ``snr_step_db`` (a pessimistic chain, the regime where relaying is
-    interesting).  ``n_workers`` fans grid points over processes with
-    results identical to the serial sweep.
+    interesting).  The kernel simulates one grid point of it.
     """
 
     payload_bits: int = 24
@@ -59,31 +47,24 @@ class TransportSweepConfig:
     snr_db: float = 8.0
     snr_step_db: float = -2.0
     n_packets: int = 8
-    protocols: tuple[str, ...] = ("go-back-n", "selective-repeat")
     windows: tuple[int, ...] = (1, 2, 4)
     ack_delays: tuple[int, ...] = (0, 8, 32)
     hop_counts: tuple[int, ...] = (1, 2)
     ack_loss: float = 0.0
     max_symbols: int = 4096
     seed: int = 20111114
-    n_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n_packets < 1:
             raise ValueError(f"n_packets must be at least 1, got {self.n_packets}")
         if self.max_symbols < 1:
             raise ValueError(f"max_symbols must be at least 1, got {self.max_symbols}")
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be at least 1, got {self.n_workers}")
         if any(h < 1 for h in self.hop_counts):
             raise ValueError("hop counts must be at least 1")
         if any(w < 1 for w in self.windows):
             raise ValueError(f"window sizes must be at least 1, got {self.windows}")
         if any(d < 0 for d in self.ack_delays):
             raise ValueError(f"ack delays must be non-negative, got {self.ack_delays}")
-
-    def with_(self, **changes) -> "TransportSweepConfig":
-        return replace(self, **changes)
 
     # -- derived -------------------------------------------------------------
     def run_config(self) -> SpinalRunConfig:
@@ -106,110 +87,6 @@ class TransportSweepConfig:
             for i in range(self.n_packets)
         ]
 
-    def grid(self) -> list[tuple[int, str, int, int]]:
-        """The (hops, protocol, window, ack_delay) points, in report order."""
-        return list(
-            itertools.product(self.hop_counts, self.protocols, self.windows, self.ack_delays)
-        )
-
-
-@dataclass(frozen=True)
-class TransportSweepRow:
-    """Measured outcome of one grid point."""
-
-    hops: int
-    protocol: str
-    window: int
-    ack_delay: int
-    n_delivered: int
-    n_packets: int
-    goodput: float
-    symbol_efficiency: float
-    total_symbols: int
-    acks_sent: int
-    acks_lost: int
-    makespan: int
-
-
-def _sweep_point(
-    config: TransportSweepConfig, point: tuple[int, str, int, int]
-) -> TransportSweepRow:
-    """Simulate one grid point; the worker entry point of the parallel sweep.
-
-    A top-level function so it pickles under any multiprocessing start
-    method.  Everything is rebuilt from the configs, so outcomes do not
-    depend on which worker (or how many) ran the point.
-    """
-    n_hops, protocol, window, ack_delay = point
-    sessions = build_relay_sessions(config.run_config(), config.hop_snrs(n_hops))
-    transport = TransportConfig(
-        protocol=protocol,
-        window=window,
-        ack_delay=ack_delay,
-        ack_loss=config.ack_loss,
-        seed=config.seed,
-    )
-    result = simulate_relay_transport(sessions, config.payloads(), transport)
-    return TransportSweepRow(
-        hops=n_hops,
-        protocol=protocol,
-        window=window,
-        ack_delay=ack_delay,
-        n_delivered=result.n_delivered,
-        n_packets=result.n_packets,
-        goodput=result.end_to_end_goodput,
-        symbol_efficiency=result.symbol_efficiency,
-        total_symbols=result.total_symbols_sent,
-        acks_sent=sum(hop.acks_sent for hop in result.hops),
-        acks_lost=sum(hop.acks_lost for hop in result.hops),
-        makespan=result.makespan,
-    )
-
-
-def run_transport_sweep(config: TransportSweepConfig) -> list[TransportSweepRow]:
-    """Measure every grid point; rows come back in :meth:`grid` order.
-
-    Standard configurations route through the experiment registry (same
-    stride-mapped fan-out, plus optional persistence via ``repro run
-    transport``); configs with a non-default :class:`SpinalParams` — which
-    the declarative spec does not carry — fall back to the direct
-    stride-mapped sweep.  Both paths are bit-identical for any worker count.
-    """
-    if config.params != SpinalParams(k=config.params.k, c=config.params.c):
-        return stride_map(partial(_sweep_batch, config), config.grid(), config.n_workers)
-    outcome = run_experiment(
-        TRANSPORT_EXPERIMENT,
-        overrides={
-            "hops": config.hop_counts,
-            "protocol": config.protocols,
-            "window": config.windows,
-            "ack_delay": config.ack_delays,
-            "payload_bits": config.payload_bits,
-            "k": config.params.k,
-            "c": config.params.c,
-            "beam_width": config.beam_width,
-            "adc_bits": config.adc_bits,
-            "puncturing": config.puncturing,
-            "snr_db": config.snr_db,
-            "snr_step_db": config.snr_step_db,
-            "n_packets": config.n_packets,
-            "ack_loss": config.ack_loss,
-            "max_symbols": config.max_symbols,
-        },
-        seed=config.seed,
-        n_workers=config.n_workers,
-    )
-    return [
-        TransportSweepRow(**cell["trials"][0])
-        for _key, _params, cell in outcome.successful_cells()
-    ]
-
-
-def _sweep_batch(
-    config: TransportSweepConfig, batch: list[tuple[int, tuple[int, str, int, int]]]
-) -> list[tuple[int, TransportSweepRow]]:
-    return [(index, _sweep_point(config, point)) for index, point in batch]
-
 
 def transport_point(params, rng) -> dict:
     """Registry kernel: simulate one (hops, protocol, window, delay) grid point.
@@ -230,16 +107,32 @@ def transport_point(params, rng) -> dict:
         max_symbols=int(params["max_symbols"]),
         seed=int(params["seed"]),
     )
-    row = _sweep_point(
-        config,
-        (
-            int(params["hops"]),
-            str(params["protocol"]),
-            int(params["window"]),
-            int(params["ack_delay"]),
-        ),
+    n_hops = int(params["hops"])
+    protocol, window = str(params["protocol"]), int(params["window"])
+    ack_delay = int(params["ack_delay"])
+    sessions = build_relay_sessions(config.run_config(), config.hop_snrs(n_hops))
+    transport = TransportConfig(
+        protocol=protocol,
+        window=window,
+        ack_delay=ack_delay,
+        ack_loss=config.ack_loss,
+        seed=config.seed,
     )
-    return asdict(row)
+    result = simulate_relay_transport(sessions, config.payloads(), transport)
+    return {
+        "hops": n_hops,
+        "protocol": protocol,
+        "window": window,
+        "ack_delay": ack_delay,
+        "n_delivered": result.n_delivered,
+        "n_packets": result.n_packets,
+        "goodput": result.end_to_end_goodput,
+        "symbol_efficiency": result.symbol_efficiency,
+        "total_symbols": result.total_symbols_sent,
+        "acks_sent": sum(hop.acks_sent for hop in result.hops),
+        "acks_lost": sum(hop.acks_lost for hop in result.hops),
+        "makespan": result.makespan,
+    }
 
 
 TRANSPORT_EXPERIMENT = register(
@@ -304,35 +197,3 @@ TRANSPORT_EXPERIMENT = register(
         ),
     )
 )
-
-
-def transport_sweep_table(rows: list[TransportSweepRow]) -> str:
-    return render_table(
-        [
-            "hops",
-            "protocol",
-            "window",
-            "ack delay",
-            "delivered",
-            "goodput (b/sym-t)",
-            "efficiency",
-            "symbols",
-            "acks (lost)",
-            "makespan",
-        ],
-        [
-            (
-                row.hops,
-                row.protocol,
-                row.window,
-                row.ack_delay,
-                f"{row.n_delivered}/{row.n_packets}",
-                row.goodput,
-                row.symbol_efficiency,
-                row.total_symbols,
-                f"{row.acks_sent} ({row.acks_lost})",
-                row.makespan,
-            )
-            for row in rows
-        ],
-    )

@@ -11,8 +11,8 @@ access to the 802.11n standard tables:
   linear algebra, and cycle-avoidance checks;
 * :mod:`repro.ldpc.construction` — an 802.11n-*like* QC-LDPC construction
   (same block length 648, lifting factor Z = 27, code rates 1/2, 2/3, 3/4 and
-  5/6, dual-diagonal parity structure); the substitution is documented in
-  DESIGN.md;
+  5/6, dual-diagonal parity structure); the module docstring gives the
+  rationale for this substitution (README, "Layout");
 * :mod:`repro.ldpc.encoder` — systematic encoding;
 * :mod:`repro.ldpc.decoder` — batch belief-propagation decoding (exact
   sum-product and normalised min-sum), 40 iterations by default.

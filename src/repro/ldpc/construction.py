@@ -18,7 +18,8 @@ structure, which this module constructs:
 The construction is deterministic given ``seed`` so that experiments are
 reproducible; the resulting waterfalls sit within a fraction of a dB of the
 published 802.11n curves, which is all that Figure 2's comparison needs.
-See DESIGN.md ("Substitutions") for the rationale.
+The README's "Layout" section lists this package with the other Figure-2
+baselines.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The helpers here are deliberately small and dependency-free (beyond numpy):
 bit packing/unpacking used by the encoder and the LDPC substrate, decibel
-conversions, seeded RNG management, and light-weight result containers used
-by the experiment harness.
+conversions, seeded RNG management, and the summary statistics and table
+rendering used by the experiment harness.
 """
 
 from repro.utils.bitops import (
@@ -15,7 +15,7 @@ from repro.utils.bitops import (
     random_message_bits,
     unpack_segments,
 )
-from repro.utils.results import RateMeasurement, SweepResult, render_table
+from repro.utils.results import render_table
 from repro.utils.rng import derive_seed, spawn_rng
 from repro.utils.units import db_to_linear, ebn0_to_snr_db, linear_to_db, snr_db_to_ebn0
 
@@ -27,8 +27,6 @@ __all__ = [
     "pack_segments",
     "unpack_segments",
     "random_message_bits",
-    "RateMeasurement",
-    "SweepResult",
     "render_table",
     "derive_seed",
     "spawn_rng",

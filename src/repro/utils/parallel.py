@@ -1,15 +1,15 @@
-"""Order-preserving process fan-out shared by the Monte-Carlo runners.
+"""Order-preserving process fan-out.
 
-Both the trial runner (:mod:`repro.experiments.runner`) and the transport
-sweep (:mod:`repro.experiments.transport_sweep`) promise the same contract:
-``n_workers`` is purely a wall-clock knob — every work item derives its
-randomness from ``(seed, labels...)`` irrespective of worker assignment, and
-results are re-assembled in item order, so any worker count reproduces the
-serial run exactly.  This module centralises the batching/reassembly half of
-that contract so the two runners cannot drift apart.
+The registry engine (:mod:`repro.experiments.registry`) and the network
+sharder (:mod:`repro.net.shard`) promise the same contract: ``n_workers``
+is purely a wall-clock knob — every work item derives its randomness from
+``(seed, labels...)`` irrespective of worker assignment, and results are
+re-assembled in item order, so any worker count reproduces the serial run
+exactly.  This module is the batching/reassembly half of that contract, the
+one fan-out seam both share.
 
 Round-robin (strided) batching is deliberate: adjacent items usually have
-similar expected cost (neighbouring trials, neighbouring grid points), so
+similar expected cost (neighbouring trials, grid points or cells), so
 striding balances the load across workers.
 """
 

@@ -1,39 +1,16 @@
-"""Light-weight result containers and text rendering for experiments.
+"""Summary statistics and text-table rendering for experiment results.
 
-The benchmark harness regenerates the paper's figure as *text tables* (one
-row per SNR point, one column per curve).  These containers keep the raw
-per-trial measurements together with their aggregates so that tests can make
-assertions about distributions, not just means.
+Results themselves persist as registry run records
+(:class:`repro.utils.store.RunStore`); these helpers reduce a cell's trials
+and render rows as the plain-text tables every command prints.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-__all__ = [
-    "RateMeasurement",
-    "SweepResult",
-    "render_table",
-    "mean",
-    "std_error",
-    "RESULTS_SCHEMA_VERSION",
-]
-
-#: Version of the ``to_dict``/``from_dict`` serialization layout; bumped on
-#: incompatible changes so persisted documents are never misread.
-RESULTS_SCHEMA_VERSION = 1
-
-
-def _check_schema_version(data: Mapping, expected_kind: str) -> None:
-    version = data.get("schema_version")
-    if version != RESULTS_SCHEMA_VERSION:
-        raise ValueError(
-            f"cannot load {expected_kind}: schema_version {version!r} "
-            f"(supported: {RESULTS_SCHEMA_VERSION})"
-        )
+__all__ = ["render_table", "mean", "std_error"]
 
 
 def mean(values: Sequence[float]) -> float:
@@ -54,166 +31,12 @@ def std_error(values: Sequence[float]) -> float:
     return math.sqrt(var / len(values))
 
 
-@dataclass
-class RateMeasurement:
-    """Aggregate of rateless-code trials at a single operating point.
-
-    Attributes
-    ----------
-    snr_db:
-        Operating SNR in dB (or ``None`` for channels without an SNR, e.g.
-        a BSC where ``param`` carries the crossover probability).
-    param:
-        Free-form operating parameter (e.g. BSC crossover probability).
-    rates:
-        Achieved rate of each trial, in message bits per channel use
-        (bits/symbol for AWGN, bits/channel-bit for BSC).
-    symbols_sent:
-        Number of channel uses needed in each trial.
-    decoded_ok:
-        Whether each trial terminated with the correct message.
-    """
-
-    snr_db: float | None
-    rates: list[float] = field(default_factory=list)
-    symbols_sent: list[int] = field(default_factory=list)
-    decoded_ok: list[bool] = field(default_factory=list)
-    param: float | None = None
-
-    def add_trial(self, rate: float, symbols: int, ok: bool) -> None:
-        """Record the outcome of one rateless transmission."""
-        self.rates.append(float(rate))
-        self.symbols_sent.append(int(symbols))
-        self.decoded_ok.append(bool(ok))
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.rates)
-
-    @property
-    def mean_rate(self) -> float:
-        """Mean achieved rate over all trials (the quantity plotted in Fig. 2)."""
-        return mean(self.rates)
-
-    @property
-    def rate_std_error(self) -> float:
-        return std_error(self.rates)
-
-    @property
-    def aggregate_rate(self) -> float:
-        """Total-bits-over-total-symbols rate (ratio of means).
-
-        The per-trial mean rate (mean of ratios) can sit slightly above
-        channel capacity for very short messages because lucky trials stop
-        early; the aggregate rate weights every channel use equally and is
-        the right quantity for long-run throughput comparisons.  Requires
-        ``symbols_sent`` and ``rates`` to describe the same trials.
-        """
-        total_symbols = sum(self.symbols_sent)
-        if total_symbols == 0:
-            raise ValueError("no symbols recorded; aggregate rate undefined")
-        total_bits = sum(r * s for r, s in zip(self.rates, self.symbols_sent))
-        return total_bits / total_symbols
-
-    @property
-    def success_fraction(self) -> float:
-        if not self.decoded_ok:
-            raise ValueError("no trials recorded")
-        return sum(self.decoded_ok) / len(self.decoded_ok)
-
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-native representation (round-trips through :meth:`from_dict`)."""
-        return {
-            "schema_version": RESULTS_SCHEMA_VERSION,
-            "snr_db": self.snr_db,
-            "param": self.param,
-            "rates": list(self.rates),
-            "symbols_sent": list(self.symbols_sent),
-            "decoded_ok": list(self.decoded_ok),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RateMeasurement":
-        """Rebuild a measurement from :meth:`to_dict` output."""
-        _check_schema_version(data, "RateMeasurement")
-        measurement = cls(
-            snr_db=data["snr_db"],
-            param=data.get("param"),
-        )
-        lengths = {len(data["rates"]), len(data["symbols_sent"]), len(data["decoded_ok"])}
-        if len(lengths) != 1:
-            raise ValueError("rates/symbols_sent/decoded_ok must have equal lengths")
-        for rate, symbols, ok in zip(
-            data["rates"], data["symbols_sent"], data["decoded_ok"]
-        ):
-            measurement.add_trial(rate, symbols, ok)
-        return measurement
-
-
-@dataclass
-class SweepResult:
-    """A named curve: one :class:`RateMeasurement` per x-axis point."""
-
-    name: str
-    points: list[RateMeasurement] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def add_point(self, point: RateMeasurement) -> None:
-        self.points.append(point)
-
-    def x_values(self) -> list[float]:
-        return [p.snr_db if p.snr_db is not None else (p.param or 0.0) for p in self.points]
-
-    def mean_rates(self) -> list[float]:
-        return [p.mean_rate for p in self.points]
-
-    def as_rows(self) -> list[tuple[float, float, float]]:
-        """Rows of (x, mean rate, std error) for table rendering."""
-        return [
-            (x, p.mean_rate, p.rate_std_error)
-            for x, p in zip(self.x_values(), self.points)
-        ]
-
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-native representation (round-trips through :meth:`from_dict`).
-
-        Metadata values that are not JSON-serializable (e.g. a
-        :class:`~repro.experiments.runner.SpinalRunConfig`) are stored as
-        their ``repr`` — the curve data itself always round-trips exactly.
-        """
-        metadata = {}
-        for key, value in self.metadata.items():
-            try:
-                json.dumps(value)
-            except (TypeError, ValueError):
-                value = repr(value)
-            metadata[str(key)] = value
-        return {
-            "schema_version": RESULTS_SCHEMA_VERSION,
-            "name": self.name,
-            "points": [point.to_dict() for point in self.points],
-            "metadata": metadata,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepResult":
-        """Rebuild a sweep from :meth:`to_dict` output."""
-        _check_schema_version(data, "SweepResult")
-        return cls(
-            name=data["name"],
-            points=[RateMeasurement.from_dict(point) for point in data["points"]],
-            metadata=dict(data.get("metadata", {})),
-        )
-
-
 def render_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
     float_format: str = "{:.3f}",
 ) -> str:
-    """Render rows as a fixed-width text table (used by the bench harness).
+    """Render rows as a fixed-width text table.
 
     Numbers are formatted with ``float_format``; other values via ``str``.
     """
@@ -244,19 +67,3 @@ def render_table(
     lines = [fmt_line(list(headers)), fmt_line(["-" * w for w in widths])]
     lines.extend(fmt_line(row) for row in formatted_rows)
     return "\n".join(lines)
-
-
-def curves_to_table(curves: Mapping[str, SweepResult], x_label: str = "x") -> str:
-    """Merge several sweeps sharing x values into a single text table."""
-    if not curves:
-        raise ValueError("no curves supplied")
-    names = list(curves)
-    xs = curves[names[0]].x_values()
-    for name in names[1:]:
-        if curves[name].x_values() != xs:
-            raise ValueError(f"curve {name!r} has mismatching x values")
-    headers = [x_label] + names
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [curves[name].points[i].mean_rate for name in names])
-    return render_table(headers, rows)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS
 from repro.cli import build_parser, main
+from repro.experiments import get, run_experiment
+from repro.experiments.metrics import crossover_snr
 from repro.utils.asciiplot import ascii_plot
 
 
@@ -207,6 +211,12 @@ class TestMainEndToEnd:
             (["transport", "--snr", "nan"], "--snr must be a number of dB, got nan"),
             (["transport", "--snr-step", "nan"], "--snr-step must be a number of dB"),
             (["serve-soak", "--snr", "nan"], "--snr must be a number of dB, got nan"),
+            (["ldpc", "5", "--frames", "0"], "--frames must be at least 1, got 0"),
+            (["ldpc", "5", "--rate", "1/7"], "--rate must be one of 1/2, 2/3, 3/4, 5/6"),
+            (["ldpc", "5", "--iterations", "0"], "--iterations must be at least 1, got 0"),
+            (["ldpc", "inf"], "SNR must be a finite number of dB, got inf"),
+            (["ldpc", "nan"], "SNR must be a finite number of dB, got nan"),
+            (["transport", "--ack-loss", "2"], "ack_loss must be in [0, 1], got 2.0"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):
@@ -255,6 +265,36 @@ class TestMainEndToEnd:
         )
         assert "Shannon" in output and "Spinal" in output
 
+    def test_figure2_crossover_line_comes_from_the_registry_cells(self):
+        output = main(
+            ["figure2", "--snr-min", "0", "--snr-max", "20", "--snr-step", "10", "--trials", "2"]
+        )
+        cells = run_experiment(
+            get("figure2"), overrides={"snr_db": (0.0, 10.0, 20.0)}, n_trials=2
+        ).successful_cells()
+        crossover = crossover_snr(
+            np.array([params["snr_db"] for _key, params, _cell in cells]),
+            np.array([cell["aggregate"]["rate"] for _key, _params, cell in cells]),
+            np.array([cell["aggregate"]["fixed_block"] for _key, _params, cell in cells]),
+        )
+        assert crossover is not None
+        assert f"fixed-block bound up to {crossover:.1f} dB" in output
+
+    def test_figure2_with_ldpc_adds_one_column_per_baseline(self):
+        output = main(
+            [
+                "figure2", "--snr-min", "0", "--snr-max", "20", "--snr-step", "10",
+                "--trials", "2", "--with-ldpc", "--ldpc-frames", "1",
+            ]
+        )
+        header = output.splitlines()[0]
+        for config in FIGURE2_LDPC_CONFIGS:
+            assert config.label in header
+        # One row per SNR; every LDPC column reads a rate, not a footnote.
+        rows = output.splitlines()[2:5]
+        assert [float(row.split()[0]) for row in rows] == [0.0, 10.0, 20.0]
+        assert all(len(row.split()) == 4 + len(FIGURE2_LDPC_CONFIGS) for row in rows)
+
     def test_figure2_workers_knob(self):
         base = ["figure2", "--snr-min", "10", "--snr-max", "10", "--trials", "2"]
         assert main(base + ["-j", "2"]) == main(base)
@@ -282,6 +322,35 @@ class TestMainEndToEnd:
         assert "window size" in output  # the ASCII chart axis label
         # Workers are a wall-clock knob only: rendered output is identical.
         assert main(base + ["--workers", "2"]) == output
+
+
+    def test_transport_is_one_registry_run(self):
+        output = main(
+            [
+                "transport",
+                "--snr", "10", "--payload-bits", "16", "--k", "4", "--c", "6",
+                "--beam-width", "8", "--packets", "2", "--max-symbols", "512",
+                "--hops", "1", "--window", "1", "2", "--ack-delay", "0",
+                "--protocol", "go-back-n",
+            ]
+        )
+        outcome = run_experiment(
+            get("transport"),
+            overrides={
+                "hops": (1,),
+                "protocol": ("go-back-n",),
+                "window": (1, 2),
+                "ack_delay": (0,),
+                "payload_bits": 16,
+                "k": 4,
+                "c": 6,
+                "beam_width": 8,
+                "snr_db": 10.0,
+                "n_packets": 2,
+                "max_symbols": 512,
+            },
+        )
+        assert output == outcome.table()
 
 
 class TestAsciiPlotConnect:

@@ -1,9 +1,10 @@
-"""Tests of the experiment harness (runner, metrics, figure/ablation modules).
+"""Tests of the experiment harness (runner, metrics, figure/ablation experiments).
 
-These use drastically reduced trial counts and small codes — the goal is to
-verify that every experiment assembles, runs end to end, and produces
-numbers with the qualitative shape the paper reports, not to regenerate the
-full figures (that is what the benchmark harness does).
+Every experiment runs through the registry (``run_experiment``) with
+drastically reduced trial counts and small codes — the goal is to verify
+that every experiment assembles, runs end to end, and produces numbers with
+the qualitative shape the paper reports, not to regenerate the full figures
+(that is what ``repro run <name>`` does).
 """
 
 from __future__ import annotations
@@ -12,53 +13,25 @@ import numpy as np
 import pytest
 
 from repro.core.params import SpinalParams
-from repro.experiments import (
-    SpinalRunConfig,
-    make_puncturing,
-    run_spinal_bsc_point,
-    run_spinal_curve,
-    run_spinal_point,
-)
-from repro.experiments.blocklength import blocklength_experiment, blocklength_table
-from repro.experiments.constellation_maps import constellation_experiment, constellation_table
-from repro.experiments.distance import distance_experiment, distance_table
-from repro.experiments.feedback import feedback_experiment, feedback_table
-from repro.experiments.fixed_vs_rateless import (
-    fixed_vs_rateless_experiment,
-    fixed_vs_rateless_table,
-)
-from repro.experiments.figure2 import (
-    DEFAULT_SNR_GRID_DB,
-    Figure2Data,
-    fixed_block_bound_curve,
-    figure2_table,
-    ldpc_figure2_curves,
-    shannon_curve,
-)
+from repro.experiments import SpinalRunConfig, get, make_puncturing, run_experiment
+from repro.experiments.figure2 import DEFAULT_SNR_GRID_DB
 from repro.experiments.metrics import bit_error_rate, crossover_snr, fraction_of_capacity
-from repro.experiments.puncturing import puncturing_experiment, puncturing_table
-from repro.experiments.quantization import quantization_experiment, quantization_table
-from repro.experiments.scale_down import (
-    monotonicity_violations,
-    scale_down_experiment,
-    scale_down_table,
-)
-from repro.experiments.theorems import (
-    theorem1_gap_experiment,
-    theorem1_table,
-    theorem2_bsc_experiment,
-    theorem2_table,
-)
 from repro.theory.capacity import awgn_capacity_db
+from repro.theory.finite_blocklength import ppv_fixed_block_bound_db
 
-# A tiny configuration reused across the fast experiment tests.
-FAST = SpinalRunConfig(
-    payload_bits=16,
-    params=SpinalParams(k=4, c=6),
-    beam_width=8,
-    n_trials=5,
-    adc_bits=14,
-)
+# A tiny spinal configuration reused across the fast experiment tests.
+FAST = {"payload_bits": 16, "k": 4, "c": 6, "beam_width": 8, "adc_bits": 14}
+FAST_BSC = {"payload_bits": 16, "k": 4, "beam_width": 8, "adc_bits": 14}
+FAST_TRIALS = 5
+
+
+def _run(name: str, overrides: dict, n_trials: int | None = FAST_TRIALS) -> list:
+    """Run one registered experiment; ``(params, aggregate, trials)`` per cell."""
+    outcome = run_experiment(get(name), overrides=overrides, n_trials=n_trials)
+    return [
+        (params, cell["aggregate"], cell["trials"])
+        for _key, params, cell in outcome.successful_cells()
+    ]
 
 
 class TestRunner:
@@ -68,44 +41,33 @@ class TestRunner:
         with pytest.raises(ValueError):
             make_puncturing("adaptive")
 
-    def test_run_spinal_point_basic(self):
-        measurement = run_spinal_point(FAST, snr_db=10.0)
-        assert measurement.n_trials == 5
-        assert measurement.success_fraction == 1.0
-        assert 0.0 < measurement.mean_rate <= 2 * awgn_capacity_db(10.0)
+    def test_rate_cell_basic(self):
+        ((_params, aggregate, trials),) = _run("rate", {**FAST, "snr_db": (10.0,)})
+        assert len(trials) == FAST_TRIALS
+        assert all(trial["ok"] for trial in trials)
+        assert 0.0 < aggregate["rate"] <= 2 * awgn_capacity_db(10.0)
 
-    def test_run_spinal_point_rejects_bit_mode(self):
-        config = FAST.with_(params=SpinalParams(k=4, bit_mode=True))
-        with pytest.raises(ValueError):
-            run_spinal_point(config, 10.0)
+    def test_bsc_cell(self):
+        ((_params, aggregate, trials),) = _run("bsc", {**FAST_BSC, "p": (0.05,)})
+        assert all(trial["ok"] for trial in trials)
+        assert 0.0 < aggregate["rate"] <= 1.0
 
-    def test_run_spinal_bsc_point(self):
-        config = FAST.with_(params=SpinalParams(k=4, bit_mode=True))
-        measurement = run_spinal_bsc_point(config, 0.05)
-        assert measurement.success_fraction == 1.0
-        assert 0.0 < measurement.mean_rate <= 1.0
-
-    def test_run_spinal_bsc_rejects_symbol_mode(self):
-        with pytest.raises(ValueError):
-            run_spinal_bsc_point(FAST, 0.05)
-
-    def test_run_spinal_curve(self):
-        sweep = run_spinal_curve(FAST, [0.0, 10.0], name="tiny")
-        assert sweep.name == "tiny"
-        assert sweep.x_values() == [0.0, 10.0]
+    def test_rate_curve(self):
+        cells = _run("rate", {**FAST, "snr_db": (0.0, 10.0)})
+        assert [params["snr_db"] for params, _, _ in cells] == [0.0, 10.0]
         # Higher SNR must give a higher rate.
-        assert sweep.points[1].mean_rate > sweep.points[0].mean_rate
+        assert cells[1][1]["rate"] > cells[0][1]["rate"]
 
     def test_results_reproducible_for_same_seed(self):
-        a = run_spinal_point(FAST, 5.0)
-        b = run_spinal_point(FAST, 5.0)
-        assert a.rates == b.rates
+        first = _run("rate", {**FAST, "snr_db": (5.0,)})
+        second = _run("rate", {**FAST, "snr_db": (5.0,)})
+        assert first[0][2] == second[0][2]
 
     def test_symbol_budget_adaptive(self):
-        config = FAST.with_(max_symbols=None)
+        config = SpinalRunConfig(payload_bits=16, params=SpinalParams(k=4, c=6))
         assert config.symbol_budget(ideal_rate=1.0) >= 16
         assert config.symbol_budget(ideal_rate=0.0) > 1000
-        explicit = FAST.with_(max_symbols=99)
+        explicit = config.with_(max_symbols=99)
         assert explicit.symbol_budget(ideal_rate=1.0) == 99
 
 
@@ -140,122 +102,94 @@ class TestMetrics:
 
 class TestFigure2:
     def test_bound_curves_cover_grid(self):
-        shannon = shannon_curve(DEFAULT_SNR_GRID_DB)
-        ppv = fixed_block_bound_curve(DEFAULT_SNR_GRID_DB)
-        assert len(shannon.points) == len(DEFAULT_SNR_GRID_DB)
         assert all(
-            s >= p for s, p in zip(shannon.mean_rates(), ppv.mean_rates())
+            awgn_capacity_db(snr_db) >= ppv_fixed_block_bound_db(snr_db)
+            for snr_db in DEFAULT_SNR_GRID_DB
         )
 
     def test_figure2_spinal_only_small_grid(self):
-        data = figure2_table(
-            snr_values_db=[0.0, 10.0], spinal_config=FAST, include_ldpc=False
-        )
-        assert isinstance(data, Figure2Data)
-        table = data.as_table()
-        assert "Shannon" in table and "Spinal" in table
-        fractions = data.spinal_fraction_of_capacity()
-        assert np.all(fractions > 0.5)
+        cells = _run("figure2", {**FAST, "snr_db": (0.0, 10.0)})
+        assert len(cells) == 2
+        assert all(aggregate["fraction_of_capacity"] > 0.5 for _, aggregate, _ in cells)
 
     def test_ldpc_curves_structure(self):
-        from repro.baselines.ldpc_system import LdpcConfig
-        from fractions import Fraction
-
-        curves = ldpc_figure2_curves(
-            snr_values_db=[-5.0, 8.0],
-            configs=(LdpcConfig(Fraction(1, 2), "BPSK"),),
-            n_frames=5,
-            max_iterations=15,
-            algorithm="min-sum",
+        below, above = _run(
+            "ldpc-rate",
+            {
+                "snr_db": (-5.0, 8.0),
+                "rate": "1/2",
+                "modulation": "BPSK",
+                "frames": 5,
+                "iterations": 15,
+            },
+            n_trials=None,
         )
-        assert len(curves) == 1
-        curve = next(iter(curves.values()))
         # Below the waterfall the rate is ~0, above it ~nominal.
-        assert curve.points[0].mean_rate < 0.1
-        assert curve.points[1].mean_rate > 0.4
+        assert below[1]["achieved_rate"] < 0.1
+        assert above[1]["achieved_rate"] > 0.4
 
 
 class TestExperimentModules:
     def test_theorem1(self):
-        rows = theorem1_gap_experiment(snr_values_db=(5.0, 15.0), config=FAST)
-        assert len(rows) == 2
-        assert all(row.capacity > row.theorem_rate for row in rows)
-        assert "Δ" in theorem1_table(rows) or "gap" in theorem1_table(rows)
+        cells = _run("theorem1-gap", {**FAST, "snr_db": (5.0, 15.0)})
+        assert len(cells) == 2
+        assert all(aggregate["capacity"] > aggregate["theorem_rate"] for _, aggregate, _ in cells)
 
     def test_theorem2(self):
-        config = FAST.with_(params=SpinalParams(k=4, bit_mode=True))
-        rows = theorem2_bsc_experiment(crossover_probabilities=(0.05,), config=config)
-        assert rows[0].fraction_of_capacity > 0.5
-        assert "C_bsc" in theorem2_table(rows)
+        ((_params, aggregate, _trials),) = _run("theorem2-bsc", {**FAST_BSC, "p": (0.05,)})
+        assert aggregate["fraction_of_capacity"] > 0.5
 
     def test_scale_down(self):
-        rows = scale_down_experiment(
-            snr_values_db=(10.0,), beam_widths=(1, 4, 16), base_config=FAST
-        )
-        assert len(rows) == 3
-        # Wider beams should not be dramatically worse.
-        assert monotonicity_violations(rows, tolerance=0.5) == 0
-        assert "B=16" in scale_down_table(rows)
+        cells = _run("scale-down", {**FAST, "snr_db": (10.0,), "beam_width": (1, 4, 16)})
+        assert [params["beam_width"] for params, _, _ in cells] == [1, 4, 16]
+        # Wider beams should not be dramatically worse: no step in B may
+        # lose more than half the rate.
+        rates = np.array([aggregate["rate"] for _, aggregate, _ in cells])
+        assert not np.any(rates[:-1] - rates[1:] > 0.5 * np.maximum(rates[:-1], 1e-9))
 
     def test_puncturing(self):
-        rows = puncturing_experiment(
-            snr_values_db=(25.0,), schedules=("none", "tail-first"), base_config=FAST
+        cells = _run(
+            "puncturing", {**FAST, "snr_db": (25.0,), "schedule": ("none", "tail-first")}
         )
-        table = puncturing_table(rows)
-        assert "tail-first" in table
-        by_schedule = {row.schedule: row for row in rows}
-        assert by_schedule["tail-first"].mean_rate >= by_schedule["none"].mean_rate - 0.5
+        by_schedule = {params["schedule"]: aggregate["rate"] for params, aggregate, _ in cells}
+        assert by_schedule["tail-first"] >= by_schedule["none"] - 0.5
 
     def test_distance(self):
-        profile = distance_experiment(n_samples=40, n_message_bits=16, k=4, c=6)
-        assert 0.8 < profile.distance_ratio < 1.2
-        assert profile.min_one_bit_distance > 0.0
-        assert "avalanche" in distance_table(profile)
+        ((_params, aggregate, _trials),) = _run(
+            "distance", {"n_samples": 40, "n_message_bits": 16, "k": 4, "c": 6}, n_trials=None
+        )
+        assert 0.8 < aggregate["distance_ratio"] < 1.2
+        assert aggregate["min_one_bit_distance"] > 0.0
 
     def test_blocklength(self):
-        rows = blocklength_experiment(
-            payload_lengths=(16, 32), snr_values_db=(10.0,), base_config=FAST
-        )
-        assert len(rows) == 2
-        assert "PPV bound" in blocklength_table(rows)
+        cells = _run("blocklength", {**FAST, "payload_bits": (16, 32), "snr_db": (10.0,)})
+        assert len(cells) == 2
 
     def test_quantization(self):
-        rows = quantization_experiment(
-            adc_bit_depths=(6, 14, None), snr_values_db=(10.0,), base_config=FAST
-        )
-        assert len(rows) == 3
-        by_depth = {row.adc_bits: row.mean_rate for row in rows}
+        cells = _run("quantization", {**FAST, "adc_bits": (6, 14, None), "snr_db": (10.0,)})
+        by_depth = {params["adc_bits"]: aggregate["rate"] for params, aggregate, _ in cells}
+        assert len(by_depth) == 3
         # 14-bit ADC should be essentially as good as no quantiser.
         assert by_depth[14] >= 0.8 * by_depth[None]
-        assert "inf" in quantization_table(rows)
 
     def test_constellations(self):
-        rows = constellation_experiment(
-            constellation_kinds=("linear", "offset-linear"),
-            snr_values_db=(10.0,),
-            base_config=FAST,
+        cells = _run(
+            "constellation-maps",
+            {**FAST, "constellation": ("linear", "offset-linear"), "snr_db": (10.0,)},
         )
-        assert len(rows) == 2
-        assert "offset-linear" in constellation_table(rows)
+        assert len(cells) == 2
 
     def test_fixed_vs_rateless(self):
-        rows = fixed_vs_rateless_experiment(
-            snr_values_db=(12.0,),
-            config=FAST,
-            pass_choices=(1, 2, 4),
-            n_fixed_frames=5,
+        ((_params, aggregate, _trials),) = _run(
+            "fixed-vs-rateless",
+            {**FAST, "snr_db": (12.0,), "pass_choices": (1, 2, 4), "n_fixed_frames": 5},
         )
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.best_fixed_passes in (1, 2, 4)
-        assert row.rateless_rate > 0 and row.best_fixed_rate > 0
-        assert "rateless gain" in fixed_vs_rateless_table(rows)
+        assert aggregate["best_fixed_passes"] in (1, 2, 4)
+        assert aggregate["rate"] > 0 and aggregate["best_fixed_rate"] > 0
 
     def test_feedback(self):
-        rows = feedback_experiment(snr_values_db=(10.0,), config=FAST)
-        assert any(row.model == "PerfectFeedback" for row in rows)
-        perfect = next(row for row in rows if row.model == "PerfectFeedback")
-        assert perfect.efficiency == pytest.approx(1.0)
-        others = [row for row in rows if row.model != "PerfectFeedback"]
-        assert all(row.efficiency <= 1.0 + 1e-9 for row in others)
-        assert "efficiency" in feedback_table(rows)
+        cells = _run("feedback", {**FAST, "snr_db": (10.0,)})
+        efficiency = {aggregate["model_label"]: aggregate["efficiency"] for _, aggregate, _ in cells}
+        assert efficiency.pop("PerfectFeedback") == pytest.approx(1.0)
+        assert efficiency
+        assert all(value <= 1.0 + 1e-9 for value in efficiency.values())

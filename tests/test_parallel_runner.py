@@ -1,10 +1,10 @@
-"""Determinism tests for the process-parallel Monte-Carlo runner.
+"""Determinism tests for the registry engine's worker fan-out.
 
-The runner's contract is that ``n_workers`` is purely a wall-clock knob:
-per-trial generators are spawned from ``(seed, "trial", label, trial)``
-irrespective of worker assignment, and outcomes are re-assembled in trial
-order, so any worker count must reproduce the serial measurement exactly
-(which also exercises ``spawn_rng`` stability across process boundaries).
+``n_workers`` is purely a wall-clock knob: per-trial generators are spawned
+from ``(seed, "trial", label, trial)`` irrespective of worker assignment,
+and outcomes are re-assembled in trial order, so any worker count must
+reproduce the serial measurement exactly (which also exercises
+``spawn_rng`` stability across process boundaries).
 """
 
 from __future__ import annotations
@@ -13,68 +13,63 @@ import numpy as np
 import pytest
 
 from repro.core.decoder_bubble import BubbleDecoder
-from repro.core.params import SpinalParams
-from repro.experiments.runner import (
-    SpinalRunConfig,
-    run_spinal_bsc_point,
-    run_spinal_point,
-)
+from repro.experiments import SpinalRunConfig, get, run_experiment
 from repro.utils.rng import derive_seed, spawn_rng
 
-_FAST_AWGN = SpinalRunConfig(
-    payload_bits=16,
-    params=SpinalParams(k=4, c=6, seed=31),
-    beam_width=8,
-    n_trials=8,
-    search="sequential",
-)
+_FAST_AWGN = {
+    "payload_bits": 16,
+    "k": 4,
+    "c": 6,
+    "beam_width": 8,
+    "search": "sequential",
+}
+
+
+def _rate_trials(snr_db: float, n_trials: int, n_workers: int = 1) -> list:
+    outcome = run_experiment(
+        get("rate"),
+        overrides={**_FAST_AWGN, "snr_db": (snr_db,)},
+        n_trials=n_trials,
+        n_workers=n_workers,
+    )
+    ((_key, _params, cell),) = outcome.successful_cells()
+    return cell["trials"]
 
 
 class TestParallelDeterminism:
     def test_awgn_four_workers_match_serial(self):
-        serial = run_spinal_point(_FAST_AWGN, 8.0)
-        parallel = run_spinal_point(_FAST_AWGN.with_(n_workers=4), 8.0)
-        assert parallel.rates == serial.rates
-        assert parallel.symbols_sent == serial.symbols_sent
-        assert parallel.decoded_ok == serial.decoded_ok
+        assert _rate_trials(8.0, 8, n_workers=4) == _rate_trials(8.0, 8)
 
     def test_worker_count_does_not_matter(self):
-        reference = run_spinal_point(_FAST_AWGN.with_(n_trials=5), 10.0)
+        reference = _rate_trials(10.0, 5)
         for n_workers in (2, 3, 5, 8):
-            point = run_spinal_point(
-                _FAST_AWGN.with_(n_trials=5, n_workers=n_workers), 10.0
-            )
-            assert point.rates == reference.rates
-            assert point.symbols_sent == reference.symbols_sent
+            assert _rate_trials(10.0, 5, n_workers=n_workers) == reference
 
     def test_bsc_parallel_matches_serial(self):
-        config = SpinalRunConfig(
-            payload_bits=12,
-            params=SpinalParams(k=3, seed=13, bit_mode=True),
-            beam_width=8,
-            n_trials=6,
-        )
-        serial = run_spinal_bsc_point(config, 0.05)
-        parallel = run_spinal_bsc_point(config.with_(n_workers=4), 0.05)
-        assert parallel.rates == serial.rates
-        assert parallel.symbols_sent == serial.symbols_sent
-        assert parallel.decoded_ok == serial.decoded_ok
+        def trials(n_workers: int) -> list:
+            outcome = run_experiment(
+                get("bsc"),
+                overrides={"payload_bits": 12, "k": 3, "beam_width": 8, "p": (0.05,)},
+                n_trials=6,
+                n_workers=n_workers,
+            )
+            return outcome.record["cells"]
+
+        assert trials(4) == trials(1)
 
     def test_measurements_match_the_from_scratch_decoder(self, monkeypatch):
         """The stateful engine measures exactly what a fresh decoder does."""
-        vectorized = run_spinal_point(_FAST_AWGN.with_(n_trials=4), 8.0)
+        vectorized = _rate_trials(8.0, 4)
         monkeypatch.setattr(
             SpinalRunConfig,
             "decoder_factory",
             lambda config: lambda enc: BubbleDecoder(enc, beam_width=config.beam_width),
         )
-        bubble = run_spinal_point(_FAST_AWGN.with_(n_trials=4), 8.0)
-        assert bubble.rates == vectorized.rates
-        assert bubble.symbols_sent == vectorized.symbols_sent
+        bubble = _rate_trials(8.0, 4)
+        assert [t["rate"] for t in bubble] == [t["rate"] for t in vectorized]
+        assert [t["symbols"] for t in bubble] == [t["symbols"] for t in vectorized]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            SpinalRunConfig(n_workers=0)
         with pytest.raises(ValueError, match="search"):
             SpinalRunConfig(search="turbo")
 

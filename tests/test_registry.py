@@ -452,3 +452,33 @@ class TestRunStore:
         before = outcome.path.read_bytes()
         store.save(outcome.record)
         assert outcome.path.read_bytes() == before
+
+    @pytest.mark.parametrize("field", ["experiment", "spec", "spec_hash", "cells"])
+    def test_read_rejects_record_missing_a_field(self, field, tmp_path):
+        outcome = _run_rate(RunStore(tmp_path))
+        record = json.loads(outcome.path.read_text())
+        del record[field]
+        outcome.path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=f"missing {field!r}"):
+            read_run(outcome.path)
+
+    def test_load_exact_misses_an_unknown_hash(self, tmp_path):
+        store = RunStore(tmp_path)
+        outcome = _run_rate(store)
+        assert store.load_exact("rate", "0" * 64) is None
+        assert store.load_exact("bsc", outcome.record["spec_hash"]) is None
+
+    def test_load_exact_round_trips_the_record(self, tmp_path):
+        store = RunStore(tmp_path)
+        outcome = _run_rate(store)
+        loaded = store.load_exact("rate", outcome.record["spec_hash"])
+        assert loaded == json.loads(json.dumps(outcome.record))
+        assert [path.name for path in tmp_path.iterdir()] == [outcome.path.name]
+
+    def test_iter_records_skips_other_experiments_sharing_the_prefix(self, tmp_path):
+        store = RunStore(tmp_path)
+        outcome = _run_rate(store)
+        foreign = dict(outcome.record, experiment="rate-foreign")
+        assert store.save(foreign).name.startswith("rate-")
+        records = list(store.iter_records("rate"))
+        assert [record["experiment"] for record in records] == ["rate"]

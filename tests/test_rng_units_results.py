@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.utils.results import RateMeasurement, SweepResult, mean, render_table, std_error
+from repro.utils.results import mean, render_table, std_error
 from repro.utils.rng import derive_seed, spawn_rng
 from repro.utils.units import db_to_linear, ebn0_to_snr_db, linear_to_db, snr_db_to_ebn0
 
@@ -71,48 +71,6 @@ class TestStatsHelpers:
         values = [1.0, 2.0, 3.0, 4.0]
         expected = math.sqrt(np.var(values, ddof=1) / len(values))
         assert std_error(values) == pytest.approx(expected)
-
-
-class TestRateMeasurement:
-    def test_add_and_aggregate(self):
-        m = RateMeasurement(snr_db=10.0)
-        m.add_trial(2.0, symbols=12, ok=True)
-        m.add_trial(4.0, symbols=6, ok=True)
-        assert m.n_trials == 2
-        assert m.mean_rate == pytest.approx(3.0)
-        assert m.success_fraction == 1.0
-        # Aggregate rate = (2*12 + 4*6) / 18 = 48/18.
-        assert m.aggregate_rate == pytest.approx(48 / 18)
-
-    def test_mean_rate_requires_trials(self):
-        with pytest.raises(ValueError):
-            RateMeasurement(snr_db=0.0).mean_rate
-
-    def test_success_fraction_counts_failures(self):
-        m = RateMeasurement(snr_db=0.0)
-        m.add_trial(1.0, 10, True)
-        m.add_trial(0.5, 20, False)
-        assert m.success_fraction == pytest.approx(0.5)
-
-
-class TestSweepResult:
-    def _measurement(self, snr, rate):
-        m = RateMeasurement(snr_db=snr)
-        m.add_trial(rate, 10, True)
-        return m
-
-    def test_x_values_and_rates(self):
-        sweep = SweepResult(name="demo")
-        sweep.add_point(self._measurement(0.0, 1.0))
-        sweep.add_point(self._measurement(5.0, 2.0))
-        assert sweep.x_values() == [0.0, 5.0]
-        assert sweep.mean_rates() == [1.0, 2.0]
-
-    def test_as_rows_shape(self):
-        sweep = SweepResult(name="demo")
-        sweep.add_point(self._measurement(0.0, 1.0))
-        rows = sweep.as_rows()
-        assert len(rows) == 1 and len(rows[0]) == 3
 
 
 class TestRenderTable:

@@ -8,7 +8,10 @@ The transport's contract, exercised over randomized loss/delay schedules:
 * the sender never spends fewer symbols than the receiver needed;
 * a fixed seed is bit-deterministic — rerunning a simulation, or fanning
   the E15 sweep over any number of worker processes, reproduces identical
-  results (the same contract the Monte-Carlo trial runner honours).
+  results (the same contract every registry experiment honours);
+* the E15 sweep keeps its anchors: full delivery, ``PerfectFeedback``
+  accounting at zero ACK delay, and windowing recovering goodput under
+  delay.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ import pytest
 
 from repro.channels.erasure import PacketErasureChannel
 from repro.core.params import SpinalParams
+from repro.experiments import get, run_experiment
 from repro.experiments.runner import SpinalRunConfig
-from repro.experiments.transport_sweep import (
-    TransportSweepConfig,
-    run_transport_sweep,
-)
+from repro.experiments.transport_sweep import TransportSweepConfig
 from repro.link.events import (
     PRIORITY_ACK,
     PRIORITY_BLOCK,
@@ -265,6 +266,27 @@ class TestSlidingWindowInvariants:
         assert gbn.total_symbols_sent > sr.total_symbols_sent
 
 
+@pytest.fixture(scope="module")
+def anchor_rows() -> list:
+    """One registry ``transport`` run over the E15 anchor grid, a row per cell."""
+    outcome = run_experiment(
+        get("transport"),
+        overrides={
+            "payload_bits": 16,
+            "k": 4,
+            "c": 6,
+            "beam_width": 8,
+            "snr_db": 10.0,
+            "n_packets": 4,
+            "window": (1, 2),
+            "ack_delay": (0, 16),
+            "hops": (1, 2),
+            "max_symbols": 512,
+        },
+    )
+    return [cell["trials"][0] for _key, _params, cell in outcome.successful_cells()]
+
+
 class TestDeterminism:
     def test_rerun_is_bit_identical(self):
         config = TransportConfig(
@@ -294,26 +316,55 @@ class TestDeterminism:
             assert hop_a.acks_lost == hop_b.acks_lost
 
     def test_sweep_identical_for_any_worker_count(self):
-        config = TransportSweepConfig(
-            payload_bits=16,
-            params=SpinalParams(k=4, c=6, seed=31),
-            beam_width=8,
-            snr_db=10.0,
-            n_packets=3,
-            windows=(1, 2),
-            ack_delays=(0, 6),
-            hop_counts=(1, 2),
-            ack_loss=0.25,
-            max_symbols=512,
-        )
-        reference = run_transport_sweep(config)
+        overrides = {
+            "payload_bits": 16,
+            "k": 4,
+            "c": 6,
+            "beam_width": 8,
+            "snr_db": 10.0,
+            "n_packets": 3,
+            "window": (1, 2),
+            "ack_delay": (0, 6),
+            "hops": (1, 2),
+            "ack_loss": 0.25,
+            "max_symbols": 512,
+        }
+        reference = run_experiment(get("transport"), overrides=overrides).record
         for n_workers in (2, 3):
-            rows = run_transport_sweep(config.with_(n_workers=n_workers))
-            assert rows == reference
+            outcome = run_experiment(get("transport"), overrides=overrides, n_workers=n_workers)
+            assert outcome.record == reference
+
+    def test_sweep_delivers_every_packet(self, anchor_rows):
+        assert len(anchor_rows) == 16
+        for row in anchor_rows:
+            assert row["n_delivered"] == row["n_packets"] == 4, row
+
+    def test_zero_ack_delay_is_the_perfect_feedback_anchor(self, anchor_rows):
+        anchors = [
+            row
+            for row in anchor_rows
+            if row["ack_delay"] == 0
+            and (row["protocol"] == "selective-repeat" or row["window"] == 1)
+        ]
+        assert anchors
+        for row in anchors:
+            # Nothing spent beyond what the decoders needed.
+            assert row["symbol_efficiency"] == 1.0, row
+
+    def test_widest_window_recovers_goodput_under_delay(self, anchor_rows):
+        largest_delay = max(row["ack_delay"] for row in anchor_rows)
+        widest = max(row["window"] for row in anchor_rows)
+        for hops in (1, 2):
+            selective_repeat = {
+                row["window"]: row["goodput"]
+                for row in anchor_rows
+                if row["hops"] == hops
+                and row["protocol"] == "selective-repeat"
+                and row["ack_delay"] == largest_delay
+            }
+            assert selective_repeat[widest] > selective_repeat[1], (hops, selective_repeat)
 
     def test_sweep_config_validation(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            TransportSweepConfig(n_workers=0)
         with pytest.raises(ValueError, match="hop counts"):
             TransportSweepConfig(hop_counts=(0,))
         with pytest.raises(ValueError, match="window sizes"):
