@@ -530,7 +530,12 @@ def _command_obs(args: argparse.Namespace) -> str:
     if args.obs_command == "report":
         from repro.obs.report import render_report
 
-        return render_report(args.jsonl_file)
+        try:
+            return render_report(args.jsonl_file)
+        except OSError as exc:
+            _usage_error("obs", ValueError(f"cannot read {args.jsonl_file}: {exc.strerror}"))
+        except ValueError as exc:
+            _usage_error("obs", exc)
     from repro.obs.exporters import validate_directory
 
     problems = validate_directory(args.directory)
@@ -971,6 +976,9 @@ def _command_city_soak(args: argparse.Namespace) -> str:
         config.geometry()
         make_scheduler(config.scheduler)
         code_family(config.code)
+        # NetworkConfig keeps an empty city legal for library callers.
+        if args.users < 1:
+            raise ValueError(f"--users must be at least 1, got {args.users}")
         if args.replicas < 1:
             raise ValueError(f"n_replicas must be at least 1, got {args.replicas}")
         if args.workers < 1:

@@ -56,12 +56,14 @@ These are the "tree nodes" the k-sweep and scale-down experiments report;
 ``tests/golden/decoder_work.json`` pins them per attempt.
 
 :class:`BatchDecoder` is the batch front: it decodes *many* concurrent
-sessions (all users of a MAC cell, all hops of a relay chain, a worker's
-whole trial batch) per call, stacking every session's beam into single hash
-/ constellation / distance kernels so the per-session numpy dispatch
-overhead is amortised across the batch.  Per-session results, work
-included, are bit-exact with :class:`BubbleDecoder` run one session at a
-time.
+sessions (a serve flush, a calibration step's packets) per call.  Sessions
+whose stores observe the same set of tree levels prune to the same beam
+width at every level, so each such partition walks the tree in lock-step
+as ``(sessions, beam)`` arrays: one keyed expansion, branch-cost kernels
+per shared observation count, and one row-wise prune per level, then one
+backtrack for the whole partition — no per-session Python in the level
+loop.  Per-session results, work included, are bit-exact with
+:class:`BubbleDecoder` run one session at a time.
 
 Every engine scores candidates through the one table-driven kernel,
 :func:`~repro.core.branch_kernel.branch_cost_kernel`: the single-session
@@ -596,48 +598,41 @@ class VectorizedBubbleDecoder:
 
 
 # ---------------------------------------------------------------------------
-#: Cap on elements per stacked kernel call.  Session chunks are sized so the
+#: Cap on elements per stacked kernel call.  Row slices are sized so the
 #: ``sessions x candidates x observations`` working set (8–16 bytes per
 #: element across the hash/constellation/distance intermediates) stays
-#: cache-resident; one giant stacked call spills L2 and runs slower than the
-#: per-session spelling it replaces.
+#: cache-resident, and so an unpruned level's ``sessions x candidates``
+#: arrays stay small; one giant stacked call spills L2 and runs slower.
 _MAX_STACK_ELEMENTS = 1 << 16
 
 
-def _session_chunks(members: "list[int]", per_session: int, max_elements: int):
-    """Split a same-shape session group into cache-sized chunks."""
-    step = max(1, max_elements // max(per_session, 1))
-    for start in range(0, len(members), step):
-        yield members[start : start + step]
-
-
-def _stack_rows(arrays: "list[np.ndarray]") -> np.ndarray:
-    """``np.stack`` for same-shape 1-D rows, minus its shape introspection.
-
-    The batch kernels stack tens of small per-session rows thousands of
-    times per decode, where ``np.stack``'s per-call bookkeeping (shape
-    set-building, per-array ``expand_dims``) costs more than the copies.
-    A preallocated fill produces the identical array.
-    """
-    first = arrays[0]
-    out = np.empty((len(arrays),) + first.shape, dtype=first.dtype)
-    for j, row in enumerate(arrays):
-        out[j] = row
-    return out
+def _row_slices(n_rows: int, per_row: int, max_elements: int) -> list[slice]:
+    """Split ``n_rows`` stacked rows into cache-sized contiguous slices."""
+    step = max(1, max_elements // max(per_row, 1))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 class BatchDecoder:
-    """Decode many concurrent spinal sessions as stacked whole-beam array ops.
+    """Decode many concurrent spinal sessions in lock-step, as 2-D beam arrays.
 
     All sessions must share the code *shape* — segment size ``k``, mode and
     constellation parameters — but may (and in the relay/cell scenarios do)
     use independent hash-family seeds: the expansion and symbol hashes take
     per-element key arrays (:func:`~repro.core.hashing.hash_spine_keyed`),
-    so one kernel call covers every session.  Ragged per-session observation
-    sets are handled by stacking the candidate x observation products into
-    one flat kernel call and splitting afterwards; only the cheap per-session
-    reductions (row sums, pruning) loop over sessions, which keeps them
-    bit-exact with a per-session :class:`BubbleDecoder`.
+    so one kernel call covers many sessions.
+
+    A call partitions its sessions by *observed-position pattern* — which
+    tree levels have at least one observation.  Whether a level prunes to
+    ``beam_width`` or keeps up to ``max_unpruned_width`` depends only on
+    that pattern, so every member of a partition has the same beam shape at
+    every level, and the partition walks the tree as ``(sessions, beam)``
+    state, cost and pruning-index arrays: one keyed expansion per level,
+    branch-cost kernels over the rows that share an observation count (the
+    counts may differ between members), one row-wise ``argpartition`` per
+    level, and one backtrack and bit unpack for the whole partition.  Each
+    row is reduced, pruned and backtracked exactly as a single-session
+    decode does it, which keeps every session bit-exact with a per-session
+    :class:`BubbleDecoder`.
 
     Use :meth:`decode_all` with one observation store per session; results
     are returned in session order and are bit-identical (``message_bits``,
@@ -682,6 +677,9 @@ class BatchDecoder:
         self._k = k
         self._width = 1 << k
         self._all_segments = np.arange(self._width, dtype=np.uint64)
+        self._initial_states = np.array(
+            [e.hash_family.initial_state for e in self.encoders], dtype=np.uint64
+        )
         self._key1s = np.array(
             [e.hash_family._key1 for e in self.encoders], dtype=np.uint64
         )
@@ -703,93 +701,167 @@ class BatchDecoder:
         return len(self.encoders)
 
     # ------------------------------------------------------------------
-    def _expand_all(
-        self, states_list: list[np.ndarray], key1s: np.ndarray
-    ) -> list[np.ndarray]:
-        """Expand every session's beam with grouped broadcast hash calls.
+    def _decode_partition(
+        self,
+        registered: np.ndarray,
+        columns: "list[list[tuple[np.ndarray, np.ndarray]]]",
+        counts: np.ndarray,
+    ) -> list[DecodeResult]:
+        """Decode sessions sharing one observed-position pattern in lock-step.
 
-        Sessions whose beams are the same width (the common lock-step case)
-        stack into one ``(sessions, states, segments)`` broadcast of the
-        keyed expansion hash — no materialised repeat/tile index products,
-        so the memory traffic is just the output array.  The hash is
-        elementwise, so each session's slice equals its single-session
-        expansion bit for bit.  ``key1s`` is aligned with ``states_list``
-        (one expansion key per decoded session, which for a subset decode is
-        a gather of the registered keys).
+        ``registered`` names the members' encoders, ``columns`` holds each
+        member's :meth:`ReceivedObservations.columns` and ``counts`` is the
+        ``(members, positions)`` observation count table.  Every member has
+        the same beam shape at every level, so the beams are
+        ``(members, beam)`` arrays; a level runs over contiguous row slices
+        of at most :attr:`max_stack_elements` candidates.
         """
-        flat_list: list[np.ndarray] = [None] * len(states_list)  # type: ignore[list-item]
-        groups: dict[int, list[int]] = {}
-        for session, states in enumerate(states_list):
-            groups.setdefault(states.size, []).append(session)
-        for members in groups.values():
-            per_session = states_list[members[0]].size * self._width
-            for chunk in _session_chunks(members, per_session, self.max_stack_elements):
-                states = _stack_rows([states_list[s] for s in chunk])
-                keys = key1s[np.asarray(chunk)][:, None, None]
-                children = hash_spine_keyed(
-                    states[:, :, None], self._all_segments[None, None, :], keys
+        n_rows, n_segments = counts.shape
+        key1s = self._key1s[registered]
+        key2s = self._key2s[registered]
+        states = self._initial_states[registered][:, None]
+        costs = np.zeros((n_rows, 1), dtype=np.float64)
+        kept_history: list[np.ndarray | None] = []
+        beam_trace: list[int] = []
+        explored = 0
+        for position in range(n_segments):
+            n_cand = states.shape[1] * self._width
+            n_obs = counts[:, position]
+            if n_obs[0]:
+                level = [member[position] for member in columns]
+                keep = min(self.beam_width, n_cand)
+            else:
+                level = None
+                keep = min(self.max_unpruned_width, n_cand)
+            steps = [
+                self._step(
+                    states[rows], costs[rows], key1s[rows], key2s[rows],
+                    None if level is None else level[rows], n_obs[rows], keep,
                 )
-                for j, session in enumerate(chunk):
-                    flat_list[session] = children[j].reshape(-1)
-        return flat_list
+                for rows in _row_slices(n_rows, n_cand, self.max_stack_elements)
+            ]
+            if len(steps) == 1:
+                states, costs, kept_idx = steps[0]
+            else:
+                states, costs, kept_idx = (
+                    None if pieces[0] is None else np.concatenate(pieces)
+                    for pieces in zip(*steps)
+                )
+            kept_history.append(kept_idx)
+            beam_trace.append(keep)
+            explored += n_cand
 
-    def _branch_all(
+        # Backtrack every member's best leaf at once: one gather per level.
+        rows = np.arange(n_rows)
+        node = costs.argmin(axis=1)
+        path_costs = costs[rows, node].tolist()
+        segments = np.empty((n_rows, n_segments), dtype=np.uint64)
+        for position in range(n_segments - 1, -1, -1):
+            kept_idx = kept_history[position]
+            flat = node if kept_idx is None else kept_idx[rows, node]
+            node, segments[:, position] = np.divmod(flat, self._width)
+        # Row-wise SpineGenerator.segments_to_bits.
+        shifts = np.arange(self._k - 1, -1, -1, dtype=np.uint64)
+        bits = ((segments[:, :, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+        bits = bits.reshape(n_rows, -1)
+        trace = tuple(beam_trace)
+        return [
+            DecodeResult(
+                message_bits=bits[j],
+                path_cost=path_costs[j],
+                candidates_explored=explored,
+                beam_trace=trace,
+            )
+            for j in range(n_rows)
+        ]
+
+    def _step(
         self,
-        flat_list: list[np.ndarray],
-        obs_list: list[tuple[np.ndarray, np.ndarray]],
+        states: np.ndarray,
+        costs: np.ndarray,
+        key1s: np.ndarray,
         key2s: np.ndarray,
-    ) -> list[np.ndarray | None]:
-        """Summed branch costs per session from grouped broadcast kernels.
+        columns: "list[tuple[np.ndarray, np.ndarray]] | None",
+        n_obs: np.ndarray,
+        keep: int,
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None]":
+        """Expand, score and prune one level of a row slice of beams.
 
-        Sessions whose candidate and observation counts agree (the common
-        lock-step case) stack into one ``(sessions, candidates,
-        observations)`` broadcast evaluation — keyed symbol hash,
-        constellation map and distance run once per group with no
-        materialised index products.  Each session's slice of the 3-D
-        result is a C-contiguous ``(candidates, observations)`` matrix, so
-        its row sums match the per-session
-        ``branch_cost_columns(...).sum(axis=1)`` bit for bit.
+        Returns the kept states, their costs and the kept candidate indices
+        (``None`` when nothing is pruned).  The expressions are
+        :class:`BubbleDecoder`'s, row by row — the keyed expansion hash is
+        elementwise and numpy partitions each row with the same introselect
+        a 1-D call uses — so states, ties and costs agree to the last ulp.
         """
-        branches: list[np.ndarray | None] = [None] * len(flat_list)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for session, (flat, (pass_indices, _values)) in enumerate(
-            zip(flat_list, obs_list)
-        ):
-            # Sessions with no observations yet at this position (a late
-            # joiner whose first block landed elsewhere, or a degenerate
-            # member with an empty store) contribute no branch costs: they
-            # are left at None here and get an explicit zero-cost branch in
-            # the reduction loop, exactly like the single-session engines.
-            if pass_indices.size:
-                groups.setdefault((flat.size, pass_indices.size), []).append(session)
-        for (n_cand, n_obs), members in groups.items():
-            for chunk in _session_chunks(
-                members, n_cand * n_obs, self.max_stack_elements
-            ):
-                self._branch_chunk(chunk, flat_list, obs_list, branches, key2s)
-        return branches
+        n_rows, n_parents = states.shape
+        children = hash_spine_keyed(
+            states[:, :, None], self._all_segments[None, None, :], key1s[:, None, None]
+        ).reshape(n_rows, -1)
+        if columns is None:
+            branch = np.zeros(children.shape, dtype=np.float64)
+        else:
+            branch = self._branch_sums(children, key2s, columns, n_obs)
+        flat_costs = (
+            costs[:, :, None] + branch.reshape(n_rows, n_parents, self._width)
+        ).reshape(children.shape)
+        if keep == children.shape[1]:
+            # Nothing is pruned: the kept set is every candidate in order.
+            return children, flat_costs, None
+        kept_idx = flat_costs.argpartition(keep - 1, axis=1)[:, :keep]
+        rows = np.arange(n_rows)[:, None]
+        return children[rows, kept_idx], flat_costs[rows, kept_idx], kept_idx
 
-    def _branch_chunk(
+    def _branch_sums(
         self,
-        members: list[int],
-        flat_list: list[np.ndarray],
-        obs_list: list[tuple[np.ndarray, np.ndarray]],
-        branches: "list[np.ndarray | None]",
+        children: np.ndarray,
         key2s: np.ndarray,
-    ) -> None:
-        cands = _stack_rows([flat_list[s] for s in members])
-        passes = _stack_rows([obs_list[s][0] for s in members])
-        received = _stack_rows([obs_list[s][1] for s in members])
-        keys = key2s[np.asarray(members)][:, None, None]
-        entries = branch_cost_kernel(
-            cands[:, :, None], passes[:, None, :], received[:, None, :], keys, self._levels
-        )
-        # numpy reduces each contiguous last-axis row pairwise on its own, so
-        # row j of the chunk's one reduction is entries[j].sum(axis=1) bit
-        # for bit.
-        sums = entries.sum(axis=2)
-        for j, session in enumerate(members):
-            branches[session] = sums[j]
+        columns: "list[tuple[np.ndarray, np.ndarray]]",
+        n_obs: np.ndarray,
+    ) -> np.ndarray:
+        """Summed branch costs of every child, shaped like ``children``.
+
+        ``columns`` and ``n_obs`` give each row's observations at the level.
+        Rows with the same observation count share ``(rows, candidates,
+        observations)`` kernel calls; each row's slice of the result is a
+        C-contiguous ``(candidates, observations)`` matrix, and numpy reduces
+        each contiguous last-axis row on its own, so the row sums match the
+        per-session ``branch_cost_columns(...).sum(axis=1)`` bit for bit.
+        """
+        counts = set(n_obs.tolist())
+        if len(counts) == 1:
+            return self._score(children, key2s, columns, counts.pop())
+        sums = np.empty(children.shape, dtype=np.float64)
+        for count in counts:
+            members = np.flatnonzero(n_obs == count)
+            sums[members] = self._score(
+                children[members], key2s[members], [columns[j] for j in members], count
+            )
+        return sums
+
+    def _score(
+        self,
+        children: np.ndarray,
+        key2s: np.ndarray,
+        columns: "list[tuple[np.ndarray, np.ndarray]]",
+        count: int,
+    ) -> np.ndarray:
+        """:meth:`_branch_sums` for rows that all hold ``count`` observations."""
+        n_rows, n_cand = children.shape
+        passes = np.concatenate([pass_indices for pass_indices, _ in columns])
+        received = np.concatenate([values for _, values in columns])
+        passes = passes.reshape(n_rows, count)
+        received = received.reshape(n_rows, count)
+        parts = [
+            branch_cost_kernel(
+                children[rows, :, None],
+                passes[rows, None, :],
+                received[rows, None, :],
+                key2s[rows, None, None],
+                self._levels,
+            ).sum(axis=2)
+            for rows in _row_slices(n_rows, n_cand * count, self.max_stack_elements)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # ------------------------------------------------------------------
     def decode_all(
@@ -842,11 +914,7 @@ class BatchDecoder:
             return []
         tel = self._tel
         t0 = tel.now_s() if tel.enabled else 0.0
-        encoders = [self.encoders[s] for s in sessions]
-        index = np.asarray(sessions, dtype=np.int64)
-        key1s = self._key1s[index]
-        key2s = self._key2s[index]
-        n_segments = encoders[0].params.n_segments(n_message_bits)
+        n_segments = self.encoders[sessions[0]].params.n_segments(n_message_bits)
         for observations in observations_list:
             if observations.n_segments != n_segments:
                 raise ValueError(
@@ -854,128 +922,26 @@ class BatchDecoder:
                     f"segments but the message has {n_segments}"
                 )
 
-        n_sessions = len(encoders)
-        states_list = [
-            np.array([e.hash_family.initial_state], dtype=np.uint64)
-            for e in encoders
-        ]
-        costs_list = [np.zeros(1, dtype=np.float64) for _ in range(n_sessions)]
-        parent_history: list[list[np.ndarray]] = [[] for _ in range(n_sessions)]
-        segment_history: list[list[np.ndarray]] = [[] for _ in range(n_sessions)]
-        beam_traces: list[list[int]] = [[] for _ in range(n_sessions)]
-        explored = [0] * n_sessions
-
-        width = self._width
-        for position in range(n_segments):
-            flat_list = self._expand_all(states_list, key1s)
-            obs_list = [
-                observations.for_position(position)
-                for observations in observations_list
-            ]
-            branches = self._branch_all(flat_list, obs_list, key2s)
-            # Batched pruning: sessions in lock-step (same candidate and
-            # parent counts, same gating) stack into one argpartition /
-            # gather over axis 1.  numpy partitions each row independently
-            # with the same introselect a 1-D call uses, so per-session
-            # results — indices, tie-breaks, costs to the last ulp — are
-            # identical to the per-session spelling this replaces.
-            groups: dict[tuple[int, int, bool], list[int]] = {}
-            for session in range(n_sessions):
-                groups.setdefault(
-                    (
-                        flat_list[session].size,
-                        costs_list[session].size,
-                        obs_list[session][0].size > 0,
-                    ),
-                    [],
-                ).append(session)
-            for (n_cand, n_parents, has_observations), members in groups.items():
-                if has_observations:
-                    keep = min(self.beam_width, n_cand)
-                else:
-                    keep = min(self.max_unpruned_width, n_cand)
-                for chunk in _session_chunks(
-                    members, n_cand, self.max_stack_elements
-                ):
-                    n_members = len(chunk)
-                    flat_states = (
-                        flat_list[chunk[0]][None, :]
-                        if n_members == 1
-                        else _stack_rows([flat_list[s] for s in chunk])
-                    )
-                    parent_costs = (
-                        costs_list[chunk[0]][None, :]
-                        if n_members == 1
-                        else _stack_rows([costs_list[s] for s in chunk])
-                    )
-                    if has_observations:
-                        branch = (
-                            branches[chunk[0]][None, :]
-                            if n_members == 1
-                            else _stack_rows([branches[s] for s in chunk])
-                        )
-                    else:
-                        branch = np.zeros((n_members, n_cand), dtype=np.float64)
-                    flat_costs = (
-                        parent_costs[:, :, None]
-                        + branch.reshape(n_members, n_parents, width)
-                    ).reshape(n_members, n_cand)
-                    if keep < n_cand:
-                        kept_idx = np.argpartition(flat_costs, keep - 1, axis=1)[
-                            :, :keep
-                        ]
-                        new_costs = np.take_along_axis(flat_costs, kept_idx, axis=1)
-                        new_states = np.take_along_axis(
-                            flat_states, kept_idx, axis=1
-                        )
-                        kept_parents = kept_idx // width
-                        kept_segments = (kept_idx % width).astype(np.uint64)
-                        for j, session in enumerate(chunk):
-                            explored[session] += n_cand
-                            states_list[session] = new_states[j]
-                            costs_list[session] = new_costs[j]
-                            parent_history[session].append(kept_parents[j])
-                            segment_history[session].append(kept_segments[j])
-                            beam_traces[session].append(keep)
-                    else:
-                        # Nothing is pruned: the kept set is every candidate
-                        # in order, so skip the gather copies entirely and
-                        # share one parent/segment index row across the
-                        # chunk (history rows are read-only).
-                        all_idx = np.arange(n_cand)
-                        kept_parents_row = all_idx // width
-                        kept_segments_row = (all_idx % width).astype(np.uint64)
-                        for j, session in enumerate(chunk):
-                            explored[session] += n_cand
-                            states_list[session] = flat_states[j]
-                            costs_list[session] = flat_costs[j]
-                            parent_history[session].append(kept_parents_row)
-                            segment_history[session].append(kept_segments_row)
-                            beam_traces[session].append(keep)
-
-        results: list[DecodeResult] = []
-        for session in range(n_sessions):
-            costs = costs_list[session]
-            nodes = np.arange(costs.size)
-            paths = np.empty((n_segments, nodes.size), dtype=np.uint64)
-            for position in range(n_segments - 1, -1, -1):
-                paths[position] = segment_history[session][position][nodes]
-                nodes = parent_history[session][position][nodes]
-            best = int(np.argmin(costs))
-            message_bits = encoders[session].spine_generator.segments_to_bits(
-                paths[:, best]
+        columns = [observations.columns() for observations in observations_list]
+        counts = np.array(
+            [[pass_indices.size for pass_indices, _ in member] for member in columns],
+            dtype=np.int64,
+        )
+        partitions: dict[bytes, list[int]] = {}
+        for j, pattern in enumerate(counts > 0):
+            partitions.setdefault(pattern.tobytes(), []).append(j)
+        index = np.asarray(sessions, dtype=np.int64)
+        results: list[DecodeResult] = [None] * len(sessions)  # type: ignore[list-item]
+        for members in partitions.values():
+            decoded = self._decode_partition(
+                index[members], [columns[j] for j in members], counts[members]
             )
-            results.append(
-                DecodeResult(
-                    message_bits=message_bits,
-                    path_cost=float(costs[best]),
-                    candidates_explored=explored[session],
-                    beam_trace=tuple(beam_traces[session]),
-                )
-            )
+            for j, result in zip(members, decoded):
+                results[j] = result
         if tel.enabled:
             tel.counter("decoder.batch_decodes")
-            tel.counter("decoder.batch_sessions", n_sessions)
+            tel.counter("decoder.batch_sessions", len(sessions))
+            tel.counter("decoder.batch_partitions", len(partitions))
             tel.observe("decoder.batch_decode_s", tel.now_s() - t0)
         return results
 

@@ -89,7 +89,8 @@ class ReceivedObservations:
         self._values: list[list[complex]] = [[] for _ in range(n_segments)]
         self._total = 0
         self._versions: list[int] = [0] * n_segments
-        self._array_cache: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        #: Each position's arrays as last built, or ``None`` once it grew.
+        self._columns: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_segments
 
     def add_block(self, block: SubpassBlock, received_values: np.ndarray) -> None:
         """Record the received counterparts of one transmitted subpass."""
@@ -114,6 +115,7 @@ class ReceivedObservations:
         self._values[position].append(value)
         self._total += 1
         self._versions[position] += 1
+        self._columns[position] = None
 
     def version_at(self, position: int) -> int:
         """Monotone per-position change counter (0 while nothing received).
@@ -139,16 +141,29 @@ class ReceivedObservations:
         """
         if not 0 <= position < self.n_segments:
             raise ValueError(f"position {position} out of range [0, {self.n_segments})")
-        version = self._versions[position]
-        cached = self._array_cache.get(position)
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        pass_indices = np.asarray(self._pass_indices[position], dtype=np.int64)
-        values = np.asarray(self._values[position])
-        pass_indices.flags.writeable = False
-        values.flags.writeable = False
-        self._array_cache[position] = (version, pass_indices, values)
-        return pass_indices, values
+        return self._column(position)
+
+    def columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`for_position` for every position, in position order.
+
+        The batch decoder reads a whole store per call; this spares it one
+        checked method call per position.  The arrays are the same cached
+        snapshots :meth:`for_position` returns.
+        """
+        return [
+            column or self._column(position)
+            for position, column in enumerate(self._columns)
+        ]
+
+    def _column(self, position: int) -> tuple[np.ndarray, np.ndarray]:
+        column = self._columns[position]
+        if column is None:
+            pass_indices = np.asarray(self._pass_indices[position], dtype=np.int64)
+            values = np.asarray(self._values[position])
+            pass_indices.flags.writeable = False
+            values.flags.writeable = False
+            column = self._columns[position] = (pass_indices, values)
+        return column
 
     def count_at(self, position: int) -> int:
         return len(self._values[position])

@@ -8,11 +8,21 @@ full-size configuration separately.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.params import SpinalParams
+
+# When a property fails, hypothesis's pytest plugin drafts an ``@example``
+# patch through ``hypothesis.extra._patching``, which imports libcst; libcst
+# imports ``mypy_extensions.TypedDict``, whose DeprecationWarning pytest.ini
+# turns into an error, so the run ends in INTERNALERROR.  The plugin skips
+# the patch when that module cannot be imported, and the failure report
+# (with its "Falsifying example") is printed as usual.
+sys.modules.setdefault("hypothesis.extra._patching", None)
 
 
 @pytest.fixture

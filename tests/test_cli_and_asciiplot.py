@@ -217,6 +217,8 @@ class TestMainEndToEnd:
             (["ldpc", "inf"], "SNR must be a finite number of dB, got inf"),
             (["ldpc", "nan"], "SNR must be a finite number of dB, got nan"),
             (["transport", "--ack-loss", "2"], "ack_loss must be in [0, 1], got 2.0"),
+            (["obs", "report", "/nonexistent"], "cannot read /nonexistent"),
+            (["city-soak", "--users", "0"], "--users must be at least 1, got 0"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):
@@ -227,6 +229,15 @@ class TestMainEndToEnd:
         assert len(err) == 1
         assert err[0].startswith(f"repro {argv[0]}: error: ")
         assert message in err[0]
+
+    def test_obs_report_of_a_malformed_file_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "telemetry.jsonl"
+        path.write_text("{not json\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "report", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("repro obs: error: ")
 
     def test_rate_single_point_skips_plot(self):
         output = main(

@@ -556,3 +556,63 @@ class TestBatchDecoder:
             batch.decode_subset(12, stores, [0, 1])
         with pytest.raises(ValueError, match="max_stack_elements"):
             BatchDecoder(encoders, beam_width=4, max_stack_elements=0)
+
+    #: Subpasses each session of the mixed-partition batch received: an empty
+    #: store, part of a first pass, and whole passes with ragged remainders.
+    _CUTS = (0, 1, 1, 2, 3, 4, 5, 6, 6, 7, 9, 10, 13)
+
+    def _cut_sessions(self, mixed_schedules):
+        """Stores cut at different symbol counts, so one batch holds several
+        observed-position patterns and ragged counts within a pattern.
+
+        Every session is tail-first unless ``mixed_schedules``, in which
+        case every third one sends head first, so count vectors within a
+        pattern no longer order componentwise.
+        """
+        encoders, stores = [], []
+        rng = spawn_rng(909, "batch-cuts", mixed_schedules)
+        channel = AWGNChannel(snr_db=6.0, adc_bits=14)
+        for i, n_subpasses in enumerate(self._CUTS):
+            head_first = mixed_schedules and i % 3 == 0
+            encoder = SpinalEncoder(
+                SpinalParams(k=3, c=4, seed=700 + i),
+                puncturing=SymbolBySymbol() if head_first else TailFirstPuncturing(),
+            )
+            observations = ReceivedObservations(4)
+            message = random_message_bits(12, rng)
+            for block, out in _stream_blocks(encoder, message, channel, rng, n_subpasses):
+                observations.add_block(block, out)
+            encoders.append(encoder)
+            stores.append(observations)
+        return encoders, stores
+
+    @pytest.mark.parametrize("max_stack_elements", [None, 7])
+    @pytest.mark.parametrize("max_unpruned_width", [None, 4])
+    @pytest.mark.parametrize("mixed_schedules", [False, True])
+    def test_mixed_partitions_match_per_session_reference(
+        self, mixed_schedules, max_unpruned_width, max_stack_elements
+    ):
+        encoders, stores = self._cut_sessions(mixed_schedules)
+        counts = [tuple(s.count_at(p) for p in range(4)) for s in stores]
+        patterns = {tuple(c > 0 for c in row) for row in counts}
+        assert len(patterns) >= 4 and (False,) * 4 in patterns
+        assert len({row for row in counts if all(row)}) >= 4  # ragged counts
+        batch = BatchDecoder(
+            encoders,
+            beam_width=4,
+            max_unpruned_width=max_unpruned_width,
+            max_stack_elements=max_stack_elements,
+        )
+        results = batch.decode_all(12, stores)
+        for encoder, observations, result in zip(encoders, stores, results):
+            reference = BubbleDecoder(
+                encoder, beam_width=4, max_unpruned_width=max_unpruned_width
+            ).decode(12, observations)
+            _assert_identical(result, reference)
+            assert result.candidates_explored == reference.candidates_explored
+
+        order = spawn_rng(909, "batch-order", mixed_schedules).permutation(len(stores))
+        permuted = batch.decode_subset(12, [stores[i] for i in order], order.tolist())
+        for i, result in zip(order, permuted):
+            _assert_identical(result, results[i])
+            assert result.candidates_explored == results[i].candidates_explored

@@ -289,7 +289,11 @@ class TestBitTransparency:
         assert off.summary(elapsed_s=1.0) == on.summary(elapsed_s=1.0)
         # ... and the run really was observed.
         assert tel.counter_value("serve.sessions", outcome="delivered") == 24
-        assert tel.counter_value("decoder.batch_decodes") > 0
+        batches = tel.counter_value("decoder.batch_decodes")
+        assert batches > 0
+        # Sessions admitted as others finish are at other puncturing
+        # stages, so some flushes split into several lock-step partitions.
+        assert tel.counter_value("decoder.batch_partitions") > batches
 
     def test_cell_result_is_identical(self):
         from repro.link.topology import build_relay_sessions

@@ -8,6 +8,11 @@ decode round-trip, and the ML-optimality of the exhaustive decoder.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -265,3 +270,39 @@ class TestEncodeDecodeProperties:
         result = BubbleDecoder(encoder, beam_width=64).decode(12, observations)
         true_cost = encoder.total_cost(bits, observations)
         assert result.path_cost <= true_cost + 1e-9
+
+
+_FAILING_PROPERTY = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_stays_small(x):
+    assert x < 10
+"""
+
+
+class TestFailureReport:
+    def test_failing_property_reports_its_example(self, tmp_path):
+        """A failing property ends in its falsifying example, not an
+        INTERNALERROR (see ``tests/conftest.py``), under this suite's
+        ``pytest.ini``."""
+        tests_dir = Path(__file__).resolve().parent
+        (tmp_path / "test_fails.py").write_text(_FAILING_PROPERTY)
+        path = [str(tests_dir), str(tests_dir.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q", "-p", "conftest",
+                "-p", "no:cacheprovider", "-c", str(tests_dir.parent / "pytest.ini"),
+                "--rootdir", str(tmp_path), "test_fails.py",
+            ],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        output = proc.stdout + proc.stderr
+        assert proc.returncode == 1, output
+        assert "Falsifying example" in output
+        assert "INTERNALERROR" not in output
