@@ -65,10 +65,11 @@ class AWGNChannel(SymbolChannel):
 
     def transmit(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         values = np.asarray(values, dtype=np.complex128)
+        # One draw of both dimensions: row 0 is what a first
+        # standard_normal(shape) call returns and row 1 a second one.
+        draws = rng.standard_normal((2,) + values.shape)
         sigma_per_dim = math.sqrt(self.noise_energy / 2.0)
-        noise = sigma_per_dim * (
-            rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
-        )
+        noise = sigma_per_dim * (draws[0] + 1j * draws[1])
         received = values + noise
         if self.quantizer is not None:
             received = self.quantizer.quantize(received)
@@ -143,9 +144,8 @@ class TimeVaryingAWGNChannel(SymbolChannel):
         snr_linear = np.power(10.0, self.snr_trace_db[indices] / 10.0)
         noise_energy = self.signal_power / snr_linear
         sigma_per_dim = np.sqrt(noise_energy / 2.0).reshape(values.shape)
-        noise = sigma_per_dim * (
-            rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
-        )
+        draws = rng.standard_normal((2,) + values.shape)
+        noise = sigma_per_dim * (draws[0] + 1j * draws[1])
         received = values + noise
         if self.quantizer is not None:
             received = self.quantizer.quantize(received)

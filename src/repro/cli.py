@@ -90,6 +90,7 @@ from repro.link.transport import TransportConfig
 from repro.utils.asciiplot import ascii_plot
 from repro.utils.results import render_table
 from repro.utils.store import RunStore, read_run
+from repro.utils.units import db_to_linear
 
 __all__ = ["build_parser", "main"]
 
@@ -702,12 +703,21 @@ def _check_code_args(args: argparse.Namespace, bit_mode: bool = False) -> None:
 
 
 def _check_snr(option: str, snr_db: float) -> None:
-    """Reject a NaN SNR, which runs to budget and delivers nothing.
+    """Reject a NaN SNR, which runs to budget and delivers nothing, and a
+    finite one too large for a linear power ratio.
 
     ``inf`` stays valid: it is the noiseless limit.
     """
     if math.isnan(snr_db):
         raise ValueError(f"{option} must be a number of dB, got nan")
+    if math.isfinite(snr_db):
+        try:
+            db_to_linear(snr_db)
+        except OverflowError:
+            raise ValueError(
+                f"{option} of {snr_db:g} dB overflows a power ratio; use inf "
+                "for the noiseless limit"
+            ) from None
 
 
 def _check_workers(workers: int) -> None:
@@ -1017,6 +1027,18 @@ def _command_city_soak(args: argparse.Namespace) -> str:
 def _command_mesh(args: argparse.Namespace) -> str:
     import json
 
+    from repro.link.topology import multicast_tree
+
+    try:
+        _check_snr("--snr", args.snr)
+        _check_snr("--snr-offset", args.snr_offset)
+        _check_snr("--snr plus --snr-offset", args.snr + args.snr_offset)
+        if args.max_symbols < 1:
+            raise ValueError(f"--max-symbols must be at least 1, got {args.max_symbols}")
+        if args.topology == "tree":
+            multicast_tree(args.depth, args.branching, args.snr)  # raises on a bad shape
+    except ValueError as exc:
+        _usage_error("mesh", exc)
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
         if args.topology == "tree":
             from repro.netcode import MulticastTreeConfig, run_multicast_tree

@@ -18,6 +18,14 @@ difference: the table holds the very floats ``map_axis`` computes, and the
 real and imaginary parts of the complex spelling are the same subtractions
 up to the sign of a zero, which squaring erases.  Costs are therefore
 bit-identical to that reference spelling (``tests/test_branch_kernel.py``).
+
+The batch decoder lays its costs out candidates-last, ``(rows, observations,
+candidates)``, so every elementwise step runs along a long contiguous axis
+rather than a two- or three-wide one, and sums the observation planes with
+:func:`plane_sum`.  A per-session decode sums each candidate's contiguous row
+of ``(candidates, observations)`` costs with ``sum(axis=-1)``;
+:func:`plane_sum` adds the planes in exactly the order numpy's contiguous
+row sum does, so both layouts give the same floats.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 
 from repro.core.hashing import symbol_word_keyed
 
-__all__ = ["branch_cost_kernel"]
+__all__ = ["branch_cost_kernel", "plane_sum"]
 
 _TOP_BIT = np.uint64(63)
 
@@ -73,3 +81,44 @@ def branch_cost_kernel(
     np.square(d_im, out=d_im)
     cost += d_im
     return cost
+
+
+#: numpy's contiguous float sum adds fewer terms than this left to right and
+#: more in eight interleaved accumulators; past ``_PAIRWISE_BLOCK`` terms it
+#: splits the row in two and recurses.
+_UNROLL = 8
+_PAIRWISE_BLOCK = 128
+
+
+def plane_sum(costs: np.ndarray) -> np.ndarray:
+    """Sum a ``(rows, m, columns)`` array over its middle axis, bit for bit as
+    ``costs.transpose(0, 2, 1).copy().sum(axis=-1)``.
+
+    numpy reduces a contiguous row of ``m`` floats as ``0 + pairwise(row)``,
+    where ``pairwise`` adds fewer than eight terms left to right and up to
+    128 terms in eight accumulators (term ``i`` into accumulator ``i % 8``,
+    combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then
+    the leftover terms in order).  Replaying that order one whole
+    ``(rows, columns)`` plane at a time gives the same floats while every
+    addition runs along the contiguous last axis.  Longer rows, which the
+    decoders rarely see, take the transposed copy.
+    """
+    m = costs.shape[1]
+    if m < _UNROLL:
+        # 0 + x0 keeps the zero sign of numpy's identity-started sum.
+        out = costs[:, 0] + 0.0
+        for i in range(1, m):
+            out += costs[:, i]
+        return out
+    if m > _PAIRWISE_BLOCK:
+        return np.ascontiguousarray(costs.transpose(0, 2, 1)).sum(axis=-1)
+    acc = costs[:, :_UNROLL].copy()
+    end = m - m % _UNROLL
+    for i in range(_UNROLL, end, _UNROLL):
+        acc += costs[:, i : i + _UNROLL]
+    out = (acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])
+    out += (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
+    for i in range(end, m):
+        out += costs[:, i]
+    out += 0.0
+    return out

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.branch_kernel import branch_cost_kernel
+from repro.core.branch_kernel import branch_cost_kernel, plane_sum
 from repro.core.decoder_bubble import BubbleDecoder, DecodeResult
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.hashing import hash_spine_keyed
@@ -821,10 +821,10 @@ class BatchDecoder:
         """Summed branch costs of every child, shaped like ``children``.
 
         ``columns`` and ``n_obs`` give each row's observations at the level.
-        Rows with the same observation count share ``(rows, candidates,
-        observations)`` kernel calls; each row's slice of the result is a
-        C-contiguous ``(candidates, observations)`` matrix, and numpy reduces
-        each contiguous last-axis row on its own, so the row sums match the
+        Rows with the same observation count share candidates-last
+        ``(rows, observations, candidates)`` kernel calls, and
+        :func:`~repro.core.branch_kernel.plane_sum` adds the observation
+        planes in numpy's contiguous row-sum order, so the sums match the
         per-session ``branch_cost_columns(...).sum(axis=1)`` bit for bit.
         """
         counts = set(n_obs.tolist())
@@ -852,13 +852,15 @@ class BatchDecoder:
         passes = passes.reshape(n_rows, count)
         received = received.reshape(n_rows, count)
         parts = [
-            branch_cost_kernel(
-                children[rows, :, None],
-                passes[rows, None, :],
-                received[rows, None, :],
-                key2s[rows, None, None],
-                self._levels,
-            ).sum(axis=2)
+            plane_sum(
+                branch_cost_kernel(
+                    children[rows, None, :],
+                    passes[rows, :, None],
+                    received[rows, :, None],
+                    key2s[rows, None, None],
+                    self._levels,
+                )
+            )
             for rows in _row_slices(n_rows, n_cand * count, self.max_stack_elements)
         ]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)

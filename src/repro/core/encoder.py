@@ -32,11 +32,21 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.branch_kernel import branch_cost_kernel
+from repro.core.hashing import symbol_word_keyed
 from repro.core.params import SpinalParams
 from repro.core.puncturing import NoPuncturing, PuncturingSchedule
 from repro.core.spine import SpineGenerator
 
 __all__ = ["SpinalEncoder", "SubpassBlock", "ReceivedObservations"]
+
+_TOP_BIT = np.uint64(63)
+#: Observations a position's buffers hold before they first double.
+_FIRST_CAPACITY = 4
+#: What an empty position reads as (``np.asarray`` of an empty list).
+_NO_PASSES = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
+_NO_PASSES.flags.writeable = False
+_NO_VALUES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -75,21 +85,25 @@ class ReceivedObservations:
     that was generated from spine value ``s_t`` (across all passes received
     so far), together with the pass index that salted it.
 
-    The store is append-only: observations are never removed or reordered,
-    which is what lets the stateful decoder treat "same store object,
-    same per-position version" (see :meth:`version_at`) as proof that a
-    position's columns are unchanged since the last decode attempt.
+    Each position keeps its pass indices and values in a pair of arrays
+    that double in capacity as they fill, so an append is one element
+    write and reading a position is a ``[:count]`` view.  The store is
+    append-only: observations are never removed or reordered, which is what
+    lets the stateful decoder treat "same store object, same per-position
+    version" (see :meth:`version_at`) as proof that a position's columns are
+    unchanged since the last decode attempt.
     """
 
     def __init__(self, n_segments: int) -> None:
         if n_segments <= 0:
             raise ValueError(f"n_segments must be positive, got {n_segments}")
         self.n_segments = n_segments
-        self._pass_indices: list[list[int]] = [[] for _ in range(n_segments)]
-        self._values: list[list[complex]] = [[] for _ in range(n_segments)]
+        #: Per position: observations held, which is also its version.
+        self._counts: list[int] = [0] * n_segments
+        self._pass_buffers: list[np.ndarray] = [_NO_PASSES] * n_segments
+        self._value_buffers: list[np.ndarray] = [_NO_VALUES] * n_segments
         self._total = 0
-        self._versions: list[int] = [0] * n_segments
-        #: Each position's arrays as last built, or ``None`` once it grew.
+        #: Each position's views as last built, or ``None`` once it grew.
         self._columns: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_segments
 
     def add_block(self, block: SubpassBlock, received_values: np.ndarray) -> None:
@@ -100,21 +114,54 @@ class ReceivedObservations:
                 f"received {received_values.shape} values for a subpass of "
                 f"{block.values.shape}"
             )
-        for position, pass_idx, value in zip(
-            block.positions, block.pass_indices, received_values
+        positions = np.asarray(block.positions).tolist()
+        pass_indices = np.asarray(block.pass_indices).tolist()
+        for position, pass_index in zip(positions, pass_indices):
+            self._check(position, pass_index)
+        dtype = received_values.dtype
+        for position, pass_index, value in zip(
+            positions, pass_indices, received_values.tolist()
         ):
-            self.add(int(position), int(pass_idx), value)
+            self._append(position, pass_index, value, dtype)
 
     def add(self, position: int, pass_index: int, value: complex) -> None:
         """Record a single received value for (position, pass)."""
+        self._check(position, pass_index)
+        self._append(position, pass_index, value, np.asarray(value).dtype)
+
+    def _check(self, position: int, pass_index: int) -> None:
         if not 0 <= position < self.n_segments:
             raise ValueError(f"position {position} out of range [0, {self.n_segments})")
         if pass_index < 0:
             raise ValueError("pass_index must be non-negative")
-        self._pass_indices[position].append(pass_index)
-        self._values[position].append(value)
+
+    def _append(self, position: int, pass_index: int, value, dtype: np.dtype) -> None:
+        n = self._counts[position]
+        passes = self._pass_buffers[position]
+        values = self._value_buffers[position]
+        if not n:
+            passes = np.empty(_FIRST_CAPACITY, dtype=np.int64)
+            values = np.empty(_FIRST_CAPACITY, dtype=dtype)
+        else:
+            # A value of a wider type widens the position's values, as
+            # np.asarray of the mixed list would.
+            wide = values.dtype if dtype == values.dtype else np.promote_types(values.dtype, dtype)
+            if n == passes.size or wide != values.dtype:
+                # A full buffer doubles into a new one; views of the old one
+                # stay valid snapshots.
+                size = 2 * n if n == passes.size else passes.size
+                grown = np.empty(size, dtype=np.int64)
+                grown[:n] = passes[:n]
+                passes = grown
+                grown = np.empty(size, dtype=wide)
+                grown[:n] = values[:n]
+                values = grown
+        passes[n] = pass_index
+        values[n] = value
+        self._pass_buffers[position] = passes
+        self._value_buffers[position] = values
+        self._counts[position] = n + 1
         self._total += 1
-        self._versions[position] += 1
         self._columns[position] = None
 
     def version_at(self, position: int) -> int:
@@ -127,17 +174,16 @@ class ReceivedObservations:
         """
         if not 0 <= position < self.n_segments:
             raise ValueError(f"position {position} out of range [0, {self.n_segments})")
-        return self._versions[position]
+        return self._counts[position]
 
     def for_position(self, position: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (pass indices, received values) available at a position.
 
-        The returned arrays are cached, immutable snapshots: they are marked
-        read-only, are shared between callers, and remain valid (unchanged)
-        if the store grows afterwards — later calls return fresh arrays
-        instead of mutating old ones.  The decode hot path calls this once
-        per tree level per attempt, so the list-to-array conversion must not
-        be paid again while a position is unchanged.
+        The returned arrays are read-only views of the position's first
+        ``count_at(position)`` entries, shared between callers until the
+        position grows.  They remain valid (unchanged) snapshots if the
+        store grows afterwards: appends write past them, and a full buffer
+        is copied into a new one rather than resized.
         """
         if not 0 <= position < self.n_segments:
             raise ValueError(f"position {position} out of range [0, {self.n_segments})")
@@ -147,8 +193,8 @@ class ReceivedObservations:
         """:meth:`for_position` for every position, in position order.
 
         The batch decoder reads a whole store per call; this spares it one
-        checked method call per position.  The arrays are the same cached
-        snapshots :meth:`for_position` returns.
+        checked method call per position.  The arrays are the same views
+        :meth:`for_position` returns.
         """
         return [
             column or self._column(position)
@@ -158,15 +204,16 @@ class ReceivedObservations:
     def _column(self, position: int) -> tuple[np.ndarray, np.ndarray]:
         column = self._columns[position]
         if column is None:
-            pass_indices = np.asarray(self._pass_indices[position], dtype=np.int64)
-            values = np.asarray(self._values[position])
+            n = self._counts[position]
+            pass_indices = self._pass_buffers[position][:n]
+            values = self._value_buffers[position][:n]
             pass_indices.flags.writeable = False
             values.flags.writeable = False
             column = self._columns[position] = (pass_indices, values)
         return column
 
     def count_at(self, position: int) -> int:
-        return len(self._values[position])
+        return self._counts[position]
 
     @property
     def total_symbols(self) -> int:
@@ -208,6 +255,10 @@ class SpinalEncoder:
         self.spine_generator = SpineGenerator(self.hash_family)
         self.constellation = None if params.bit_mode else params.make_constellation()
         self._key2 = self.hash_family._key2
+        #: Shift that keeps a symbol word's top ``2c`` bits (symbol mode).
+        self._symbol_shift = (
+            None if params.bit_mode else np.uint64(64 - self.constellation.bits_per_symbol)
+        )
 
     # -- stage 1: the spine ---------------------------------------------------
     def spine(self, message_bits: np.ndarray) -> np.ndarray:
@@ -224,12 +275,13 @@ class SpinalEncoder:
         bits (``uint8``) in bit mode.  This is used both by the encoder
         proper and by the decoders when replaying candidate spines.
         """
+        passes = np.asarray(pass_index)
+        if passes.size and passes.min() < 0:
+            raise ValueError("pass_index must be non-negative")
+        word = symbol_word_keyed(spine_values, passes, self._key2)
         if self.params.bit_mode:
-            bits = self.hash_family.symbol_value(spine_values, pass_index, 1)
-            return bits.astype(np.uint8)
-        word = self.hash_family.symbol_value(
-            spine_values, pass_index, self.constellation.bits_per_symbol
-        )
+            return (word >> _TOP_BIT).astype(np.uint8)
+        word >>= self._symbol_shift
         return self.constellation.map_values(word)
 
     def encode_passes(self, message_bits: np.ndarray, n_passes: int) -> np.ndarray:

@@ -50,21 +50,31 @@ class Framer:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.tail_segments < 0:
             raise ValueError(f"tail_segments must be non-negative, got {self.tail_segments}")
+        # The lengths are fixed by the fields; the receiver checks every
+        # decode attempt against them, so they are computed once.
+        crc_bits = self.crc.width if self.crc is not None else 0
+        checked = self.payload_bits + crc_bits
+        pad_bits = (-checked) % self.k
+        object.__setattr__(self, "_crc_bits", crc_bits)
+        object.__setattr__(self, "_pad_bits", pad_bits)
+        object.__setattr__(self, "_checked_bits", checked)
+        object.__setattr__(
+            self, "_framed_bits", checked + pad_bits + self.tail_segments * self.k
+        )
 
     # -- derived lengths ----------------------------------------------------
     @property
     def crc_bits(self) -> int:
-        return self.crc.width if self.crc is not None else 0
+        return self._crc_bits
 
     @property
     def pad_bits(self) -> int:
-        unpadded = self.payload_bits + self.crc_bits
-        return (-unpadded) % self.k
+        return self._pad_bits
 
     @property
     def framed_bits(self) -> int:
         """Total number of coded bits handed to the spinal encoder."""
-        return self.payload_bits + self.crc_bits + self.pad_bits + self.tail_segments * self.k
+        return self._framed_bits
 
     @property
     def n_segments(self) -> int:
@@ -94,9 +104,9 @@ class Framer:
     def extract_payload(self, framed: np.ndarray) -> np.ndarray:
         """Recover the payload bits from a (decoded) framed message."""
         framed = np.asarray(framed, dtype=np.uint8)
-        if framed.size != self.framed_bits:
+        if framed.size != self._framed_bits:
             raise ValueError(
-                f"expected {self.framed_bits} framed bits, got {framed.size}"
+                f"expected {self._framed_bits} framed bits, got {framed.size}"
             )
         return framed[: self.payload_bits]
 
@@ -110,12 +120,11 @@ class Framer:
         genie termination instead.
         """
         framed = np.asarray(framed, dtype=np.uint8)
-        if framed.size != self.framed_bits:
+        if framed.size != self._framed_bits:
             return False
-        known = framed[self.payload_bits + self.crc_bits :]
-        if np.any(known != 0):
+        checked = self._checked_bits
+        if framed[checked:].any():
             return False
         if self.crc is None:
             return True
-        with_crc = framed[: self.payload_bits + self.crc_bits]
-        return self.crc.check(with_crc)
+        return self.crc.check(framed[:checked])

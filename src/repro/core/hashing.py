@@ -53,11 +53,23 @@ _SYMBOL_DOMAIN = np.uint64(0x9FB21C651E98DF25)
 _PASS_STRIDE = np.uint64(0xD6E8FEB86659FD93)
 
 
+_SHIFT1 = np.uint64(30)
+_SHIFT2 = np.uint64(27)
+_SHIFT3 = np.uint64(31)
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
-    """One splitmix64 finalisation round (vectorised, wrap-around arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """One splitmix64 finalisation round (vectorised, wrap-around arithmetic).
+
+    Works in place on an array, so callers pass a fresh one; a numpy scalar
+    is immutable and the augmented assignments simply rebind it.
+    """
+    z ^= z >> _SHIFT1
+    z *= _MIX1
+    z ^= z >> _SHIFT2
+    z *= _MIX2
+    z ^= z >> _SHIFT3
+    return z
 
 
 def splitmix64(value: np.ndarray | int) -> np.ndarray | int:
@@ -90,10 +102,11 @@ def hash_spine_keyed(
     m = np.asarray(segments, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix(s ^ key1)
-        z = _mix(z ^ (m * _GOLDEN) ^ _SPINE_DOMAIN)
+        z = _mix(z ^ ((m * _GOLDEN) ^ _SPINE_DOMAIN))
         # A second absorption of the state guards against the (remote)
         # possibility of two (s, m) pairs colliding after one round.
-        z = _mix(z ^ (s * _MIX1))
+        z ^= s * _MIX1
+        z = _mix(z)
     return z
 
 
@@ -110,7 +123,8 @@ def symbol_word_keyed(
     p = np.asarray(pass_index, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix(s ^ key2 ^ (p * _PASS_STRIDE))
-        z = _mix(z ^ (s * _MIX2) ^ _SYMBOL_DOMAIN)
+        z ^= (s * _MIX2) ^ _SYMBOL_DOMAIN
+        z = _mix(z)
     return z
 
 
@@ -137,15 +151,10 @@ class SaltedHashFamily:
             raise ValueError(f"segment size k must be in [1, 32], got {self.k}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-
-    # -- keys -------------------------------------------------------------
-    @property
-    def _key1(self) -> np.uint64:
-        return np.uint64(splitmix64(np.uint64(self.seed) ^ _SPINE_DOMAIN))
-
-    @property
-    def _key2(self) -> np.uint64:
-        return np.uint64(splitmix64(np.uint64(self.seed) ^ _SYMBOL_DOMAIN))
+        # The spine and symbol keys, derived once: every hash call reads them.
+        seed = np.uint64(self.seed)
+        object.__setattr__(self, "_key1", np.uint64(splitmix64(seed ^ _SPINE_DOMAIN)))
+        object.__setattr__(self, "_key2", np.uint64(splitmix64(seed ^ _SYMBOL_DOMAIN)))
 
     @property
     def initial_state(self) -> np.uint64:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.hashing import SaltedHashFamily
+from repro.core.hashing import SaltedHashFamily, hash_spine_keyed
 from repro.utils.bitops import pack_segments, unpack_segments
 
 __all__ = ["SpineGenerator"]
@@ -49,11 +49,18 @@ class SpineGenerator:
         The returned array has one ``uint64`` entry per segment; ``s_0`` is
         not included (it is :attr:`SaltedHashFamily.initial_state`).
         """
+        family = self.hash_family
         segments = self.segment_values(message_bits)
+        # Validated once here rather than by every one-step hash below.
+        if segments.size and int(segments.max()) >> self.k:
+            raise ValueError(
+                f"segment value {int(segments.max())} does not fit in k={self.k} bits"
+            )
         spine = np.empty(segments.size, dtype=np.uint64)
-        state = self.hash_family.initial_state
+        state = family.initial_state
+        key1 = family._key1
         for t, segment in enumerate(segments):
-            state = np.uint64(self.hash_family.hash_spine(state, segment))
+            state = hash_spine_keyed(state, segment, key1)
             spine[t] = state
         return spine
 

@@ -216,11 +216,23 @@ class CodecTransmission:
                 tel.observe("phy.symbols_to_decode", self.symbols_delivered)
 
     def _terminated(self, status: DecodeStatus) -> bool:
-        if self.session.termination == "genie":
-            return status.estimate is not None and bool(
-                np.array_equal(status.estimate, self.reference)
+        reference = self.reference
+        if reference is None:  # termination="self"
+            return bool(status.verified)
+        estimate = status.estimate
+        if estimate is None:
+            return False
+        if (
+            isinstance(estimate, np.ndarray)
+            and isinstance(reference, np.ndarray)
+            and estimate.dtype == reference.dtype
+            and reference.dtype.kind in "biu"
+        ):
+            # Integer elements are equal exactly when their bytes are.
+            return estimate.shape == reference.shape and (
+                estimate.tobytes() == reference.tobytes()
             )
-        return bool(status.verified)
+        return bool(np.array_equal(estimate, reference))
 
 
 class CodecSession:

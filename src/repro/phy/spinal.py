@@ -71,7 +71,10 @@ class _SpinalSource:
     keyed symbol hash is elementwise in those pairs (the property the
     stateful decoder's caches rely on), so the values are identical,
     while the fixed numpy dispatch cost — which dominates a subpass of a
-    handful of symbols — is paid once per window.
+    handful of symbols — is paid once per window.  The per-subpass
+    bookkeeping (which positions, how often each was sent) is a few Python
+    ints, so it costs no numpy dispatch at all; each block's arrays are
+    slices of the window's.
 
     Pre-encoding past the block actually consumed is safe: transmitted
     values are a pure function of the payload, and channel noise is drawn
@@ -88,7 +91,7 @@ class _SpinalSource:
         self._encoder = encoder
         self._spine = encoder.spine(framed)
         self._n_segments = int(self._spine.size)
-        self._times_sent = np.zeros(self._n_segments, dtype=np.int64)
+        self._times_sent = [0] * self._n_segments
         self._subpass = 0
         self._queue: deque[SubpassBlock] = deque()
 
@@ -98,31 +101,38 @@ class _SpinalSource:
         return self._queue.popleft()
 
     def _refill(self) -> None:
-        spans: list[tuple[int, np.ndarray, np.ndarray]] = []
+        subpass_positions = self._encoder.puncturing.subpass_positions
+        times_sent = self._times_sent
+        spans: list[tuple[int, int]] = []
+        positions: list[int] = []
+        pass_indices: list[int] = []
+        subpass = self._subpass
         while len(spans) < _ENCODE_WINDOW:
-            positions = self._encoder.puncturing.subpass_positions(
-                self._subpass, self._n_segments
-            )
-            if positions.size:
-                pass_indices = self._times_sent[positions].copy()
-                self._times_sent[positions] += 1
-                spans.append((self._subpass, positions, pass_indices))
-            self._subpass += 1
-        values = self._encoder.values_from_spines(
-            self._spine[np.concatenate([span[1] for span in spans])],
-            np.concatenate([span[2] for span in spans]),
-        )
+            chosen = subpass_positions(subpass, self._n_segments).tolist()
+            if chosen:
+                sent = [times_sent[position] for position in chosen]
+                for position, count in zip(chosen, sent):
+                    times_sent[position] = count + 1
+                spans.append((subpass, len(chosen)))
+                positions += chosen
+                pass_indices += sent
+            subpass += 1
+        self._subpass = subpass
+        positions = np.array(positions, dtype=np.int64)
+        pass_indices = np.array(pass_indices, dtype=np.int64)
+        values = self._encoder.values_from_spines(self._spine[positions], pass_indices)
         offset = 0
-        for subpass_index, positions, pass_indices in spans:
+        for subpass_index, n in spans:
+            end = offset + n
             self._queue.append(
                 SubpassBlock(
                     subpass_index=subpass_index,
-                    positions=positions,
-                    pass_indices=pass_indices,
-                    values=values[offset : offset + positions.size],
+                    positions=positions[offset:end],
+                    pass_indices=pass_indices[offset:end],
+                    values=values[offset:end],
                 )
             )
-            offset += positions.size
+            offset = end
 
 
 class _SpinalDecoder:

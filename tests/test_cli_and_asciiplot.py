@@ -219,6 +219,15 @@ class TestMainEndToEnd:
             (["transport", "--ack-loss", "2"], "ack_loss must be in [0, 1], got 2.0"),
             (["obs", "report", "/nonexistent"], "cannot read /nonexistent"),
             (["city-soak", "--users", "0"], "--users must be at least 1, got 0"),
+            (["mesh", "--snr", "nan"], "--snr must be a number of dB, got nan"),
+            (["mesh", "--snr-offset", "nan"], "--snr-offset must be a number of dB, got nan"),
+            (["mesh", "--snr", "1e308"], "--snr of 1e+308 dB overflows a power ratio"),
+            (["mesh", "--max-symbols", "0"], "--max-symbols must be at least 1, got 0"),
+            (["mesh", "--topology", "tree", "--depth", "0"], "depth must be at least 1, got 0"),
+            (
+                ["mesh", "--topology", "tree", "--branching", "0"],
+                "branching must be at least 1, got 0",
+            ),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):
