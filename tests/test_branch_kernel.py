@@ -8,7 +8,9 @@ Before it, the decoders built complex points with
 complex arithmetic.  Decoded bits, path costs and beam traces stay
 byte-identical only if the two agree to the last bit, so these tests compare
 raw bytes — for every constellation kind and in bit mode, for one session and
-for stacked sessions with a key each.
+for stacked sessions with a key each.  The batch decoder's candidates-last
+layout sums observation planes with :func:`plane_sum`, which must equal
+numpy's own contiguous row sum just as exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.branch_kernel import branch_cost_kernel
+from repro.core.branch_kernel import branch_cost_kernel, plane_sum
 from repro.core.constellation import make_constellation
 from repro.core.hashing import SaltedHashFamily, symbol_word_keyed
 
@@ -108,3 +110,21 @@ def test_map_values_gathers_the_reference_points(kind, c):
     levels = constellation.axis_levels()
     assert levels is constellation.axis_levels()
     assert not levels.flags.writeable
+
+
+@pytest.mark.parametrize("m", [*range(1, 10), 15, 16, 17, 127, 128, 129, 200])
+def test_plane_sum_is_numpys_row_sum_bit_for_bit(m):
+    """Each regime of numpy's pairwise sum: left to right below 8 terms,
+    eight accumulators plus a ragged tail up to 128, halves above."""
+    rng = np.random.default_rng(m)
+    shape = (5, m, 33)
+    costs = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+    costs[0] = np.abs(costs[0])  # branch costs are never negative
+    costs[1, :, 0] = -0.0  # and zero signs follow numpy's +0 start
+    costs[1, ::2, 1] = 0.0
+    costs[1, 1::2, 1] = -0.0
+    want = np.ascontiguousarray(costs.transpose(0, 2, 1)).sum(axis=-1)
+    got = plane_sum(costs)
+    assert got.shape == want.shape == (5, 33)
+    assert got.tobytes() == want.tobytes()
+    assert costs.shape == shape  # the input is left alone

@@ -470,8 +470,8 @@ class TestBatchDecoder:
     @pytest.mark.parametrize("min_passes", [9, 17])
     def test_long_stores_match_per_session_reference(self, min_passes, bit_mode):
         """Rows of >= 9 and >= 17 observations cross numpy's 8-wide pairwise
-        summation block, where the chunk's one ``sum(axis=2)`` must still
-        equal each session's own row sums bit for bit."""
+        summation block, where the batch's plane sums must still equal each
+        session's own row sums bit for bit."""
         encoders, stores = self._sessions(6, bit_mode=bit_mode, min_passes=min_passes)
         assert min(store.count_at(0) for store in stores) >= min_passes
         results = BatchDecoder(encoders, beam_width=4).decode_all(12, stores)
@@ -479,6 +479,38 @@ class TestBatchDecoder:
             reference = BubbleDecoder(encoder, beam_width=4).decode(12, observations)
             _assert_identical(result, reference)
             assert result.candidates_explored == reference.candidates_explored
+
+    def test_plane_sum_regimes_match_per_session_reference(self):
+        """Levels of 8 to 200 observations, added one at a time.
+
+        Each session's four levels hold a count tuple crossing the plane
+        sum's regimes — fewer than 8, the eight-accumulator range with and
+        without a ragged tail, and past 128, where it sums a transposed
+        copy — so one batch decodes rows of many counts at each level.
+        """
+        counts = [(8, 9, 15, 16), (17, 127, 128, 129), (130, 200, 8, 3), (1, 8, 200, 129)]
+        rng = spawn_rng(909, "plane-sum-regimes")
+        encoders, stores = [], []
+        for i, per_level in enumerate(counts):
+            encoder = SpinalEncoder(SpinalParams(k=3, c=4, seed=800 + i))
+            spine = encoder.spine(random_message_bits(12, rng))
+            observations = ReceivedObservations(4)
+            for position, n_obs in enumerate(per_level):
+                passes = np.arange(n_obs)
+                sent = encoder.values_from_spines(np.full(n_obs, spine[position]), passes)
+                noise = rng.standard_normal(n_obs) + 1j * rng.standard_normal(n_obs)
+                for pass_index, value in zip(passes.tolist(), (sent + 0.7 * noise).tolist()):
+                    observations.add(position, pass_index, value)
+            encoders.append(encoder)
+            stores.append(observations)
+        assert [tuple(s.count_at(p) for p in range(4)) for s in stores] == counts
+        for max_stack_elements in (None, 100):
+            batch = BatchDecoder(encoders, beam_width=4, max_stack_elements=max_stack_elements)
+            results = batch.decode_all(12, stores)
+            for encoder, observations, result in zip(encoders, stores, results):
+                reference = BubbleDecoder(encoder, beam_width=4).decode(12, observations)
+                _assert_identical(result, reference)
+                assert result.candidates_explored == reference.candidates_explored
 
     def test_bit_mode_batch(self):
         encoders, stores = self._sessions(4, bit_mode=True)

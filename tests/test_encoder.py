@@ -113,6 +113,45 @@ class TestReceivedObservations:
         obs.add_block(block, block.values)
         assert obs.total_symbols == 4
 
+    def test_views_stay_read_only_snapshots_across_buffer_doublings(
+        self, small_encoder, rng
+    ):
+        """What ``for_position`` and ``columns()`` returned stays as it was
+        while later blocks append to, and double, the position's buffers;
+        ``version_at`` counts every add."""
+        message = random_message_bits(16, rng)
+        stream = small_encoder.symbol_stream(message)
+        obs = ReceivedObservations(4)
+        snapshots = []
+        for n_blocks in range(1, 20):  # 19 passes: buffers double 4 -> 8 -> 16 -> 32
+            block = next(stream)
+            obs.add_block(block, block.values + 0.5)
+            columns = obs.columns()
+            for position in range(4):
+                assert obs.version_at(position) == obs.count_at(position) == n_blocks
+                passes, values = obs.for_position(position)
+                assert passes is columns[position][0] and values is columns[position][1]
+                assert passes.tolist() == list(range(n_blocks))
+                assert not passes.flags.writeable and not values.flags.writeable
+            snapshots.append(
+                [(passes, values, passes.copy(), values.copy()) for passes, values in columns]
+            )
+        assert obs.total_symbols == 19 * 4
+        for snapshot in snapshots:
+            for passes, values, passes_then, values_then in snapshot:
+                assert passes.tobytes() == passes_then.tobytes()
+                assert values.tobytes() == values_then.tobytes()
+                assert not passes.flags.writeable and not values.flags.writeable
+
+    def test_mixed_value_types_widen_like_asarray(self):
+        obs = ReceivedObservations(1)
+        obs.add(0, 0, 1)
+        assert obs.for_position(0)[1].dtype == np.asarray([1]).dtype
+        obs.add(0, 1, 0.5 + 1j)
+        passes, values = obs.for_position(0)
+        assert values.dtype == np.complex128 and values.tolist() == [1, 0.5 + 1j]
+        assert passes.tolist() == [0, 1]
+
     def test_add_block_shape_mismatch(self, small_encoder, rng):
         message = random_message_bits(16, rng)
         block = next(small_encoder.symbol_stream(message))
