@@ -144,8 +144,9 @@ class TimeVaryingAWGNChannel(SymbolChannel):
         snr_linear = np.power(10.0, self.snr_trace_db[indices] / 10.0)
         noise_energy = self.signal_power / snr_linear
         sigma_per_dim = np.sqrt(noise_energy / 2.0).reshape(values.shape)
-        draws = rng.standard_normal((2,) + values.shape)
-        noise = sigma_per_dim * (draws[0] + 1j * draws[1])
+        noise = sigma_per_dim * (
+            rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+        )
         received = values + noise
         if self.quantizer is not None:
             received = self.quantizer.quantize(received)

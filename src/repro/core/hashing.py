@@ -51,8 +51,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SPINE_DOMAIN = np.uint64(0xA24BAED4963EE407)
 _SYMBOL_DOMAIN = np.uint64(0x9FB21C651E98DF25)
 _PASS_STRIDE = np.uint64(0xD6E8FEB86659FD93)
-
-
+# The finaliser's three xor-shifts.
 _SHIFT1 = np.uint64(30)
 _SHIFT2 = np.uint64(27)
 _SHIFT3 = np.uint64(31)

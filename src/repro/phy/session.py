@@ -216,9 +216,9 @@ class CodecTransmission:
                 tel.observe("phy.symbols_to_decode", self.symbols_delivered)
 
     def _terminated(self, status: DecodeStatus) -> bool:
-        reference = self.reference
-        if reference is None:  # termination="self"
+        if self.session.termination != "genie":
             return bool(status.verified)
+        reference = self.reference
         estimate = status.estimate
         if estimate is None:
             return False

@@ -42,6 +42,22 @@ class TestAWGNChannel:
         assert float(np.mean(received.real**2)) == pytest.approx(0.5, rel=0.1)
         assert float(np.mean(received.imag**2)) == pytest.approx(0.5, rel=0.1)
 
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_one_draw_is_the_two_call_noise_stream(self, n):
+        """Each block's noise is one ``standard_normal((2, n))`` draw: the
+        values, and what the generator draws next, of one
+        ``standard_normal(n)`` call for I and another for Q."""
+        channel = AWGNChannel(snr_db=2.0)
+        values = np.exp(1j * np.arange(n, dtype=np.float64))
+        got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = channel.transmit(values, got_rng)
+        sigma = np.sqrt(channel.noise_energy / 2.0)
+        want = values + sigma * (
+            want_rng.standard_normal(n) + 1j * want_rng.standard_normal(n)
+        )
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.standard_normal() == want_rng.standard_normal()
+
     def test_adc_quantisation_applied(self, rng):
         channel = AWGNChannel(snr_db=10.0, adc_bits=4)
         received = channel.transmit(np.ones(100, dtype=np.complex128), rng)
