@@ -32,14 +32,12 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.branch_kernel import branch_cost_kernel
-from repro.core.hashing import symbol_word_keyed
 from repro.core.params import SpinalParams
 from repro.core.puncturing import NoPuncturing, PuncturingSchedule
 from repro.core.spine import SpineGenerator
 
 __all__ = ["SpinalEncoder", "SubpassBlock", "ReceivedObservations"]
 
-_TOP_BIT = np.uint64(63)
 #: Observations a position's buffers hold before they first double.
 _FIRST_CAPACITY = 4
 #: What an empty position reads as (``np.asarray`` of an empty list).
@@ -255,10 +253,6 @@ class SpinalEncoder:
         self.spine_generator = SpineGenerator(self.hash_family)
         self.constellation = None if params.bit_mode else params.make_constellation()
         self._key2 = self.hash_family._key2
-        #: Shift that keeps a symbol word's top ``2c`` bits (symbol mode).
-        self._symbol_shift = (
-            None if params.bit_mode else np.uint64(64 - self.constellation.bits_per_symbol)
-        )
 
     # -- stage 1: the spine ---------------------------------------------------
     def spine(self, message_bits: np.ndarray) -> np.ndarray:
@@ -275,13 +269,12 @@ class SpinalEncoder:
         bits (``uint8``) in bit mode.  This is used both by the encoder
         proper and by the decoders when replaying candidate spines.
         """
-        passes = np.asarray(pass_index)
-        if passes.size and passes.min() < 0:
-            raise ValueError("pass_index must be non-negative")
-        word = symbol_word_keyed(spine_values, passes, self._key2)
         if self.params.bit_mode:
-            return (word >> _TOP_BIT).astype(np.uint8)
-        word >>= self._symbol_shift
+            bits = self.hash_family.symbol_value(spine_values, pass_index, 1)
+            return bits.astype(np.uint8)
+        word = self.hash_family.symbol_value(
+            spine_values, pass_index, self.constellation.bits_per_symbol
+        )
         return self.constellation.map_values(word)
 
     def encode_passes(self, message_bits: np.ndarray, n_passes: int) -> np.ndarray:
