@@ -1028,6 +1028,7 @@ def _command_mesh(args: argparse.Namespace) -> str:
     import json
 
     from repro.link.topology import multicast_tree
+    from repro.phy.families import code_family
 
     try:
         _check_snr("--snr", args.snr)
@@ -1035,9 +1036,12 @@ def _command_mesh(args: argparse.Namespace) -> str:
         _check_snr("--snr plus --snr-offset", args.snr + args.snr_offset)
         if args.max_symbols < 1:
             raise ValueError(f"--max-symbols must be at least 1, got {args.max_symbols}")
+        if args.rounds < 1:
+            raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
+        code_family(args.family)
         if args.topology == "tree":
             multicast_tree(args.depth, args.branching, args.snr)  # raises on a bad shape
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         _usage_error("mesh", exc)
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
         if args.topology == "tree":

@@ -228,6 +228,9 @@ class TestMainEndToEnd:
                 ["mesh", "--topology", "tree", "--branching", "0"],
                 "branching must be at least 1, got 0",
             ),
+            (["serve-soak", "--snr", "1e308"], "--snr of 1e+308 dB overflows a power ratio"),
+            (["mesh", "--rounds", "0"], "--rounds must be at least 1, got 0"),
+            (["mesh", "--family", "bogus"], "unknown code family 'bogus'"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):
