@@ -123,7 +123,7 @@ class Framer:
         if framed.size != self._framed_bits:
             return False
         checked = self._checked_bits
-        if framed[checked:].any():
+        if np.count_nonzero(framed[checked:]):
             return False
         if self.crc is None:
             return True
