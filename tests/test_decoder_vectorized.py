@@ -481,7 +481,7 @@ class TestBatchDecoder:
             assert result.candidates_explored == reference.candidates_explored
 
     def test_plane_sum_regimes_match_per_session_reference(self):
-        """Levels of 8 to 200 observations, added one at a time.
+        """Levels of 1 to 200 observations, added one at a time.
 
         Each session's four levels hold a count tuple crossing the plane
         sum's regimes — fewer than 8, the eight-accumulator range with and
