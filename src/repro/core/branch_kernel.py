@@ -83,42 +83,26 @@ def branch_cost_kernel(
     return cost
 
 
-#: numpy's contiguous float sum adds fewer terms than this left to right and
-#: more in eight interleaved accumulators; past ``_PAIRWISE_BLOCK`` terms it
-#: splits the row in two and recurses.
+#: numpy's contiguous float sum adds fewer terms than this left to right.
 _UNROLL = 8
-_PAIRWISE_BLOCK = 128
 
 
 def plane_sum(costs: np.ndarray) -> np.ndarray:
     """Sum a ``(rows, m, columns)`` array over its middle axis, bit for bit as
     ``costs.transpose(0, 2, 1).copy().sum(axis=-1)``.
 
-    numpy reduces a contiguous row of ``m`` floats as ``0 + pairwise(row)``,
-    where ``pairwise`` adds fewer than eight terms left to right and up to
-    128 terms in eight accumulators (term ``i`` into accumulator ``i % 8``,
-    combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then
-    the leftover terms in order).  Replaying that order one whole
+    numpy reduces a contiguous row of fewer than eight floats as
+    ``0 + x0 + x1 + ...``, left to right (checked on numpy 2.4.6 by
+    ``tests/test_branch_kernel.py``).  Replaying that order one whole
     ``(rows, columns)`` plane at a time gives the same floats while every
     addition runs along the contiguous last axis.  Longer rows, which the
-    decoders rarely see, take the transposed copy.
+    decoders see far less often, take the transposed copy.
     """
     m = costs.shape[1]
-    if m < _UNROLL:
-        # 0 + x0 keeps the zero sign of numpy's identity-started sum.
-        out = costs[:, 0] + 0.0
-        for i in range(1, m):
-            out += costs[:, i]
-        return out
-    if m > _PAIRWISE_BLOCK:
+    if m >= _UNROLL:
         return np.ascontiguousarray(costs.transpose(0, 2, 1)).sum(axis=-1)
-    acc = costs[:, :_UNROLL].copy()
-    end = m - m % _UNROLL
-    for i in range(_UNROLL, end, _UNROLL):
-        acc += costs[:, i : i + _UNROLL]
-    out = (acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])
-    out += (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
-    for i in range(end, m):
+    # 0 + x0 keeps the zero sign of numpy's identity-started sum.
+    out = costs[:, 0] + 0.0
+    for i in range(1, m):
         out += costs[:, i]
-    out += 0.0
     return out

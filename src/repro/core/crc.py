@@ -52,24 +52,19 @@ class Crc:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 1:
             raise ValueError(f"CRC input must be 1-D, got shape {bits.shape}")
-        return np.array(self._bits(self._register(bits.tolist())), dtype=np.uint8)
-
-    def _register(self, bits: list[int]) -> int:
-        """The shift register after clocking in ``bits``: the CRC as an int."""
         register = self.initial
         top_bit = 1 << (self.width - 1)
         mask = (1 << self.width) - 1
         for bit in bits:
-            register ^= bit << (self.width - 1)
+            register ^= int(bit) << (self.width - 1)
             if register & top_bit:
                 register = ((register << 1) ^ self.polynomial) & mask
             else:
                 register = (register << 1) & mask
-        return register
-
-    def _bits(self, register: int) -> list[int]:
-        """A register value as its ``width`` bits, most significant first."""
-        return [(register >> shift) & 1 for shift in range(self.width - 1, -1, -1)]
+        out = np.empty(self.width, dtype=np.uint8)
+        for i in range(self.width):
+            out[i] = (register >> (self.width - 1 - i)) & 1
+        return out
 
     def append(self, bits: np.ndarray) -> np.ndarray:
         """Return ``bits`` with its CRC appended."""
@@ -81,11 +76,9 @@ class Crc:
         bits_with_crc = np.asarray(bits_with_crc, dtype=np.uint8)
         if bits_with_crc.size < self.width:
             return False
-        if bits_with_crc.ndim != 1:
-            raise ValueError(f"CRC input must be 1-D, got shape {bits_with_crc.shape}")
-        bits = bits_with_crc.tolist()
-        n = len(bits) - self.width
-        return self._bits(self._register(bits[:n])) == bits[n:]
+        payload = bits_with_crc[: -self.width]
+        crc = bits_with_crc[-self.width :]
+        return bool(np.array_equal(self.compute(payload), crc))
 
 
 CRC8 = Crc(width=8, polynomial=0x07, name="crc8")

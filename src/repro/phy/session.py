@@ -216,23 +216,11 @@ class CodecTransmission:
                 tel.observe("phy.symbols_to_decode", self.symbols_delivered)
 
     def _terminated(self, status: DecodeStatus) -> bool:
-        if self.session.termination != "genie":
-            return bool(status.verified)
-        reference = self.reference
-        estimate = status.estimate
-        if estimate is None:
-            return False
-        if (
-            isinstance(estimate, np.ndarray)
-            and isinstance(reference, np.ndarray)
-            and estimate.dtype == reference.dtype
-            and reference.dtype.kind in "biu"
-        ):
-            # Integer elements are equal exactly when their bytes are.
-            return estimate.shape == reference.shape and (
-                estimate.tobytes() == reference.tobytes()
+        if self.session.termination == "genie":
+            return status.estimate is not None and bool(
+                np.array_equal(status.estimate, self.reference)
             )
-        return bool(np.array_equal(estimate, reference))
+        return bool(status.verified)
 
 
 class CodecSession:

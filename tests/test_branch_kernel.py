@@ -114,8 +114,9 @@ def test_map_values_gathers_the_reference_points(kind, c):
 
 @pytest.mark.parametrize("m", [*range(1, 10), 15, 16, 17, 127, 128, 129, 200])
 def test_plane_sum_is_numpys_row_sum_bit_for_bit(m):
-    """Each regime of numpy's pairwise sum: left to right below 8 terms,
-    eight accumulators plus a ragged tail up to 128, halves above."""
+    """Below 8 terms the planes are added left to right, as numpy adds a
+    short row; from 8 on, across numpy's eight-accumulator and pairwise
+    regimes, the transposed copy is summed itself."""
     rng = np.random.default_rng(m)
     shape = (5, m, 33)
     costs = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, size=shape)

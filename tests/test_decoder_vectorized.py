@@ -483,10 +483,11 @@ class TestBatchDecoder:
     def test_plane_sum_regimes_match_per_session_reference(self):
         """Levels of 1 to 200 observations, added one at a time.
 
-        Each session's four levels hold a count tuple crossing the plane
-        sum's regimes — fewer than 8, the eight-accumulator range with and
-        without a ragged tail, and past 128, where it sums a transposed
-        copy — so one batch decodes rows of many counts at each level.
+        Each session's four levels hold a count tuple crossing numpy's
+        row-sum regimes — fewer than 8, which the plane sum replays left to
+        right, the eight-accumulator range with and without a ragged tail,
+        and past 128 — so one batch decodes rows of many counts at each
+        level.
         """
         counts = [(8, 9, 15, 16), (17, 127, 128, 129), (130, 200, 8, 3), (1, 8, 200, 129)]
         rng = spawn_rng(909, "plane-sum-regimes")
