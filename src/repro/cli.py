@@ -1028,7 +1028,7 @@ def _command_mesh(args: argparse.Namespace) -> str:
     import json
 
     from repro.link.topology import multicast_tree
-    from repro.phy.families import code_family
+    from repro.phy.families import code_family, make_code
 
     try:
         _check_snr("--snr", args.snr)
@@ -1041,6 +1041,19 @@ def _command_mesh(args: argparse.Namespace) -> str:
         code_family(args.family)
         if args.topology == "tree":
             multicast_tree(args.depth, args.branching, args.snr)  # raises on a bad shape
+        if args.with_af:
+            if args.topology != "two-way":
+                raise ValueError(
+                    f"--with-af runs the two-way amplify-and-forward baseline; "
+                    f"--topology {args.topology} has none"
+                )
+            # The check run_two_way_af_exchange makes, before anything runs.
+            domain = make_code(args.family, smoke=args.smoke).info.domain
+            if domain != "symbol":
+                raise ValueError(
+                    f"--with-af needs a soft symbol channel; code family "
+                    f"{args.family!r} is {domain}-domain"
+                )
     except (ValueError, KeyError) as exc:
         _usage_error("mesh", exc)
     with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:

@@ -5,10 +5,11 @@ and each observation received at its tree level, regenerate the symbol the
 encoder would have sent (keyed symbol PRF, then the constellation map) and
 measure how far the received value is from it — the paper's footnote 1,
 "replaying the encoder".  :func:`branch_cost_kernel` is the one spelling of
-that hash -> map -> distance pipeline; the single-session engines reach it
-through :meth:`repro.core.encoder.SpinalEncoder.branch_cost_columns` and
-:class:`~repro.core.decoder_vectorized.BatchDecoder` calls it directly with
-one key per stacked session.
+that hash -> map -> distance pipeline: the from-scratch reference decoders
+reach it through :meth:`repro.core.encoder.SpinalEncoder.branch_costs`, and
+both engines of :mod:`repro.core.decoder_vectorized` call it directly — the
+single-session engine with the session's key, the batch front with one key
+per stacked session.
 
 The constellation map is a gather from the constellation's cached ``2^c``
 axis-level table (:meth:`~repro.core.constellation.Constellation.axis_levels`)
@@ -19,13 +20,13 @@ real and imaginary parts of the complex spelling are the same subtractions
 up to the sign of a zero, which squaring erases.  Costs are therefore
 bit-identical to that reference spelling (``tests/test_branch_kernel.py``).
 
-The batch decoder lays its costs out candidates-last, ``(rows, observations,
+Both engines lay their costs out candidates-last, ``(rows, observations,
 candidates)``, so every elementwise step runs along a long contiguous axis
-rather than a two- or three-wide one, and sums the observation planes with
-:func:`plane_sum`.  A per-session decode sums each candidate's contiguous row
-of ``(candidates, observations)`` costs with ``sum(axis=-1)``;
-:func:`plane_sum` adds the planes in exactly the order numpy's contiguous
-row sum does, so both layouts give the same floats.
+rather than a two- or three-wide one, and both sum the observation planes
+with :func:`plane_sum`.  The reference decoders sum each candidate's
+contiguous row of ``(candidates, observations)`` costs with
+``sum(axis=-1)``; :func:`plane_sum` adds the planes in exactly the order
+numpy's contiguous row sum does, so both layouts give the same floats.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ actually changed:
   observations at positions ``0..t``, so an attempt restarts at the first
   level whose observations changed;
 - **parent-keyed blocks**: each level keeps the children of recently
-  seen parent states as blocks of one ``(blocks, 2^k, columns)`` cost
-  array, found with one dictionary probe per beam parent — a drifted beam
-  re-sorts nothing;
+  seen parent states as blocks of one candidates-last ``(blocks, columns,
+  2^k)`` cost array, found with one dictionary probe per beam parent — a
+  drifted beam re-sorts nothing;
 - **sized to what it holds**: a level holds the current beam's blocks
   plus at most twice the beam width of earlier ones, a new parent takes
   the least recently used slot, and cost columns grow only when the
@@ -65,10 +65,12 @@ backtrack for the whole partition — no per-session Python in the level
 loop.  Per-session results, work included, are bit-exact with
 :class:`BubbleDecoder` run one session at a time.
 
-Every engine scores candidates through the one table-driven kernel,
-:func:`~repro.core.branch_kernel.branch_cost_kernel`: the single-session
-engine via :meth:`SpinalEncoder.branch_cost_columns`, the batch front with
-one hash key per stacked session.
+Both engines score candidates through the one table-driven kernel,
+:func:`~repro.core.branch_kernel.branch_cost_kernel`, called candidates-last
+— ``(blocks, observations, 2^k)`` with the session's hash key in the
+single-session engine, ``(rows, observations, candidates)`` with one key per
+stacked session in the batch front — and both sum the observation planes
+with :func:`~repro.core.branch_kernel.plane_sum`.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class _LevelCache:
 
     Slot ``b`` holds the ``2^k`` children of parent state ``keys[b]``: their
     states ``states[b]``, their branch costs against the level's first
-    ``col_filled[b]`` observations ``costs[b, :, :col_filled[b]]``, and the
-    row sums of those costs ``sums[b]``.  An attempt reduces to a parent
+    ``col_filled[b]`` observations ``costs[b, :col_filled[b]]`` (one
+    ``2^k``-wide plane per observation, candidates last), and the row sums
+    of those costs ``sums[b]``.  An attempt reduces to a parent
     lookup — hits reuse their block's child states, cost entries and row
     sums in place, whatever order the beam drifted into; only genuinely new
     parents and genuinely new observation columns are ever computed.  A
@@ -151,7 +154,7 @@ class _LevelCache:
         #: Attempt that last used each slot; ``-1`` marks an empty slot.
         self.last_used = np.empty(0, dtype=np.int64)
         self.states = np.empty((0, width), dtype=np.uint64)
-        self.costs = np.empty((0, width, 0), dtype=np.float64)
+        self.costs = np.empty((0, 0, width), dtype=np.float64)
         self.sums = np.empty((0, width), dtype=np.float64)
 
     def work(self, parents: list[int], common: int, n_obs: int) -> int:
@@ -206,15 +209,15 @@ class _LevelCache:
         sees, then by at least four or a quarter, copying only the cost
         array.
         """
-        rows, cols = self.costs.shape[0], self.costs.shape[2]
+        rows, cols = self.costs.shape[:2]
         if n_cols > cols:
             cols = n_cols if not cols else max(n_cols, cols + max(4, cols // 4))
         bound = self.keep + blocks.size
         full = self.n_blocks + n_new > rows
         if rows <= 4 * bound and not (full and rows < bound):
-            if cols > self.costs.shape[2]:
-                costs = np.empty((rows, self.width, cols), dtype=np.float64)
-                costs[:, :, : self.costs.shape[2]] = self.costs
+            if cols > self.costs.shape[1]:
+                costs = np.empty((rows, cols, self.width), dtype=np.float64)
+                costs[:, : self.costs.shape[1]] = self.costs
                 self.costs = costs
             return blocks
         n_rows = min(bound, 2 * (self.n_blocks + n_new) + blocks.size)
@@ -244,8 +247,8 @@ class _LevelCache:
         filled = int(self.col_filled[survivors].max()) if m else 0
         states = np.empty((n_rows, self.width), dtype=np.uint64)
         states[:m] = self.states[survivors]
-        costs = np.empty((n_rows, self.width, n_cols), dtype=np.float64)
-        costs[:m, :, :filled] = self.costs[survivors, :, :filled]
+        costs = np.empty((n_rows, n_cols, self.width), dtype=np.float64)
+        costs[:m, :filled] = self.costs[survivors, :filled]
         sums = np.empty((n_rows, self.width), dtype=np.float64)
         sums[:m] = self.sums[survivors]
         keys = np.empty(n_rows, dtype=np.uint64)
@@ -312,6 +315,11 @@ class VectorizedBubbleDecoder:
         self._all_segments = np.arange(1 << k, dtype=np.uint64)
         self._width = 1 << k
         self._key1 = encoder.hash_family._key1
+        self._key2 = encoder.hash_family._key2
+        #: The code's axis-level table (``None`` in bit mode).
+        self._axis_levels = (
+            None if encoder.params.bit_mode else encoder.constellation.axis_levels()
+        )
         #: Earlier blocks a level keeps beside the current beam's, for
         #: parents that drift out of the beam and back in.
         self._keep_blocks = 2 * beam_width
@@ -341,18 +349,20 @@ class VectorizedBubbleDecoder:
         """Fill columns ``[col0, n_obs)`` of the given blocks and re-sum
         their rows over all ``n_obs`` columns.
 
-        The fancy-indexed ``costs[blocks, :, :n_obs]`` is a fresh C-contiguous
-        copy, so each row reduces exactly as the same row of a from-scratch
-        cost matrix does.
+        A cost entry depends only on its (spine value, pass index, received
+        value), so columns filled across attempts hold the floats one
+        from-scratch kernel call would, and :func:`plane_sum` adds each
+        row's ``n_obs`` planes in the order a from-scratch row sum does.
         """
         n_obs = pass_indices.size
-        fresh = self.encoder.branch_cost_columns(
-            cache.states[blocks], pass_indices[col0:], values[col0:]
+        cache.costs[blocks, col0:n_obs] = branch_cost_kernel(
+            cache.states[blocks][:, None, :],
+            pass_indices[None, col0:, None],
+            values[None, col0:, None],
+            self._key2,
+            self._axis_levels,
         )
-        cache.costs[blocks, :, col0:n_obs] = fresh.reshape(
-            blocks.size, self._width, n_obs - col0
-        )
-        cache.sums[blocks] = cache.costs[blocks, :, :n_obs].sum(axis=2)
+        cache.sums[blocks] = plane_sum(cache.costs[blocks, :n_obs])
         cache.col_filled[blocks] = n_obs
 
     @staticmethod
@@ -509,12 +519,16 @@ class VectorizedBubbleDecoder:
                 blocks[miss] = slots
                 if n_obs:
                     # New blocks fill all columns in one kernel call, and the
-                    # fresh matrix is summed directly.
-                    fresh = self.encoder.branch_cost_columns(
-                        children, pass_indices, values
+                    # fresh planes are summed directly.
+                    fresh = branch_cost_kernel(
+                        children[:, None, :],
+                        pass_indices[None, :, None],
+                        values[None, :, None],
+                        self._key2,
+                        self._axis_levels,
                     )
-                    cache.costs[slots, :, :n_obs] = fresh.reshape(n_miss, width, n_obs)
-                    cache.sums[slots] = fresh.sum(axis=1).reshape(n_miss, width)
+                    cache.costs[slots, :n_obs] = fresh
+                    cache.sums[slots] = plane_sum(fresh)
                     cache.col_filled[slots] = n_obs
             else:
                 cache.last_used[blocks] = now
@@ -825,7 +839,8 @@ class BatchDecoder:
         ``(rows, observations, candidates)`` kernel calls, and
         :func:`~repro.core.branch_kernel.plane_sum` adds the observation
         planes in numpy's contiguous row-sum order, so the sums match the
-        per-session ``branch_cost_columns(...).sum(axis=1)`` bit for bit.
+        per-session reference's :meth:`SpinalEncoder.branch_costs` row sums
+        bit for bit.
         """
         counts = set(n_obs.tolist())
         if len(counts) == 1:

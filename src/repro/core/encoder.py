@@ -319,37 +319,6 @@ class SpinalEncoder:
             subpass_index += 1
 
     # -- decoder support --------------------------------------------------------
-    def branch_cost_columns(
-        self,
-        candidate_spines: np.ndarray,
-        pass_indices: np.ndarray,
-        received: np.ndarray,
-    ) -> np.ndarray:
-        """Per-observation cost matrix for candidate spine values.
-
-        Returns a C-contiguous ``float64`` matrix of shape
-        ``(n_candidates, n_observations)``: entry ``(i, j)`` is the cost of
-        candidate ``i`` against the ``j``-th observation (a received value
-        salted with ``pass_indices[j]``) — squared Euclidean distance in
-        symbol mode, 0/1 Hamming mismatch in bit mode.
-
-        Each entry depends only on ``(spine value, pass index, received
-        value)``, never on the shape of the call, so the matrix can be
-        assembled column-by-column (or row-by-row) across decode attempts and
-        still be bit-identical to a single batched evaluation — the property
-        the stateful decoder's caching relies on.
-        """
-        spines = np.asarray(candidate_spines, dtype=np.uint64).reshape(-1)
-        pass_indices = np.asarray(pass_indices, dtype=np.int64)
-        levels = None if self.params.bit_mode else self.constellation.axis_levels()
-        return branch_cost_kernel(
-            spines[:, None],
-            pass_indices[None, :],
-            np.asarray(received)[None, :],
-            self._key2,
-            levels,
-        )
-
     def branch_costs(
         self,
         candidate_spines: np.ndarray,
@@ -370,8 +339,13 @@ class SpinalEncoder:
             return np.zeros(candidate_spines.shape, dtype=np.float64)
         # One 2-D vectorised evaluation: rows are candidates, columns are the
         # observations (passes) available at this position.
-        matrix = self.branch_cost_columns(
-            candidate_spines.reshape(-1), pass_indices, received
+        levels = None if self.params.bit_mode else self.constellation.axis_levels()
+        matrix = branch_cost_kernel(
+            candidate_spines.reshape(-1, 1),
+            pass_indices[None, :],
+            received[None, :],
+            self._key2,
+            levels,
         )
         return matrix.sum(axis=1).reshape(candidate_spines.shape)
 

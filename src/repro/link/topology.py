@@ -250,7 +250,7 @@ class TopologyError(ValueError):
 
     ``kind`` is a stable machine-readable slug (``"cycle"``, ``"self-loop"``,
     ``"duplicate-edge"``, ``"unknown-node"``, ``"duplicate-node"``,
-    ``"no-nodes"``, ``"no-edges"``, ``"unreachable"``) so tests and callers
+    ``"no-nodes"``, ``"no-edges"``, ``"unreachable"``, ``"too-large"``) so tests and callers
     can assert *which* validation fired without string-matching messages.
     """
 
@@ -446,17 +446,31 @@ def butterfly(snr_db: float = 10.0, bottleneck_snr_db: float | None = None) -> D
     )
 
 
+#: Most leaves (and levels) :func:`multicast_tree` builds: one codec session
+#: runs per edge, and the registry, tests and examples stay under 10 leaves.
+MAX_TREE_LEAVES = 1024
+
+
 def multicast_tree(depth: int, branching: int, snr_db: float = 10.0) -> DagTopology:
     """A rooted multicast tree: one source, ``branching**depth`` leaf sinks.
 
     Nodes are named ``root``, then ``d{level}.{index}`` in breadth-first
     order; edges are emitted in the same order, so edge indices (and their
-    derived seeds) are a pure function of ``(depth, branching)``.
+    derived seeds) are a pure function of ``(depth, branching)``.  A tree
+    over :data:`MAX_TREE_LEAVES` leaves (or that deep) is refused before
+    anything is built.
     """
     if depth < 1:
         raise TopologyError("no-edges", f"depth must be at least 1, got {depth}")
     if branching < 1:
         raise TopologyError("no-edges", f"branching must be at least 1, got {branching}")
+    # depth bounds the exponent first, so the power stays a small integer.
+    if depth > MAX_TREE_LEAVES or branching**depth > MAX_TREE_LEAVES:
+        raise TopologyError(
+            "too-large",
+            f"a tree of depth {depth} and branching {branching} exceeds the cap "
+            f"of {MAX_TREE_LEAVES} leaves or levels",
+        )
     nodes: list[str] = ["root"]
     edges: list[DagEdge] = []
     previous = ["root"]

@@ -231,6 +231,19 @@ class TestMainEndToEnd:
             (["serve-soak", "--snr", "1e308"], "--snr of 1e+308 dB overflows a power ratio"),
             (["mesh", "--rounds", "0"], "--rounds must be at least 1, got 0"),
             (["mesh", "--family", "bogus"], "unknown code family 'bogus'"),
+            (
+                ["mesh", "--with-af", "--family", "lt", "--smoke", "--rounds", "1"],
+                "code family 'lt' is bit-domain",
+            ),
+            (
+                ["mesh", "--with-af", "--topology", "butterfly", "--smoke"],
+                "--topology butterfly has none",
+            ),
+            (["mesh", "--with-af", "--topology", "tree", "--smoke"], "--topology tree has none"),
+            (
+                ["mesh", "--topology", "tree", "--depth", "30", "--smoke", "--rounds", "1"],
+                "exceeds the cap of 1024 leaves",
+            ),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):

@@ -182,6 +182,11 @@ class TestConstructors:
             with pytest.raises(TopologyError) as err:
                 multicast_tree(depth=depth, branching=branching)
             assert err.value.kind == "no-edges"
+        for depth, branching in ((11, 2), (30, 2), (1025, 1), (2, 10**9)):
+            with pytest.raises(TopologyError, match="cap of 1024 leaves") as err:
+                multicast_tree(depth=depth, branching=branching)
+            assert err.value.kind == "too-large"
+        assert len(multicast_tree(depth=10, branching=2).sinks) == 1024
 
     def test_construction_is_deterministic(self):
         assert butterfly(11.0, 8.0) == butterfly(11.0, 8.0)

@@ -35,7 +35,7 @@ from repro.core.decoder_vectorized import (
     VectorizedBubbleDecoder,
     _LevelCache,
 )
-from repro.core.encoder import ReceivedObservations, SpinalEncoder
+from repro.core.encoder import ReceivedObservations, SpinalEncoder, SubpassBlock
 from repro.core.framing import Framer
 from repro.core.params import SpinalParams
 from repro.core.puncturing import (
@@ -154,6 +154,65 @@ class TestSubpassEquivalence:
             _assert_identical(result, reference)
             assert result.candidates_explored <= reference.candidates_explored
 
+    @pytest.mark.parametrize("bit_mode", [False, True])
+    def test_plane_sum_regimes_match_fresh_reference(self, bit_mode, monkeypatch):
+        """One level grows from 1 to 136 observations, one at a time.
+
+        Every attempt refills level 1's blocks with one new column and
+        re-sums their rows through ``plane_sum``, so the row length crosses
+        its left-to-right regime (under 8) into the transposed-copy one, and
+        past 128.  Every third block also grows level 2 while level 1's
+        change drifts level 2's parents, so blocks come back at mixed fill
+        levels and one attempt refills them from several first columns.
+        Truncated stores then replay the transmission in bisection order.
+        """
+        params = SpinalParams(k=3, c=4, seed=4242, bit_mode=bit_mode)
+        encoder = SpinalEncoder(params)
+        rng = spawn_rng(909, "vec-plane-sum-regimes", bit_mode)
+        channel = BSCChannel(0.2) if bit_mode else AWGNChannel(snr_db=-2.0, adc_bits=14)
+        spine = encoder.spine(random_message_bits(12, rng))
+        counts = [0, 0, 0, 0]
+        blocks = []
+        for step in range(136):
+            if step == 0:
+                positions = [0, 1, 2, 3]
+            else:
+                positions = [1, 2] if step % 3 == 0 else [1]
+            passes = np.array([counts[p] for p in positions], dtype=np.int64)
+            for p in positions:
+                counts[p] += 1
+            positions = np.array(positions, dtype=np.int64)
+            values = encoder.values_from_spines(spine[positions], passes)
+            blocks.append(SubpassBlock(step, positions, passes, values))
+
+        refills = []
+        refill = VectorizedBubbleDecoder._refill
+
+        def recorded(self, cache, blocks, pass_indices, values, col0):
+            refills.append((self.decode_calls, id(cache), col0, pass_indices.size))
+            refill(self, cache, blocks, pass_indices, values, col0)
+
+        monkeypatch.setattr(VectorizedBubbleDecoder, "_refill", recorded)
+        vectorized = VectorizedBubbleDecoder(encoder, beam_width=4)
+        fresh = BubbleDecoder(encoder, beam_width=4)
+        full = ReceivedObservations(4)
+        received = []
+        for block in blocks:
+            received.append(channel.transmit(block.values, rng))
+            full.add_block(block, received[-1])
+            _assert_identical(vectorized.decode(12, full), fresh.decode(12, full))
+        assert full.count_at(1) == 136
+
+        grown = {(col0, n_obs) for _, _, col0, n_obs in refills}
+        assert {(6, 7), (7, 8), (128, 129)} <= grown
+        per_level = [(call, cache) for call, cache, _, _ in refills]
+        assert len(set(per_level)) < len(per_level)  # a mixed-fill refill
+
+        total = full.total_symbols
+        for boundary in [total // 2, total // 4, 3 * total // 4, 9, total - 1, total]:
+            view = full.truncated(boundary, blocks, received)
+            _assert_identical(vectorized.decode(12, view), fresh.decode(12, view))
+
     def test_repeat_decode_is_free_and_identical(self):
         params = SpinalParams(k=2, c=4, seed=5)
         encoder = SpinalEncoder(params)
@@ -236,8 +295,8 @@ class TestCacheBehaviour:
             arrays = cache.costs
             cache.reserve(blocks, n_parents, n_cols)
             rebuilds += cache.costs is not arrays
-            capacity = capacity or cache.costs.shape[2]
-            assert cache.costs.shape[2] == capacity >= n_cols
+            capacity = capacity or cache.costs.shape[1]
+            assert cache.costs.shape[1] == capacity >= n_cols
             assert n_parents <= cache.costs.shape[0] <= cache.keep + n_parents
             slots = cache.store(parents, np.zeros((n_parents, width), np.uint64), step)
             cache.col_filled[slots] = n_cols
@@ -272,7 +331,7 @@ class TestCacheBehaviour:
             for cache in vectorized._levels:
                 assert cache.n_blocks <= cache.costs.shape[0]
                 assert cache.costs.shape[0] <= 4 * (cache.keep + beam)
-                assert cache.costs.shape[2] <= cache.n_obs + max(4, cache.n_obs // 4)
+                assert cache.costs.shape[1] <= cache.n_obs + max(4, cache.n_obs // 4)
         n_obs = max(observations.count_at(p) for p in range(n_segments))
         assert n_obs >= 100
         width = 1 << params.k
