@@ -446,8 +446,8 @@ def butterfly(snr_db: float = 10.0, bottleneck_snr_db: float | None = None) -> D
     )
 
 
-#: Most leaves (and levels) :func:`multicast_tree` builds: one codec session
-#: runs per edge, and the registry, tests and examples stay under 10 leaves.
+#: Most leaves (and levels) :func:`multicast_tree` builds.  One codec session
+#: runs per edge; the examples and CLI smoke runs use at most eight leaves.
 MAX_TREE_LEAVES = 1024
 
 
