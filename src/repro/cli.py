@@ -73,6 +73,7 @@ from typing import NoReturn
 import numpy as np
 
 from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS
+from repro.channels.bsc import BSCChannel
 from repro.experiments import registry
 from repro.experiments.metrics import crossover_snr
 from repro.experiments.registry import (
@@ -482,6 +483,8 @@ class _TelemetryScope:
     ``DIR/spans.part.jsonl`` incrementally as they close instead of being
     buffered; the exported ``telemetry.jsonl`` is byte-identical either
     way, and the spill file is left behind as the crash-salvage artifact.
+    Streaming needs a directory: the constructor rejects ``stream`` without
+    one, and :func:`main` reports that as a usage error for every command.
     """
 
     def __init__(self, directory: str | None, stream: bool = False) -> None:
@@ -748,8 +751,7 @@ def _run_checked(
         for snr_db in overrides.get("snr_db", ()):
             _check_snr("SNR", snr_db)
         for p in overrides.get("p", ()):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"crossover probability must be in [0, 1], got {p}")
+            BSCChannel(p)  # the channel's own bound on its crossover probability
         resolve_run(experiment, overrides, n_trials=args.trials, seed=args.seed)
     except (ValueError, KeyError) as exc:
         _usage_error(command, exc)
@@ -1210,6 +1212,11 @@ def main(argv: list[str] | None = None) -> str:
         "mesh": _command_mesh,
         "obs": _command_obs,
     }
+    if getattr(args, "telemetry_stream", False):
+        try:
+            _TelemetryScope(args.telemetry, stream=True)
+        except ValueError as exc:
+            _usage_error(args.command, exc)
     output = commands[args.command](args)
     print(output)
     return output

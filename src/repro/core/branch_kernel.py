@@ -11,6 +11,16 @@ both engines of :mod:`repro.core.decoder_vectorized` call it directly — the
 single-session engine with the session's key, the batch front with one key
 per stacked session.
 
+The kernel is two exact stages composed.  The replay stage,
+:func:`replay_words`, hashes and keeps the symbol word's top ``2c`` bits
+(its top bit in bit mode); those words depend only on the code, the
+candidate and the pass.  The distance stage, :func:`replay_distance`, maps
+them and measures the distance, leaving the words untouched.  So a table
+of words replayed once — the encoder's
+:meth:`~repro.core.encoder.SpinalEncoder.prefix_replay_words`, shared by
+every packet a code decodes — is scored by the distance stage alone and
+gives the floats the whole kernel would.
+
 The constellation map is a gather from the constellation's cached ``2^c``
 axis-level table (:meth:`~repro.core.constellation.Constellation.axis_levels`)
 and the distance is taken in real arithmetic, one axis at a time.  Both are
@@ -35,7 +45,7 @@ import numpy as np
 
 from repro.core.hashing import symbol_word_keyed
 
-__all__ = ["branch_cost_kernel", "plane_sum"]
+__all__ = ["branch_cost_kernel", "plane_sum", "replay_distance", "replay_words"]
 
 _TOP_BIT = np.uint64(63)
 
@@ -61,27 +71,61 @@ def branch_cost_kernel(
     and the received complex value.  ``levels=None`` selects bit mode: the
     replayed coded bit is the word's top bit and the cost is the 0/1 Hamming
     mismatch against the received bit.  Returns a C-contiguous ``float64``
-    array.
+    array.  This is :func:`replay_distance` of :func:`replay_words`.
+    """
+    return replay_distance(
+        replay_words(states, pass_indices, key2, levels), received, levels
+    )
+
+
+def replay_words(
+    states: np.ndarray,
+    pass_indices: np.ndarray,
+    key2: np.ndarray | np.uint64,
+    levels: np.ndarray | None,
+) -> np.ndarray:
+    """The replay stage: the symbol bits the encoder sends from each state.
+
+    The keyed symbol PRF's top ``2c`` bits (``levels`` has ``2^c`` entries),
+    or its top bit in bit mode (``levels=None``), as a new ``uint64`` array;
+    the arguments broadcast as in :func:`branch_cost_kernel`.
     """
     word = symbol_word_keyed(states, pass_indices, key2)
+    word >>= _TOP_BIT if levels is None else np.uint64(64 - 2 * _axis_bits(levels))
+    return word
+
+
+def replay_distance(
+    words: np.ndarray, received: np.ndarray, levels: np.ndarray | None
+) -> np.ndarray:
+    """The distance stage: cost of replayed ``words`` against ``received``.
+
+    ``words`` come from :func:`replay_words` with the same ``levels`` and are
+    left as they are, so a stored table of them can be scored again; the
+    result is a new C-contiguous ``float64`` array of the broadcast shape.
+    """
     if levels is None:
-        word >>= _TOP_BIT
-        return (word != np.asarray(received).astype(np.uint64)).astype(np.float64)
-    c = levels.size.bit_length() - 1
-    word >>= np.uint64(64 - 2 * c)
-    q = word & np.uint64((1 << c) - 1)
-    word >>= np.uint64(c)
+        return (words != np.asarray(received).astype(np.uint64)).astype(np.float64)
+    c = _axis_bits(levels)
     received = np.asarray(received, dtype=np.complex128)
-    # The shifted words are below 2^c, so viewing them as int64 is exact and
-    # spares the gather a cast of its index array.
-    cost = levels.take(word.view(np.int64))
-    cost -= received.real
-    np.square(cost, out=cost)
-    d_im = levels.take(q.view(np.int64))
+    # The axis indices are below 2^c, so viewing them as int64 is exact and
+    # spares each gather a cast of its index array.  The quadrature index's
+    # buffer is reused for the in-phase one.
+    index = words & np.uint64((1 << c) - 1)
+    d_im = levels.take(index.view(np.int64))
     d_im -= received.imag
     np.square(d_im, out=d_im)
+    np.right_shift(words, np.uint64(c), out=index)
+    cost = levels.take(index.view(np.int64))
+    cost -= received.real
+    np.square(cost, out=cost)
     cost += d_im
     return cost
+
+
+def _axis_bits(levels: np.ndarray) -> int:
+    """``c`` of a ``2^c``-entry axis-level table."""
+    return levels.size.bit_length() - 1
 
 
 #: numpy's contiguous float sum adds fewer terms than this left to right.

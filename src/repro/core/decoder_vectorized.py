@@ -23,7 +23,16 @@ actually changed:
   one ``argpartition`` — O(beam) instead of O(beam x observations);
 - **O(1) change detection**: :meth:`ReceivedObservations.version_at` and
   the store's append-only contract replace per-attempt column comparisons
-  for the common growing-store case.
+  for the common growing-store case;
+- **replay table**: when no level before the first observed one has an
+  observation, the beam that reaches it depends only on the code, the
+  level and ``max_unpruned_width``, so that level is scored from the
+  encoder's table of replayed words
+  (:meth:`~repro.core.encoder.SpinalEncoder.prefix_replay_words`), shared
+  by every packet the code decodes; only the kept children's states are
+  hashed, and the level stores no blocks.  Tail-first puncturing makes
+  this every packet's first attempt.  The table is built only for levels
+  of at most ``_MAX_STACK_ELEMENTS`` candidates.
 
 The results contract is exact: for any sequence of observation sets —
 growing (the on-line sequential receiver), or truncated and replayed in
@@ -70,20 +79,36 @@ Both engines score candidates through the one table-driven kernel,
 — ``(blocks, observations, 2^k)`` with the session's hash key in the
 single-session engine, ``(rows, observations, candidates)`` with one key per
 stacked session in the batch front — and both sum the observation planes
-with :func:`~repro.core.branch_kernel.plane_sum`.
+with :func:`~repro.core.branch_kernel.plane_sum`.  The kernel is its two
+exact stages composed, the replay stage
+(:func:`~repro.core.branch_kernel.replay_words`: keyed symbol hash, top
+bits) and the distance stage
+(:func:`~repro.core.branch_kernel.replay_distance`); a level scored from
+the replay table runs the distance stage alone over the stored words, so
+its costs are the floats the whole kernel gives.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.branch_kernel import branch_cost_kernel, plane_sum
+from repro.core.branch_kernel import branch_cost_kernel, plane_sum, replay_distance
 from repro.core.decoder_bubble import BubbleDecoder, DecodeResult
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.hashing import hash_spine_keyed
 from repro.obs.telemetry import current as current_telemetry
 
 __all__ = ["VectorizedBubbleDecoder", "BatchDecoder", "DECODER_ENGINES"]
+
+
+#: Cap on elements per stacked kernel call.  Row slices are sized so the
+#: ``sessions x candidates x observations`` working set (8–16 bytes per
+#: element across the hash/constellation/distance intermediates) stays
+#: cache-resident, and so an unpruned level's ``sessions x candidates``
+#: arrays stay small; one giant stacked call spills L2 and runs slower.
+#: It also bounds the candidates of a level scored from an encoder's
+#: replay table, so a table holds at most this many words per pass.
+_MAX_STACK_ELEMENTS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +441,71 @@ class VectorizedBubbleDecoder:
                 return position
         return n_segments
 
+    def _expand_blocks(
+        self,
+        cache: _LevelCache,
+        states: np.ndarray,
+        pass_indices: np.ndarray,
+        values: np.ndarray,
+        now: int,
+    ) -> tuple[np.ndarray, int, int]:
+        """Bring the level's blocks for the beam ``states`` up to date.
+
+        Every parent gets a block of its children, costed against all of the
+        level's observations and summed.  Returns the beam's slots, how many
+        parents missed and how many resident blocks were evicted.
+        """
+        n_obs = pass_indices.size
+        found = cache.lookup(states)
+        n_miss = found.count(-1)
+        blocks = np.array(found, dtype=np.int64)
+        # Less the resident blocks after storing, below.
+        evicted = cache.n_blocks + n_miss
+        blocks = cache.reserve(blocks, n_miss, n_obs)
+        if n_miss:
+            miss = blocks < 0
+            cache.last_used[blocks[~miss]] = now
+            parents = states[miss]
+            children = hash_spine_keyed(
+                parents[:, None], self._all_segments[None, :], self._key1
+            )
+            slots = cache.store(parents, children, now)
+            blocks[miss] = slots
+            if n_obs:
+                # New blocks fill all columns in one kernel call, and the
+                # fresh planes are summed directly.
+                fresh = branch_cost_kernel(
+                    children[:, None, :],
+                    pass_indices[None, :, None],
+                    values[None, :, None],
+                    self._key2,
+                    self._axis_levels,
+                )
+                cache.costs[slots, :n_obs] = fresh
+                cache.sums[slots] = plane_sum(fresh)
+                cache.col_filled[slots] = n_obs
+        else:
+            cache.last_used[blocks] = now
+        evicted -= cache.n_blocks
+        if n_obs and n_miss < states.size:
+            # Retained blocks are filled only up to the observations they
+            # last saw; bring this beam's up to date, one kernel call per
+            # distinct fill level (usually one).  Beam states are distinct
+            # spine hashes, so no block is listed twice.
+            filled = cache.col_filled[blocks]
+            levels = set(filled.tolist())
+            if len(levels) == 1:
+                col0 = levels.pop()
+                if col0 < n_obs:
+                    self._refill(cache, blocks, pass_indices, values, col0)
+            else:
+                levels.discard(n_obs)
+                for col0 in sorted(levels):
+                    self._refill(
+                        cache, blocks[filled == col0], pass_indices, values, col0
+                    )
+        return blocks, n_miss, evicted
+
     # ------------------------------------------------------------------
     def decode(
         self, n_message_bits: int, observations: ReceivedObservations
@@ -471,6 +561,9 @@ class VectorizedBubbleDecoder:
         # store only ever appends, so with the same store each cached column
         # set is a prefix of the current one and needs no comparison.
         same_store = observations is self._last_store
+        first_observed = next(
+            (p for p in range(n_segments) if observations.count_at(p)), n_segments
+        )
         width = self._width
         explored = 0
         cache_hits = 0
@@ -499,69 +592,36 @@ class VectorizedBubbleDecoder:
             explored += cache.work(beam, common, n_obs)
             cache.seen_parents = beam
 
-            found = cache.lookup(states)
-            n_miss = found.count(-1)
-            blocks = np.array(found, dtype=np.int64)
-            if tel.enabled:
+            # The first observed level after an observation-free prefix is
+            # scored from the encoder's replay table and keeps no blocks.
+            replayed = (
+                position == first_observed
+                and position > 0
+                and states.size * width <= _MAX_STACK_ELEMENTS
+            )
+            if replayed:
+                words = self.encoder.prefix_replay_words(
+                    position, self.max_unpruned_width, pass_indices, states
+                )
+                branch = plane_sum(
+                    replay_distance(words, values[:, None], self._axis_levels)[None]
+                ).reshape(states.size, width)
+            else:
+                blocks, n_miss, n_evicted = self._expand_blocks(
+                    cache, states, pass_indices, values, now
+                )
                 cache_misses += n_miss
                 cache_hits += states.size - n_miss
-                # Less the resident blocks after storing, below.
-                evicted += cache.n_blocks + n_miss
-            blocks = cache.reserve(blocks, n_miss, n_obs)
-            if n_miss:
-                miss = blocks < 0
-                cache.last_used[blocks[~miss]] = now
-                parents = states[miss]
-                children = hash_spine_keyed(
-                    parents[:, None], self._all_segments[None, :], self._key1
-                )
-                slots = cache.store(parents, children, now)
-                blocks[miss] = slots
+                evicted += n_evicted
                 if n_obs:
-                    # New blocks fill all columns in one kernel call, and the
-                    # fresh planes are summed directly.
-                    fresh = branch_cost_kernel(
-                        children[:, None, :],
-                        pass_indices[None, :, None],
-                        values[None, :, None],
-                        self._key2,
-                        self._axis_levels,
-                    )
-                    cache.costs[slots, :n_obs] = fresh
-                    cache.sums[slots] = plane_sum(fresh)
-                    cache.col_filled[slots] = n_obs
-            else:
-                cache.last_used[blocks] = now
-            if tel.enabled:
-                evicted -= cache.n_blocks
-            if n_obs and n_miss < states.size:
-                # Retained blocks are filled only up to the observations they
-                # last saw; bring this beam's up to date, one kernel call per
-                # distinct fill level (usually one).  Beam states are distinct
-                # spine hashes, so no block is listed twice.
-                filled = cache.col_filled[blocks]
-                levels = set(filled.tolist())
-                if len(levels) == 1:
-                    col0 = levels.pop()
-                    if col0 < n_obs:
-                        self._refill(cache, blocks, pass_indices, values, col0)
+                    branch = cache.sums[blocks]
                 else:
-                    levels.discard(n_obs)
-                    for col0 in sorted(levels):
-                        self._refill(
-                            cache, blocks[filled == col0], pass_indices, values, col0
-                        )
+                    branch = np.zeros((states.size, width), dtype=np.float64)
             cache.set_obs(pass_indices, values, observations.version_at(position))
 
             # Cumulative costs and pruning — the same expressions as
             # BubbleDecoder so ties and ulps agree.
-            if n_obs:
-                child_costs = costs[:, None] + cache.sums[blocks]
-            else:
-                child_costs = costs[:, None] + np.zeros(
-                    (states.size, width), dtype=np.float64
-                )
-            flat_costs = child_costs.reshape(-1)
+            flat_costs = (costs[:, None] + branch).reshape(-1)
             if n_obs > 0:
                 keep = min(self.beam_width, flat_costs.size)
             else:
@@ -573,7 +633,14 @@ class VectorizedBubbleDecoder:
 
             kept_parents, kept_segments = np.divmod(kept_idx, width)
             cache.kept_idx = kept_idx
-            cache.beam_states = cache.states[blocks[kept_parents], kept_segments]
+            if replayed:
+                # The expansion hash is elementwise, so hashing only the kept
+                # children gives the states a whole expansion would keep.
+                cache.beam_states = hash_spine_keyed(
+                    states[kept_parents], self._all_segments[kept_segments], self._key1
+                )
+            else:
+                cache.beam_states = cache.states[blocks[kept_parents], kept_segments]
             cache.beam_costs = flat_costs[kept_idx]
             cache.parents = kept_parents
             cache.segments = kept_segments
@@ -612,14 +679,6 @@ class VectorizedBubbleDecoder:
 
 
 # ---------------------------------------------------------------------------
-#: Cap on elements per stacked kernel call.  Row slices are sized so the
-#: ``sessions x candidates x observations`` working set (8–16 bytes per
-#: element across the hash/constellation/distance intermediates) stays
-#: cache-resident, and so an unpruned level's ``sessions x candidates``
-#: arrays stay small; one giant stacked call spills L2 and runs slower.
-_MAX_STACK_ELEMENTS = 1 << 16
-
-
 def _row_slices(n_rows: int, per_row: int, max_elements: int) -> list[slice]:
     """Split ``n_rows`` stacked rows into cache-sized contiguous slices."""
     step = max(1, max_elements // max(per_row, 1))

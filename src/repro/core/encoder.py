@@ -21,7 +21,10 @@ this spine value in that pass"; that logic lives in
 :func:`repro.core.branch_kernel.branch_cost_kernel`), which literally
 replays the encoder over candidate spine values — the paper's footnote 1
 ("replaying the encoder allows inference of the hash input bits ...; an
-inverse of the hash function is not required").
+inverse of the hash function is not required").  Where a replay depends on
+the code alone — the level after an observation-free prefix of the tree —
+the encoder keeps its words in one bounded table,
+:meth:`SpinalEncoder.prefix_replay_words`, for every decoder of the code.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.branch_kernel import branch_cost_kernel
+from repro.core.branch_kernel import branch_cost_kernel, replay_words
+from repro.core.hashing import hash_spine_keyed
 from repro.core.params import SpinalParams
 from repro.core.puncturing import NoPuncturing, PuncturingSchedule
 from repro.core.spine import SpineGenerator
@@ -253,6 +257,9 @@ class SpinalEncoder:
         self.spine_generator = SpineGenerator(self.hash_family)
         self.constellation = None if params.bit_mode else params.make_constellation()
         self._key2 = self.hash_family._key2
+        #: The replay table (:meth:`prefix_replay_words`): its key and words.
+        self._replay_key: tuple | None = None
+        self._replay_words: np.ndarray | None = None
 
     # -- stage 1: the spine ---------------------------------------------------
     def spine(self, message_bits: np.ndarray) -> np.ndarray:
@@ -348,6 +355,43 @@ class SpinalEncoder:
             levels,
         )
         return matrix.sum(axis=1).reshape(candidate_spines.shape)
+
+    def prefix_replay_words(
+        self,
+        position: int,
+        max_unpruned_width: int,
+        pass_indices: np.ndarray,
+        parents: np.ndarray,
+    ) -> np.ndarray:
+        """Replayed words of the level after an observation-free prefix.
+
+        A beam decoder that sees no observation before tree level
+        ``position`` reaches it with the same ``parents`` on every attempt:
+        all costs are zero, so what it keeps depends only on this code,
+        ``position`` and its ``max_unpruned_width``.  The replay stage's
+        words (:func:`~repro.core.branch_kernel.replay_words`) for the
+        parents' ``2^k`` children each at ``pass_indices`` — shaped
+        ``(observations, parents x 2^k)``, candidates last in parent order —
+        are then a function of the code, so one table serves the first
+        decode attempt of every packet sent with it.
+
+        ``parents`` must be that beam; the caller bounds its size.  The
+        encoder holds one read-only table, keyed by ``(position,
+        max_unpruned_width, pass indices)``, and a new key replaces it.
+        """
+        key = (position, max_unpruned_width, tuple(pass_indices.tolist()))
+        if key != self._replay_key:
+            segments = np.arange(1 << self.params.k, dtype=np.uint64)
+            children = hash_spine_keyed(
+                parents[:, None], segments[None, :], self.hash_family._key1
+            )
+            levels = None if self.params.bit_mode else self.constellation.axis_levels()
+            words = replay_words(
+                children.reshape(1, -1), pass_indices[:, None], self._key2, levels
+            )
+            words.flags.writeable = False
+            self._replay_key, self._replay_words = key, words
+        return self._replay_words
 
     def total_cost(
         self, message_bits: np.ndarray, observations: ReceivedObservations

@@ -34,6 +34,7 @@ way relay-chain == direct-link is pinned.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -323,9 +324,8 @@ class DagTopology:
             stuck = sorted(set(nodes) - set(order))
             raise TopologyError("cycle", f"topology has a cycle through {stuck}")
         object.__setattr__(self, "_topo_order", tuple(order))
-        isolated = [
-            n for n in nodes if not self.in_edges(n) and not self.out_edges(n)
-        ]
+        endpoints = {e.src for e in edges} | {e.dst for e in edges}
+        isolated = [n for n in nodes if n not in endpoints]
         if isolated:
             raise TopologyError(
                 "unreachable",
@@ -334,19 +334,25 @@ class DagTopology:
             )
 
     def _kahn_order(self) -> list[str]:
+        """Kahn's algorithm in linear time, ties broken by declaration order.
+
+        Each node's successors are listed in edge order and nodes become
+        ready in first-in, first-out order.
+        """
         indegree = {n: 0 for n in self.nodes}
+        successors: dict[str, list[str]] = {n: [] for n in self.nodes}
         for edge in self.edges:
             indegree[edge.dst] += 1
-        ready = [n for n in self.nodes if indegree[n] == 0]
+            successors[edge.src].append(edge.dst)
+        ready = deque(n for n in self.nodes if indegree[n] == 0)
         order: list[str] = []
         while ready:
-            node = ready.pop(0)  # declaration order is the deterministic tiebreak
+            node = ready.popleft()
             order.append(node)
-            for edge in self.edges:
-                if edge.src == node:
-                    indegree[edge.dst] -= 1
-                    if indegree[edge.dst] == 0:
-                        ready.append(edge.dst)
+            for dst in successors[node]:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    ready.append(dst)
         return order
 
     # -- structure accessors ---------------------------------------------------

@@ -18,7 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.branch_kernel import branch_cost_kernel, plane_sum
+from repro.core.branch_kernel import (
+    branch_cost_kernel,
+    plane_sum,
+    replay_distance,
+    replay_words,
+)
 from repro.core.constellation import make_constellation
 from repro.core.hashing import SaltedHashFamily, symbol_word_keyed
 
@@ -77,6 +82,23 @@ def test_one_session_is_the_reference_bit_for_bit(kind, c):
     assert got.dtype == np.float64 and got.flags.c_contiguous
     assert got.shape == want.shape == (96, 11)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stored_words_score_again_bit_for_bit(kind):
+    """The distance stage leaves its words as they are.
+
+    A table of replayed words, read-only like the encoder's, is scored twice
+    and gives the whole kernel's costs both times.
+    """
+    constellation, states, passes, received = _inputs(kind, 6, (), 64, 5, seed=3)
+    key2 = SaltedHashFamily(seed=0x7AB1E, k=4)._key2
+    levels = _levels(constellation)
+    words = replay_words(states, passes, key2, levels)
+    words.flags.writeable = False
+    want = branch_cost_kernel(states, passes, received, key2, levels).tobytes()
+    assert replay_distance(words, received, levels).tobytes() == want
+    assert replay_distance(words, received, levels).tobytes() == want
 
 
 @pytest.mark.parametrize("kind", KINDS)

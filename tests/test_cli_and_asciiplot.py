@@ -200,8 +200,8 @@ class TestMainEndToEnd:
             ),
             (["rate", "10", "--beam-width", "0"], "--beam-width must be at least 1"),
             (["rate", "10", "--payload-bits", "0"], "--payload-bits must be at least 1"),
-            (["bsc", "1.5"], "crossover probability must be in [0, 1]"),
-            (["bsc", "-0.1"], "crossover probability must be in [0, 1]"),
+            (["bsc", "1.5"], "crossover probability must be in [0, 0.5]"),
+            (["bsc", "-0.1"], "crossover probability must be in [0, 0.5]"),
             (["transport", "--beam-width", "0"], "--beam-width must be at least 1"),
             (["report", "/nonexistent.json"], "cannot read /nonexistent.json"),
             (["rate", "nan", "--trials", "2"], "SNR must be a number of dB, got nan"),
@@ -243,6 +243,20 @@ class TestMainEndToEnd:
             (
                 ["mesh", "--topology", "tree", "--depth", "30", "--smoke", "--rounds", "1"],
                 "exceeds the cap of 1024 leaves",
+            ),
+            (["bsc", "0.6", "--trials", "1"], "crossover probability must be in [0, 0.5]"),
+            (["bsc", "nan"], "crossover probability must be in [0, 0.5]"),
+            (
+                ["serve-soak", "--smoke", "--telemetry-stream"],
+                "--telemetry-stream requires --telemetry DIR",
+            ),
+            (
+                ["mesh", "--smoke", "--rounds", "1", "--telemetry-stream"],
+                "--telemetry-stream requires --telemetry DIR",
+            ),
+            (
+                ["run", "transport", "--smoke", "--telemetry-stream"],
+                "--telemetry-stream requires --telemetry DIR",
             ),
         ],
     )
@@ -596,6 +610,9 @@ class TestMeshCommand:
         assert (directory / "spans.part.jsonl").exists()
         assert validate_directory(directory) == []
 
-    def test_stream_without_directory_is_rejected(self):
-        with pytest.raises(ValueError, match="--telemetry-stream"):
+    def test_stream_without_directory_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["mesh", "--smoke", "--json", "--telemetry-stream"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["repro mesh: error: --telemetry-stream requires --telemetry DIR"]

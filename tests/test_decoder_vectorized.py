@@ -340,6 +340,153 @@ class TestCacheBehaviour:
         assert peak <= budget
 
 
+class TestReplayTable:
+    """Packets sharing one encoder score their first observed level from its
+    replay table.
+
+    Under tail-first puncturing a packet's first attempts observe only the
+    tail of the spine, so the levels before the first observed one keep a
+    beam that depends on the code alone.  Every attempt must still be the
+    fresh reference's, and its ``candidates_explored`` must be what decoders
+    on a fresh encoder (a cold table) count.
+    """
+
+    #: (params, payload bits, beam width): relay-fig2's code and the smoke one.
+    SHAPES = {
+        "fig2": (SpinalParams(k=8, c=10, seed=41), 24, 16),
+        "fig2-bits": (SpinalParams(k=8, c=10, seed=42, bit_mode=True), 24, 16),
+        "smoke": (SpinalParams(k=4, c=6, seed=43), 16, 8),
+        "smoke-bits": (SpinalParams(k=4, c=6, seed=44, bit_mode=True), 16, 8),
+    }
+
+    @staticmethod
+    def _sent(params, n_bits, packet, n_subpasses):
+        """One packet's (blocks, received values) over a fixed channel."""
+        encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
+        rng = spawn_rng(707, "replay-table", params.seed, packet)
+        message = random_message_bits(n_bits, rng)
+        if params.bit_mode:
+            channel = BSCChannel(0.05)
+        else:
+            channel = AWGNChannel(snr_db=6.0, adc_bits=14)
+        sent = _stream_blocks(encoder, message, channel, rng, n_subpasses)
+        return [block for block, _ in sent], [out for _, out in sent]
+
+    @staticmethod
+    def _check_attempts(encoder, n_bits, views, beam_width, max_unpruned_width=None):
+        """Decode ``views`` in order with a decoder on the shared ``encoder``.
+
+        Each attempt is compared with a fresh :class:`BubbleDecoder` and, for
+        its work, with the same decoder built on a fresh encoder.  Returns
+        how many tables the shared encoder built meanwhile.
+        """
+        shared = VectorizedBubbleDecoder(encoder, beam_width, max_unpruned_width)
+        cold = VectorizedBubbleDecoder(
+            SpinalEncoder(encoder.params, encoder.puncturing),
+            beam_width,
+            max_unpruned_width,
+        )
+        fresh = BubbleDecoder(encoder, beam_width, max_unpruned_width)
+        table = encoder._replay_words
+        fills = 0
+        for view in views:
+            result = shared.decode(n_bits, view)
+            _assert_identical(result, fresh.decode(n_bits, view))
+            assert result.candidates_explored == cold.decode(n_bits, view).candidates_explored
+            key = encoder._replay_key
+            if key is not None:
+                # One key, and at most 2^16 words per pass.
+                assert encoder._replay_words.shape[0] == len(key[-1])
+                assert encoder._replay_words.shape[1] <= 1 << 16
+            fills += encoder._replay_words is not table
+            table = encoder._replay_words
+        return fills
+
+    @staticmethod
+    def _growing(params, n_bits, blocks, received, first):
+        """The store after each subpass from the ``first``-th on."""
+        store = ReceivedObservations(params.n_segments(n_bits))
+        for index, (block, out) in enumerate(zip(blocks, received), start=1):
+            store.add_block(block, out)
+            if index >= first:
+                yield store
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_packets_sharing_an_encoder_match_the_reference(self, shape):
+        params, n_bits, beam = self.SHAPES[shape]
+        encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
+        fills = 0
+        n_segments = params.n_segments(n_bits)
+        # k=8's one-symbol attempt has 2^20 candidates at its observed level,
+        # which only the reference's cost makes worth skipping here.
+        first = 2 if params.k == 8 else 1
+        for packet in range(4):
+            blocks, received = self._sent(params, n_bits, packet, 3 * n_segments)
+            views = self._growing(params, n_bits, blocks, received, first)
+            fills += self._check_attempts(encoder, n_bits, views, beam)
+        if params.k == 8:
+            # Every packet's first attempt is (0, 1, 1): one table serves all.
+            assert fills == 1
+            assert encoder._replay_words.shape == (1, 1 << 16)
+            assert encoder._replay_key == (1, beam << 8, (0,))
+        else:
+            # The smoke code's first attempts walk the tail-first prefix
+            # (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1): each replaces the key.
+            assert fills == 4 * 3
+            assert encoder._replay_key == (1, beam << 4, (0,))
+
+    def test_two_unpruned_widths_on_one_encoder(self):
+        params, n_bits, beam = self.SHAPES["fig2"]
+        encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
+        widths = [None, 64, 64, None, 4096]
+        fills = 0
+        for packet, width in enumerate(widths):
+            blocks, received = self._sent(params, n_bits, packet, 6)
+            views = self._growing(params, n_bits, blocks, received, 2)
+            fills += self._check_attempts(encoder, n_bits, views, beam, width)
+        # The default cap is 16 x 256 = 4096, the same key as the explicit
+        # 4096; the 64-wide level-0 beam keys a table of its own.
+        assert fills == 3
+        assert encoder._replay_key == (1, 4096, (0,))
+
+    @pytest.mark.parametrize("shape", ["fig2", "fig2-bits", "smoke"])
+    def test_bisection_replay_returns_to_the_prefix(self, shape):
+        params, n_bits, beam = self.SHAPES[shape]
+        encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
+        n_segments = params.n_segments(n_bits)
+        # Warm the table with another packet first.
+        blocks, received = self._sent(params, n_bits, 0, n_segments)
+        self._check_attempts(
+            encoder, n_bits, self._growing(params, n_bits, blocks, received, 2), beam
+        )
+        blocks, received = self._sent(params, n_bits, 1, 4 * n_segments)
+        full = ReceivedObservations(n_segments)
+        for block, out in zip(blocks, received):
+            full.add_block(block, out)
+        total = full.total_symbols
+        boundaries = [total, 2, total // 2, 3, 2, n_segments + 1, 2, total]
+        views = (full.truncated(boundary, blocks, received) for boundary in boundaries)
+        self._check_attempts(encoder, n_bits, views, beam)
+
+    def test_no_table_past_the_element_cap(self):
+        """The observed level's candidates bound the table at 2^16 per pass.
+
+        With k=4 and 8,192 unpruned nodes, a 4-segment code first observes
+        level 3 with 256 x 16 x 16 = 2^16 candidates; a 5-segment one first
+        observes level 4 with 8,192 x 16 = 2^17 and builds no table.
+        """
+        params, _, beam = self.SHAPES["smoke"]
+        for n_bits, built in [(16, True), (20, False)]:
+            encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
+            blocks, received = self._sent(params, n_bits, 0, 1)
+            views = self._growing(params, n_bits, blocks, received, 1)
+            self._check_attempts(encoder, n_bits, views, beam, max_unpruned_width=8192)
+            if built:
+                assert encoder._replay_words.shape == (1, 1 << 16)
+            else:
+                assert encoder._replay_key is None
+
+
 class TestEngineRegistry:
     def test_registry_names(self):
         assert DECODER_ENGINES == {
