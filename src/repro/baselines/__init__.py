@@ -3,33 +3,25 @@
 * :mod:`repro.baselines.ldpc_system` — fixed-rate LDPC + modulation
   combinations, the explicit baseline of Figure 2 (eight configurations of
   802.11n-style codes over BPSK/QAM-4/QAM-16/QAM-64).
-* :mod:`repro.baselines.hybrid_arq` — LDPC with Chase-combining hybrid ARQ,
-  the classic "rateless-ish" scheme built from fixed-rate codes (related
-  work, references [9, 11, 14, 16] of the paper).
 * :mod:`repro.baselines.rate_adaptation` — 802.11-style SNR-threshold rate
-  adaptation over a time-varying channel, the "status quo" the introduction
-  argues against; used by the mobility example to contrast explicit
-  adaptation with the implicit adaptation of a rateless code.
-* :mod:`repro.baselines.repetition` — uncoded and repetition-coded QPSK,
-  a floor reference used in tests and examples.
-* :mod:`repro.baselines.fixed_rate_spinal` — spinal codes run at a fixed
-  number of passes (Section 3's fixed-rate instantiation), used to quantify
-  how much of the spinal gain comes from ratelessness itself.
+  adaptation, the "status quo" the introduction argues against: the
+  threshold policy and the one calibration loop every rate menu shares.
+
+The other baselines are code families behind the session API:
+Chase-combining hybrid ARQ is :class:`~repro.phy.ldpc_ir.LdpcIrCode` with
+whole-codeword chunks, fixed-rate spinal frames are
+:class:`~repro.phy.fixed_rate.FixedRateSpinalCode`, and repetition coding is
+:class:`~repro.phy.repetition.RepetitionCode`, each run through a
+:class:`~repro.phy.session.CodecSession`.
 """
 
-from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
-from repro.baselines.hybrid_arq import HybridArqLdpcSystem
 from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS, FixedRateLdpcSystem, LdpcConfig
-from repro.baselines.rate_adaptation import RateAdaptationPolicy, ThresholdRateAdapter
-from repro.baselines.repetition import RepetitionQpskSystem
+from repro.baselines.rate_adaptation import RateAdaptationPolicy, calibrate_thresholds
 
 __all__ = [
     "FixedRateLdpcSystem",
-    "FixedRateSpinalSystem",
     "LdpcConfig",
     "FIGURE2_LDPC_CONFIGS",
-    "HybridArqLdpcSystem",
-    "ThresholdRateAdapter",
     "RateAdaptationPolicy",
-    "RepetitionQpskSystem",
+    "calibrate_thresholds",
 ]

@@ -6,30 +6,28 @@ observations (SNR from a preamble, loss rate, etc.).  This module implements
 that policy in its cleanest form so the examples can compare it with the
 rateless spinal session over the same time-varying channels:
 
-* a :class:`ThresholdRateAdapter` owns a menu of fixed-rate LDPC
-  configurations and an SNR threshold per configuration (the lowest SNR at
-  which its frame error rate is below a target);
+* :func:`calibrate_thresholds` gives each configuration of a menu an SNR
+  threshold (the lowest SNR at which its frame error rate is below a
+  target);
 * a :class:`RateAdaptationPolicy` selects, per packet, the fastest
   configuration whose threshold is below the *observed* SNR, where the
   observation can lag the true channel (staleness is the classic failure
   mode the paper points to).
 
-:class:`RateAdaptationPolicy` is menu-agnostic: anything hashable with a
-``nominal_rate`` attribute (see :class:`RateOption`) can populate it, so the
-same policy drives the LDPC baseline here and the fixed-rate *spinal* menu
-the multi-user cell baseline uses (:mod:`repro.mac.adaptive`).
+Both are menu-agnostic: anything hashable with a ``nominal_rate`` attribute
+(see :class:`RateOption`) can populate them, so the same loop and policy
+drive the LDPC menu of the mobility example and the fixed-rate *spinal*
+menu the multi-user cell baseline uses (:mod:`repro.mac.adaptive`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS, FixedRateLdpcSystem, LdpcConfig
-
-__all__ = ["RateOption", "ThresholdRateAdapter", "RateAdaptationPolicy"]
+__all__ = ["RateOption", "RateAdaptationPolicy", "calibrate_thresholds"]
 
 
 @runtime_checkable
@@ -65,94 +63,35 @@ class RateAdaptationPolicy:
         return max(usable, key=lambda c: c.nominal_rate)
 
 
-class ThresholdRateAdapter:
-    """Calibrates thresholds by measurement and simulates adapted transfers."""
+def calibrate_thresholds(
+    options: Sequence[RateOption],
+    fer: Callable[[RateOption, float], float],
+    snr_grid_db: Sequence[float],
+    target_frame_error_rate: float,
+) -> RateAdaptationPolicy:
+    """Derive per-option SNR thresholds from measured frame error rates.
 
-    def __init__(
-        self,
-        configs: tuple[LdpcConfig, ...] = FIGURE2_LDPC_CONFIGS,
-        target_frame_error_rate: float = 0.1,
-        codeword_bits: int = 648,
-        max_iterations: int = 40,
-        algorithm: str = "min-sum",
-    ) -> None:
-        if not 0.0 < target_frame_error_rate < 1.0:
-            raise ValueError(
-                f"target FER must be in (0, 1), got {target_frame_error_rate}"
-            )
-        self.configs = configs
-        self.target_frame_error_rate = target_frame_error_rate
-        self.systems = {
-            config: FixedRateLdpcSystem(
-                config,
-                codeword_bits=codeword_bits,
-                max_iterations=max_iterations,
-                algorithm=algorithm,
-            )
-            for config in configs
-        }
-
-    # ------------------------------------------------------------------
-    def calibrate(
-        self,
-        snr_grid_db: np.ndarray,
-        n_frames: int,
-        rng: np.random.Generator,
-    ) -> RateAdaptationPolicy:
-        """Measure FER curves on a grid and derive per-config SNR thresholds.
-
-        The threshold of a configuration is the lowest grid SNR at which its
-        measured FER is at or below the target; configurations that never
-        reach the target get an infinite threshold (never selected).
-        """
-        snr_grid_db = np.asarray(snr_grid_db, dtype=np.float64)
-        if snr_grid_db.ndim != 1 or snr_grid_db.size == 0:
-            raise ValueError("snr_grid_db must be a non-empty 1-D array")
-        thresholds: dict[LdpcConfig, float] = {}
-        for config, system in self.systems.items():
-            threshold = float("inf")
-            for snr_db in np.sort(snr_grid_db):
-                fer = system.frame_error_rate(float(snr_db), n_frames, rng)
-                if fer <= self.target_frame_error_rate:
-                    threshold = float(snr_db)
-                    break
-            thresholds[config] = threshold
-        return RateAdaptationPolicy(configs=self.configs, thresholds=thresholds)
-
-    # ------------------------------------------------------------------
-    def simulate_adaptive_transfer(
-        self,
-        policy: RateAdaptationPolicy,
-        true_snr_per_packet_db: np.ndarray,
-        observation_lag_packets: int,
-        n_frames_per_packet: int,
-        rng: np.random.Generator,
-    ) -> dict:
-        """Run threshold adaptation over a sequence of per-packet true SNRs.
-
-        The policy sees the true SNR ``observation_lag_packets`` packets ago
-        (the first packets see the first value), selects a configuration,
-        and the achieved rate of the packet is measured at the *true* SNR.
-
-        Returns a dict with per-packet selected configs, achieved rates, and
-        the mean achieved rate — the quantity the mobility example compares
-        against the spinal session.
-        """
-        true_snr_per_packet_db = np.asarray(true_snr_per_packet_db, dtype=np.float64)
-        if observation_lag_packets < 0:
-            raise ValueError("observation_lag_packets must be non-negative")
-        selected: list[LdpcConfig] = []
-        rates: list[float] = []
-        for index, true_snr in enumerate(true_snr_per_packet_db):
-            observed_index = max(0, index - observation_lag_packets)
-            observed_snr = float(true_snr_per_packet_db[observed_index])
-            config = policy.select(observed_snr)
-            system = self.systems[config]
-            rate = system.achieved_rate(float(true_snr), n_frames_per_packet, rng)
-            selected.append(config)
-            rates.append(rate)
-        return {
-            "selected": selected,
-            "rates": np.array(rates),
-            "mean_rate": float(np.mean(rates)),
-        }
+    Options are measured in order, each over the grid in ascending order,
+    by ``fer(option, snr_db)``.  An option's threshold is the lowest grid
+    SNR at which its FER is at or below the target; options that never
+    reach the target get an infinite threshold (selected only as the robust
+    fallback).  A ``fer`` drawing from one seeded generator relies on this
+    order, and on the stop at the first passing SNR, for its thresholds.
+    """
+    if not 0.0 < target_frame_error_rate < 1.0:
+        raise ValueError(
+            f"target FER must be in (0, 1), got {target_frame_error_rate}"
+        )
+    grid = np.asarray(snr_grid_db, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("snr_grid_db must be a non-empty 1-D array")
+    options = tuple(options)
+    thresholds: dict[RateOption, float] = {}
+    for option in options:
+        threshold = float("inf")
+        for snr_db in np.sort(grid):
+            if fer(option, float(snr_db)) <= target_frame_error_rate:
+                threshold = float(snr_db)
+                break
+        thresholds[option] = threshold
+    return RateAdaptationPolicy(configs=options, thresholds=thresholds)

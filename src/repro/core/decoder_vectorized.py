@@ -627,7 +627,8 @@ class VectorizedBubbleDecoder:
             else:
                 keep = min(self.max_unpruned_width, flat_costs.size)
             if keep < flat_costs.size:
-                kept_idx = flat_costs.argpartition(keep - 1)[:keep]
+                # A copy: a view would keep the whole partition alive in the cache.
+                kept_idx = flat_costs.argpartition(keep - 1)[:keep].copy()
             else:
                 kept_idx = np.arange(flat_costs.size)
 

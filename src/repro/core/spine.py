@@ -72,32 +72,3 @@ class SpineGenerator:
         returns the candidate states at level ``t``.
         """
         return self.hash_family.hash_spine(states, segments)
-
-    def generate_batch(self, messages_segments: np.ndarray) -> np.ndarray:
-        """Compute spines for many messages at once.
-
-        Parameters
-        ----------
-        messages_segments:
-            Array of shape ``(n_messages, n_segments)`` of segment integers.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``uint64`` array of the same shape holding every spine value of
-            every message.  Used by the exhaustive ML decoder and by the
-            distance-property experiments.
-        """
-        messages_segments = np.asarray(messages_segments, dtype=np.uint64)
-        if messages_segments.ndim != 2:
-            raise ValueError(
-                f"expected (n_messages, n_segments) array, got shape "
-                f"{messages_segments.shape}"
-            )
-        n_messages, n_segments = messages_segments.shape
-        spines = np.empty_like(messages_segments)
-        states = np.full(n_messages, self.hash_family.initial_state, dtype=np.uint64)
-        for t in range(n_segments):
-            states = self.hash_family.hash_spine(states, messages_segments[:, t])
-            spines[:, t] = states
-        return spines

@@ -20,7 +20,6 @@ labels).
 
 from __future__ import annotations
 
-from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
     awgn_seed_labels,
@@ -30,6 +29,7 @@ from repro.experiments.runner import (
     spinal_fixed,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
+from repro.phy.fixed_rate import FixedRateSpinalCode, measure_error_rates
 from repro.utils.rng import spawn_rng
 
 __all__ = ["FIXED_VS_RATELESS_EXPERIMENT"]
@@ -58,17 +58,19 @@ def fixed_vs_rateless_aggregate(params, trials) -> dict:
     best_rate = 0.0
     best_passes = 0
     for n_passes in params["pass_choices"]:
-        system = FixedRateSpinalSystem(
-            message_bits=config.payload_bits,
+        code = FixedRateSpinalCode(
+            config.payload_bits,
             n_passes=int(n_passes),
             params=config.params,
             beam_width=config.beam_width,
-            adc_bits=config.adc_bits,
         )
         rng = spawn_rng(int(search_seed), "fixed-spinal", snr_db, int(n_passes))
-        result = system.measure(snr_db, int(params["n_fixed_frames"]), rng)
-        if result.achieved_rate > best_rate:
-            best_rate = result.achieved_rate
+        fer, _ = measure_error_rates(
+            code, snr_db, int(params["n_fixed_frames"]), rng, config.adc_bits
+        )
+        achieved_rate = code.nominal_rate * (1.0 - fer)
+        if achieved_rate > best_rate:
+            best_rate = achieved_rate
             best_passes = int(n_passes)
     out["best_fixed_rate"] = best_rate
     out["best_fixed_passes"] = best_passes

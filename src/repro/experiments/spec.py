@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -78,7 +79,10 @@ class Axis:
         if self.kind == "int":
             return int(value)
         if self.kind == "float":
-            return float(value)
+            number = float(value)
+            if math.isnan(number):
+                raise ValueError(f"axis {self.name!r}: NaN is not a value")
+            return number
         if self.kind == "bool":
             if isinstance(value, str):
                 return value.lower() in ("1", "true", "yes")

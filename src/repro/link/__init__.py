@@ -30,7 +30,7 @@ from repro.link.feedback import (
     FeedbackModel,
     PerfectFeedback,
 )
-from repro.link.session import LinkSessionResult, deliver_packets, simulate_link_session
+from repro.link.session import LinkSessionResult, simulate_link_session
 from repro.link.topology import (
     DagDelivery,
     DagEdge,
@@ -61,7 +61,6 @@ __all__ = [
     "DelayedFeedback",
     "BlockFeedback",
     "simulate_link_session",
-    "deliver_packets",
     "LinkSessionResult",
     "EventScheduler",
     "TransportConfig",

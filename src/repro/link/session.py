@@ -3,11 +3,6 @@
 Takes the per-packet "symbols needed" measurements produced by the rateless
 session and turns them into link-level throughput and latency numbers for a
 given feedback model — the quantity experiment E13 sweeps.
-
-:func:`deliver_packets` bridges the physical and link layers directly: it
-transmits a sequence of payloads through a
-:class:`~repro.phy.session.CodecSession` and applies a feedback model to the
-measured per-packet symbol requirements in one step.
 """
 
 from __future__ import annotations
@@ -18,9 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.link.feedback import FeedbackModel
-from repro.phy.session import CodecResult, CodecSession
 
-__all__ = ["LinkSessionResult", "simulate_link_session", "deliver_packets"]
+__all__ = ["LinkSessionResult", "simulate_link_session"]
 
 
 @dataclass(frozen=True)
@@ -106,27 +100,3 @@ def simulate_link_session(
         symbols_spent=spent,
     )
 
-
-def deliver_packets(
-    session: CodecSession,
-    payloads: Sequence[np.ndarray],
-    rng: np.random.Generator,
-    feedback: FeedbackModel,
-) -> tuple[LinkSessionResult, list[CodecResult]]:
-    """Transmit each payload ratelessly and account for feedback overhead.
-
-    Runs one rateless trial per payload through ``session`` (each trial gets
-    a fresh decoder from the session's factory, so the stateful engine's
-    per-message caches never leak between packets), then applies ``feedback``
-    to the measured symbol requirements.  Returns the link-level accounting
-    together with the underlying per-packet trial results, whose ``work``
-    totals expose the decoder work the engine choice saved.  An empty
-    payload sequence yields an empty (zero-throughput) result and no trials.
-    """
-    trials = [session.run(payload, rng) for payload in payloads]
-    link_result = simulate_link_session(
-        [trial.symbols_sent for trial in trials],
-        session.payload_bits,
-        feedback,
-    )
-    return link_result, trials

@@ -21,10 +21,8 @@ multi-user piece of the library:
 """
 
 from repro.mac.adaptive import (
-    AdaptiveCodecLink,
     AdaptiveCodecTransmission,
     AdaptiveSpinalLink,
-    CodecRateOption,
     SpinalRateOption,
     calibrate_spinal_rate_policy,
     spinal_rate_options,
@@ -41,12 +39,10 @@ from repro.mac.schedulers import (
 )
 
 __all__ = [
-    "AdaptiveCodecLink",
     "AdaptiveCodecTransmission",
     "AdaptiveSpinalLink",
     "CellResult",
     "CellUser",
-    "CodecRateOption",
     "SpinalRateOption",
     "calibrate_spinal_rate_policy",
     "spinal_rate_options",

@@ -13,7 +13,7 @@ Model
 -----
 * The scheduling quantum is one *block*: a rateless user's next subpass
   (:class:`~repro.phy.session.CodecTransmission`) or an adaptive user's
-  next fixed-rate pass (:class:`~repro.mac.adaptive.AdaptiveFrameTransmission`).
+  next fixed-rate pass (:class:`~repro.mac.adaptive.AdaptiveCodecTransmission`).
   The medium carries one block at a time; the base station's decode attempt
   and the grant decision both happen at the block boundary (decode before
   grant, via the event priorities).

@@ -14,6 +14,10 @@ Because each attempt uses its own observation store keyed by the block's
 blocks actually delivered, and the family slots into every scenario the
 protocol reaches — including the :class:`~repro.mac.adaptive` rate menu,
 whose entries are instances of this class at different ``n_passes``.
+
+:func:`measure_error_rates` is the family's fixed-rate figure of merit: the
+Monte-Carlo frame and bit error rates of one frame per session run, which
+the hindsight fixed-rate search and the adaptive menu's calibration share.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ from typing import Callable
 
 import numpy as np
 
+from repro.channels.awgn import AWGNChannel
 from repro.core.decoder_bubble import BubbleDecoder
 from repro.core.encoder import ReceivedObservations, SpinalEncoder
 from repro.core.params import SpinalParams
 from repro.phy.protocol import CodeBlock, CodeInfo, DecodeStatus, NOT_ATTEMPTED
+from repro.phy.session import CodecSession
+from repro.utils.bitops import random_message_bits
 
-__all__ = ["FixedRateSpinalCode"]
+__all__ = ["FixedRateSpinalCode", "measure_error_rates"]
 
 
 class _FrameSource:
@@ -150,3 +157,36 @@ class FixedRateSpinalCode:
 
     def reference(self, payload: np.ndarray) -> np.ndarray:
         return np.asarray(payload, dtype=np.uint8)
+
+
+def measure_error_rates(
+    code: FixedRateSpinalCode,
+    snr_db: float,
+    n_frames: int,
+    rng: np.random.Generator,
+    adc_bits: int | None = 14,
+) -> tuple[float, float]:
+    """Monte-Carlo ``(frame_error_rate, bit_error_rate)`` of ``code`` at one SNR.
+
+    Each frame draws a random payload and runs it through a genie-terminated
+    :class:`~repro.phy.session.CodecSession` whose budget is exactly one
+    frame, so the receiver decodes once and nothing is retransmitted.
+    """
+    if n_frames <= 0:
+        raise ValueError(f"n_frames must be positive, got {n_frames}")
+    channel = AWGNChannel(
+        snr_db=snr_db, signal_power=code.params.average_power, adc_bits=adc_bits
+    )
+    session = CodecSession(
+        code, channel, termination="genie", max_symbols=code.info.symbols_per_frame
+    )
+    payload_bits = code.info.payload_bits
+    frame_errors = 0
+    bit_errors = 0
+    for _ in range(n_frames):
+        message = random_message_bits(payload_bits, rng)
+        result = session.run(message, rng)
+        wrong_bits = int(np.count_nonzero(result.decoded_payload != message))
+        frame_errors += wrong_bits > 0
+        bit_errors += wrong_bits
+    return frame_errors / n_frames, bit_errors / (n_frames * payload_bits)

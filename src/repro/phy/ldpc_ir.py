@@ -17,9 +17,11 @@ this family implements it as a genuine rateless *symbol stream*:
   is the parity check (BP convergence), giving the family a self-contained
   termination rule.
 
-With ``chunk_bits = n`` the schedule degenerates to whole-codeword
-retransmission with Chase combining — which is how
-:class:`~repro.baselines.hybrid_arq.HybridArqLdpcSystem` runs its frames.
+With ``chunk_bits = n`` (the default) the schedule degenerates to
+whole-codeword retransmission with Chase combining — the classical hybrid
+ARQ baseline.  A genie-terminated :class:`~repro.phy.session.CodecSession`
+whose budget is ``m`` codeword frames runs it as ``m``-attempt hybrid ARQ;
+the session's ``decode_attempts`` count the transmissions.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from repro.ldpc.construction import make_wifi_like_code
 from repro.ldpc.decoder import BeliefPropagationDecoder
-from repro.ldpc.encoder import LDPCCode
 from repro.modulation import Modulation
 from repro.modulation.qam import make_modulation
 from repro.phy.protocol import CodeBlock, CodeInfo, DecodeStatus, NOT_ATTEMPTED
@@ -108,9 +109,8 @@ class LdpcIrCode:
         retransmission, the classical Chase-combining HARQ).
     max_iterations, algorithm:
         Belief-propagation configuration.
-    code, modulation_obj, decoder:
-        Optional prebuilt components (the hybrid-ARQ baseline passes the
-        ones its fixed-rate LDPC system already built).
+    seed:
+        Seed of the mother code's construction.
     """
 
     def __init__(
@@ -123,25 +123,15 @@ class LdpcIrCode:
         max_iterations: int = 40,
         algorithm: str = "sum-product",
         seed: int = 2011,
-        code: LDPCCode | None = None,
-        decoder: BeliefPropagationDecoder | None = None,
     ) -> None:
-        self.code = (
-            code
-            if code is not None
-            else make_wifi_like_code(rate, codeword_bits=codeword_bits, seed=seed)
-        )
+        self.code = make_wifi_like_code(rate, codeword_bits=codeword_bits, seed=seed)
         self.modulation = (
             modulation
             if isinstance(modulation, Modulation)
             else make_modulation(modulation)
         )
-        self.decoder = (
-            decoder
-            if decoder is not None
-            else BeliefPropagationDecoder(
-                self.code, max_iterations=max_iterations, algorithm=algorithm
-            )
+        self.decoder = BeliefPropagationDecoder(
+            self.code, max_iterations=max_iterations, algorithm=algorithm
         )
         self.chunk_bits = self.code.n if chunk_bits is None else int(chunk_bits)
         if self.chunk_bits <= 0 or self.code.n % self.chunk_bits != 0:

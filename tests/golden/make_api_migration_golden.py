@@ -6,9 +6,12 @@ Run from the repository root::
 
 The committed file was generated at the commit *before* the ``repro.phy``
 codec API landed, so it captures the pre-codec behaviour of the spinal
-session, ``simulate_link_session``, ``HybridArqLdpcSystem.run_trial`` and
-``FixedRateSpinalSystem``.  The migration test
-(``tests/test_api_migration.py``) pins today's spellings to these numbers,
+session, ``simulate_link_session``, Chase-combining hybrid ARQ over LDPC and
+fixed-rate spinal frames.  This script now drives the last two through
+their session spellings: :class:`~repro.phy.ldpc_ir.LdpcIrCode` with
+whole-codeword chunks, and :class:`~repro.phy.fixed_rate.FixedRateSpinalCode`
+with :func:`~repro.phy.fixed_rate.measure_error_rates`.  The migration test
+(``tests/test_api_migration.py``) pins those spellings to these numbers,
 and running this script must leave the file byte-unchanged.  The spinal
 trials keep their original field names: ``payload_bits`` is the session's
 ``credited_bits`` and ``candidates_explored`` its decoder ``work``.
@@ -17,13 +20,11 @@ trials keep their original field names: ``payload_bits`` is the session's
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
-from repro.baselines.hybrid_arq import HybridArqLdpcSystem
-from repro.baselines.ldpc_system import LdpcConfig
 from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import SpinalEncoder
 from repro.core.framing import Framer
@@ -32,12 +33,12 @@ from repro.channels.awgn import AWGNChannel
 from repro.fountain.lt import LTDecoder, LTEncoder
 from repro.link.feedback import DelayedFeedback, PerfectFeedback
 from repro.link.session import simulate_link_session
+from repro.phy.fixed_rate import FixedRateSpinalCode, measure_error_rates
+from repro.phy.ldpc_ir import LdpcIrCode
 from repro.phy.session import CodecSession
 from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
-
-from fractions import Fraction
 
 GOLDEN_PATH = Path(__file__).parent / "api_migration.json"
 SEED = 20111114
@@ -93,44 +94,54 @@ def link_session_golden() -> dict:
     return out
 
 
-def hybrid_arq_golden() -> dict:
-    system = HybridArqLdpcSystem(
-        LdpcConfig(Fraction(1, 2), "BPSK"),
-        max_attempts=4,
-        codeword_bits=120,
-        max_iterations=10,
+def harq_session() -> CodecSession:
+    """Chase-combining HARQ: rate-1/2 BPSK, whole-codeword repeats, 4 attempts."""
+    code = LdpcIrCode(-2.0, Fraction(1, 2), 120, "BPSK", max_iterations=10)
+    return CodecSession(
+        code, AWGNChannel(snr_db=-2.0), termination="genie", max_symbols=4 * code.code.n
     )
+
+
+def hybrid_arq_golden() -> dict:
+    session = harq_session()
     trials = []
     for trial in range(3):
         rng = spawn_rng(SEED, "api-golden", "harq", trial)
-        result = system.run_trial(-2.0, rng)
+        message = rng.integers(0, 2, size=session.payload_bits, dtype=np.uint8)
+        result = session.run(message, rng)
         trials.append(
             {
                 "success": bool(result.success),
-                "attempts": int(result.attempts),
+                "attempts": int(result.decode_attempts),
                 "symbols_sent": int(result.symbols_sent),
-                "message_bits": int(result.message_bits),
+                "message_bits": int(session.payload_bits),
             }
         )
     return {"trials": trials}
 
 
 def fixed_rate_spinal_golden() -> dict:
-    system = FixedRateSpinalSystem(
-        message_bits=16, n_passes=2, params=SpinalParams(k=4, c=6), beam_width=8
+    code = FixedRateSpinalCode(16, n_passes=2, params=SpinalParams(k=4, c=6), beam_width=8)
+    session = CodecSession(
+        code,
+        AWGNChannel(snr_db=3.0, signal_power=code.params.average_power, adc_bits=14),
+        termination="genie",
+        max_symbols=code.info.symbols_per_frame,
     )
     rng = spawn_rng(SEED, "api-golden", "fixed-rate")
     frames = []
     for _ in range(4):
-        ok, wrong_bits = system.transmit_frame(3.0, rng)
-        frames.append({"ok": bool(ok), "wrong_bits": int(wrong_bits)})
+        message = random_message_bits(16, rng)
+        result = session.run(message, rng)
+        wrong_bits = int(np.count_nonzero(result.decoded_payload != message))
+        frames.append({"ok": wrong_bits == 0, "wrong_bits": wrong_bits})
     measure_rng = spawn_rng(SEED, "api-golden", "fixed-rate-measure")
-    measured = system.measure(3.0, 4, measure_rng)
+    frame_error_rate, bit_error_rate = measure_error_rates(code, 3.0, 4, measure_rng)
     return {
         "frames": frames,
-        "frame_error_rate": measured.frame_error_rate,
-        "bit_error_rate": measured.bit_error_rate,
-        "nominal_rate": system.nominal_rate,
+        "frame_error_rate": frame_error_rate,
+        "bit_error_rate": bit_error_rate,
+        "nominal_rate": code.nominal_rate,
     }
 
 

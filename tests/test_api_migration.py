@@ -3,8 +3,9 @@
 ``tests/golden/api_migration.json`` was generated at the commit *before*
 the ``repro.phy`` codec API landed (see ``make_api_migration_golden.py``),
 so these tests prove the redesign's core promise: a spinal
-:class:`~repro.phy.session.CodecSession`, ``simulate_link_session``,
-``HybridArqLdpcSystem.run_trial`` and ``FixedRateSpinalSystem`` produce
+:class:`~repro.phy.session.CodecSession`, ``simulate_link_session``, a
+whole-codeword :class:`~repro.phy.ldpc_ir.LdpcIrCode` session (Chase HARQ)
+and :class:`~repro.phy.fixed_rate.FixedRateSpinalCode` sessions produce
 exactly the bytes the pre-codec session, link accounting and baselines
 produced.  The golden file keeps its original field names:
 ``payload_bits`` is the session's ``credited_bits`` and
@@ -19,9 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.baselines.fixed_rate_spinal import FixedRateSpinalSystem
-from repro.baselines.hybrid_arq import HybridArqLdpcSystem
-from repro.baselines.ldpc_system import LdpcConfig
 from repro.channels.awgn import AWGNChannel
 from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import SpinalEncoder
@@ -30,6 +28,8 @@ from repro.core.params import SpinalParams
 from repro.fountain.lt import LTDecoder, LTEncoder
 from repro.link.feedback import DelayedFeedback, PerfectFeedback
 from repro.link.session import simulate_link_session
+from repro.phy.fixed_rate import FixedRateSpinalCode, measure_error_rates
+from repro.phy.ldpc_ir import LdpcIrCode
 from repro.phy.session import CodecSession
 from repro.phy.spinal import SpinalCode
 from repro.utils.bitops import random_message_bits
@@ -90,34 +90,39 @@ class TestLinkSession:
 
 class TestBaselines:
     def test_hybrid_arq_matches_golden(self):
-        system = HybridArqLdpcSystem(
-            LdpcConfig(Fraction(1, 2), "BPSK"),
-            max_attempts=4,
-            codeword_bits=120,
-            max_iterations=10,
+        code = LdpcIrCode(-2.0, Fraction(1, 2), 120, "BPSK", max_iterations=10)
+        session = CodecSession(
+            code, AWGNChannel(snr_db=-2.0), termination="genie", max_symbols=4 * code.code.n
         )
         for trial, golden in enumerate(GOLDEN["hybrid_arq"]["trials"]):
             rng = spawn_rng(SEED, "api-golden", "harq", trial)
-            result = system.run_trial(-2.0, rng)
+            message = rng.integers(0, 2, size=code.code.k, dtype=np.uint8)
+            result = session.run(message, rng)
             assert result.success == golden["success"]
-            assert result.attempts == golden["attempts"]
+            assert result.decode_attempts == golden["attempts"]
             assert result.symbols_sent == golden["symbols_sent"]
-            assert result.message_bits == golden["message_bits"]
+            assert code.code.k == golden["message_bits"]
 
     def test_fixed_rate_spinal_matches_golden(self):
-        system = FixedRateSpinalSystem(
-            message_bits=16, n_passes=2, params=SpinalParams(k=4, c=6), beam_width=8
+        code = FixedRateSpinalCode(16, n_passes=2, params=SpinalParams(k=4, c=6), beam_width=8)
+        session = CodecSession(
+            code,
+            AWGNChannel(snr_db=3.0, signal_power=code.params.average_power, adc_bits=14),
+            termination="genie",
+            max_symbols=code.info.symbols_per_frame,
         )
         rng = spawn_rng(SEED, "api-golden", "fixed-rate")
         for golden in GOLDEN["fixed_rate_spinal"]["frames"]:
-            ok, wrong_bits = system.transmit_frame(3.0, rng)
-            assert ok == golden["ok"]
+            message = random_message_bits(16, rng)
+            result = session.run(message, rng)
+            wrong_bits = int(np.count_nonzero(result.decoded_payload != message))
+            assert (wrong_bits == 0) == golden["ok"]
             assert wrong_bits == golden["wrong_bits"]
         measure_rng = spawn_rng(SEED, "api-golden", "fixed-rate-measure")
-        measured = system.measure(3.0, 4, measure_rng)
-        assert measured.frame_error_rate == GOLDEN["fixed_rate_spinal"]["frame_error_rate"]
-        assert measured.bit_error_rate == GOLDEN["fixed_rate_spinal"]["bit_error_rate"]
-        assert system.nominal_rate == GOLDEN["fixed_rate_spinal"]["nominal_rate"]
+        fer, ber = measure_error_rates(code, 3.0, 4, measure_rng)
+        assert fer == GOLDEN["fixed_rate_spinal"]["frame_error_rate"]
+        assert ber == GOLDEN["fixed_rate_spinal"]["bit_error_rate"]
+        assert code.nominal_rate == GOLDEN["fixed_rate_spinal"]["nominal_rate"]
 
 
 class TestLtGolden:

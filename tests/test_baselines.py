@@ -10,14 +10,15 @@ import pytest
 from repro.baselines import (
     FIGURE2_LDPC_CONFIGS,
     FixedRateLdpcSystem,
-    HybridArqLdpcSystem,
     LdpcConfig,
     RateAdaptationPolicy,
-    RepetitionQpskSystem,
-    ThresholdRateAdapter,
+    calibrate_thresholds,
 )
+from repro.channels.awgn import AWGNChannel
 from repro.ldpc import make_wifi_like_code
-from repro.modulation import make_modulation
+from repro.phy.ldpc_ir import LdpcIrCode
+from repro.phy.repetition import RepetitionCode
+from repro.phy.session import CodecResult, CodecSession
 
 
 @pytest.fixture(scope="module")
@@ -75,48 +76,59 @@ class TestFixedRateLdpcSystem:
         assert "rate 1/2" in bpsk_half_system.describe()
 
 
+def _harq_trial(
+    snr_db: float,
+    max_attempts: int,
+    max_iterations: int,
+    rng: np.random.Generator,
+) -> CodecResult:
+    """One rate-1/2 BPSK frame under Chase-combining hybrid ARQ.
+
+    Whole-codeword chunks make :class:`LdpcIrCode` the classical HARQ: each
+    block repeats the codeword, and the genie-terminated session's decode
+    attempts are its transmissions.
+    """
+    code = LdpcIrCode(
+        snr_db, Fraction(1, 2), 648, "BPSK", max_iterations=max_iterations,
+        algorithm="min-sum",
+    )
+    session = CodecSession(
+        code,
+        AWGNChannel(snr_db=snr_db),
+        termination="genie",
+        max_symbols=max_attempts * (code.code.n // code.modulation.bits_per_symbol),
+    )
+    return session.run(rng.integers(0, 2, size=code.code.k, dtype=np.uint8), rng)
+
+
+def _delivered_rate(trial: CodecResult) -> float:
+    """Delivered bits per channel use: a failed frame delivers nothing."""
+    return trial.rate if trial.success else 0.0
+
+
 class TestHybridArq:
     def test_good_snr_single_attempt(self, rng):
-        system = HybridArqLdpcSystem(
-            LdpcConfig(Fraction(1, 2), "BPSK"), max_attempts=4, max_iterations=25,
-            algorithm="min-sum",
-        )
-        trial = system.run_trial(snr_db=6.0, rng=rng)
-        assert trial.success and trial.attempts == 1
+        trial = _harq_trial(6.0, max_attempts=4, max_iterations=25, rng=rng)
+        assert trial.success and trial.decode_attempts == 1
         assert trial.rate == pytest.approx(0.5)
 
     def test_moderate_snr_uses_retransmissions(self, rng):
-        system = HybridArqLdpcSystem(
-            LdpcConfig(Fraction(1, 2), "BPSK"), max_attempts=6, max_iterations=25,
-            algorithm="min-sum",
-        )
         # At -4 dB a single rate-1/2 BPSK frame fails, but chase combining of a
         # few repeats succeeds (combined SNR grows by 3 dB per doubling).
-        trial = system.run_trial(snr_db=-4.0, rng=rng)
+        trial = _harq_trial(-4.0, max_attempts=6, max_iterations=25, rng=rng)
         assert trial.success
-        assert trial.attempts > 1
+        assert trial.decode_attempts > 1
 
     def test_failure_reports_zero_rate(self, rng):
-        system = HybridArqLdpcSystem(
-            LdpcConfig(Fraction(1, 2), "BPSK"), max_attempts=1, max_iterations=10,
-            algorithm="min-sum",
-        )
-        trial = system.run_trial(snr_db=-15.0, rng=rng)
-        assert not trial.success
-        assert trial.rate == 0.0
+        trial = _harq_trial(-15.0, max_attempts=1, max_iterations=10, rng=rng)
+        assert not trial.success and not trial.payload_correct
+        # The whole one-frame budget was spent and nothing was delivered.
+        assert trial.symbols_sent == 648 and trial.decode_attempts == 1
 
     def test_mean_rate_monotone_in_snr(self, rng):
-        system = HybridArqLdpcSystem(
-            LdpcConfig(Fraction(1, 2), "BPSK"), max_attempts=4, max_iterations=20,
-            algorithm="min-sum",
-        )
-        low = system.mean_rate(-6.0, n_trials=4, rng=rng)
-        high = system.mean_rate(6.0, n_trials=4, rng=rng)
+        low = np.mean([_delivered_rate(_harq_trial(-6.0, 4, 20, rng)) for _ in range(4)])
+        high = np.mean([_delivered_rate(_harq_trial(6.0, 4, 20, rng)) for _ in range(4)])
         assert high >= low
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HybridArqLdpcSystem(LdpcConfig(Fraction(1, 2), "BPSK"), max_attempts=0)
 
 
 class TestRateAdaptation:
@@ -148,48 +160,82 @@ class TestRateAdaptation:
             LdpcConfig(Fraction(1, 2), "BPSK"),
             LdpcConfig(Fraction(3, 4), "QAM-16"),
         )
-        adapter = ThresholdRateAdapter(
-            configs=configs, max_iterations=15, algorithm="min-sum"
+        systems = {
+            config: FixedRateLdpcSystem(config, max_iterations=15, algorithm="min-sum")
+            for config in configs
+        }
+        policy = calibrate_thresholds(
+            configs,
+            lambda config, snr_db: systems[config].frame_error_rate(snr_db, 8, rng),
+            np.array([-2.0, 4.0, 10.0, 16.0]),
+            target_frame_error_rate=0.1,
         )
-        policy = adapter.calibrate(np.array([-2.0, 4.0, 10.0, 16.0]), n_frames=8, rng=rng)
+        assert policy.configs == configs
         assert policy.thresholds[configs[0]] < policy.thresholds[configs[1]]
 
-    def test_adaptive_transfer_outputs(self, rng):
-        configs = (LdpcConfig(Fraction(1, 2), "BPSK"),)
-        adapter = ThresholdRateAdapter(configs=configs, max_iterations=10, algorithm="min-sum")
-        policy = RateAdaptationPolicy(configs=configs, thresholds={configs[0]: 0.0})
-        outcome = adapter.simulate_adaptive_transfer(
-            policy,
-            true_snr_per_packet_db=np.array([5.0, 6.0, 7.0]),
-            observation_lag_packets=1,
-            n_frames_per_packet=3,
-            rng=rng,
-        )
-        assert len(outcome["selected"]) == 3
-        assert outcome["rates"].shape == (3,)
-        assert outcome["mean_rate"] >= 0.0
+    def test_calibrate_takes_the_first_passing_snr_of_the_sorted_grid(self):
+        configs = (LdpcConfig(Fraction(1, 2), "BPSK"), LdpcConfig(Fraction(5, 6), "QAM-64"))
+        calls = []
 
-    def test_adapter_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdRateAdapter(target_frame_error_rate=0.0)
+        def fer(config, snr_db):
+            calls.append((config, snr_db))
+            # The first option passes from 5 dB up; the second never does.
+            return 0.0 if config == configs[0] and snr_db >= 5.0 else 1.0
+
+        policy = calibrate_thresholds(configs, fer, [12.0, 0.0, 6.0], 0.1)
+        assert policy.thresholds == {configs[0]: 6.0, configs[1]: float("inf")}
+        # Options in order, the grid ascending, stopping at the first pass.
+        assert calls == [
+            (configs[0], 0.0), (configs[0], 6.0),
+            (configs[1], 0.0), (configs[1], 6.0), (configs[1], 12.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "grid, target, message",
+        [
+            ([0.0], 0.0, "target FER"),
+            ([0.0], 1.0, "target FER"),
+            ([], 0.1, "snr_grid_db"),
+            ([[0.0, 1.0]], 0.1, "snr_grid_db"),
+        ],
+    )
+    def test_calibrate_validation(self, grid, target, message):
+        configs = (LdpcConfig(Fraction(1, 2), "BPSK"),)
+        with pytest.raises(ValueError, match=message):
+            calibrate_thresholds(configs, lambda config, snr_db: 0.0, grid, target)
+
+
+def _repetition_trial(snr_db: float, n_bits: int, passes: int, rng: np.random.Generator):
+    """QPSK repetition with soft combining, stopped after ``passes`` passes."""
+    code = RepetitionCode(snr_db, n_bits, "QAM-4")
+    session = CodecSession(
+        code,
+        AWGNChannel(snr_db=snr_db),
+        termination="genie",
+        max_symbols=passes * code.symbols_per_pass,
+    )
+    payload = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+    return payload, session.run(payload, rng)
 
 
 class TestRepetition:
-    def test_nominal_rate(self):
-        assert RepetitionQpskSystem(repetitions=4).nominal_rate == pytest.approx(0.5)
+    def test_nominal_rate(self, rng):
+        _, trial = _repetition_trial(-2.0, 4000, 4, rng)
+        assert trial.symbols_sent == 4 * 2000
+        assert trial.rate == pytest.approx(0.5)
 
     def test_ber_improves_with_repetitions(self, rng):
-        single = RepetitionQpskSystem(repetitions=1).bit_error_rate(-2.0, 4000, rng)
-        repeated = RepetitionQpskSystem(repetitions=4).bit_error_rate(-2.0, 4000, rng)
-        assert repeated < single
+        payload, single = _repetition_trial(-2.0, 4000, 1, rng)
+        single_ber = np.mean(single.decoded_payload != payload)
+        payload, repeated = _repetition_trial(-2.0, 4000, 4, rng)
+        assert np.mean(repeated.decoded_payload != payload) < single_ber
 
     def test_noiseless_transmission(self, rng):
-        system = RepetitionQpskSystem(repetitions=1)
-        bits = rng.integers(0, 2, size=200, dtype=np.uint8)
-        assert np.array_equal(system.transmit_bits(bits, 40.0, rng), bits)
+        payload, trial = _repetition_trial(40.0, 200, 1, rng)
+        assert trial.success and trial.decode_attempts == 1
+        assert np.array_equal(trial.decoded_payload, payload)
+        assert trial.rate == 2.0  # one QPSK pass: two bits per channel use
 
-    def test_validation(self, rng):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            RepetitionQpskSystem(repetitions=0)
-        with pytest.raises(ValueError):
-            RepetitionQpskSystem().transmit_bits(np.ones(3, dtype=np.uint8), 10.0, rng)
+            RepetitionCode(10.0, 3, "QAM-4")  # not a whole number of symbols

@@ -258,6 +258,10 @@ class TestMainEndToEnd:
                 ["run", "transport", "--smoke", "--telemetry-stream"],
                 "--telemetry-stream requires --telemetry DIR",
             ),
+            (
+                ["run", "rate", "--smoke", "--set", "snr_db=nan"],
+                "axis 'snr_db': NaN is not a value",
+            ),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):

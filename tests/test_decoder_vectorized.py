@@ -275,6 +275,27 @@ class TestCacheBehaviour:
         probes = np.array([1, 2, 3], dtype=np.uint64)
         assert np.array_equal(cache.lookup(probes), np.full(3, -1, dtype=np.int64))
 
+    def test_kept_indices_own_their_data(self):
+        """The cached pruning survivors must not pin the whole partition.
+
+        A view of ``argpartition``'s output would keep its full base alive
+        per level: 65,536 entries (512 KB) on the first observed level of a
+        relay-fig2 first attempt, for 16 kept indices.
+        """
+        params = SpinalParams(k=8, c=10, seed=41)
+        encoder = SpinalEncoder(params, puncturing=TailFirstPuncturing())
+        rng = spawn_rng(708, "kept-idx")
+        message = random_message_bits(24, rng)
+        channel = AWGNChannel(snr_db=6.0, adc_bits=14)
+        observations = ReceivedObservations(params.n_segments(24))
+        for block, received in _stream_blocks(encoder, message, channel, rng, 2):
+            observations.add_block(block, received)
+        decoder = VectorizedBubbleDecoder(encoder, beam_width=16)
+        result = decoder.decode(24, observations)
+        assert 16 in result.beam_trace  # some level was pruned to the beam
+        for level in decoder._levels:
+            assert level.kept_idx.base is None
+
     def test_block_rebuild_keeps_column_capacity(self):
         """A rebuild forced by the beam's block count must not grow columns.
 
@@ -524,7 +545,7 @@ class TestEngineRegistry:
             policy, AWGNChannel(10.0), payload_bits=16, params=params, beam_width=8
         )
         code = link._code_for_option(options[-1])
-        return [link.decoder, code.decoder_factory(code.encoder)], BubbleDecoder
+        return [code.decoder_factory(code.encoder)], BubbleDecoder
 
     @pytest.mark.parametrize("seam", ["spinal-family", "fixed-rate", "adaptive-link"])
     def test_each_seam_builds_one_fixed_engine(self, seam):

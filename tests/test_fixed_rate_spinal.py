@@ -1,78 +1,65 @@
-"""Unit tests for the fixed-rate spinal baseline."""
+"""Unit tests for fixed-rate spinal frames and their error-rate measurement."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.baselines import FixedRateSpinalSystem
 from repro.core.params import SpinalParams
+from repro.phy.fixed_rate import FixedRateSpinalCode, measure_error_rates
 from repro.utils.rng import spawn_rng
 
 
 @pytest.fixture
-def small_system() -> FixedRateSpinalSystem:
-    return FixedRateSpinalSystem(
-        message_bits=16,
-        n_passes=2,
-        params=SpinalParams(k=4, c=6, seed=31),
-        beam_width=8,
-    )
+def small_code() -> FixedRateSpinalCode:
+    return FixedRateSpinalCode(16, n_passes=2, params=SpinalParams(k=4, c=6, seed=31), beam_width=8)
 
 
 class TestConfiguration:
-    def test_nominal_rate(self, small_system):
+    def test_nominal_rate(self, small_code):
         # 16 bits over 2 passes of 4 symbols = 2 bits/symbol (= k / passes).
-        assert small_system.nominal_rate == pytest.approx(2.0)
-        assert small_system.symbols_per_frame == 8
+        assert small_code.nominal_rate == pytest.approx(2.0)
+        assert small_code.info.symbols_per_frame == 8
 
     def test_rate_equals_k_over_passes(self):
-        system = FixedRateSpinalSystem(
-            message_bits=24, n_passes=3, params=SpinalParams(k=8, c=10)
-        )
-        assert system.nominal_rate == pytest.approx(8 / 3)
-
-    def test_describe(self, small_system):
-        assert "passes=2" in small_system.describe()
+        code = FixedRateSpinalCode(24, n_passes=3, params=SpinalParams(k=8, c=10))
+        assert code.nominal_rate == pytest.approx(8 / 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FixedRateSpinalSystem(message_bits=16, n_passes=0)
+            FixedRateSpinalCode(16, n_passes=0)
         with pytest.raises(ValueError):
-            FixedRateSpinalSystem(message_bits=15, params=SpinalParams(k=4, c=6))
+            FixedRateSpinalCode(15, n_passes=2, params=SpinalParams(k=4, c=6))
+        code = FixedRateSpinalCode(16, n_passes=2, params=SpinalParams(k=4, c=6))
         with pytest.raises(ValueError):
-            FixedRateSpinalSystem(message_bits=16, params=SpinalParams(k=4, c=6)).measure(
-                10.0, 0, np.random.default_rng(0)
-            )
+            measure_error_rates(code, 10.0, 0, np.random.default_rng(0))
 
 
 class TestMeasurement:
-    def test_high_snr_no_errors(self, small_system):
+    def test_high_snr_no_errors(self, small_code):
         rng = spawn_rng(1, "frs-high")
-        result = small_system.measure(snr_db=18.0, n_frames=10, rng=rng)
-        assert result.frame_error_rate == 0.0
-        assert result.bit_error_rate == 0.0
-        assert result.achieved_rate == pytest.approx(small_system.nominal_rate)
+        fer, ber = measure_error_rates(small_code, 18.0, 10, rng)
+        assert fer == 0.0
+        assert ber == 0.0
 
-    def test_low_snr_mostly_errors(self, small_system):
+    def test_low_snr_mostly_errors(self, small_code):
         rng = spawn_rng(2, "frs-low")
-        result = small_system.measure(snr_db=-8.0, n_frames=10, rng=rng)
-        assert result.frame_error_rate > 0.5
-        assert result.achieved_rate < small_system.nominal_rate
+        fer, ber = measure_error_rates(small_code, -8.0, 10, rng)
+        assert fer > 0.5
+        assert 0.0 < ber <= 1.0
 
-    def test_fer_monotone_between_extremes(self, small_system):
+    def test_fer_monotone_between_extremes(self, small_code):
         rng = spawn_rng(3, "frs-mono")
-        low = small_system.measure(snr_db=-4.0, n_frames=12, rng=rng).frame_error_rate
-        high = small_system.measure(snr_db=12.0, n_frames=12, rng=rng).frame_error_rate
+        low, _ = measure_error_rates(small_code, -4.0, 12, rng)
+        high, _ = measure_error_rates(small_code, 12.0, 12, rng)
         assert high <= low
 
     def test_more_passes_more_robust(self):
         """At a fixed SNR, adding passes (lowering the rate) reduces FER."""
         rng = spawn_rng(4, "frs-passes")
         params = SpinalParams(k=4, c=6, seed=33)
-        one_pass = FixedRateSpinalSystem(16, n_passes=1, params=params, beam_width=8)
-        three_pass = FixedRateSpinalSystem(16, n_passes=3, params=params, beam_width=8)
-        snr_db = 4.0
-        fer_one = one_pass.measure(snr_db, n_frames=15, rng=rng).frame_error_rate
-        fer_three = three_pass.measure(snr_db, n_frames=15, rng=rng).frame_error_rate
+        one_pass = FixedRateSpinalCode(16, n_passes=1, params=params, beam_width=8)
+        three_pass = FixedRateSpinalCode(16, n_passes=3, params=params, beam_width=8)
+        fer_one, _ = measure_error_rates(one_pass, 4.0, 15, rng)
+        fer_three, _ = measure_error_rates(three_pass, 4.0, 15, rng)
         assert fer_three <= fer_one

@@ -15,7 +15,6 @@ from repro.link import (
     BlockFeedback,
     DelayedFeedback,
     PerfectFeedback,
-    deliver_packets,
     simulate_link_session,
 )
 from repro.phy.session import CodecSession
@@ -109,6 +108,8 @@ class TestLinkSession:
 
 
 class TestDeliverPackets:
+    """Payloads sent through a session, then accounted under a feedback model."""
+
     def _session(self, decoder_cls):
         params = SpinalParams(k=4, c=6, seed=45)
         code = SpinalCode(
@@ -122,7 +123,10 @@ class TestDeliverPackets:
         session = self._session(VectorizedBubbleDecoder)
         rng = spawn_rng(3, "link-deliver")
         payloads = [random_message_bits(16, rng) for _ in range(4)]
-        link_result, trials = deliver_packets(session, payloads, rng, PerfectFeedback())
+        trials = [session.run(payload, rng) for payload in payloads]
+        link_result = simulate_link_session(
+            [t.symbols_sent for t in trials], session.payload_bits, PerfectFeedback()
+        )
         assert link_result.n_packets == 4
         assert len(trials) == 4
         assert all(trial.payload_correct for trial in trials)
@@ -135,8 +139,11 @@ class TestDeliverPackets:
             session = self._session(cls)
             rng = spawn_rng(4, "link-engines")
             payloads = [random_message_bits(16, rng) for _ in range(3)]
-            link_result, trials = deliver_packets(
-                session, payloads, rng, DelayedFeedback(delay_symbols=4)
+            trials = [session.run(payload, rng) for payload in payloads]
+            link_result = simulate_link_session(
+                [t.symbols_sent for t in trials],
+                session.payload_bits,
+                DelayedFeedback(delay_symbols=4),
             )
             outcomes[name] = (
                 link_result.symbols_needed.tolist(),
@@ -149,8 +156,10 @@ class TestDeliverPackets:
 
     def test_empty_payload_sequence(self):
         session = self._session(VectorizedBubbleDecoder)
-        link_result, trials = deliver_packets(
-            session, [], spawn_rng(5, "empty"), PerfectFeedback()
+        rng = spawn_rng(5, "empty")
+        trials = [session.run(payload, rng) for payload in []]
+        link_result = simulate_link_session(
+            [t.symbols_sent for t in trials], session.payload_bits, PerfectFeedback()
         )
         assert trials == []
         assert link_result.n_packets == 0

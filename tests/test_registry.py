@@ -40,6 +40,10 @@ class TestAxis:
         axis = Axis("snr_db", (0, 10), "float")
         assert axis.values == (0.0, 10.0)
         assert all(isinstance(v, float) for v in axis.values)
+        # inf is the noiseless limit; NaN is no SNR at all.
+        assert axis.parse("inf") == float("inf")
+        with pytest.raises(ValueError, match="NaN is not a value"):
+            axis.parse("nan")
 
     def test_optional_axis_admits_none(self):
         axis = Axis("adc_bits", (4, None), "int", optional=True)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.params import SpinalParams
 from repro.core.spine import SpineGenerator
-from repro.utils.bitops import pack_segments, random_message_bits
+from repro.utils.bitops import random_message_bits
 
 
 class TestSpinalParams:
@@ -102,14 +102,3 @@ class TestSpineGenerator:
         message = random_message_bits(20, rng)
         segments = generator.segment_values(message)
         assert np.array_equal(generator.segments_to_bits(segments), message)
-
-    def test_generate_batch_matches_single(self, generator, rng):
-        messages = [random_message_bits(16, rng) for _ in range(5)]
-        segment_matrix = np.stack([pack_segments(m, generator.k) for m in messages])
-        batch = generator.generate_batch(segment_matrix)
-        for row, message in zip(batch, messages):
-            assert np.array_equal(row, generator.generate(message))
-
-    def test_generate_batch_rejects_1d(self, generator):
-        with pytest.raises(ValueError):
-            generator.generate_batch(np.zeros(4, dtype=np.uint64))
