@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.ldpc.construction import make_wifi_like_code
 from repro.ldpc.decoder import BeliefPropagationDecoder
-from repro.ldpc.encoder import LDPCCode
-from repro.modulation import Modulation, make_modulation
+from repro.modulation import make_modulation
 from repro.utils.units import db_to_linear
 
 __all__ = ["LdpcConfig", "FixedRateLdpcSystem", "FIGURE2_LDPC_CONFIGS"]
@@ -74,21 +73,10 @@ class FixedRateLdpcSystem:
         codeword_bits: int = 648,
         max_iterations: int = 40,
         algorithm: str = "sum-product",
-        code: LDPCCode | None = None,
-        modulation: Modulation | None = None,
     ) -> None:
         self.config = config
-        self.code = code if code is not None else make_wifi_like_code(
-            config.code_rate, codeword_bits=codeword_bits
-        )
-        self.modulation = (
-            modulation if modulation is not None else make_modulation(config.modulation)
-        )
-        if self.code.n % self.modulation.bits_per_symbol != 0:
-            raise ValueError(
-                f"codeword length {self.code.n} is not a multiple of the modulation's "
-                f"{self.modulation.bits_per_symbol} bits/symbol"
-            )
+        self.code = make_wifi_like_code(config.code_rate, codeword_bits=codeword_bits)
+        self.modulation = make_modulation(config.modulation)
         self.decoder = BeliefPropagationDecoder(
             self.code, max_iterations=max_iterations, algorithm=algorithm
         )

@@ -15,18 +15,20 @@ The registry commands work for *every* experiment in
   recomputing anything; failed cells render as footnoted rows either way.
 
 Five aliases are argument spellings over the same registry: each turns its
-flags into overrides, rejects bad input before the first cell, and calls
-``run_experiment``:
+flags into overrides and calls ``run_experiment``.  ``rate``, ``bsc``,
+``ldpc`` and ``transport`` share one body and print the experiment's table
+(and, with ``--plot``, its registry chart):
 
 * ``rate``      — ``rate``: the spinal rate at one or more AWGN SNRs;
 * ``bsc``       — ``bsc``: the bit-mode spinal rate at one or more
   crossover probabilities;
-* ``figure2``   — ``figure2``: a coarse Figure 2 (spinal + bounds, plus one
-  ``ldpc-rate`` run per LDPC baseline with ``--with-ldpc``);
 * ``ldpc``      — ``ldpc-rate``: one fixed-rate LDPC configuration across
   SNRs;
 * ``transport`` — ``transport``: measured goodput of the sliding-window ARQ
-  transport over the protocol grid.
+  transport over the protocol grid;
+* ``figure2``   — ``figure2``: a coarse Figure 2 (spinal + bounds, plus one
+  ``ldpc-rate`` run per LDPC baseline with ``--with-ldpc``), a composite
+  table of its own.
 
 ``serve-soak`` drives the async session service (``repro.serve``): N
 concurrent spinal sessions through one event loop with batched decoding and
@@ -55,6 +57,11 @@ byte-identical final export.  ``obs report`` renders a saved JSONL stream
 as tables and ASCII histograms; ``obs check`` validates the three exporter
 files in a directory.
 
+Every command is a build step (configs or run plan, which validate
+themselves; ``run`` and the aliases build every cell's config) and a run
+step.  Bad input fails the build, before the first cell, and :func:`main`
+reports it as one ``repro <cmd>: error:`` line with exit status 2.
+
 Every command prints a plain-text table (and optionally an ASCII chart), so
 the CLI is usable over ssh on a machine with nothing but this package and
 numpy/scipy installed.  ``--workers/-j N`` fans Monte-Carlo work out over
@@ -67,39 +74,25 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from typing import NoReturn
 
 import numpy as np
 
 from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS
-from repro.channels.bsc import BSCChannel
 from repro.experiments import registry
 from repro.experiments.metrics import crossover_snr
 from repro.experiments.registry import (
-    RunOutcome,
     render_run,
     render_run_csv,
     render_run_plot,
     resolve_run,
     run_experiment,
 )
-from repro.experiments.transport_sweep import TransportSweepConfig
-from repro.core.params import SpinalParams
-from repro.ldpc.construction import WIFI_LIKE_RATES
-from repro.link.transport import TransportConfig
 from repro.utils.asciiplot import ascii_plot
 from repro.utils.results import render_table
 from repro.utils.store import RunStore, read_run
-from repro.utils.units import db_to_linear
 
 __all__ = ["build_parser", "main"]
-
-
-def _usage_error(command: str, exc: Exception) -> NoReturn:
-    """Report bad input in one line and exit 2, like argparse's own usage errors."""
-    print(f"repro {command}: error: {exc.args[0]}", file=sys.stderr)
-    raise SystemExit(2) from None
 
 
 def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
@@ -179,13 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--trials", type=int, default=None, help="trials per grid cell")
     run.add_argument("--seed", type=int, default=None, help="base random seed")
-    run.add_argument(
-        "--workers",
-        "-j",
-        type=int,
-        default=1,
-        help="worker processes (results are identical for any count)",
-    )
+    _add_runner_arguments(run)
     run.add_argument(
         "--out", default="results", help="results-store directory (default: results/)"
     )
@@ -472,12 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
 class _TelemetryScope:
     """Install the live sink for one command, export on success.
 
-    Installation happens in ``__enter__`` — *before* the command constructs
-    any engine/network/session, because instrumented classes capture the
-    process-global sink once at construction time.  ``note()`` returns a
-    one-line trailer naming the written files (empty when ``--telemetry``
-    was not given), and ``__exit__`` always restores the previous sink so
-    in-process callers (tests) never leak an enabled registry.
+    :func:`main` enters the scope between a command's build and run steps —
+    *before* the run constructs any engine/network/session, because
+    instrumented classes capture the process-global sink once at
+    construction time.  ``note()`` returns a one-line trailer naming the
+    written files (empty when ``--telemetry`` was not given), and
+    ``__exit__`` always restores the previous sink so in-process callers
+    (tests) never leak an enabled registry.
 
     With ``stream=True`` (``--telemetry-stream``) spans are written to
     ``DIR/spans.part.jsonl`` incrementally as they close instead of being
@@ -530,16 +518,31 @@ class _TelemetryScope:
         )
 
 
-def _command_obs(args: argparse.Namespace) -> str:
+# -- commands -----------------------------------------------------------------
+#
+# Each command is a build step, ``args -> plan`` (raising on bad input), and
+# a run step, ``(args, plan) -> output``.
+
+
+def _echo(args: argparse.Namespace, text: str) -> str:
+    """The run step of a command whose build step already rendered it."""
+    return text
+
+
+def _with_chart(text: str, experiment: registry.Experiment, record) -> str:
+    chart = render_run_plot(experiment, record)
+    return text + "\n\n" + chart if chart else text
+
+
+def _metric_table(summary: dict) -> str:
+    return render_table(["metric", "value"], list(summary.items()))
+
+
+def _build_obs(args: argparse.Namespace) -> str:
     if args.obs_command == "report":
         from repro.obs.report import render_report
 
-        try:
-            return render_report(args.jsonl_file)
-        except OSError as exc:
-            _usage_error("obs", ValueError(f"cannot read {args.jsonl_file}: {exc.strerror}"))
-        except ValueError as exc:
-            _usage_error("obs", exc)
+        return render_report(args.jsonl_file)
     from repro.obs.exporters import validate_directory
 
     problems = validate_directory(args.directory)
@@ -605,23 +608,21 @@ def _parse_overrides(experiment: registry.Experiment, tokens: list[str]) -> dict
     return overrides
 
 
-def _command_list(args: argparse.Namespace) -> str:
-    registry.load_all()
+def _build_list(args: argparse.Namespace) -> str:
     return registry.catalog_markdown() if args.markdown else registry.catalog()
 
 
-def _plan_runs(args: argparse.Namespace) -> list:
-    """Validate a ``run`` invocation; return its ``(experiment, overrides)`` pairs.
+def _build_run(args: argparse.Namespace) -> list:
+    """Return a ``run`` invocation's ``(experiment, overrides)`` pairs.
 
-    Every requested experiment is resolved up front, so a bad name, override,
-    worker count or trial count fails before the first cell is computed.
+    Every requested experiment is resolved up front — every cell through its
+    experiment's ``cell_config`` — so a bad name, override, trial count or
+    cell fails before the first cell is computed.
     """
     if args.all == bool(args.name):
         raise ValueError("run expects exactly one of <name> or --all")
     if args.all and args.sets:
         raise ValueError("--set cannot be combined with --all")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     plan = []
     for name in registry.names() if args.all else [args.name]:
         experiment = registry.get(name)
@@ -633,52 +634,38 @@ def _plan_runs(args: argparse.Namespace) -> list:
     return plan
 
 
-def _command_run(args: argparse.Namespace) -> str:
-    registry.load_all()
-    try:
-        plan = _plan_runs(args)
-    except (ValueError, KeyError) as exc:
-        _usage_error("run", exc)
+def _run_run(args: argparse.Namespace, plan: list) -> str:
     store = None if args.no_save else RunStore(args.out)
     pieces = []
-    with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
-        for experiment, overrides in plan:
-            outcome = run_experiment(
-                experiment,
-                overrides=overrides,
-                n_workers=args.workers,
-                n_trials=args.trials,
-                seed=args.seed,
-                store=store,
-                smoke=args.smoke,
-            )
-            text = f"== {experiment.name}: {experiment.description}\n\n" + outcome.table()
-            if args.plot:
-                chart = render_run_plot(experiment, outcome.record)
-                if chart:
-                    text += "\n\n" + chart
-            if outcome.path is not None:
-                text += (
-                    f"\n\nsaved: {outcome.path} "
-                    f"({outcome.n_cells_computed} cells computed, "
-                    f"{outcome.n_cells_cached} from cache)"
-                )
-            pieces.append(text)
-    return "\n\n".join(pieces) + scope.note()
-
-
-def _command_report(args: argparse.Namespace) -> str:
-    registry.load_all()
-    try:
-        record = read_run(args.run_file)
-        experiment = registry.get(record["experiment"])
-    except OSError as exc:
-        _usage_error("report", ValueError(f"cannot read {args.run_file}: {exc.strerror}"))
-    except (ValueError, KeyError) as exc:
-        _usage_error("report", exc)
-    if args.csv:
+    for experiment, overrides in plan:
+        outcome = run_experiment(
+            experiment,
+            overrides=overrides,
+            n_workers=args.workers,
+            n_trials=args.trials,
+            seed=args.seed,
+            store=store,
+            smoke=args.smoke,
+        )
+        text = f"== {experiment.name}: {experiment.description}\n\n" + outcome.table()
         if args.plot:
-            raise ValueError("--csv cannot be combined with --plot")
+            text = _with_chart(text, experiment, outcome.record)
+        if outcome.path is not None:
+            text += (
+                f"\n\nsaved: {outcome.path} "
+                f"({outcome.n_cells_computed} cells computed, "
+                f"{outcome.n_cells_cached} from cache)"
+            )
+        pieces.append(text)
+    return "\n\n".join(pieces)
+
+
+def _build_report(args: argparse.Namespace) -> str:
+    if args.csv and args.plot:
+        raise ValueError("--csv cannot be combined with --plot")
+    record = read_run(args.run_file)
+    experiment = registry.get(record["experiment"])
+    if args.csv:
         return render_run_csv(experiment, record)
     header = (
         f"{record['experiment']}: {record.get('description', experiment.description)}\n"
@@ -686,180 +673,133 @@ def _command_report(args: argparse.Namespace) -> str:
         f"{record['n_trials']} trials/cell\n\n"
     )
     text = header + render_run(experiment, record)
-    if args.plot:
-        chart = render_run_plot(experiment, record)
-        if chart:
-            text += "\n\n" + chart
-    return text
+    return _with_chart(text, experiment, record) if args.plot else text
 
 
 # -- aliases -----------------------------------------------------------------
 
 
-def _check_code_args(args: argparse.Namespace, bit_mode: bool = False) -> None:
-    """Reject code sizes that every cell of a sweep would fail on."""
-    if args.payload_bits < 1:
-        raise ValueError(f"--payload-bits must be at least 1, got {args.payload_bits}")
-    if args.beam_width < 1:
-        raise ValueError(f"--beam-width must be at least 1, got {args.beam_width}")
-    SpinalParams(k=args.k, c=args.c, bit_mode=bit_mode)  # raises on a bad k or c
-
-
-def _check_snr(option: str, snr_db: float) -> None:
-    """Reject a NaN SNR, which runs to budget and delivers nothing, and a
-    finite one too large for a linear power ratio.
-
-    ``inf`` stays valid: it is the noiseless limit.
-    """
-    if math.isnan(snr_db):
-        raise ValueError(f"{option} must be a number of dB, got nan")
-    if math.isfinite(snr_db):
-        try:
-            db_to_linear(snr_db)
-        except OverflowError:
-            raise ValueError(
-                f"{option} of {snr_db:g} dB overflows a power ratio; use inf "
-                "for the noiseless limit"
-            ) from None
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {workers}")
-
-
-def _code_overrides_from_args(args: argparse.Namespace, bit_mode: bool) -> dict:
-    overrides = {
+def _spinal_overrides(args: argparse.Namespace) -> dict:
+    return {
         "payload_bits": args.payload_bits,
         "k": args.k,
         "beam_width": args.beam_width,
         "puncturing": args.puncturing,
+        "n_trials": args.trials,
+        "seed": args.seed,
     }
-    if not bit_mode:
-        overrides["c"] = args.c
-    return overrides
 
 
-def _run_checked(
-    command: str, overrides: dict, args: argparse.Namespace
-) -> RunOutcome:
-    """Run registry experiment ``command`` after rejecting bad input up front."""
-    experiment = registry.get(command)
-    try:
-        _check_workers(args.workers)
-        _check_code_args(args, bit_mode="c" not in overrides)
-        for snr_db in overrides.get("snr_db", ()):
-            _check_snr("SNR", snr_db)
-        for p in overrides.get("p", ()):
-            BSCChannel(p)  # the channel's own bound on its crossover probability
-        resolve_run(experiment, overrides, n_trials=args.trials, seed=args.seed)
-    except (ValueError, KeyError) as exc:
-        _usage_error(command, exc)
-    return run_experiment(
-        experiment,
-        overrides=overrides,
-        n_trials=args.trials,
-        seed=args.seed,
-        n_workers=args.workers,
+def _transport_overrides(args: argparse.Namespace) -> dict:
+    protocols = (
+        ("go-back-n", "selective-repeat") if args.protocol == "both" else (args.protocol,)
     )
+    return {
+        "hops": tuple(args.hops),
+        "protocol": protocols,
+        "window": tuple(args.window),
+        "ack_delay": tuple(args.ack_delay),
+        "payload_bits": args.payload_bits,
+        "k": args.k,
+        "c": args.c,
+        "beam_width": args.beam_width,
+        "snr_db": args.snr,
+        "snr_step_db": args.snr_step,
+        "n_packets": args.packets,
+        "ack_loss": args.ack_loss,
+        "max_symbols": args.max_symbols,
+        "seed": args.seed,
+    }
 
 
-def _command_rate(args: argparse.Namespace) -> str:
-    outcome = _run_checked(
+#: Each table alias: its registry experiment and its flags-to-overrides map.
+_ALIASES = {
+    "rate": (
         "rate",
-        {
-            **_code_overrides_from_args(args, bit_mode=False),
-            "snr_db": tuple(float(s) for s in args.snrs),
+        lambda args: {**_spinal_overrides(args), "c": args.c, "snr_db": tuple(args.snrs)},
+    ),
+    "bsc": ("bsc", lambda args: {**_spinal_overrides(args), "p": tuple(args.crossovers)}),
+    "ldpc": (
+        "ldpc-rate",
+        lambda args: {
+            "snr_db": tuple(args.snrs),
+            "rate": args.rate,
+            "modulation": args.modulation,
+            "frames": args.frames,
+            "iterations": args.iterations,
+            "seed": args.seed,
         },
-        args,
+    ),
+    "transport": ("transport", _transport_overrides),
+}
+
+
+def _build_alias(args: argparse.Namespace) -> tuple:
+    name, overrides_from_args = _ALIASES[args.command]
+    experiment = registry.get(name)
+    overrides = overrides_from_args(args)
+    resolve_run(experiment, overrides)
+    return experiment, overrides
+
+
+def _run_alias(args: argparse.Namespace, plan: tuple) -> str:
+    experiment, overrides = plan
+    # ``ldpc`` has neither --workers nor --plot.
+    outcome = run_experiment(
+        experiment, overrides=overrides, n_workers=getattr(args, "workers", 1)
     )
-    rows = [
-        (params["snr_db"], agg["capacity"], agg["rate"], agg["rate_stderr"])
-        for _key, params, cell in outcome.successful_cells()
-        for agg in (cell["aggregate"],)
-    ]
-    output = render_table(["SNR(dB)", "capacity", "rate (b/sym)", "stderr"], rows)
-    if args.plot and len(args.snrs) >= 2:
-        output += "\n\n" + ascii_plot(
-            args.snrs,
-            {"capacity": [r[1] for r in rows], "spinal": [r[2] for r in rows]},
-            x_label="SNR (dB)",
-            y_label="bits/symbol",
+    if getattr(args, "plot", False):
+        return _with_chart(outcome.table(), experiment, outcome.record)
+    return outcome.table()
+
+
+def _build_figure2(args: argparse.Namespace) -> tuple:
+    for option, value in (("--snr-min", args.snr_min), ("--snr-max", args.snr_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must be a finite number of dB, got {value}")
+    if not args.snr_step > 0:
+        raise ValueError(f"--snr-step must be positive, got {args.snr_step}")
+    if args.snr_min > args.snr_max:
+        raise ValueError(
+            f"--snr-min ({args.snr_min}) must not exceed --snr-max ({args.snr_max})"
         )
-    return output
-
-
-def _command_bsc(args: argparse.Namespace) -> str:
-    outcome = _run_checked(
-        "bsc",
-        {
-            **_code_overrides_from_args(args, bit_mode=True),
-            "p": tuple(float(p) for p in args.crossovers),
-        },
-        args,
-    )
-    rows = [
-        (params["p"], agg["capacity"], agg["rate"], agg["rate_stderr"])
-        for _key, params, cell in outcome.successful_cells()
-        for agg in (cell["aggregate"],)
-    ]
-    output = render_table(["p", "capacity", "rate (b/bit)", "stderr"], rows)
-    if args.plot and len(args.crossovers) >= 2:
-        output += "\n\n" + ascii_plot(
-            args.crossovers,
-            {"capacity": [r[1] for r in rows], "spinal": [r[2] for r in rows]},
-            x_label="crossover probability",
-            y_label="bits/channel bit",
-        )
-    return output
-
-
-def _command_figure2(args: argparse.Namespace) -> str:
-    try:
-        if not args.snr_step > 0:
-            raise ValueError(f"--snr-step must be positive, got {args.snr_step}")
-        if args.snr_min > args.snr_max:
-            raise ValueError(
-                f"--snr-min ({args.snr_min}) must not exceed --snr-max ({args.snr_max})"
-            )
-        if args.trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        if args.ldpc_frames < 1:
-            raise ValueError(f"--ldpc-frames must be at least 1, got {args.ldpc_frames}")
-        _check_workers(args.workers)
-    except ValueError as exc:
-        _usage_error("figure2", exc)
     snrs = []
     snr = args.snr_min
     while snr <= args.snr_max + 1e-9:
         snrs.append(round(snr, 6))
         snr += args.snr_step
+    spinal = {"snr_db": tuple(snrs), "n_trials": args.trials}
+    resolve_run(registry.get("figure2"), spinal)
+    ldpc = {}
+    if args.with_ldpc:
+        for config in FIGURE2_LDPC_CONFIGS:
+            ldpc[config.label] = {
+                "snr_db": tuple(snrs),
+                "rate": str(config.code_rate),
+                "modulation": config.modulation,
+                "frames": args.ldpc_frames,
+            }
+            resolve_run(registry.get("ldpc-rate"), ldpc[config.label])
+    return snrs, spinal, ldpc
+
+
+def _run_figure2(args: argparse.Namespace, plan: tuple) -> str:
+    snrs, spinal_overrides, ldpc_overrides = plan
     cells = run_experiment(
-        registry.get("figure2"),
-        overrides={"snr_db": tuple(snrs)},
-        n_trials=args.trials,
-        n_workers=args.workers,
+        registry.get("figure2"), overrides=spinal_overrides, n_workers=args.workers
     ).successful_cells()
     shannon = [cell["aggregate"]["shannon"] for _key, _params, cell in cells]
     fixed_block = [cell["aggregate"]["fixed_block"] for _key, _params, cell in cells]
     spinal = [cell["aggregate"]["rate"] for _key, _params, cell in cells]
     columns = {"Shannon": shannon, "FixedBlk": fixed_block, "Spinal": spinal}
-    if args.with_ldpc:
-        for config in FIGURE2_LDPC_CONFIGS:
-            outcome = run_experiment(
-                registry.get("ldpc-rate"),
-                overrides={
-                    "snr_db": tuple(snrs),
-                    "rate": str(config.code_rate),
-                    "modulation": config.modulation,
-                    "frames": args.ldpc_frames,
-                },
-                n_workers=args.workers,
-            )
-            columns[config.label] = [
-                cell["aggregate"]["achieved_rate"]
-                for _key, _params, cell in outcome.successful_cells()
-            ]
+    for label, overrides in ldpc_overrides.items():
+        outcome = run_experiment(
+            registry.get("ldpc-rate"), overrides=overrides, n_workers=args.workers
+        )
+        columns[label] = [
+            cell["aggregate"]["achieved_rate"]
+            for _key, _params, cell in outcome.successful_cells()
+        ]
     output = render_table(["SNR(dB)", *columns], zip(snrs, *columns.values()))
     crossover = crossover_snr(np.array(snrs), np.array(spinal), np.array(fixed_block))
     if crossover is not None:
@@ -874,135 +814,87 @@ def _command_figure2(args: argparse.Namespace) -> str:
     return output
 
 
-def _command_transport(args: argparse.Namespace) -> str:
-    protocols = (
-        ("go-back-n", "selective-repeat") if args.protocol == "both" else (args.protocol,)
-    )
-    try:
-        _check_code_args(args)
-        _check_snr("--snr", args.snr)
-        _check_snr("--snr-step", args.snr_step)
-        _check_workers(args.workers)
-        TransportSweepConfig(  # validates the grid before the first cell
-            n_packets=args.packets,
-            windows=tuple(args.window),
-            ack_delays=tuple(args.ack_delay),
-            hop_counts=tuple(args.hops),
-            max_symbols=args.max_symbols,
-        )
-        TransportConfig(ack_loss=args.ack_loss)
-    except ValueError as exc:
-        _usage_error("transport", exc)
-    experiment = registry.get("transport")
-    outcome = run_experiment(
-        experiment,
-        overrides={
-            "hops": tuple(args.hops),
-            "protocol": protocols,
-            "window": tuple(args.window),
-            "ack_delay": tuple(args.ack_delay),
-            "payload_bits": args.payload_bits,
-            "k": args.k,
-            "c": args.c,
-            "beam_width": args.beam_width,
-            "snr_db": args.snr,
-            "snr_step_db": args.snr_step,
-            "n_packets": args.packets,
-            "ack_loss": args.ack_loss,
-            "max_symbols": args.max_symbols,
-        },
-        seed=args.seed,
-        n_workers=args.workers,
-    )
-    output = outcome.table()
-    if args.plot:
-        chart = render_run_plot(experiment, outcome.record)
-        if chart:
-            output += "\n\n" + chart
-    return output
+# -- simulators ----------------------------------------------------------------
 
 
-def _command_serve_soak(args: argparse.Namespace) -> str:
-    import json
-    import time
-
-    from repro.serve import SoakConfig, SoakEngine
+def _build_serve_soak(args: argparse.Namespace):
+    from repro.serve import SoakConfig
 
     n_sessions, max_in_flight = args.sessions, args.in_flight
     if args.smoke:
         n_sessions, max_in_flight = 32, 16
-    try:
-        _check_snr("--snr", args.snr)
-        config = SoakConfig(
-            n_sessions=n_sessions,
-            max_in_flight=max_in_flight,
-            arrival_spacing=args.arrival_spacing,
-            snr_db=args.snr,
-            seed=args.seed,
-            payload_bits=args.payload_bits,
-            k=args.k,
-            c=args.c,
-            beam_width=args.beam_width,
-            max_symbols=args.max_symbols,
-            batching=not args.no_batching,
-        )
-    except ValueError as exc:
-        _usage_error("serve-soak", exc)
-    with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
-        engine = SoakEngine(config)
-        start = time.perf_counter()
-        result = engine.run()
-        elapsed = time.perf_counter() - start
-    summary = result.summary(elapsed_s=elapsed)
-    if args.json:
-        return json.dumps(summary, indent=2, sort_keys=True)
-    rows = [(key, summary[key]) for key in summary]
-    return render_table(["metric", "value"], rows) + scope.note()
+    return SoakConfig(
+        n_sessions=n_sessions,
+        max_in_flight=max_in_flight,
+        arrival_spacing=args.arrival_spacing,
+        snr_db=args.snr,
+        seed=args.seed,
+        payload_bits=args.payload_bits,
+        k=args.k,
+        c=args.c,
+        beam_width=args.beam_width,
+        max_symbols=args.max_symbols,
+        batching=not args.no_batching,
+    )
 
 
-def _command_city_soak(args: argparse.Namespace) -> str:
+def _run_serve_soak(args: argparse.Namespace, config) -> str:
     import json
     import time
 
+    from repro.serve import SoakEngine
+
+    engine = SoakEngine(config)
+    start = time.perf_counter()
+    result = engine.run()
+    elapsed = time.perf_counter() - start
+    summary = result.summary(elapsed_s=elapsed)
+    if args.json:
+        return json.dumps(summary, indent=2, sort_keys=True)
+    return _metric_table(summary)
+
+
+def _build_city_soak(args: argparse.Namespace):
     from repro.mac.schedulers import make_scheduler
-    from repro.net import NetworkConfig, simulate_network_replicas
+    from repro.net import NetworkConfig
     from repro.phy.families import code_family
 
-    try:
-        config = NetworkConfig(
-            n_cells=args.cells,
-            n_users=args.users,
-            packets_per_user=args.packets_per_user,
-            scheduler=args.scheduler,
-            code=args.code,
-            tier=args.tier,
-            seed=args.seed,
-            max_symbols=args.max_symbols,
-            cell_radius=args.cell_radius,
-            reference_snr_db=args.reference_snr,
-            epoch_symbols=args.epoch_symbols,
-            interference=not args.no_interference,
-        )
-        # The geometry, scheduler and code family are otherwise first built
-        # inside the simulation (possibly in a worker): reject them here.
-        config.geometry()
-        make_scheduler(config.scheduler)
-        code_family(config.code)
-        # NetworkConfig keeps an empty city legal for library callers.
-        if args.users < 1:
-            raise ValueError(f"--users must be at least 1, got {args.users}")
-        if args.replicas < 1:
-            raise ValueError(f"n_replicas must be at least 1, got {args.replicas}")
-        if args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    except (ValueError, KeyError) as exc:
-        _usage_error("city-soak", exc)
-    with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
-        start = time.perf_counter()
-        replicas = simulate_network_replicas(
-            config, args.replicas, n_workers=args.workers
-        )
-        elapsed = time.perf_counter() - start
+    config = NetworkConfig(
+        n_cells=args.cells,
+        n_users=args.users,
+        packets_per_user=args.packets_per_user,
+        scheduler=args.scheduler,
+        code=args.code,
+        tier=args.tier,
+        seed=args.seed,
+        max_symbols=args.max_symbols,
+        cell_radius=args.cell_radius,
+        reference_snr_db=args.reference_snr,
+        epoch_symbols=args.epoch_symbols,
+        interference=not args.no_interference,
+    )
+    # The geometry, scheduler and code family are otherwise first built
+    # inside the simulation (possibly in a worker): reject them here.
+    config.geometry()
+    make_scheduler(config.scheduler)
+    code_family(config.code)
+    # NetworkConfig keeps an empty city legal for library callers.
+    if args.users < 1:
+        raise ValueError(f"--users must be at least 1, got {args.users}")
+    if args.replicas < 1:
+        raise ValueError(f"n_replicas must be at least 1, got {args.replicas}")
+    return config
+
+
+def _run_city_soak(args: argparse.Namespace, config) -> str:
+    import json
+    import time
+
+    from repro.net import simulate_network_replicas
+
+    start = time.perf_counter()
+    replicas = simulate_network_replicas(config, args.replicas, n_workers=args.workers)
+    elapsed = time.perf_counter() - start
     numeric = [
         key
         for key in replicas[0]
@@ -1022,202 +914,157 @@ def _command_city_soak(args: argparse.Namespace) -> str:
         return json.dumps(
             {"aggregate": aggregate, "replicas": replicas}, indent=2, sort_keys=True
         )
-    rows = [(key, aggregate[key]) for key in aggregate]
-    return render_table(["metric", "value"], rows) + scope.note()
+    return _metric_table(aggregate)
 
 
-def _command_mesh(args: argparse.Namespace) -> str:
+def _build_mesh(args: argparse.Namespace):
+    from repro.netcode import MulticastTreeConfig, TwoWayConfig, amplify_codes
+
+    if args.with_af and args.topology != "two-way":
+        raise ValueError(
+            f"--with-af runs the two-way amplify-and-forward baseline; "
+            f"--topology {args.topology} has none"
+        )
+    if args.topology == "tree":
+        return MulticastTreeConfig(
+            family=args.family,
+            depth=args.depth,
+            branching=args.branching,
+            snr_db=args.snr,
+            rounds=args.rounds,
+            seed=args.seed,
+            smoke=args.smoke,
+            max_symbols=args.max_symbols,
+        )
+    # The butterfly reads the same operating point: its bottleneck edge is
+    # the weak side.
+    config = TwoWayConfig(
+        family=args.family,
+        snr_a_db=args.snr,
+        snr_b_db=args.snr + args.snr_offset,
+        rounds=args.rounds,
+        seed=args.seed,
+        smoke=args.smoke,
+        max_symbols=args.max_symbols,
+    )
+    if args.with_af:
+        amplify_codes(config)  # refuses a bit-domain family before anything runs
+    return config
+
+
+def _run_mesh(args: argparse.Namespace, config) -> str:
     import json
 
-    from repro.link.topology import multicast_tree
-    from repro.phy.families import code_family, make_code
+    if args.topology == "tree":
+        from repro.netcode import run_multicast_tree
 
-    try:
-        _check_snr("--snr", args.snr)
-        _check_snr("--snr-offset", args.snr_offset)
-        _check_snr("--snr plus --snr-offset", args.snr + args.snr_offset)
-        if args.max_symbols < 1:
-            raise ValueError(f"--max-symbols must be at least 1, got {args.max_symbols}")
-        if args.rounds < 1:
-            raise ValueError(f"--rounds must be at least 1, got {args.rounds}")
-        code_family(args.family)
-        if args.topology == "tree":
-            multicast_tree(args.depth, args.branching, args.snr)  # raises on a bad shape
+        result = run_multicast_tree(config)
+        summary = {
+            "topology": "tree",
+            "family": args.family,
+            "snr_db": args.snr,
+            "depth": args.depth,
+            "branching": args.branching,
+            "n_leaves": result.n_leaves,
+            "rounds": args.rounds,
+            "coded_uses": result.broadcast_total,
+            "plain_uses": result.unicast_total,
+            "saving": result.medium_use_saving,
+            "delivered_coded": result.delivery_rate,
+        }
+    elif args.topology == "butterfly":
+        from repro.experiments.network_coding_gain import _butterfly_point
+
+        summary = {
+            "topology": "butterfly",
+            "family": args.family,
+            "snr_db": args.snr,
+            "snr_offset_db": args.snr_offset,
+            "rounds": args.rounds,
+            **_butterfly_point(config),
+        }
+    else:
+        from repro.netcode import run_two_way_af_exchange, run_two_way_exchange
+
+        result = run_two_way_exchange(config)
+        summary = {
+            "topology": "two-way",
+            "family": args.family,
+            "snr_a_db": config.snr_a_db,
+            "snr_b_db": config.snr_b_db,
+            "rounds": args.rounds,
+            "coded_uses": result.xor_total_uses,
+            "plain_uses": result.baseline_total_uses,
+            "saving": result.medium_use_saving,
+            "downlink_saving": result.downlink_saving,
+            "delivered_coded": result.xor_delivery_rate,
+            "delivered_plain": result.baseline_delivery_rate,
+        }
         if args.with_af:
-            if args.topology != "two-way":
-                raise ValueError(
-                    f"--with-af runs the two-way amplify-and-forward baseline; "
-                    f"--topology {args.topology} has none"
-                )
-            # The check run_two_way_af_exchange makes, before anything runs.
-            domain = make_code(args.family, smoke=args.smoke).info.domain
-            if domain != "symbol":
-                raise ValueError(
-                    f"--with-af needs a soft symbol channel; code family "
-                    f"{args.family!r} is {domain}-domain"
-                )
-    except (ValueError, KeyError) as exc:
-        _usage_error("mesh", exc)
-    with _TelemetryScope(args.telemetry, stream=args.telemetry_stream) as scope:
-        if args.topology == "tree":
-            from repro.netcode import MulticastTreeConfig, run_multicast_tree
-
-            result = run_multicast_tree(
-                MulticastTreeConfig(
-                    family=args.family,
-                    depth=args.depth,
-                    branching=args.branching,
-                    snr_db=args.snr,
-                    rounds=args.rounds,
-                    seed=args.seed,
-                    smoke=args.smoke,
-                    max_symbols=args.max_symbols,
-                )
+            af = run_two_way_af_exchange(config)
+            summary.update(
+                {
+                    "af_uses": af.total_uses,
+                    "af_effective_snr_a_db": af.effective_snr_a_db,
+                    "af_effective_snr_b_db": af.effective_snr_b_db,
+                    "af_delivered": af.delivery_rate,
+                }
             )
-            summary = {
-                "topology": "tree",
-                "family": args.family,
-                "snr_db": args.snr,
-                "depth": args.depth,
-                "branching": args.branching,
-                "n_leaves": result.n_leaves,
-                "rounds": args.rounds,
-                "coded_uses": result.broadcast_total,
-                "plain_uses": result.unicast_total,
-                "saving": result.medium_use_saving,
-                "delivered_coded": result.delivery_rate,
-            }
-        elif args.topology == "butterfly":
-            from repro.experiments.network_coding_gain import _butterfly_point
-
-            summary = {
-                "topology": "butterfly",
-                "family": args.family,
-                "snr_db": args.snr,
-                "snr_offset_db": args.snr_offset,
-                "rounds": args.rounds,
-                **_butterfly_point(
-                    {
-                        "family": args.family,
-                        "snr_db": args.snr,
-                        "snr_offset_db": args.snr_offset,
-                        "rounds": args.rounds,
-                        "seed": args.seed,
-                        "smoke_codes": args.smoke,
-                        "max_symbols": args.max_symbols,
-                    }
-                ),
-            }
-        else:
-            from repro.netcode import TwoWayConfig, run_two_way_exchange
-
-            config = TwoWayConfig(
-                family=args.family,
-                snr_a_db=args.snr,
-                snr_b_db=args.snr + args.snr_offset,
-                rounds=args.rounds,
-                seed=args.seed,
-                smoke=args.smoke,
-                max_symbols=args.max_symbols,
-            )
-            result = run_two_way_exchange(config)
-            summary = {
-                "topology": "two-way",
-                "family": args.family,
-                "snr_a_db": config.snr_a_db,
-                "snr_b_db": config.snr_b_db,
-                "rounds": args.rounds,
-                "coded_uses": result.xor_total_uses,
-                "plain_uses": result.baseline_total_uses,
-                "saving": result.medium_use_saving,
-                "downlink_saving": result.downlink_saving,
-                "delivered_coded": result.xor_delivery_rate,
-                "delivered_plain": result.baseline_delivery_rate,
-            }
-            if args.with_af:
-                from repro.netcode import run_two_way_af_exchange
-
-                af = run_two_way_af_exchange(config)
-                summary.update(
-                    {
-                        "af_uses": af.total_uses,
-                        "af_effective_snr_a_db": af.effective_snr_a_db,
-                        "af_effective_snr_b_db": af.effective_snr_b_db,
-                        "af_delivered": af.delivery_rate,
-                    }
-                )
     if args.json:
         return json.dumps(summary, indent=2, sort_keys=True)
-    rows = [(key, summary[key]) for key in summary]
-    return render_table(["metric", "value"], rows) + scope.note()
+    return _metric_table(summary)
 
 
-def _command_ldpc(args: argparse.Namespace) -> str:
-    try:
-        for snr_db in args.snrs:
-            # LDPC LLRs need a positive noise energy: no noiseless limit here.
-            if not math.isfinite(snr_db):
-                raise ValueError(f"SNR must be a finite number of dB, got {snr_db}")
-        try:
-            rate = Fraction(args.rate).limit_denominator(12)
-        except (ValueError, ZeroDivisionError):
-            rate = None
-        if rate not in WIFI_LIKE_RATES:
-            raise ValueError(
-                f"--rate must be one of {', '.join(str(r) for r in WIFI_LIKE_RATES)}, "
-                f"got {args.rate}"
-            )
-        if args.frames < 1:
-            raise ValueError(f"--frames must be at least 1, got {args.frames}")
-        if args.iterations < 1:
-            raise ValueError(f"--iterations must be at least 1, got {args.iterations}")
-    except ValueError as exc:
-        _usage_error("ldpc", exc)
-    outcome = run_experiment(
-        registry.get("ldpc-rate"),
-        overrides={
-            "snr_db": tuple(float(s) for s in args.snrs),
-            "rate": args.rate,
-            "modulation": args.modulation,
-            "frames": args.frames,
-            "iterations": args.iterations,
-        },
-        seed=args.seed,
-    )
-    rows = [
-        (params["snr_db"], agg["nominal_rate"], agg["fer"], agg["achieved_rate"])
-        for _key, params, cell in outcome.successful_cells()
-        for agg in (cell["aggregate"],)
-    ]
-    return render_table(
-        ["SNR(dB)", "nominal rate", "FER", "achieved rate"], rows
-    )
+#: Every command's ``(build, run)`` pair.
+_COMMANDS = {
+    "list": (_build_list, _echo),
+    "run": (_build_run, _run_run),
+    "report": (_build_report, _echo),
+    "rate": (_build_alias, _run_alias),
+    "bsc": (_build_alias, _run_alias),
+    "ldpc": (_build_alias, _run_alias),
+    "transport": (_build_alias, _run_alias),
+    "figure2": (_build_figure2, _run_figure2),
+    "serve-soak": (_build_serve_soak, _run_serve_soak),
+    "city-soak": (_build_city_soak, _run_city_soak),
+    "mesh": (_build_mesh, _run_mesh),
+    "obs": (_build_obs, _echo),
+}
+
+
+def _usage_error(command: str, exc: Exception) -> NoReturn:
+    """Report bad input in one line and exit 2, like argparse's own usage errors."""
+    if isinstance(exc, OSError):
+        message = f"cannot read {exc.filename}: {exc.strerror}"
+    else:
+        message = exc.args[0]
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def main(argv: list[str] | None = None) -> str:
-    """Entry point; returns the rendered output (also printed to stdout)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    commands = {
-        "list": _command_list,
-        "run": _command_run,
-        "report": _command_report,
-        "rate": _command_rate,
-        "bsc": _command_bsc,
-        "figure2": _command_figure2,
-        "ldpc": _command_ldpc,
-        "transport": _command_transport,
-        "serve-soak": _command_serve_soak,
-        "city-soak": _command_city_soak,
-        "mesh": _command_mesh,
-        "obs": _command_obs,
-    }
-    if getattr(args, "telemetry_stream", False):
-        try:
-            _TelemetryScope(args.telemetry, stream=True)
-        except ValueError as exc:
-            _usage_error(args.command, exc)
-    output = commands[args.command](args)
+    """Entry point; returns the rendered output (also printed to stdout).
+
+    Bad input fails the command's build step, before anything runs, and is
+    reported here for every command: one ``repro <cmd>: error:`` line on
+    stderr and exit status 2.
+    """
+    args = build_parser().parse_args(argv)
+    build, run = _COMMANDS[args.command]
+    try:
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {workers}")
+        scope = _TelemetryScope(
+            getattr(args, "telemetry", None), stream=getattr(args, "telemetry_stream", False)
+        )
+        plan = build(args)
+    except (ValueError, KeyError, OSError) as exc:
+        _usage_error(args.command, exc)
+    with scope:
+        output = run(args, plan)
+    if not getattr(args, "json", False):
+        output += scope.note()
     print(output)
     return output
 

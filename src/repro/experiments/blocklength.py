@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
@@ -60,6 +61,7 @@ BLOCKLENGTH_EXPERIMENT = register(
             fixed=_blocklength_fixed(),
         ),
         run_point=blocklength_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("m (bits)", "payload_bits"),
             Column("SNR(dB)", "snr_db"),

@@ -28,13 +28,14 @@ from __future__ import annotations
 from repro.experiments.cell_scaling import (
     build_cell_channel,
     build_rateless_cell_users,
+    cell_config_from_params,
     cell_metrics,
 )
 from repro.experiments.registry import Experiment, register
-from repro.experiments.runner import spinal_config_from_params, spinal_fixed
+from repro.experiments.runner import spinal_fixed
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
 from repro.mac.adaptive import AdaptiveSpinalLink, calibrate_spinal_rate_policy
-from repro.mac.cell import CellUser, simulate_cell, spread_snrs
+from repro.mac.cell import CellUser, simulate_cell
 from repro.mac.schedulers import make_scheduler
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
@@ -77,9 +78,8 @@ def _calibrated_policy(config, params):
     return policy
 
 
-def _build_adaptive_users(params, snrs_db) -> list[CellUser]:
+def _build_adaptive_users(config, params, snrs_db) -> list[CellUser]:
     """Adaptive users: one shared calibrated policy, per-user channels/CSI."""
-    config = spinal_config_from_params(params)
     seed = int(params["seed"])
     packets_per_user = int(params["packets_per_user"])
     policy = _calibrated_policy(config, params)
@@ -113,15 +113,12 @@ def cell_mode_point(params, rng) -> dict:
     identical across the two modes — same seed derivations — so each spread
     point is a paired comparison.
     """
-    n_users = int(params["n_users"])
-    snrs = spread_snrs(
-        float(params["snr_center_db"]), float(params["snr_spread_db"]), n_users
-    )
+    config, snrs = cell_config_from_params(params)
     mode = str(params["mode"])
     if mode == "rateless":
-        users = build_rateless_cell_users(params, snrs)
+        users = build_rateless_cell_users(config, params, snrs)
     elif mode == "adaptive":
-        users = _build_adaptive_users(params, snrs)
+        users = _build_adaptive_users(config, params, snrs)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'rateless' or 'adaptive'")
     result = simulate_cell(
@@ -154,6 +151,7 @@ CELL_MODE_EXPERIMENT = register(
             },
         ),
         run_point=cell_mode_point,
+        cell_config=cell_config_from_params,
         columns=(
             Column("mode", "mode"),
             Column("SNR spread (dB)", "snr_spread_db"),

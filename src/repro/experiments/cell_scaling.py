@@ -40,6 +40,7 @@ from repro.utils.rng import spawn_rng
 __all__ = [
     "build_cell_channel",
     "build_rateless_cell_users",
+    "cell_config_from_params",
     "cell_metrics",
     "cell_scaling_point",
     "CELL_SCALING_EXPERIMENT",
@@ -75,9 +76,21 @@ def build_cell_channel(
     )
 
 
-def build_rateless_cell_users(params, snrs_db) -> list[CellUser]:
-    """One rateless :class:`CellUser` per SNR, streams derived from the seed."""
+def cell_config_from_params(params) -> tuple:
+    """A cell's spinal config and its users' SNRs (:func:`spread_snrs`)."""
+    snrs = spread_snrs(
+        float(params["snr_center_db"]),
+        float(params["snr_spread_db"]),
+        int(params["n_users"]),
+    )
     config = spinal_config_from_params(params)
+    # Raises on an unknown channel kind before any user is built.
+    build_cell_channel(str(params["channel"]), snrs[0], config.adc_bits, 0, len(snrs))
+    return config, snrs
+
+
+def build_rateless_cell_users(config, params, snrs_db) -> list[CellUser]:
+    """One rateless :class:`CellUser` per SNR, streams derived from the seed."""
     seed = int(params["seed"])
     packets_per_user = int(params["packets_per_user"])
     users = []
@@ -120,11 +133,8 @@ def cell_scaling_point(params, rng) -> dict:
     Deterministic given the parameters — every stream derives from the
     injected base seed, so the engine-provided ``rng`` is unused.
     """
-    n_users = int(params["n_users"])
-    snrs = spread_snrs(
-        float(params["snr_center_db"]), float(params["snr_spread_db"]), n_users
-    )
-    users = build_rateless_cell_users(params, snrs)
+    config, snrs = cell_config_from_params(params)
+    users = build_rateless_cell_users(config, params, snrs)
     result = simulate_cell(
         users, make_scheduler(str(params["scheduler"])), seed=int(params["seed"])
     )
@@ -149,6 +159,7 @@ CELL_SCALING_EXPERIMENT = register(
             },
         ),
         run_point=cell_scaling_point,
+        cell_config=cell_config_from_params,
         columns=(
             Column("users", "n_users"),
             Column("scheduler", "scheduler"),

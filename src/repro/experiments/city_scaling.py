@@ -93,6 +93,7 @@ CITY_SCALING_EXPERIMENT = register(
             },
         ),
         run_point=city_scaling_point,
+        cell_config=city_config_from_params,
         columns=(
             Column("users", "n_users"),
             Column("scheduler", "scheduler"),

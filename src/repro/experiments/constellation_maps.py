@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
@@ -49,6 +50,7 @@ CONSTELLATION_EXPERIMENT = register(
             fixed=_constellation_fixed(),
         ),
         run_point=constellation_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("constellation", "constellation"),
             Column("SNR(dB)", "snr_db"),

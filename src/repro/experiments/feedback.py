@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
     spinal_config_from_params,
@@ -104,6 +105,7 @@ FEEDBACK_EXPERIMENT = register(
             fixed=spinal_fixed(),
         ),
         run_point=feedback_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("feedback model", "model_label"),
             Column("SNR(dB)", "snr_db"),

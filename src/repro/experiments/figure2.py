@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
     SPINAL_SMOKE,
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
@@ -55,6 +56,7 @@ FIGURE2_EXPERIMENT = register(
             fixed=spinal_fixed(),
         ),
         run_point=figure2_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("SNR(dB)", "snr_db"),
             Column("Shannon", "shannon"),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
@@ -92,6 +93,7 @@ FIXED_VS_RATELESS_EXPERIMENT = register(
             },
         ),
         run_point=fixed_vs_rateless_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("SNR(dB)", "snr_db"),
             Column("capacity", "capacity"),

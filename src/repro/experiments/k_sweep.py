@@ -14,8 +14,8 @@ from __future__ import annotations
 from repro.channels.awgn import AWGNChannel
 from repro.experiments.registry import Experiment, default_aggregate, register
 from repro.experiments.runner import (
+    awgn_config_from_params,
     run_one_spinal_trial,
-    spinal_config_from_params,
     spinal_fixed,
 )
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
@@ -30,7 +30,7 @@ def k_sweep_point(params, rng) -> dict:
     The symbol budget assumes an ideal rate of ``k`` bits/symbol (the
     un-punctured ceiling), exactly like the historical experiment.
     """
-    config = spinal_config_from_params(params)
+    config = awgn_config_from_params(params)
     channel = AWGNChannel(float(params["snr_db"]), adc_bits=config.adc_bits)
     budget = config.symbol_budget(ideal_rate=max(float(params["k"]), 1.0))
     return run_one_spinal_trial(config, channel, budget, rng)
@@ -64,6 +64,7 @@ K_SWEEP_EXPERIMENT = register(
             fixed=_k_sweep_fixed(),
         ),
         run_point=k_sweep_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("k", "k"),
             Column("SNR(dB)", "snr_db"),

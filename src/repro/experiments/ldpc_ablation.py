@@ -14,11 +14,13 @@ Two registry experiments live here:
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from repro.baselines.ldpc_system import FixedRateLdpcSystem, LdpcConfig
 from repro.experiments.registry import Experiment, register
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
+from repro.ldpc.construction import wifi_like_rate
+from repro.modulation import make_modulation
 
 __all__ = [
     "LDPC_ABLATION_EXPERIMENT",
@@ -29,7 +31,17 @@ DEFAULT_ITERATIONS = (5, 10, 20, 40, 80)
 
 
 def _ldpc_config(params) -> LdpcConfig:
-    return LdpcConfig(Fraction(str(params["rate"])), str(params["modulation"]))
+    """The cell's code rate and modulation, rejecting a cell no kernel can run."""
+    rate = wifi_like_rate(str(params["rate"]))
+    snr_db = float(params["snr_db"])
+    # LDPC LLRs need a positive noise energy: no noiseless limit here.
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be a finite number of dB, got {snr_db}")
+    for name in ("frames", "iterations"):
+        if int(params[name]) < 1:
+            raise ValueError(f"{name} must be at least 1, got {params[name]}")
+    make_modulation(str(params["modulation"]))  # raises on an unknown name
+    return LdpcConfig(rate, str(params["modulation"]))
 
 
 def ldpc_ablation_point(params, rng) -> dict:
@@ -69,6 +81,7 @@ LDPC_ABLATION_EXPERIMENT = register(
             fixed={"rate": "1/2", "modulation": "BPSK", "snr_db": 1.0, "frames": 100},
         ),
         run_point=ldpc_ablation_point,
+        cell_config=_ldpc_config,
         columns=(
             Column("config", "config_label"),
             Column("algorithm", "algorithm"),
@@ -123,6 +136,7 @@ LDPC_RATE_EXPERIMENT = register(
             fixed={"rate": "1/2", "modulation": "QAM-16", "frames": 40, "iterations": 40},
         ),
         run_point=ldpc_rate_point,
+        cell_config=_ldpc_config,
         columns=(
             Column("SNR(dB)", "snr_db"),
             Column("nominal rate", "nominal_rate"),

@@ -39,13 +39,15 @@ from repro.netcode import TwoWayConfig, run_two_way_exchange
 from repro.utils.rng import spawn_rng
 
 __all__ = [
+    "network_coding_config",
     "network_coding_point",
     "NETWORK_CODING_GAIN_EXPERIMENT",
 ]
 
 
-def _two_way_point(params) -> dict:
-    config = TwoWayConfig(
+def network_coding_config(params) -> TwoWayConfig:
+    """The cell's operating point; for the butterfly, B is the bottleneck edge."""
+    return TwoWayConfig(
         family=str(params["family"]),
         snr_a_db=float(params["snr_db"]),
         snr_b_db=float(params["snr_db"]) + float(params["snr_offset_db"]),
@@ -54,6 +56,9 @@ def _two_way_point(params) -> dict:
         smoke=bool(params["smoke_codes"]),
         max_symbols=int(params["max_symbols"]),
     )
+
+
+def _two_way_point(config: TwoWayConfig) -> dict:
     result = run_two_way_exchange(config)
     return {
         "coded_uses": result.xor_total_uses,
@@ -82,19 +87,16 @@ def _butterfly_delivery_rate(result, expected) -> float:
     return good / total if total else 0.0
 
 
-def _butterfly_point(params) -> dict:
-    seed = int(params["seed"])
-    rounds = int(params["rounds"])
-    topology = butterfly(
-        snr_db=float(params["snr_db"]),
-        bottleneck_snr_db=float(params["snr_db"]) + float(params["snr_offset_db"]),
-    )
+def _butterfly_point(config: TwoWayConfig) -> dict:
+    seed = config.seed
+    rounds = config.rounds
+    topology = butterfly(snr_db=config.snr_a_db, bottleneck_snr_db=config.snr_b_db)
     sessions = build_dag_sessions(
-        str(params["family"]),
+        config.family,
         topology,
         seed=seed,
-        smoke=bool(params["smoke_codes"]),
-        max_symbols=int(params["max_symbols"]),
+        smoke=config.smoke,
+        max_symbols=config.max_symbols,
     )
     payload_bits = sessions[0].payload_bits
     payloads = {
@@ -111,18 +113,18 @@ def _butterfly_point(params) -> dict:
         for src in topology.sources
         for rnd in range(rounds)
     }
-    config = TransportConfig(seed=seed)
+    transport = TransportConfig(seed=seed)
     runs = {}
     for label, xor_nodes in (("coded", ("relay",)), ("plain", ())):
         sessions = build_dag_sessions(
-            str(params["family"]),
+            config.family,
             topology,
             seed=seed,
-            smoke=bool(params["smoke_codes"]),
-            max_symbols=int(params["max_symbols"]),
+            smoke=config.smoke,
+            max_symbols=config.max_symbols,
         )
         runs[label] = simulate_dag_transport(
-            topology, sessions, payloads, config, xor_nodes=xor_nodes
+            topology, sessions, payloads, transport, xor_nodes=xor_nodes
         )
     coded, plain = runs["coded"], runs["plain"]
     bottleneck_coded = coded.symbols_on_edge("relay", "spread")
@@ -149,9 +151,10 @@ def network_coding_point(params, rng) -> dict:
     Deterministic given the parameters — every stream derives from the
     injected base seed, so the engine-provided ``rng`` is unused.
     """
+    config = network_coding_config(params)
     if str(params["topology"]) == "two-way":
-        return _two_way_point(params)
-    return _butterfly_point(params)
+        return _two_way_point(config)
+    return _butterfly_point(config)
 
 
 NETWORK_CODING_GAIN_EXPERIMENT = register(
@@ -175,6 +178,7 @@ NETWORK_CODING_GAIN_EXPERIMENT = register(
             },
         ),
         run_point=network_coding_point,
+        cell_config=network_coding_config,
         columns=(
             Column("offset (dB)", "snr_offset_db"),
             Column("family", "family"),

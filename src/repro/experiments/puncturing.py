@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
     spinal_fixed,
@@ -23,6 +24,11 @@ from repro.utils.results import mean, std_error
 __all__ = ["PUNCTURING_EXPERIMENT"]
 
 DEFAULT_SCHEDULES = ("none", "symbol", "strided", "tail-first")
+
+
+def puncturing_config(params):
+    """The cell's AWGN spinal config under its ``schedule``."""
+    return awgn_config_from_params({**params, "puncturing": params["schedule"]})
 
 
 def puncturing_point(params, rng) -> dict:
@@ -60,6 +66,7 @@ PUNCTURING_EXPERIMENT = register(
             fixed=_puncturing_fixed(),
         ),
         run_point=puncturing_point,
+        cell_config=puncturing_config,
         columns=(
             Column("schedule", "schedule"),
             Column("SNR(dB)", "snr_db"),

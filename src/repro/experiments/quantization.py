@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
@@ -49,6 +50,7 @@ QUANTIZATION_EXPERIMENT = register(
             fixed=_quantization_fixed(),
         ),
         run_point=quantization_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("ADC bits", "adc_bits", none_text="inf"),
             Column("SNR(dB)", "snr_db"),

@@ -145,6 +145,11 @@ class Experiment:
         Upper bound on trials per cell, for kernels that derive all their
         randomness from the base seed (so extra trials would duplicate the
         first bit-for-bit and misreport their spread as statistics).
+    cell_config:
+        The ``params -> config`` builder the kernel calls first, raising
+        ``ValueError``/``KeyError`` on a cell it cannot run.
+        :func:`resolve_run` calls it on every cell, so bad input fails
+        before the first cell is computed instead of becoming error cells.
     """
 
     name: str
@@ -160,6 +165,7 @@ class Experiment:
     plot: PlotSpec | None = None
     trial_invariant_axes: tuple[str, ...] = ()
     max_trials: int | None = None
+    cell_config: Callable[[Mapping], object] | None = None
 
     @property
     def module(self) -> str:
@@ -384,9 +390,10 @@ def resolve_run(
 ) -> tuple[SweepSpec, int, int]:
     """The ``(spec, n_trials, seed)`` a :func:`run_experiment` call would run.
 
-    Raises ``ValueError``/``KeyError`` on bad overrides or trial counts
-    without computing anything, so callers can validate a whole batch of
-    runs before the first cell starts.
+    Raises ``ValueError``/``KeyError`` on bad overrides, trial counts or
+    cells (through the experiment's ``cell_config``) without computing
+    anything, so callers can validate a whole batch of runs before the
+    first cell starts.
     """
     merged: dict = {}
     if smoke:
@@ -406,7 +413,11 @@ def resolve_run(
             "all randomness from the base seed, so extra trials would only "
             "duplicate the first"
         )
-    return experiment.spec.with_values(merged), resolved_trials, resolved_seed
+    spec = experiment.spec.with_values(merged)
+    if experiment.cell_config is not None:
+        for _key, params in spec.cells():
+            experiment.cell_config({**params, "seed": resolved_seed})
+    return spec, resolved_trials, resolved_seed
 
 
 def run_experiment(

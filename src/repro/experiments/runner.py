@@ -43,6 +43,7 @@ import numpy as np
 from repro.channels.awgn import AWGNChannel
 from repro.channels.base import Channel
 from repro.channels.bsc import BSCChannel
+from repro.channels.quantize import AdcQuantizer
 from repro.core.crc import Crc
 from repro.core.decoder_vectorized import VectorizedBubbleDecoder
 from repro.core.encoder import ReceivedObservations, SpinalEncoder, SubpassBlock
@@ -62,12 +63,15 @@ from repro.phy.spinal import SpinalCode
 from repro.theory.capacity import awgn_capacity_db, bsc_capacity
 from repro.utils.bitops import random_message_bits
 from repro.utils.results import mean, std_error
+from repro.utils.units import check_snr_db
 
 __all__ = [
     "SpinalRunConfig",
     "make_puncturing",
     "spinal_fixed",
     "spinal_config_from_params",
+    "awgn_config_from_params",
+    "bsc_config_from_params",
     "run_one_spinal_trial",
     "awgn_trial",
     "bsc_trial",
@@ -132,6 +136,13 @@ class SpinalRunConfig:
     count_overhead: bool = False
 
     def __post_init__(self) -> None:
+        if self.payload_bits < 1:
+            raise ValueError(f"payload_bits must be at least 1, got {self.payload_bits}")
+        if self.beam_width < 1:
+            raise ValueError(f"beam_width must be at least 1, got {self.beam_width}")
+        if self.adc_bits is not None:
+            AdcQuantizer(bits=self.adc_bits, full_scale=1.0)  # the ADC's bound on its depth
+        make_puncturing(self.puncturing)  # raises on an unknown schedule name
         if self.termination not in _TERMINATIONS:
             raise ValueError(
                 f"unknown termination rule {self.termination!r}; "
@@ -360,6 +371,18 @@ def spinal_config_from_params(params) -> SpinalRunConfig:
     )
 
 
+def awgn_config_from_params(params) -> SpinalRunConfig:
+    """:func:`spinal_config_from_params` for an AWGN cell; also checks its SNR."""
+    check_snr_db("snr_db", float(params["snr_db"]))
+    return spinal_config_from_params(params)
+
+
+def bsc_config_from_params(params) -> SpinalRunConfig:
+    """:func:`spinal_config_from_params` for a BSC cell; also checks its ``p``."""
+    BSCChannel(float(params["p"]))  # the channel's own bound on its crossover probability
+    return spinal_config_from_params(params)
+
+
 def run_one_spinal_trial(
     config: SpinalRunConfig, channel: Channel, max_symbols: int, rng
 ) -> dict:
@@ -377,7 +400,7 @@ def run_one_spinal_trial(
 
 def awgn_trial(params, rng) -> dict:
     """Registry kernel: one spinal trial over AWGN at ``params['snr_db']``."""
-    config = spinal_config_from_params(params)
+    config = awgn_config_from_params(params)
     snr_db = float(params["snr_db"])
     channel = AWGNChannel(
         snr_db=snr_db,
@@ -392,7 +415,7 @@ def awgn_trial(params, rng) -> dict:
 
 def bsc_trial(params, rng) -> dict:
     """Registry kernel: one bit-mode spinal trial over a BSC at ``params['p']``."""
-    config = spinal_config_from_params(params)
+    config = bsc_config_from_params(params)
     p = float(params["p"])
     capacity = bsc_capacity(p)
     metrics = run_one_spinal_trial(
@@ -441,6 +464,7 @@ RATE_EXPERIMENT = register(
             fixed=spinal_fixed(),
         ),
         run_point=awgn_trial,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("SNR(dB)", "snr_db"),
             Column("capacity", "capacity"),
@@ -464,6 +488,7 @@ BSC_EXPERIMENT = register(
             fixed=spinal_fixed(bit_mode=True),
         ),
         run_point=bsc_trial,
+        cell_config=bsc_config_from_params,
         columns=(
             Column("p", "p"),
             Column("capacity", "capacity"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
     rate_cell_aggregate,
@@ -48,6 +49,7 @@ SCALE_DOWN_EXPERIMENT = register(
             fixed=_scale_down_fixed(),
         ),
         run_point=scale_down_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("SNR(dB)", "snr_db"),
             Column("B", "beam_width"),

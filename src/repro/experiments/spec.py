@@ -194,8 +194,9 @@ class SweepSpec:
         """Replace axis values and/or fixed parameters, by name.
 
         Axis overrides accept a single value or a sequence of values (each
-        coerced to the axis type); fixed overrides replace the stored value.
-        Unknown names raise with the list of valid ones.
+        coerced to the axis type); fixed overrides replace the stored value,
+        and a NaN among them is refused as it is on a float axis.  Unknown
+        names raise with the list of valid ones.
         """
         axes = list(self.axes)
         fixed = dict(self.fixed)
@@ -212,6 +213,9 @@ class SweepSpec:
                 )
             elif name in fixed:
                 fixed[name] = _check_jsonable(value, f"fixed parameter {name!r}")
+                scalars = value if isinstance(value, (list, tuple)) else (value,)
+                if any(isinstance(v, float) and math.isnan(v) for v in scalars):
+                    raise ValueError(f"fixed parameter {name!r}: NaN is not a value")
             else:
                 raise KeyError(
                     f"unknown parameter {name!r}; expected one of {sorted(self.known_names)}"

@@ -18,8 +18,10 @@ from __future__ import annotations
 from repro.experiments.registry import Experiment, register
 from repro.experiments.runner import (
     SPINAL_SMOKE,
+    awgn_config_from_params,
     awgn_seed_labels,
     awgn_trial,
+    bsc_config_from_params,
     bsc_seed_labels,
     bsc_trial,
     rate_cell_aggregate,
@@ -57,6 +59,7 @@ THEOREM1_EXPERIMENT = register(
             fixed=spinal_fixed(payload_bits=32),
         ),
         run_point=theorem1_point,
+        cell_config=awgn_config_from_params,
         columns=(
             Column("SNR(dB)", "snr_db"),
             Column("capacity", "capacity"),
@@ -88,6 +91,7 @@ THEOREM2_EXPERIMENT = register(
             fixed=spinal_fixed(payload_bits=32, k=4, bit_mode=True),
         ),
         run_point=theorem2_point,
+        cell_config=bsc_config_from_params,
         columns=(
             Column("p", "p"),
             Column("C_bsc", "capacity"),

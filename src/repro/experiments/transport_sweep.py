@@ -26,8 +26,9 @@ from repro.link.topology import build_relay_sessions, simulate_relay_transport
 from repro.link.transport import TransportConfig
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
+from repro.utils.units import check_snr_db
 
-__all__ = ["TransportSweepConfig", "TRANSPORT_EXPERIMENT"]
+__all__ = ["TransportSweepConfig", "transport_config_from_params", "TRANSPORT_EXPERIMENT"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,9 @@ class TransportSweepConfig:
             raise ValueError(f"window sizes must be at least 1, got {self.windows}")
         if any(d < 0 for d in self.ack_delays):
             raise ValueError(f"ack delays must be non-negative, got {self.ack_delays}")
+        check_snr_db("snr_db", self.snr_db)
+        check_snr_db("snr_step_db", self.snr_step_db)
+        self.run_config()  # raises on a bad code shape, beam width or ADC depth
 
     # -- derived -------------------------------------------------------------
     def run_config(self) -> SpinalRunConfig:
@@ -88,12 +92,9 @@ class TransportSweepConfig:
         ]
 
 
-def transport_point(params, rng) -> dict:
-    """Registry kernel: simulate one (hops, protocol, window, delay) grid point.
-
-    Deterministic given the parameters — the transport derives every stream
-    from the injected base seed, so the engine-provided ``rng`` is unused.
-    """
+def transport_config_from_params(params) -> tuple[TransportSweepConfig, TransportConfig]:
+    """One grid point's campaign and ARQ settings, both validated (the
+    campaign's grid is narrowed to the point, so its checks cover it)."""
     config = TransportSweepConfig(
         payload_bits=int(params["payload_bits"]),
         params=SpinalParams(k=int(params["k"]), c=int(params["c"])),
@@ -103,27 +104,38 @@ def transport_point(params, rng) -> dict:
         snr_db=float(params["snr_db"]),
         snr_step_db=float(params["snr_step_db"]),
         n_packets=int(params["n_packets"]),
+        windows=(int(params["window"]),),
+        ack_delays=(int(params["ack_delay"]),),
+        hop_counts=(int(params["hops"]),),
         ack_loss=float(params["ack_loss"]),
         max_symbols=int(params["max_symbols"]),
         seed=int(params["seed"]),
     )
-    n_hops = int(params["hops"])
-    protocol, window = str(params["protocol"]), int(params["window"])
-    ack_delay = int(params["ack_delay"])
-    sessions = build_relay_sessions(config.run_config(), config.hop_snrs(n_hops))
     transport = TransportConfig(
-        protocol=protocol,
-        window=window,
-        ack_delay=ack_delay,
+        protocol=str(params["protocol"]),
+        window=config.windows[0],
+        ack_delay=config.ack_delays[0],
         ack_loss=config.ack_loss,
         seed=config.seed,
     )
+    return config, transport
+
+
+def transport_point(params, rng) -> dict:
+    """Registry kernel: simulate one (hops, protocol, window, delay) grid point.
+
+    Deterministic given the parameters — the transport derives every stream
+    from the injected base seed, so the engine-provided ``rng`` is unused.
+    """
+    config, transport = transport_config_from_params(params)
+    n_hops = config.hop_counts[0]
+    sessions = build_relay_sessions(config.run_config(), config.hop_snrs(n_hops))
     result = simulate_relay_transport(sessions, config.payloads(), transport)
     return {
         "hops": n_hops,
-        "protocol": protocol,
-        "window": window,
-        "ack_delay": ack_delay,
+        "protocol": transport.protocol,
+        "window": transport.window,
+        "ack_delay": transport.ack_delay,
         "n_delivered": result.n_delivered,
         "n_packets": result.n_packets,
         "goodput": result.end_to_end_goodput,
@@ -163,6 +175,7 @@ TRANSPORT_EXPERIMENT = register(
             },
         ),
         run_point=transport_point,
+        cell_config=transport_config_from_params,
         columns=(
             Column("hops", "hops"),
             Column("protocol", "protocol"),

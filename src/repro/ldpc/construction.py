@@ -32,7 +32,7 @@ from repro.ldpc.encoder import LDPCCode
 from repro.ldpc.matrices import QCMatrix, has_four_cycle
 from repro.utils.rng import spawn_rng
 
-__all__ = ["WIFI_LIKE_RATES", "build_base_matrix", "make_wifi_like_code"]
+__all__ = ["WIFI_LIKE_RATES", "build_base_matrix", "make_wifi_like_code", "wifi_like_rate"]
 
 #: Code rates available in the 802.11n high-throughput LDPC mode.
 WIFI_LIKE_RATES: tuple[Fraction, ...] = (
@@ -51,11 +51,15 @@ _DEFAULT_LIFTING = 27
 _HEAVY_COLUMN_FRACTION = 0.25
 
 
-def _rate_to_fraction(rate: float | Fraction) -> Fraction:
-    fraction = Fraction(rate).limit_denominator(12)
+def wifi_like_rate(rate: str | float | Fraction) -> Fraction:
+    """``rate`` as one of :data:`WIFI_LIKE_RATES` (to the nearest twelfth), or raise."""
+    try:
+        fraction = Fraction(rate).limit_denominator(12)
+    except (ValueError, ZeroDivisionError):
+        fraction = None
     if fraction not in WIFI_LIKE_RATES:
         raise ValueError(
-            f"rate {rate!r} is not one of the 802.11n rates {tuple(str(r) for r in WIFI_LIKE_RATES)}"
+            f"rate must be one of {', '.join(str(r) for r in WIFI_LIKE_RATES)}, got {rate}"
         )
     return fraction
 
@@ -102,7 +106,7 @@ def build_base_matrix(
     graph therefore has girth at least 6 (verified by
     :func:`repro.ldpc.matrices.has_four_cycle` before returning).
     """
-    fraction = _rate_to_fraction(rate)
+    fraction = wifi_like_rate(rate)
     n_parity_blocks = int(_BASE_COLUMNS * (1 - fraction))
     n_info_blocks = _BASE_COLUMNS - n_parity_blocks
     if n_parity_blocks < 2:
@@ -176,6 +180,6 @@ def make_wifi_like_code(
             f"codeword length must be a multiple of {_BASE_COLUMNS}, got {codeword_bits}"
         )
     lifting = codeword_bits // _BASE_COLUMNS
-    fraction = _rate_to_fraction(rate)
+    fraction = wifi_like_rate(rate)
     qc_matrix = build_base_matrix(fraction, lifting=lifting, seed=seed)
     return LDPCCode.from_qc_matrix(qc_matrix, name=f"wifi-like rate {fraction} n={codeword_bits}")

@@ -25,6 +25,7 @@ from repro.netcode.amplify import (
     AmplifyForwardChannel,
     TwoWayAmplifyChannel,
     TwoWayAmplifyResult,
+    amplify_codes,
     run_two_way_af_exchange,
 )
 from repro.netcode.multicast import (
@@ -45,6 +46,7 @@ __all__ = [
     "TwoWayAmplifyResult",
     "TwoWayConfig",
     "TwoWayResult",
+    "amplify_codes",
     "broadcast_transmission",
     "run_multicast_tree",
     "run_two_way_af_exchange",

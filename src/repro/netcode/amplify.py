@@ -45,6 +45,7 @@ __all__ = [
     "AmplifyForwardChannel",
     "TwoWayAmplifyChannel",
     "TwoWayAmplifyResult",
+    "amplify_codes",
     "run_two_way_af_exchange",
 ]
 
@@ -189,15 +190,8 @@ class TwoWayAmplifyResult:
         return float(self.delivered.mean()) if self.delivered.size else 0.0
 
 
-def run_two_way_af_exchange(config: TwoWayConfig) -> TwoWayAmplifyResult:
-    """Exchange payloads through an amplify-and-forward relay (no decoding).
-
-    Direction A→B runs A's code over a :class:`TwoWayAmplifyChannel` whose
-    relay leg is A's link SNR and whose endpoint leg is B's, and vice
-    versa.  ``symbols_a[r]`` is what B needed to decode A's payload in
-    round ``r`` (the per-direction rateless adaptation to the composed
-    channel); the medium cost is ``slot_uses``.
-    """
+def amplify_codes(config: TwoWayConfig) -> tuple:
+    """The A→B and B→A codes of an AF exchange; refuses a bit-domain family."""
     code_ab = make_code(
         config.family,
         seed=derive_seed(config.seed, "netcode", "af-ab"),
@@ -215,6 +209,19 @@ def run_two_way_af_exchange(config: TwoWayConfig) -> TwoWayAmplifyResult:
             f"amplify-and-forward needs a soft symbol channel; code family "
             f"{config.family!r} is {code_ab.info.domain}-domain"
         )
+    return code_ab, code_ba
+
+
+def run_two_way_af_exchange(config: TwoWayConfig) -> TwoWayAmplifyResult:
+    """Exchange payloads through an amplify-and-forward relay (no decoding).
+
+    Direction A→B runs A's code over a :class:`TwoWayAmplifyChannel` whose
+    relay leg is A's link SNR and whose endpoint leg is B's, and vice
+    versa.  ``symbols_a[r]`` is what B needed to decode A's payload in
+    round ``r`` (the per-direction rateless adaptation to the composed
+    channel); the medium cost is ``slot_uses``.
+    """
+    code_ab, code_ba = amplify_codes(config)
     tel = current_telemetry()
     channel_ab = TwoWayAmplifyChannel(config.snr_a_db, config.snr_b_db)
     channel_ba = TwoWayAmplifyChannel(config.snr_b_db, config.snr_a_db)

@@ -30,9 +30,10 @@ import numpy as np
 
 from repro.link.topology import multicast_tree
 from repro.obs.telemetry import current as current_telemetry
-from repro.phy.families import channel_for_code, make_code
+from repro.phy.families import channel_for_code, code_family, make_code
 from repro.phy.protocol import RatelessCode
 from repro.utils.rng import derive_seed, spawn_rng
+from repro.utils.units import check_snr_db
 
 __all__ = [
     "MulticastResult",
@@ -176,6 +177,15 @@ class MulticastTreeConfig:
     seed: int = 20111114
     smoke: bool = False
     max_symbols: int = 4096
+
+    def __post_init__(self) -> None:
+        code_family(self.family)
+        multicast_tree(self.depth, self.branching)  # raises on a shape it refuses
+        check_snr_db("snr_db", self.snr_db)
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
+        if self.max_symbols < 1:
+            raise ValueError(f"max_symbols must be at least 1, got {self.max_symbols}")
 
 
 @dataclass(frozen=True)

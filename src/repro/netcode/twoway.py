@@ -35,9 +35,10 @@ import numpy as np
 
 from repro.netcode.multicast import broadcast_transmission
 from repro.obs.telemetry import current as current_telemetry
-from repro.phy.families import channel_for_code, make_code
+from repro.phy.families import channel_for_code, code_family, make_code
 from repro.phy.session import CodecSession
 from repro.utils.rng import derive_seed, spawn_rng
+from repro.utils.units import check_snr_db
 
 __all__ = ["TwoWayConfig", "TwoWayResult", "run_two_way_exchange"]
 
@@ -58,6 +59,15 @@ class TwoWayConfig:
     seed: int = 20111114
     smoke: bool = False
     max_symbols: int = 4096
+
+    def __post_init__(self) -> None:
+        code_family(self.family)
+        check_snr_db("snr_a_db", self.snr_a_db)
+        check_snr_db("snr_b_db", self.snr_b_db)
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
+        if self.max_symbols < 1:
+            raise ValueError(f"max_symbols must be at least 1, got {self.max_symbols}")
 
     def with_(self, **changes) -> "TwoWayConfig":
         return replace(self, **changes)

@@ -16,7 +16,7 @@ Three formats, one snapshot:
 All three are byte-deterministic given a fixed ``wall_clock`` source on the
 ``Telemetry`` (entries are emitted in sorted key order; spans in record
 order).  The ``validate_*`` functions are the schema checks behind
-``repro obs check`` and the CI ``obs-smoke`` job: each returns a list of
+``repro obs check`` and the CI ``cli-smoke`` job: each returns a list of
 human-readable problems, empty when the file conforms.
 """
 

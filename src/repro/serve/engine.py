@@ -69,6 +69,7 @@ from repro.phy.session import CodecResult, CodecSession, CodecTransmission
 from repro.phy.spinal import SpinalCode, spinal_status
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import derive_seed, spawn_rng
+from repro.utils.units import check_snr_db
 
 __all__ = [
     "SoakConfig",
@@ -125,6 +126,7 @@ class SoakConfig:
             raise ValueError(f"max_symbols must be at least 1, got {self.max_symbols}")
         if self.beam_width < 1:
             raise ValueError(f"beam_width must be at least 1, got {self.beam_width}")
+        check_snr_db("snr_db", self.snr_db)
         # The code shape is checked by the objects the engine builds from it,
         # so a bad k, c or payload size fails here rather than mid-build.
         SpinalParams(k=self.k, c=self.c)

@@ -13,12 +13,31 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["db_to_linear", "linear_to_db", "snr_db_to_ebn0", "ebn0_to_snr_db"]
+__all__ = ["db_to_linear", "linear_to_db", "check_snr_db", "snr_db_to_ebn0", "ebn0_to_snr_db"]
 
 
 def db_to_linear(value_db: float) -> float:
     """Convert a decibel power ratio to a linear power ratio."""
     return 10.0 ** (value_db / 10.0)
+
+
+def check_snr_db(name: str, snr_db: float) -> None:
+    """Reject an SNR no channel can be built from; ``name`` labels the message.
+
+    NaN is rejected (it runs every session to its budget and delivers
+    nothing), and so is a finite value too large for a linear power ratio.
+    ``inf`` stays valid: it is the noiseless limit.
+    """
+    if math.isnan(snr_db):
+        raise ValueError(f"{name} must be a number of dB, got nan")
+    if math.isfinite(snr_db):
+        try:
+            db_to_linear(snr_db)
+        except OverflowError:
+            raise ValueError(
+                f"{name} of {snr_db:g} dB overflows a power ratio; use inf "
+                "for the noiseless limit"
+            ) from None
 
 
 def linear_to_db(value: float) -> float:

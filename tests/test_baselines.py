@@ -15,7 +15,6 @@ from repro.baselines import (
     calibrate_thresholds,
 )
 from repro.channels.awgn import AWGNChannel
-from repro.ldpc import make_wifi_like_code
 from repro.phy.ldpc_ir import LdpcIrCode
 from repro.phy.repetition import RepetitionCode
 from repro.phy.session import CodecResult, CodecSession
@@ -56,17 +55,6 @@ class TestFixedRateLdpcSystem:
     def test_fer_between_zero_and_one(self, bpsk_half_system, rng):
         fer = bpsk_half_system.frame_error_rate(0.0, n_frames=10, rng=rng)
         assert 0.0 <= fer <= 1.0
-
-    def test_rejects_incompatible_modulation(self):
-        # 648 is not a multiple of 5, so a hypothetical 5-bit modulation fails;
-        # simulate by pairing a rate-1/2 code with a modulation of 5 bits/sym.
-        class FiveBit:
-            bits_per_symbol = 5
-
-        config = LdpcConfig(Fraction(1, 2), "BPSK")
-        code = make_wifi_like_code(Fraction(1, 2))
-        with pytest.raises(ValueError):
-            FixedRateLdpcSystem(config, code=code, modulation=FiveBit())  # type: ignore[arg-type]
 
     def test_rejects_bad_frame_count(self, bpsk_half_system, rng):
         with pytest.raises(ValueError):

@@ -7,9 +7,12 @@ import pytest
 
 from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS
 from repro.cli import build_parser, main
-from repro.experiments import get, run_experiment
+from repro.experiments import get, registry, run_experiment
 from repro.experiments.metrics import crossover_snr
 from repro.utils.asciiplot import ascii_plot
+
+#: Stands in for a run-store file a test writes first.
+STORE_FILE = "<store file>"
 
 
 class TestAsciiPlot:
@@ -110,6 +113,20 @@ class TestRegistryCommands:
             (["run", "rate", "--trials", "0"], "n_trials must be at least 1"),
             # cell-rateless-vs-adaptive (not the first experiment) allows one trial.
             (["run", "--all", "--trials", "2"], "at most 1 trial"),
+            # Each experiment's cell builder rejects a cell no kernel can run.
+            (["run", "rate", "--set", "search=ternary"], "unknown search strategy"),
+            (["run", "rate", "--set", "k=0"], "k must be in [1, 16], got 0"),
+            (["run", "rate", "--set", "beam_width=0"], "beam_width must be at least 1"),
+            (["run", "rate", "--set", "payload_bits=-1"], "payload_bits must be at least 1"),
+            (["run", "rate", "--set", "adc_bits=0"], "ADC bits must be in [1, 32], got 0"),
+            (["run", "transport", "--set", "window=0"], "window sizes must be at least 1"),
+            (["run", "cell-scaling", "--set", "n_users=0"], "n_users must be at least 1"),
+            (["run", "cell-scaling", "--set", "channel=bogus"], "unknown channel kind"),
+            (["run", "city-scaling", "--set", "n_cells=0"], "n_cells must be at least 1"),
+            (
+                ["run", "ldpc-rate", "--set", "snr_db=inf"],
+                "snr_db must be a finite number of dB, got inf",
+            ),
         ],
     )
     def test_run_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
@@ -123,11 +140,29 @@ class TestRegistryCommands:
         # Validation precedes every cell: nothing was computed or persisted.
         assert not list(tmp_path.iterdir())
 
-    def test_kernel_errors_are_stored_as_error_cells(self, tmp_path):
-        output = main(["run", "rate", "--smoke", "--set", "search=ternary",
-                       "--out", str(tmp_path)])
-        assert "unknown search strategy" in output
-        assert len(list(tmp_path.glob("rate-*.json"))) == 1
+    def test_a_nan_for_any_numeric_parameter_is_rejected_before_any_cell(
+        self, tmp_path, capsys
+    ):
+        walked = []
+        for experiment in registry.all_experiments().values():
+            spec = experiment.spec
+            names = [axis.name for axis in spec.axes if axis.kind in ("int", "float")]
+            names += [
+                name
+                for name, value in spec.fixed.items()
+                if isinstance(value, (int, float)) and not isinstance(value, bool)
+            ]
+            for name in names:
+                out = tmp_path / f"{experiment.name}-{name}"
+                argv = ["run", experiment.name, "--smoke", "--set", f"{name}=nan"]
+                with pytest.raises(SystemExit) as excinfo:
+                    main([*argv, "--out", str(out)])
+                err = capsys.readouterr().err.strip().splitlines()
+                assert excinfo.value.code == 2, argv
+                assert len(err) == 1 and err[0].startswith("repro run: error: "), argv
+                assert not out.exists() or not list(out.iterdir()), argv
+                walked.append(argv)
+        assert walked
 
 
 class TestParser:
@@ -193,43 +228,46 @@ class TestMainEndToEnd:
             (["transport", "--ack-delay", "-1"], "ack delays must be non-negative"),
             (["figure2", "--snr-step", "0"], "--snr-step must be positive"),
             (["figure2", "--snr-step", "-5"], "--snr-step must be positive"),
-            (["figure2", "--trials", "0"], "--trials must be at least 1"),
+            (["figure2", "--trials", "0"], "n_trials must be at least 1"),
             (
                 ["figure2", "--snr-min", "10", "--snr-max", "0"],
                 "must not exceed --snr-max",
             ),
-            (["rate", "10", "--beam-width", "0"], "--beam-width must be at least 1"),
-            (["rate", "10", "--payload-bits", "0"], "--payload-bits must be at least 1"),
+            (["rate", "10", "--beam-width", "0"], "beam_width must be at least 1"),
+            (["rate", "10", "--payload-bits", "0"], "payload_bits must be at least 1"),
             (["bsc", "1.5"], "crossover probability must be in [0, 0.5]"),
             (["bsc", "-0.1"], "crossover probability must be in [0, 0.5]"),
-            (["transport", "--beam-width", "0"], "--beam-width must be at least 1"),
+            (["transport", "--beam-width", "0"], "beam_width must be at least 1"),
             (["report", "/nonexistent.json"], "cannot read /nonexistent.json"),
-            (["rate", "nan", "--trials", "2"], "SNR must be a number of dB, got nan"),
+            (["rate", "nan", "--trials", "2"], "axis 'snr_db': NaN is not a value"),
             (["rate", "10", "--k", "0"], "k must be in [1, 16], got 0"),
             (["rate", "10", "--c", "0"], "c must be in [2, 16], got 0"),
             (["bsc", "0.1", "--k", "0"], "k must be in [1, 16], got 0"),
-            (["transport", "--snr", "nan"], "--snr must be a number of dB, got nan"),
-            (["transport", "--snr-step", "nan"], "--snr-step must be a number of dB"),
-            (["serve-soak", "--snr", "nan"], "--snr must be a number of dB, got nan"),
-            (["ldpc", "5", "--frames", "0"], "--frames must be at least 1, got 0"),
-            (["ldpc", "5", "--rate", "1/7"], "--rate must be one of 1/2, 2/3, 3/4, 5/6"),
-            (["ldpc", "5", "--iterations", "0"], "--iterations must be at least 1, got 0"),
-            (["ldpc", "inf"], "SNR must be a finite number of dB, got inf"),
-            (["ldpc", "nan"], "SNR must be a finite number of dB, got nan"),
+            (["transport", "--snr", "nan"], "fixed parameter 'snr_db': NaN is not a value"),
+            (
+                ["transport", "--snr-step", "nan"],
+                "fixed parameter 'snr_step_db': NaN is not a value",
+            ),
+            (["serve-soak", "--snr", "nan"], "snr_db must be a number of dB, got nan"),
+            (["ldpc", "5", "--frames", "0"], "frames must be at least 1, got 0"),
+            (["ldpc", "5", "--rate", "1/7"], "rate must be one of 1/2, 2/3, 3/4, 5/6"),
+            (["ldpc", "5", "--iterations", "0"], "iterations must be at least 1, got 0"),
+            (["ldpc", "inf"], "snr_db must be a finite number of dB, got inf"),
+            (["ldpc", "nan"], "axis 'snr_db': NaN is not a value"),
             (["transport", "--ack-loss", "2"], "ack_loss must be in [0, 1], got 2.0"),
             (["obs", "report", "/nonexistent"], "cannot read /nonexistent"),
             (["city-soak", "--users", "0"], "--users must be at least 1, got 0"),
-            (["mesh", "--snr", "nan"], "--snr must be a number of dB, got nan"),
-            (["mesh", "--snr-offset", "nan"], "--snr-offset must be a number of dB, got nan"),
-            (["mesh", "--snr", "1e308"], "--snr of 1e+308 dB overflows a power ratio"),
-            (["mesh", "--max-symbols", "0"], "--max-symbols must be at least 1, got 0"),
+            (["mesh", "--snr", "nan"], "snr_a_db must be a number of dB, got nan"),
+            (["mesh", "--snr-offset", "nan"], "snr_b_db must be a number of dB, got nan"),
+            (["mesh", "--snr", "1e308"], "snr_a_db of 1e+308 dB overflows a power ratio"),
+            (["mesh", "--max-symbols", "0"], "max_symbols must be at least 1, got 0"),
             (["mesh", "--topology", "tree", "--depth", "0"], "depth must be at least 1, got 0"),
             (
                 ["mesh", "--topology", "tree", "--branching", "0"],
                 "branching must be at least 1, got 0",
             ),
-            (["serve-soak", "--snr", "1e308"], "--snr of 1e+308 dB overflows a power ratio"),
-            (["mesh", "--rounds", "0"], "--rounds must be at least 1, got 0"),
+            (["serve-soak", "--snr", "1e308"], "snr_db of 1e+308 dB overflows a power ratio"),
+            (["mesh", "--rounds", "0"], "rounds must be at least 1, got 0"),
             (["mesh", "--family", "bogus"], "unknown code family 'bogus'"),
             (
                 ["mesh", "--with-af", "--family", "lt", "--smoke", "--rounds", "1"],
@@ -245,7 +283,7 @@ class TestMainEndToEnd:
                 "exceeds the cap of 1024 leaves",
             ),
             (["bsc", "0.6", "--trials", "1"], "crossover probability must be in [0, 0.5]"),
-            (["bsc", "nan"], "crossover probability must be in [0, 0.5]"),
+            (["bsc", "nan"], "axis 'p': NaN is not a value"),
             (
                 ["serve-soak", "--smoke", "--telemetry-stream"],
                 "--telemetry-stream requires --telemetry DIR",
@@ -262,9 +300,23 @@ class TestMainEndToEnd:
                 ["run", "rate", "--smoke", "--set", "snr_db=nan"],
                 "axis 'snr_db': NaN is not a value",
             ),
+            (
+                ["figure2", "--snr-max", "inf", "--trials", "1"],
+                "--snr-max must be a finite number of dB, got inf",
+            ),
+            (
+                ["figure2", "--snr-min", "nan", "--snr-max", "0"],
+                "--snr-min must be a finite number of dB, got nan",
+            ),
+            (["report", STORE_FILE, "--csv", "--plot"], "--csv cannot be combined with --plot"),
         ],
     )
-    def test_bad_input_is_one_line_and_exit_2(self, argv, message, capsys):
+    def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
+        if STORE_FILE in argv:
+            main(["run", "rate", "--smoke", "--out", str(tmp_path)])
+            store_file = str(next(tmp_path.glob("rate-*.json")))
+            argv = [store_file if arg == STORE_FILE else arg for arg in argv]
+            capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -526,17 +526,6 @@ class TestHeadChangesFollowHandoffs:
         assert cell_b.closed_at == 28
 
 
-class TestReportCsvPlotConflict:
-    def test_csv_and_plot_are_mutually_exclusive(self, tmp_path):
-        from repro.cli import main
-
-        out_dir = str(tmp_path / "results")
-        main(["run", "rate", "--smoke", "--out", out_dir])
-        run_file = str(next((tmp_path / "results").glob("rate-*.json")))
-        with pytest.raises(ValueError, match="--csv cannot be combined"):
-            main(["report", run_file, "--csv", "--plot"])
-
-
 class TestCalibrationMemo:
     def test_adaptive_cells_share_one_calibration(self, monkeypatch):
         import repro.experiments.cell_rateless_vs_adaptive as module
