@@ -55,7 +55,7 @@ def spinal_over_trace(packet_snrs_db, symbols_per_packet: int, rng) -> float:
         session = CodecSession(code, channel, max_symbols=symbols_per_packet)
         payload = rng.integers(0, 2, size=24, dtype=np.uint8)
         trial = session.run(payload, rng)
-        rates.append(trial.rate if trial.success else 0.0)
+        rates.append(trial.delivered_rate)
     return float(np.mean(rates))
 
 

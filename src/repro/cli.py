@@ -753,6 +753,10 @@ def _run_alias(args: argparse.Namespace, plan: tuple) -> str:
     return outcome.table()
 
 
+#: Most SNR points ``figure2`` runs; every point is a whole Monte-Carlo cell.
+_FIGURE2_MAX_POINTS = 1000
+
+
 def _build_figure2(args: argparse.Namespace) -> tuple:
     for option, value in (("--snr-min", args.snr_min), ("--snr-max", args.snr_max)):
         if not math.isfinite(value):
@@ -763,11 +767,19 @@ def _build_figure2(args: argparse.Namespace) -> tuple:
         raise ValueError(
             f"--snr-min ({args.snr_min}) must not exceed --snr-max ({args.snr_max})"
         )
-    snrs = []
-    snr = args.snr_min
-    while snr <= args.snr_max + 1e-9:
-        snrs.append(round(snr, 6))
-        snr += args.snr_step
+    # Count the points before building the list: a tiny step over a finite
+    # range would otherwise ask for an unbounded one.  The 1e-9 slack keeps
+    # an --snr-max that float steps land just short of.
+    span = (args.snr_max - args.snr_min + 1e-9) / args.snr_step
+    if span >= _FIGURE2_MAX_POINTS:
+        raise ValueError(
+            f"--snr-step {args.snr_step} over [{args.snr_min}, {args.snr_max}] dB "
+            f"gives more than the cap of {_FIGURE2_MAX_POINTS} SNR points"
+        )
+    snrs = [
+        round(args.snr_min + index * args.snr_step, 6)
+        for index in range(math.floor(span) + 1)
+    ]
     spinal = {"snr_db": tuple(snrs), "n_trials": args.trials}
     resolve_run(registry.get("figure2"), spinal)
     ldpc = {}

@@ -29,6 +29,8 @@ so the sweep is deterministic per cell and worker-count invariant — the CI
 
 from __future__ import annotations
 
+import math
+
 from repro.experiments.registry import Experiment, register
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
 from repro.link.topology import build_codec_relay_sessions, simulate_relay_transport
@@ -42,6 +44,7 @@ __all__ = [
     "MATRIX_SCENARIOS",
     "code_family_matrix_point",
     "matrix_budget",
+    "matrix_cell_config",
     "CODE_FAMILY_MATRIX_EXPERIMENT",
 ]
 
@@ -172,25 +175,55 @@ _SCENARIO_RUNNERS = {
 }
 
 
+def matrix_cell_config(params) -> tuple[int, int]:
+    """A cell's ``(payload_bits, max_symbols)``; raises on a cell no scenario can run.
+
+    Builds the family's probe code for its payload size, so a budget that
+    cannot carry one symbol fails before the first cell instead of
+    becoming error cells.
+    """
+    scenario = str(params["scenario"])
+    if scenario not in _SCENARIO_RUNNERS:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; expected one of {', '.join(MATRIX_SCENARIOS)}"
+        )
+    budget_factor = float(params["budget_factor"])
+    if not (math.isfinite(budget_factor) and budget_factor > 0):
+        raise ValueError(f"budget_factor must be positive and finite, got {budget_factor}")
+    family = str(params["code"])
+    snr_db = float(params["snr_db"])
+    probe = make_code(
+        family,
+        seed=derive_seed(int(params["seed"]), "matrix-code", family, snr_db),
+        snr_db=snr_db,
+        smoke=str(params["scale"]) == "smoke",
+    )
+    payload_bits = probe.info.payload_bits
+    max_symbols = matrix_budget(budget_factor, payload_bits)
+    if max_symbols < 1:
+        raise ValueError(
+            f"budget_factor {budget_factor} leaves a {payload_bits}-bit {family} "
+            "payload no symbol to send"
+        )
+    return payload_bits, max_symbols
+
+
 def code_family_matrix_point(params, rng) -> dict:
     """Registry kernel: one (code, scenario, SNR) network simulation.
 
     Deterministic given the parameters — every stream derives from the
     injected base seed, so the engine-provided ``rng`` is unused.
     """
-    family = str(params["code"])
-    scenario = str(params["scenario"])
-    snr_db = float(params["snr_db"])
-    seed = int(params["seed"])
-    smoke = str(params["scale"]) == "smoke"
-    probe = make_code(
-        family, seed=derive_seed(seed, "matrix-code", family, snr_db), snr_db=snr_db, smoke=smoke
+    payload_bits, max_symbols = matrix_cell_config(params)
+    metrics = _SCENARIO_RUNNERS[str(params["scenario"])](
+        params,
+        str(params["code"]),
+        float(params["snr_db"]),
+        str(params["scale"]) == "smoke",
+        max_symbols,
+        int(params["seed"]),
     )
-    max_symbols = matrix_budget(float(params["budget_factor"]), probe.info.payload_bits)
-    metrics = _SCENARIO_RUNNERS[scenario](
-        params, family, snr_db, smoke, max_symbols, seed
-    )
-    metrics["payload_bits"] = probe.info.payload_bits
+    metrics["payload_bits"] = payload_bits
     metrics["max_symbols"] = max_symbols
     return metrics
 
@@ -217,6 +250,7 @@ CODE_FAMILY_MATRIX_EXPERIMENT = register(
             },
         ),
         run_point=code_family_matrix_point,
+        cell_config=matrix_cell_config,
         columns=(
             Column("code", "code"),
             Column("scenario", "scenario"),

@@ -45,8 +45,17 @@ __all__ = [
 ]
 
 
+#: The coded topologies a cell can run.
+_TOPOLOGIES: tuple[str, ...] = ("two-way", "butterfly")
+
+
 def network_coding_config(params) -> TwoWayConfig:
     """The cell's operating point; for the butterfly, B is the bottleneck edge."""
+    topology = str(params["topology"])
+    if topology not in _TOPOLOGIES:
+        raise ValueError(
+            f"unknown topology {topology!r}; expected one of {', '.join(_TOPOLOGIES)}"
+        )
     return TwoWayConfig(
         family=str(params["family"]),
         snr_a_db=float(params["snr_db"]),
@@ -168,7 +177,7 @@ NETWORK_CODING_GAIN_EXPERIMENT = register(
             axes=(
                 Axis("snr_offset_db", (0.0, -4.0, -8.0, -12.0), "float"),
                 Axis("family", ("spinal", "lt"), "str"),
-                Axis("topology", ("two-way", "butterfly"), "str"),
+                Axis("topology", _TOPOLOGIES, "str"),
             ),
             fixed={
                 "snr_db": 33.0,
@@ -195,7 +204,7 @@ NETWORK_CODING_GAIN_EXPERIMENT = register(
         smoke={
             "snr_offset_db": (0.0, -8.0),
             "family": ("spinal", "lt"),
-            "topology": ("two-way", "butterfly"),
+            "topology": _TOPOLOGIES,
             "rounds": 4,
         },
         plot=PlotSpec(

@@ -14,7 +14,13 @@ Determinism discipline: a flow packet consumes exactly one value from its
 private per-``(user, packet)`` stream (the requirement draw at ``open``),
 so results are independent of grant interleaving and worker count, exactly
 like the bit-exact tier.  Calibration itself is a pure function of its
-seed and is memoized per process.
+arguments, so :func:`cached_symbol_model` keeps each model twice: in a
+per-process memo, and as a content-addressed artifact under
+``$XDG_CACHE_HOME/repro/calibration/`` (``~/.cache/repro/calibration/``
+when that is unset) that a fresh interpreter loads instead of
+recalibrating.  The artifact's name hashes the calibration arguments; its
+body also records a digest of the ``repro`` package source, so any edit
+to the package invalidates it.
 
 Calibration runs in lock-step: each grid point's samples go through
 :meth:`~repro.phy.session.CodecSession.run_many`, which steps every live
@@ -27,13 +33,24 @@ sequential ``session.run`` of that sample, for every code family.
 Fidelity contract: the flow tier is *calibrated*, not exact — tests pin its
 relative aggregate-goodput error against the bit-exact network on small
 configs, and the calibration is re-run whenever codec behavior changes
-(it is derived, not checked in).
+(it is derived, not checked in): the source digest turns every package
+edit into a recalibration, and deleting the cache directory is always
+safe.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
+import dataclasses
+import functools
+import hashlib
+import json
+import os
+import sys
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -120,6 +137,23 @@ class SymbolCountModel:
     def success_probability(self, snr_db: float) -> float:
         row = self.samples[self.grid_index(snr_db)]
         return sum(1 for value in row if value > 0) / len(row)
+
+
+def _model_to_json(model: SymbolCountModel) -> dict:
+    """The model's fields as JSON values; floats round-trip exactly."""
+    return dataclasses.asdict(model)
+
+
+def _model_from_json(fields: dict) -> SymbolCountModel:
+    """Inverse of :func:`_model_to_json`; ``__post_init__`` validates it."""
+    return SymbolCountModel(
+        family=str(fields["family"]),
+        payload_bits=int(fields["payload_bits"]),
+        max_symbols=int(fields["max_symbols"]),
+        block_symbols=int(fields["block_symbols"]),
+        snr_grid_db=tuple(float(snr) for snr in fields["snr_grid_db"]),
+        samples=tuple(tuple(int(value) for value in row) for row in fields["samples"]),
+    )
 
 
 class _FlowBlock:
@@ -326,7 +360,16 @@ def cached_symbol_model(
     max_symbols: int = 4096,
     adc_bits: int | None = None,
 ) -> SymbolCountModel:
-    """Per-process memoized :func:`calibrate_symbol_model` (it is pure)."""
+    """:func:`calibrate_symbol_model`, memoized per process and on disk (it is pure).
+
+    A fresh process loads the calibration artifact for these arguments
+    (see the module docstring) and calibrates only when there is none.  An
+    artifact that does not parse, was written for another key or by other
+    package source, or holds an invalid model is never used: one
+    ``repro: recalibrating flow model: <reason>`` line goes to stderr and
+    the recalibrated model overwrites it.  The cache is best effort: when
+    the directory cannot be written the model lives in this process only.
+    """
     key = (
         family,
         tuple(float(snr) for snr in snr_grid_db),
@@ -334,11 +377,106 @@ def cached_symbol_model(
         int(seed),
         bool(smoke),
         int(max_symbols),
-        adc_bits,
+        None if adc_bits is None else int(adc_bits),
     )
     model = _MODEL_CACHE.get(key)
     if model is None:
-        model = _MODEL_CACHE[key] = calibrate_symbol_model(
-            family, snr_grid_db, samples_per_point, seed, smoke, max_symbols, adc_bits
-        )
+        model = _MODEL_CACHE[key] = _load_or_calibrate(key)
     return model
+
+
+def _load_or_calibrate(key: tuple) -> SymbolCountModel:
+    family, grid, samples_per_point, seed, smoke, max_symbols, adc_bits = key
+    named_key = {
+        "family": family,
+        "snr_grid_db": grid,
+        "samples_per_point": samples_per_point,
+        "seed": seed,
+        "smoke": smoke,
+        "max_symbols": max_symbols,
+        "adc_bits": adc_bits,
+    }
+    canonical_key = json.dumps(named_key, sort_keys=True)
+    source = _source_digest()
+    directory = _calibration_dir()
+    path = None
+    if directory is not None:
+        name = hashlib.blake2b(canonical_key.encode(), digest_size=16).hexdigest()
+        path = directory / f"{name}.json"
+        model, reason = _read_artifact(path, canonical_key, source)
+        if model is not None:
+            return model
+        if reason:
+            print(f"repro: recalibrating flow model: {reason}", file=sys.stderr)
+    model = calibrate_symbol_model(*key)
+    if path is not None:
+        body = {"key": named_key, "source": source, "model": _model_to_json(model)}
+        _write_artifact(path, json.dumps(body, sort_keys=True))
+    return model
+
+
+def _calibration_dir() -> Path | None:
+    """Where calibration artifacts live, or ``None`` with no home to put them in."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        home = os.path.expanduser("~")
+        if not os.path.isabs(home):
+            return None
+        base = os.path.join(home, ".cache")
+    return Path(base) / "repro" / "calibration"
+
+
+@functools.cache
+def _source_digest() -> str:
+    """blake2b over every ``.py`` file of the ``repro`` package: path, then bytes."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.blake2b(digest_size=16)
+    for path in sorted(root.rglob("*.py")):
+        for part in (path.relative_to(root).as_posix().encode(), path.read_bytes()):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+    return digest.hexdigest()
+
+
+def _read_artifact(
+    path: Path, canonical_key: str, source: str
+) -> tuple[SymbolCountModel | None, str]:
+    """The model stored at ``path``, or why it cannot be used (``""``: no file)."""
+    try:
+        text = path.read_bytes()
+    except OSError:  # missing or unreadable: calibrate without a word
+        return None, ""
+    try:
+        body = json.loads(text)
+    except ValueError as exc:
+        return None, f"{path} does not parse ({exc})"
+    if not isinstance(body, dict):
+        return None, f"{path} does not parse (not a JSON object)"
+    if json.dumps(body.get("key"), sort_keys=True) != canonical_key:
+        return None, f"{path} holds another calibration key"
+    if body.get("source") != source:
+        return None, f"{path} was calibrated by other repro source"
+    try:
+        return _model_from_json(body["model"]), ""
+    except (KeyError, TypeError, ValueError) as exc:
+        return None, f"{path} holds an invalid model ({exc})"
+
+
+def _write_artifact(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` atomically; an ``OSError`` skips the write.
+
+    Concurrent writers of one key write identical bytes, so whichever
+    ``os.replace`` lands last leaves the same file.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle, temp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(temp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)

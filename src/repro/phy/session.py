@@ -57,6 +57,15 @@ class CodecResult:
             raise ValueError("no symbols were sent; rate is undefined")
         return self.credited_bits / self.symbols_sent
 
+    @property
+    def delivered_rate(self) -> float:
+        """:attr:`rate` if the payload decoded, else 0.0: a failed run delivers nothing.
+
+        ``rate`` credits the bits of a failed run too (stores and goldens
+        read it that way); use this where the question is goodput.
+        """
+        return self.rate if self.success else 0.0
+
 
 class CodecTransmission:
     """A pausable, resumable transmission of one payload over one code.

@@ -25,6 +25,18 @@ from repro.core.params import SpinalParams
 sys.modules.setdefault("hypothesis.extra._patching", None)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_calibration_cache(tmp_path_factory):
+    """Keep the flow tier's calibration artifacts in a per-session directory.
+
+    The suite never reads or writes the user's own cache; worker processes
+    inherit the variable.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic RNG; tests that need independence derive their own."""

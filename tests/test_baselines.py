@@ -89,16 +89,12 @@ def _harq_trial(
     return session.run(rng.integers(0, 2, size=code.code.k, dtype=np.uint8), rng)
 
 
-def _delivered_rate(trial: CodecResult) -> float:
-    """Delivered bits per channel use: a failed frame delivers nothing."""
-    return trial.rate if trial.success else 0.0
-
-
 class TestHybridArq:
     def test_good_snr_single_attempt(self, rng):
         trial = _harq_trial(6.0, max_attempts=4, max_iterations=25, rng=rng)
         assert trial.success and trial.decode_attempts == 1
         assert trial.rate == pytest.approx(0.5)
+        assert trial.delivered_rate == trial.rate
 
     def test_moderate_snr_uses_retransmissions(self, rng):
         # At -4 dB a single rate-1/2 BPSK frame fails, but chase combining of a
@@ -112,10 +108,12 @@ class TestHybridArq:
         assert not trial.success and not trial.payload_correct
         # The whole one-frame budget was spent and nothing was delivered.
         assert trial.symbols_sent == 648 and trial.decode_attempts == 1
+        # ``rate`` credits the failed frame's bits; the delivered rate does not.
+        assert trial.rate > 0 and trial.delivered_rate == 0.0
 
     def test_mean_rate_monotone_in_snr(self, rng):
-        low = np.mean([_delivered_rate(_harq_trial(-6.0, 4, 20, rng)) for _ in range(4)])
-        high = np.mean([_delivered_rate(_harq_trial(6.0, 4, 20, rng)) for _ in range(4)])
+        low = np.mean([_harq_trial(-6.0, 4, 20, rng).delivered_rate for _ in range(4)])
+        high = np.mean([_harq_trial(6.0, 4, 20, rng).delivered_rate for _ in range(4)])
         assert high >= low
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,18 @@ class TestRegistryCommands:
             (["run", "cell-scaling", "--set", "n_users=0"], "n_users must be at least 1"),
             (["run", "cell-scaling", "--set", "channel=bogus"], "unknown channel kind"),
             (["run", "city-scaling", "--set", "n_cells=0"], "n_cells must be at least 1"),
+            (
+                ["run", "network-coding-gain", "--set", "topology=bogus"],
+                "unknown topology 'bogus'",
+            ),
+            (
+                ["run", "code-family-matrix", "--set", "budget_factor=0"],
+                "budget_factor must be positive and finite, got 0.0",
+            ),
+            (
+                ["run", "code-family-matrix", "--set", "scenario=bogus"],
+                "unknown scenario 'bogus'",
+            ),
             (
                 ["run", "ldpc-rate", "--set", "snr_db=inf"],
                 "snr_db must be a finite number of dB, got inf",
@@ -308,6 +322,10 @@ class TestMainEndToEnd:
                 ["figure2", "--snr-min", "nan", "--snr-max", "0"],
                 "--snr-min must be a finite number of dB, got nan",
             ),
+            (
+                ["figure2", "--snr-step", "1e-300", "--trials", "1"],
+                "gives more than the cap of 1000 SNR points",
+            ),
             (["report", STORE_FILE, "--csv", "--plot"], "--csv cannot be combined with --plot"),
         ],
     )
@@ -324,6 +342,22 @@ class TestMainEndToEnd:
         assert len(err) == 1
         assert err[0].startswith(f"repro {argv[0]}: error: ")
         assert message in err[0]
+
+    def test_figure2_counts_its_snr_points_before_building_them(self, capsys):
+        """A 1e-300 dB step over 50 dB is refused without allocating the list."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["figure2", "--snr-min", "-10", "--snr-max", "40",
+                      "--snr-step", "1e-300", "--trials", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.code == 2
+        assert "cap of 1000 SNR points" in capsys.readouterr().err
+        # Parser and message only: a list of even the capped size of points
+        # would not fit, let alone the 5e301 this step asks for.
+        assert peak < 1_000_000, peak
 
     def test_obs_report_of_a_malformed_file_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "telemetry.jsonl"

@@ -20,7 +20,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
+import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from repro.channels.awgn import AWGNChannel
 from repro.channels.traces import random_walk_trace
 from repro.mac.cell import CellUser, MacCell, RatelessLink
 from repro.mac.schedulers import make_scheduler
+from repro.net import fastpath
 from repro.net import (
     CellNetwork,
     CityGeometry,
@@ -614,6 +618,138 @@ class TestCalibration:
             )
         assert max(errors) <= 0.25, f"per-seed relative errors {errors}"
         assert sum(errors) / len(errors) <= 0.15, f"mean of {errors}"
+
+
+def _edit_artifact(text: str, section: str, value) -> str:
+    """The artifact ``text`` with ``section`` replaced (or, for a dict, updated)."""
+    body = json.loads(text)
+    if isinstance(value, dict):
+        body[section].update(value)
+    else:
+        body[section] = value
+    return json.dumps(body, sort_keys=True)
+
+
+class TestCalibrationArtifact:
+    """``cached_symbol_model``'s on-disk layer under the per-process memo."""
+
+    ARGS = dict(
+        family="spinal",
+        snr_grid_db=(2.0, 8.0),
+        samples_per_point=3,
+        seed=99,
+        smoke=True,
+        max_symbols=128,
+    )
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        return tmp_path / "repro" / "calibration"
+
+    def _fresh_process_model(self, monkeypatch) -> SymbolCountModel:
+        """What a new interpreter gets: the memo is empty, the disk is not."""
+        monkeypatch.setattr(fastpath, "_MODEL_CACHE", {})
+        return fastpath.cached_symbol_model(**self.ARGS)
+
+    @staticmethod
+    def _forbid_calibration(monkeypatch) -> None:
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated although a valid artifact was on disk")
+
+        monkeypatch.setattr(fastpath, "calibrate_symbol_model", calibrate)
+
+    def test_cold_then_warm_loads_the_same_model_without_calibrating(
+        self, cache_dir, monkeypatch, capsys
+    ):
+        cold = self._fresh_process_model(monkeypatch)
+        assert cold == calibrate_symbol_model(**self.ARGS)
+        (artifact,) = cache_dir.iterdir()
+        written = artifact.read_bytes()
+        self._forbid_calibration(monkeypatch)
+        warm = self._fresh_process_model(monkeypatch)
+        assert warm == cold
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        assert json.dumps(dataclasses.asdict(warm), sort_keys=True) == json.dumps(
+            dataclasses.asdict(cold), sort_keys=True
+        )
+        assert artifact.read_bytes() == written  # loading never rewrites
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda text: text[: len(text) // 2], "does not parse"),
+            (
+                lambda text: _edit_artifact(text, "key", {"seed": 100}),
+                "another calibration key",
+            ),
+            (
+                lambda text: _edit_artifact(text, "source", "0" * 32),
+                "calibrated by other repro source",
+            ),
+            (
+                lambda text: _edit_artifact(text, "model", {"block_symbols": 0}),
+                "block_symbols must be at least 1",
+            ),
+        ],
+        ids=["truncated", "wrong-key", "stale-source", "invalid-model"],
+    )
+    def test_a_bad_artifact_is_recalibrated_with_one_line(
+        self, damage, reason, cache_dir, monkeypatch, capsys
+    ):
+        good = self._fresh_process_model(monkeypatch)
+        (artifact,) = cache_dir.iterdir()
+        written = artifact.read_bytes()
+        artifact.write_text(damage(written.decode()))
+        capsys.readouterr()
+        again = self._fresh_process_model(monkeypatch)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("repro: recalibrating flow model: ")
+        assert reason in err[0]
+        assert again == good
+        assert artifact.read_bytes() == written  # overwritten by the recalibration
+        self._forbid_calibration(monkeypatch)
+        assert self._fresh_process_model(monkeypatch) == good
+        assert capsys.readouterr().err == ""
+
+    def test_an_unwritable_cache_directory_still_returns_the_model(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A file where the cache directory should be: creating it fails
+        # (with a clear OSError, for any user, root included).
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        model = self._fresh_process_model(monkeypatch)
+        assert model == calibrate_symbol_model(**self.ARGS)
+        assert blocker.read_text() == ""
+        assert capsys.readouterr().err == ""
+
+    def test_cache_directory_follows_xdg_then_home(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert fastpath._calibration_dir() == tmp_path / "xdg" / "repro" / "calibration"
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        for unset in ("", "relative/path"):  # the XDG spec ignores both
+            monkeypatch.setenv("XDG_CACHE_HOME", unset)
+            assert fastpath._calibration_dir() == (
+                tmp_path / "home" / ".cache" / "repro" / "calibration"
+            )
+
+    def test_racing_cold_workers_leave_one_valid_artifact(self, cache_dir):
+        """More workers than cores calibrate one cold key at once."""
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=4, mp_context=context) as pool:
+            futures = [
+                pool.submit(fastpath.cached_symbol_model, **self.ARGS) for _ in range(4)
+            ]
+            models = [future.result(timeout=120) for future in futures]
+        expected = calibrate_symbol_model(**self.ARGS)
+        assert models == [expected] * 4
+        (artifact,) = cache_dir.iterdir()  # no temp file left behind
+        body = json.loads(artifact.read_bytes())
+        assert fastpath._model_from_json(body["model"]) == expected
 
 
 class TestDegeneration:
