@@ -9,10 +9,10 @@ and this sweep measures
     code family  ×  scenario {single-hop, 3-hop relay, 8-user cell}  ×  SNR
                  →  goodput, delivered fraction, symbol efficiency.
 
-Scenarios reuse the real simulators, not models: the single hop is the PR-2
-sliding-window transport, the relay is the decode-and-forward chain (each
-hop an independent code instance from a hop-derived seed), and the cell is
-the PR-4 shared-medium MAC with round-robin grants.  Per-family channels
+Scenarios reuse the real simulators, not models: the single hop and the
+relay are the sliding-window decode-and-forward chain at one and three
+hops (each hop an independent code instance from a hop-derived seed), and
+the cell is the shared-medium MAC with round-robin grants.  Per-family channels
 are SNR-calibrated to the code's alphabet (complex AWGN for symbol-domain
 codes, a BPSK-hard-decision BSC for bit-domain codes), so the x-axis means
 the same physical channel for every curve.
@@ -30,11 +30,12 @@ so the sweep is deterministic per cell and worker-count invariant — the CI
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.experiments.registry import Experiment, register
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
 from repro.link.topology import build_codec_relay_sessions, simulate_relay_transport
-from repro.link.transport import TransportConfig, run_link_transport
+from repro.link.transport import TransportConfig
 from repro.mac.cell import CellUser, RatelessLink, simulate_cell, spread_snrs
 from repro.phy.families import CODE_FAMILY_NAMES, make_code, make_codec_session
 from repro.utils.bitops import random_message_bits
@@ -79,42 +80,16 @@ def _transport_metrics(n_packets, delivered, goodput, needed, spent, makespan) -
     }
 
 
-def _run_single_hop(params, family, snr_db, smoke, max_symbols, seed) -> dict:
-    session = make_codec_session(
-        family,
-        snr_db,
-        seed=derive_seed(seed, "matrix-code", family, snr_db),
-        smoke=smoke,
-        max_symbols=max_symbols,
-    )
-    payloads = _matrix_payloads(
-        seed, family, "single-hop", int(params["packets"]), session.payload_bits
-    )
-    result = run_link_transport(
-        session,
-        payloads,
-        TransportConfig(seed=derive_seed(seed, "matrix-transport", family, snr_db)),
-    )
-    return _transport_metrics(
-        result.n_packets,
-        result.n_delivered,
-        result.goodput_bits_per_symbol_time,
-        result.symbols_needed.sum(),
-        result.symbols_spent.sum(),
-        result.makespan,
-    )
-
-
-def _run_relay(params, family, snr_db, smoke, max_symbols, seed) -> dict:
+def _run_path(n_hops, label, params, family, snr_db, smoke, max_symbols, seed) -> dict:
     sessions = build_codec_relay_sessions(
         family,
-        [snr_db] * _RELAY_HOPS,
+        [snr_db] * n_hops,
         seed=derive_seed(seed, "matrix-code", family, snr_db),
         smoke=smoke,
         max_symbols=max_symbols,
     )
     payloads = _matrix_payloads(
-        seed, family, "relay", int(params["packets"]), sessions[0].payload_bits
+        seed, family, label, int(params["packets"]), sessions[0].payload_bits
     )
     result = simulate_relay_transport(
         sessions,
@@ -169,8 +144,8 @@ def _run_cell(params, family, snr_db, smoke, max_symbols, seed) -> dict:
 
 
 _SCENARIO_RUNNERS = {
-    "single-hop": _run_single_hop,
-    "relay-3": _run_relay,
+    "single-hop": partial(_run_path, 1, "single-hop"),
+    "relay-3": partial(_run_path, _RELAY_HOPS, "relay"),
     "cell-8": _run_cell,
 }
 

@@ -100,14 +100,18 @@ def _butterfly_point(config: TwoWayConfig) -> dict:
     seed = config.seed
     rounds = config.rounds
     topology = butterfly(snr_db=config.snr_a_db, bottleneck_snr_db=config.snr_b_db)
-    sessions = build_dag_sessions(
-        config.family,
-        topology,
-        seed=seed,
-        smoke=config.smoke,
-        max_symbols=config.max_symbols,
-    )
-    payload_bits = sessions[0].payload_bits
+    # Each run drives its own fresh sessions, as a standalone simulation would.
+    sessions = {
+        label: build_dag_sessions(
+            config.family,
+            topology,
+            seed=seed,
+            smoke=config.smoke,
+            max_symbols=config.max_symbols,
+        )
+        for label in ("coded", "plain")
+    }
+    payload_bits = sessions["coded"][0].payload_bits
     payloads = {
         src: [
             spawn_rng(seed, "netcode-gain", "payload", src, rnd)
@@ -123,19 +127,12 @@ def _butterfly_point(config: TwoWayConfig) -> dict:
         for rnd in range(rounds)
     }
     transport = TransportConfig(seed=seed)
-    runs = {}
-    for label, xor_nodes in (("coded", ("relay",)), ("plain", ())):
-        sessions = build_dag_sessions(
-            config.family,
-            topology,
-            seed=seed,
-            smoke=config.smoke,
-            max_symbols=config.max_symbols,
+    coded, plain = (
+        simulate_dag_transport(
+            topology, sessions[label], payloads, transport, xor_nodes=xor_nodes
         )
-        runs[label] = simulate_dag_transport(
-            topology, sessions, payloads, transport, xor_nodes=xor_nodes
-        )
-    coded, plain = runs["coded"], runs["plain"]
+        for label, xor_nodes in (("coded", ("relay",)), ("plain", ()))
+    )
     bottleneck_coded = coded.symbols_on_edge("relay", "spread")
     bottleneck_plain = plain.symbols_on_edge("relay", "spread")
     return {

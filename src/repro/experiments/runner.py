@@ -58,8 +58,8 @@ from repro.core.puncturing import (
 )
 from repro.experiments.registry import Experiment, default_aggregate, register
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
-from repro.phy.session import CodecResult, CodecSession
-from repro.phy.spinal import SpinalCode
+from repro.phy.session import CodecResult, CodecSession, terminates
+from repro.phy.spinal import SpinalCode, spinal_status
 from repro.theory.capacity import awgn_capacity_db, bsc_capacity
 from repro.utils.bitops import random_message_bits
 from repro.utils.results import mean, std_error
@@ -253,15 +253,13 @@ def _run_bisect(
         observations = ReceivedObservations(framer.n_segments).truncated(
             boundaries[index], blocks, received
         )
-        last = decoder.decode(framer.framed_bits, observations)
+        last = spinal_status(framer, decoder.decode(framer.framed_bits, observations))
         attempts += 1
-        work += last.candidates_explored
-        if session.termination == "genie":
-            return bool(np.array_equal(last.message_bits, framed))
-        return framer.check(last.message_bits)
+        work += last.work
+        return terminates(session.termination, last, framed)
 
     def result(symbols_sent: int, success: bool) -> CodecResult:
-        decoded = framer.extract_payload(last.message_bits)
+        decoded = last.payload
         return CodecResult(
             success=success,
             payload_correct=bool(np.array_equal(decoded, payload)),

@@ -48,12 +48,7 @@ from repro.link.topology import (
     simulate_dag_transport,
     simulate_relay_transport,
 )
-from repro.link.transport import (
-    HopTransport,
-    TransportConfig,
-    TransportResult,
-    run_link_transport,
-)
+from repro.link.transport import HopTransport, TransportConfig, TransportResult
 
 __all__ = [
     "FeedbackModel",
@@ -66,7 +61,6 @@ __all__ = [
     "TransportConfig",
     "TransportResult",
     "HopTransport",
-    "run_link_transport",
     "RelayTransportResult",
     "build_codec_relay_sessions",
     "build_relay_sessions",

@@ -81,9 +81,9 @@ def simulate_link_session(
     An empty sequence is valid and yields a zero-packet result whose
     throughput properties are all well-defined (zero throughput, vacuously
     perfect efficiency).  The *measured* counterpart is
-    ``run_link_transport(session, payloads, config).link_session_result()``
-    (:mod:`repro.link.transport`), which simulates the protocol dynamics
-    instead of assuming a model.
+    ``simulate_relay_transport([session], payloads, config).hops[0]
+    .link_session_result()`` (:mod:`repro.link.topology`), which simulates
+    the protocol dynamics instead of assuming a model.
     """
     needed = np.asarray(list(symbols_needed_per_packet), dtype=np.int64)
     if np.any(needed <= 0):

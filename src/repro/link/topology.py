@@ -15,8 +15,9 @@ serving a packet the moment hop ``h`` delivers it, while hop ``h`` moves on
 to the next packet.  Each hop runs the full sliding-window ARQ machinery of
 :mod:`repro.link.transport` with its own reverse channel.
 
-A 1-hop "relay" is by construction exactly the direct link (hop 0 keeps the
-caller's hash seed), an equivalence the test suite pins.
+A 1-hop "relay" is the direct link: hop 0 keeps the caller's hash seed,
+and ``simulate_relay_transport([session], ...).hops[0]`` is how every
+single-link transport runs.
 
 Beyond chains, :class:`DagTopology` generalises the layer to arbitrary
 validated DAGs: explicit node/edge specs with per-edge SNRs, structural
@@ -28,8 +29,7 @@ XOR-combine the payloads of one round from all of their in-edges into a
 single packet — the classic network-coding move that lets the butterfly's
 bottleneck edge carry one coded packet where plain forwarding needs two.
 A 2-node path DAG is by construction exactly the 1-hop chain (same packet
-seeds, same event sequence), an equivalence the test suite pins the same
-way relay-chain == direct-link is pinned.
+seeds, same event sequence), an equivalence the test suite pins.
 """
 
 from __future__ import annotations
@@ -43,12 +43,7 @@ import numpy as np
 from repro.channels.awgn import AWGNChannel
 from repro.phy.session import CodecSession
 from repro.link.events import EventScheduler
-from repro.link.transport import (
-    HopTransport,
-    TransportConfig,
-    TransportResult,
-    _event_budget,
-)
+from repro.link.transport import HopTransport, TransportConfig, TransportResult
 from repro.obs.telemetry import current as current_telemetry
 from repro.utils.rng import derive_seed
 
@@ -116,27 +111,27 @@ def build_codec_relay_sessions(
 ) -> list[CodecSession]:
     """One code-agnostic session per hop, for any registered code family.
 
-    The protocol-level generalisation of :func:`build_relay_sessions`: each
-    hop gets an independent code instance built from a hop-derived seed (the
-    "fresh hash seed per hop" discipline, generalised — an LT hop re-draws
-    its neighbourhoods, a spinal hop its hash family) and its own
-    SNR-calibrated channel matching the code's alphabet.
+    The sessions of :func:`path_dag` over ``hop_snrs_db`` (see
+    :func:`build_dag_sessions`): hop 0 keeps ``seed`` and every later hop
+    re-encodes from a hop-derived seed (the "fresh hash seed per hop"
+    discipline, generalised — an LT hop re-draws its neighbourhoods, a
+    spinal hop its hash family) with its own SNR-calibrated channel.
     """
-    from repro.phy.families import make_codec_session
+    return build_dag_sessions(
+        family,
+        path_dag(hop_snrs_db),
+        seed=seed,
+        smoke=smoke,
+        max_symbols=max_symbols,
+        termination=termination,
+    )
 
-    if len(hop_snrs_db) == 0:
-        raise ValueError("a relay path needs at least one hop")
-    return [
-        make_codec_session(
-            family,
-            snr_db=float(snr_db),
-            seed=seed if hop == 0 else derive_seed(seed, "relay-hop", hop),
-            smoke=smoke,
-            max_symbols=max_symbols,
-            termination=termination,
-        )
-        for hop, snr_db in enumerate(hop_snrs_db)
-    ]
+
+def _event_budget(config: TransportConfig, n_packets: int, budgets: Sequence[int]) -> int:
+    """Generous liveness bound: a few events per possible channel symbol."""
+    if config.max_events is not None:
+        return config.max_events
+    return 64 + 16 * n_packets + 8 * int(np.sum(np.asarray(budgets, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -503,9 +498,9 @@ def build_dag_sessions(
     """One code-agnostic session per edge, seeds derived from the edge index.
 
     Edge 0 keeps the caller's seed and edge ``e > 0`` uses
-    ``derive_seed(seed, "relay-hop", e)`` — the *same* discipline as
-    :func:`build_codec_relay_sessions`, so a path DAG's sessions are
-    identical to the equivalent relay chain's.
+    ``derive_seed(seed, "relay-hop", e)``;
+    :func:`build_codec_relay_sessions` is this over a :func:`path_dag`, so a
+    path DAG's sessions are the relay chain's.
     """
     from repro.phy.families import make_codec_session
 

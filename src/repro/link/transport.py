@@ -41,12 +41,16 @@ A packet that exhausts the session's ``max_symbols`` budget without
 decoding is aborted: both endpoints drop it and advance (modelling an
 out-of-band management abort; the abort itself is not charged any channel
 time).  Aborts are recorded as undelivered packets in the result.
+
+:class:`HopTransport` is one hop's state machine; the event clock that
+drives it lives in :mod:`repro.link.topology`.  A direct link is the 1-hop
+relay: ``simulate_relay_transport([session], payloads, config).hops[0]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -66,7 +70,6 @@ __all__ = [
     "TransportConfig",
     "TransportResult",
     "HopTransport",
-    "run_link_transport",
     "packet_rng",
     "ack_rng",
 ]
@@ -523,37 +526,3 @@ class HopTransport:
             acks_lost=self.acks_lost,
             max_outstanding=self.max_outstanding,
         )
-
-
-def _event_budget(config: TransportConfig, n_packets: int, budgets: Sequence[int]) -> int:
-    """Generous liveness bound: a few events per possible channel symbol."""
-    if config.max_events is not None:
-        return config.max_events
-    return 64 + 16 * n_packets + 8 * int(np.sum(np.asarray(budgets, dtype=np.int64)))
-
-
-def run_link_transport(
-    session: CodecSession,
-    payloads: Sequence[np.ndarray],
-    config: TransportConfig,
-) -> TransportResult:
-    """Simulate a single-hop sliding-window transport of ``payloads``.
-
-    Every payload is streamed through ``session``'s encoder, channel and
-    decoder under the configured ARQ protocol, for a
-    :class:`~repro.phy.session.CodecSession` over any code family.  The
-    session's ``max_symbols`` acts as the per-packet abort budget, and its
-    ``termination`` rule decides when the receiver considers a packet
-    decoded.
-    """
-    scheduler = EventScheduler()
-    session.channel.reset()
-    hop = HopTransport(scheduler, session, config, hop_index=0)
-    for index, payload in enumerate(payloads):
-        hop.enqueue(payload, orig_index=index)
-    scheduler.run(
-        max_events=_event_budget(
-            config, len(hop.packets), [session.max_symbols] * len(hop.packets)
-        )
-    )
-    return hop.result()

@@ -13,8 +13,8 @@ two fidelity tiers under the same MAC/event machinery:
   measured off the bit-exact codec (:mod:`repro.net.fastpath`), for
   city-scale user counts.
 
-:mod:`repro.net.shard` fans replicas and decoupled per-cell workloads
-across processes with worker-count-invariant (byte-identical) results.
+:mod:`repro.net.shard` fans replicas across processes with
+worker-count-invariant (byte-identical) results.
 """
 
 from repro.net.fastpath import (
@@ -37,12 +37,7 @@ from repro.net.network import (
     network_payloads,
     simulate_network,
 )
-from repro.net.shard import (
-    merge_cell_results,
-    replica_config,
-    simulate_cells_sharded,
-    simulate_network_replicas,
-)
+from repro.net.shard import replica_config, simulate_network_replicas
 
 __all__ = [
     "CellNetwork",
@@ -58,11 +53,9 @@ __all__ = [
     "cached_symbol_model",
     "calibrate_symbol_model",
     "default_symbol_model",
-    "merge_cell_results",
     "network_code",
     "network_payloads",
     "replica_config",
-    "simulate_cells_sharded",
     "simulate_network",
     "simulate_network_replicas",
 ]

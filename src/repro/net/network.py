@@ -170,7 +170,6 @@ class NetworkConfig:
     # -- flow tier calibration -----------------------------------------------
     calibration_samples: int = 48
     calibration_grid_points: int = 9
-    model: SymbolCountModel | None = None
 
     def __post_init__(self) -> None:
         if self.tier not in ("exact", "flow"):
@@ -355,19 +354,8 @@ class CellNetwork:
         *,
         mobility: MobilityModel | None = None,
         model: SymbolCountModel | None = None,
-        restrict_to_cell: int | None = None,
     ) -> None:
         self.config = config
-        if restrict_to_cell is not None:
-            # Simulating one cell in isolation is only meaningful when the
-            # cells are decoupled (the sharding layer's contract).
-            if not 0 <= restrict_to_cell < config.n_cells:
-                raise ValueError(f"no cell {restrict_to_cell} in this network")
-            if config.interference and config.n_cells > 1:
-                raise ValueError("restrict_to_cell requires interference=False")
-            if config.epoch_symbols != 0:
-                raise ValueError("restrict_to_cell requires mobility off")
-        self.restrict_to_cell = restrict_to_cell
         self._tel = current_telemetry()
         self.clock = EventScheduler()
         self._tel.bind_clock(self.clock)
@@ -404,28 +392,22 @@ class CellNetwork:
         self.serving = [
             int(np.argmax(self._user_snrs(user))) for user in range(config.n_users)
         ]
-        if model is None:
-            model = config.model
         if config.tier == "flow" and model is None:
             model = default_symbol_model(config)
         self._model = model
         # Channels read construction-time SINR (no cell busy yet) through the
         # same callback they use live, so `cells` must exist, empty, first.
         self.cells: list[MacCell] = []
-        members = [
-            user
-            for user in range(config.n_users)
-            if restrict_to_cell is None or self.serving[user] == restrict_to_cell
-        ]
-        links = {user: self._build_link(user) for user in members}
+        users = range(config.n_users)
+        links = {user: self._build_link(user) for user in users}
         if config.tier == "flow":
-            payloads = dict.fromkeys(members, (_NO_PAYLOAD,) * config.packets_per_user)
+            payloads = dict.fromkeys(users, (_NO_PAYLOAD,) * config.packets_per_user)
         else:
             payloads = network_payloads(
                 config, {user: link.payload_bits for user, link in links.items()}
             )
         users_by_cell: list[list[CellUser]] = [[] for _ in range(config.n_cells)]
-        for user in members:
+        for user in users:
             users_by_cell[self.serving[user]].append(
                 CellUser(
                     link=links[user],

@@ -1,20 +1,12 @@
 """Process fan-out for city simulations, worker-count invariant.
 
-Two shapes of parallelism, both on the library's ``stride_map``/``spawn_rng``
-convention (randomness derives from seed labels, never from worker
-assignment, so any ``n_workers`` reproduces the serial run byte for byte):
-
-* :func:`simulate_network_replicas` — independent *replicas* of one city
-  (seed-varied Monte-Carlo over the whole network), the bread-and-butter
-  scale-out for confidence intervals at any fidelity tier;
-* :func:`simulate_cells_sharded` — the *per-cell workloads* of a single
-  city spread across processes.  Cells only decouple when nothing ties
-  them together, so this path requires interference off and mobility off
-  (enforced), and the reassembled result is pinned byte-identical to the
-  in-process network under exactly those conditions.
-
-The byte-level invariance contract is over
-``json.dumps(summary, sort_keys=True)`` of the returned summaries.
+:func:`simulate_network_replicas` runs independent *replicas* of one city
+(seed-varied Monte-Carlo over the whole network) across processes, the
+scale-out for confidence intervals at any fidelity tier.  It follows the
+library's ``stride_map``/``spawn_rng`` convention: randomness derives from
+seed labels, never from worker assignment, so any ``n_workers`` reproduces
+the serial run byte for byte, over ``json.dumps(summary, sort_keys=True)``
+of the returned summaries.
 """
 
 from __future__ import annotations
@@ -22,16 +14,12 @@ from __future__ import annotations
 import dataclasses
 from functools import partial
 
-from repro.net.network import CellNetwork, NetworkConfig, NetworkResult
+from repro.net.fastpath import SymbolCountModel
+from repro.net.network import CellNetwork, NetworkConfig
 from repro.utils.parallel import stride_map
 from repro.utils.rng import derive_seed
 
-__all__ = [
-    "merge_cell_results",
-    "replica_config",
-    "simulate_cells_sharded",
-    "simulate_network_replicas",
-]
+__all__ = ["replica_config", "simulate_network_replicas"]
 
 
 def replica_config(config: NetworkConfig, replica: int) -> NetworkConfig:
@@ -41,76 +29,29 @@ def replica_config(config: NetworkConfig, replica: int) -> NetworkConfig:
     )
 
 
-def _replica_batch(config: NetworkConfig, batch: list) -> list:
+def _replica_batch(
+    config: NetworkConfig, model: SymbolCountModel | None, batch: list
+) -> list:
     return [
-        (index, CellNetwork(replica_config(config, replica)).run().summary())
-        for index, replica in batch
+        (index, CellNetwork(replica_config(config, r), model=model).run().summary())
+        for index, r in batch
     ]
 
 
 def simulate_network_replicas(
-    config: NetworkConfig, n_replicas: int, n_workers: int = 1
+    config: NetworkConfig,
+    n_replicas: int,
+    n_workers: int = 1,
+    *,
+    model: SymbolCountModel | None = None,
 ) -> list[dict]:
-    """Run ``n_replicas`` seed-independent cities; summaries in replica order."""
+    """Run ``n_replicas`` seed-independent cities; summaries in replica order.
+
+    ``model`` is the flow model every replica uses, as for
+    :func:`~repro.net.network.simulate_network`.
+    """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
     return stride_map(
-        partial(_replica_batch, config), list(range(n_replicas)), n_workers
+        partial(_replica_batch, config, model), list(range(n_replicas)), n_workers
     )
-
-
-def _decoupled_or_raise(config: NetworkConfig) -> None:
-    if config.interference and config.n_cells > 1:
-        raise ValueError(
-            "cell sharding requires interference=False (cells must decouple)"
-        )
-    if config.epoch_symbols != 0:
-        raise ValueError("cell sharding requires mobility off (epoch_symbols=0)")
-
-
-def _cell_batch(config: NetworkConfig, batch: list) -> list:
-    return [
-        (index, CellNetwork(config, restrict_to_cell=cell).run())
-        for index, cell in batch
-    ]
-
-
-def merge_cell_results(
-    config: NetworkConfig, parts: "list[NetworkResult]"
-) -> NetworkResult:
-    """Reassemble per-cell results of a decoupled city into one result."""
-    packets = sorted(
-        (packet for part in parts for packet in part.packets),
-        key=lambda p: (p.user, p.index),
-    )
-    serving = parts[0].final_serving if parts else ()
-    return NetworkResult(
-        scheduler=parts[0].scheduler,
-        tier=config.tier,
-        n_users=config.n_users,
-        n_cells=config.n_cells,
-        packets=tuple(packets),
-        makespan=max((part.makespan for part in parts), default=0),
-        n_handoffs=0,
-        n_deferred_handoffs=0,
-        handoffs_by_user=(0,) * config.n_users,
-        final_serving=serving,
-    )
-
-
-def simulate_cells_sharded(
-    config: NetworkConfig, n_workers: int = 1
-) -> NetworkResult:
-    """Split one decoupled city's per-cell workloads across processes.
-
-    Each worker simulates one base station's cell with exactly the users
-    the full network would have associated to it (association, payload
-    streams, and per-packet RNG all derive from per-user seed labels, so
-    omitting the other cells changes nothing).  The merged result is
-    byte-identical to ``CellNetwork(config).run()`` for any worker count.
-    """
-    _decoupled_or_raise(config)
-    parts = stride_map(
-        partial(_cell_batch, config), list(range(config.n_cells)), n_workers
-    )
-    return merge_cell_results(config, parts)

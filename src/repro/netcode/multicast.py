@@ -10,11 +10,11 @@ exactly this setting, but :func:`broadcast_transmission` is code-agnostic:
 any registered :class:`~repro.phy.protocol.RatelessCode` family works.
 
 Each receiver has its own channel (its own SNR) and its own private noise
-generator, and applies the standard PR-1 decode gate
-(``min_symbols_to_attempt``), so a broadcast receiver behaves exactly like
-the same receiver on a unicast link — the only difference is the medium
-accounting.  Receivers that have decoded stop listening; the stream ends
-when all have decoded or the symbol budget is spent.
+generator, so a broadcast receiver *is* the same receiver on a unicast
+link: :func:`broadcast_transmission` runs one
+:class:`~repro.phy.session.CodecSession` per receiver and changes only the
+medium accounting.  Receivers that have decoded stop listening; the stream
+ends when all have decoded or the symbol budget is spent.
 
 :func:`run_multicast_tree` composes broadcasts down a
 :func:`~repro.link.topology.multicast_tree`: every interior node decodes
@@ -32,6 +32,7 @@ from repro.link.topology import multicast_tree
 from repro.obs.telemetry import current as current_telemetry
 from repro.phy.families import channel_for_code, code_family, make_code
 from repro.phy.protocol import RatelessCode
+from repro.phy.session import CodecSession
 from repro.utils.rng import derive_seed, spawn_rng
 from repro.utils.units import check_snr_db
 
@@ -90,78 +91,35 @@ def broadcast_transmission(
 ) -> MulticastResult:
     """Stream one rateless encoding until every receiver decodes (or budget).
 
-    ``channels[i]`` and ``rngs[i]`` belong to receiver ``i``: every receiver
-    hears every transmitted block through its own channel with its own
-    private noise stream, so results are independent of receiver order.
-    The sender is charged one medium use per transmitted symbol, once.
+    ``channels[i]`` and ``rngs[i]`` belong to receiver ``i``.  The sender's
+    block stream is a pure function of the payload and every receiver draws
+    its noise from its own generator, so receiver ``i`` is exactly the solo
+    run ``CodecSession(code, channels[i], termination, max_symbols).run(
+    payload, rngs[i])``.  The stream lasts as long as the longest of those
+    runs, and the sender is charged that length once.
     """
     if len(channels) != len(rngs) or not channels:
         raise ValueError("need one channel and one rng per receiver (at least one)")
-    if termination not in ("genie", "self"):
-        raise ValueError(f"unknown termination rule {termination!r}")
-    payload = np.asarray(payload, dtype=np.uint8)
-    if payload.size != code.info.payload_bits:
-        raise ValueError(
-            f"expected a payload of {code.info.payload_bits} bits, got {payload.size}"
-        )
+    runs = [
+        CodecSession(code, channel, termination, max_symbols).run(payload, rng)
+        for channel, rng in zip(channels, rngs)
+    ]
+    symbols_sent = max(run.symbols_sent for run in runs)
     tel = current_telemetry()
-    n = len(channels)
-    source = code.new_encoder(payload)
-    decoders = [code.new_decoder() for _ in range(n)]
-    reference = code.reference(payload) if termination == "genie" else None
-    min_attempt = code.min_symbols_to_attempt()
-
-    symbols_sent = 0
-    delivered = np.zeros(n, dtype=np.int64)
-    decoded = np.zeros(n, dtype=bool)
-    symbols_to_decode = np.full(n, -1, dtype=np.int64)
-    attempts = np.zeros(n, dtype=np.int64)
-    statuses = [None] * n
-
-    while not decoded.all() and symbols_sent < max_symbols:
-        block = source.next_block()
-        symbols_sent += block.n_symbols
-        if tel.enabled:
-            tel.counter("netcode.broadcast_blocks")
-            tel.counter("netcode.broadcast_symbols", int(block.n_symbols))
-        for i in range(n):
-            if decoded[i]:
-                continue
-            received = channels[i].transmit(block.values, rngs[i])
-            attempt = (
-                block.n_symbols > 0
-                and delivered[i] + block.n_symbols >= min_attempt
-            )
-            status = decoders[i].absorb(block, received, attempt=attempt)
-            delivered[i] += block.n_symbols
-            if not attempt:
-                continue
-            attempts[i] += 1
-            statuses[i] = status
-            if termination == "genie":
-                done = status.estimate is not None and bool(
-                    np.array_equal(status.estimate, reference)
-                )
-            else:
-                done = bool(status.verified)
-            if done:
-                decoded[i] = True
-                symbols_to_decode[i] = delivered[i]
-                if tel.enabled:
-                    tel.observe("netcode.broadcast_symbols_to_decode", delivered[i])
-
-    for i in range(n):
-        if statuses[i] is None:
-            statuses[i] = decoders[i].decode_now()
-            attempts[i] += 1
-
+    if tel.enabled:
+        tel.counter("netcode.broadcast_symbols", symbols_sent)
+        for run in runs:
+            if run.success:
+                tel.observe("netcode.broadcast_symbols_to_decode", run.symbols_sent)
     return MulticastResult(
-        n_receivers=n,
+        n_receivers=len(runs),
         symbols_sent=symbols_sent,
-        decoded=decoded,
-        symbols_to_decode=symbols_to_decode,
-        decode_attempts=attempts,
-        payloads=tuple(s.payload for s in statuses),
+        decoded=np.array([run.success for run in runs], dtype=bool),
+        symbols_to_decode=np.array(
+            [run.symbols_sent if run.success else -1 for run in runs], dtype=np.int64
+        ),
+        decode_attempts=np.array([run.decode_attempts for run in runs], dtype=np.int64),
+        payloads=tuple(run.decoded_payload for run in runs),
     )
 
 
@@ -282,18 +240,17 @@ def run_multicast_tree(config: MulticastTreeConfig) -> MulticastTreeResult:
                 # Baseline: one unicast stream per child, same code, same SNRs.
                 base_payload = baseline_estimates.get(node)
                 if base_payload is not None:
-                    for e, child in zip(out, children):
-                        unicast = broadcast_transmission(
-                            code,
+                    for channel, child in zip(channels, children):
+                        unicast = CodecSession(
+                            code, channel, max_symbols=config.max_symbols
+                        ).run(
                             base_payload,
-                            [channel_for_code(code, topology.edges[e].snr_db)],
-                            [spawn_rng(seed, "netcode", "tree-ucast", rnd, node, child)],
-                            max_symbols=config.max_symbols,
+                            spawn_rng(seed, "netcode", "tree-ucast", rnd, node, child),
                         )
                         unicast_symbols[rnd] += unicast.symbols_sent
-                        if unicast.decoded[0] and unicast.payloads[0] is not None:
+                        if unicast.success and unicast.decoded_payload is not None:
                             baseline_estimates[child] = np.asarray(
-                                unicast.payloads[0], dtype=np.uint8
+                                unicast.decoded_payload, dtype=np.uint8
                             )
             rounds_delivered[rnd] = all(
                 leaf in estimates

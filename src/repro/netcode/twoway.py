@@ -136,21 +136,6 @@ class TwoWayResult:
         )
 
 
-def _unicast_downlink(
-    code, payload, snr_db: float, rng, max_symbols: int
-) -> tuple[int, np.ndarray | None]:
-    """One baseline downlink: symbols spent and the delivered payload (or None)."""
-    outcome = broadcast_transmission(
-        code,
-        payload,
-        [channel_for_code(code, snr_db)],
-        [rng],
-        max_symbols=max_symbols,
-    )
-    got = outcome.payloads[0] if outcome.decoded[0] else None
-    return outcome.symbols_sent, (None if got is None else np.asarray(got, dtype=np.uint8))
-
-
 def run_two_way_exchange(config: TwoWayConfig) -> TwoWayResult:
     """Run ``config.rounds`` two-way exchanges, measuring both schemes.
 
@@ -260,29 +245,31 @@ def run_two_way_exchange(config: TwoWayConfig) -> TwoWayResult:
                 )
             xor_delivered[rnd] = ok
 
-            # -- baseline: two unicast downlinks ------------------------------
-            downlink_a[rnd], base_a = _unicast_downlink(
+            # -- baseline: two unicast downlinks (one-listener broadcasts) -----
+            base_a = broadcast_transmission(
                 code_down,
                 b_hat,
-                config.snr_a_db,
-                spawn_rng(seed, "netcode", "base-down-a", rnd),
-                config.max_symbols,
+                [channel_for_code(code_down, config.snr_a_db)],
+                [spawn_rng(seed, "netcode", "base-down-a", rnd)],
+                max_symbols=config.max_symbols,
             )
-            downlink_b[rnd], base_b = _unicast_downlink(
+            base_b = broadcast_transmission(
                 code_down,
                 a_hat,
-                config.snr_b_db,
-                spawn_rng(seed, "netcode", "base-down-b", rnd),
-                config.max_symbols,
+                [channel_for_code(code_down, config.snr_b_db)],
+                [spawn_rng(seed, "netcode", "base-down-b", rnd)],
+                max_symbols=config.max_symbols,
             )
+            downlink_a[rnd] = base_a.symbols_sent
+            downlink_b[rnd] = base_b.symbols_sent
             if tel.enabled:
                 tel.counter("netcode.phase_uses", int(downlink_a[rnd]), phase="downlink-a")
                 tel.counter("netcode.phase_uses", int(downlink_b[rnd]), phase="downlink-b")
             baseline_delivered[rnd] = bool(
-                base_a is not None
-                and base_b is not None
-                and np.array_equal(base_a, payload_b)
-                and np.array_equal(base_b, payload_a)
+                base_a.all_decoded
+                and base_b.all_decoded
+                and np.array_equal(base_a.payloads[0], payload_b)
+                and np.array_equal(base_b.payloads[0], payload_a)
             )
 
     if tel.enabled:

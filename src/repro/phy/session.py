@@ -26,10 +26,32 @@ from repro.channels.base import Channel
 from repro.obs.telemetry import current as current_telemetry
 from repro.phy.protocol import DecodeStatus, RatelessCode
 
-__all__ = ["CodecSession", "CodecTransmission", "CodecResult", "TERMINATIONS"]
+__all__ = [
+    "CodecSession",
+    "CodecTransmission",
+    "CodecResult",
+    "TERMINATIONS",
+    "terminates",
+]
 
 #: Recognised termination rules: the paper's genie, or the code's own check.
 TERMINATIONS = ("genie", "self")
+
+
+def terminates(
+    termination: str, status: DecodeStatus, reference: np.ndarray | None
+) -> bool:
+    """Whether one decode attempt ends the transmission under ``termination``.
+
+    ``"genie"`` stops when the estimate equals ``reference`` (the code's
+    :meth:`~repro.phy.protocol.RatelessCode.reference` of the payload);
+    ``"self"`` stops when the code's own check passed (``verified``).
+    """
+    if termination == "genie":
+        return status.estimate is not None and bool(
+            np.array_equal(status.estimate, reference)
+        )
+    return bool(status.verified)
 
 
 @dataclass(frozen=True)
@@ -208,7 +230,7 @@ class CodecTransmission:
         self.decode_attempts += 1
         self.work += status.work
         self.last_status = status
-        if self._terminated(status):
+        if terminates(self.session.termination, status, self.reference):
             self.decoded = True
             # Nothing reads the decoder again (deliver returns early and
             # best_effort_decode is a no-op once a status exists), and the
@@ -223,13 +245,6 @@ class CodecTransmission:
             if self.decoded:
                 # The paper's core statistic: channel uses needed to decode.
                 tel.observe("phy.symbols_to_decode", self.symbols_delivered)
-
-    def _terminated(self, status: DecodeStatus) -> bool:
-        if self.session.termination == "genie":
-            return status.estimate is not None and bool(
-                np.array_equal(status.estimate, self.reference)
-            )
-        return bool(status.verified)
 
 
 class CodecSession:

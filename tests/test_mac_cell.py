@@ -17,8 +17,8 @@ from repro.channels.awgn import AWGNChannel
 from repro.core.params import SpinalParams
 from repro.experiments.runner import SpinalRunConfig
 from repro.link.events import PRIORITY_ACK, EventScheduler
-from repro.link.topology import build_relay_sessions
-from repro.link.transport import TransportConfig, packet_rng, run_link_transport
+from repro.link.topology import build_relay_sessions, simulate_relay_transport
+from repro.link.transport import TransportConfig, packet_rng
 from repro.mac.adaptive import (
     AdaptiveSpinalLink,
     SpinalRateOption,
@@ -65,11 +65,11 @@ class TestSingleUserEquivalence:
 
     def test_cell_reproduces_transport_symbol_counts_bit_exactly(self):
         payloads = _payloads(5)
-        transport = run_link_transport(
-            _session(),
+        transport = simulate_relay_transport(
+            [_session()],
             payloads,
             TransportConfig(protocol="selective-repeat", window=1, ack_delay=0, seed=41),
-        )
+        ).hops[0]
         cell = simulate_cell(
             [_rateless_user(10.0, payloads)], "round-robin", seed=41
         )

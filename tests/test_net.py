@@ -48,7 +48,6 @@ from repro.net import (
     default_symbol_model,
     network_code,
     network_payloads,
-    simulate_cells_sharded,
     simulate_network,
     simulate_network_replicas,
 )
@@ -322,9 +321,8 @@ class TestMobilityModel:
             cell_radius=150.0,
             epoch_symbols=16,
             mobility_step=60.0,
-            model=_model(),
         )
-        network = CellNetwork(config)
+        network = CellNetwork(config, model=_model())
         network.run()
         reached = network.epoch
         # The shape must end early for the pin to mean anything.
@@ -813,9 +811,8 @@ class TestDegeneration:
             max_symbols=256,
             epoch_symbols=32,
             mobility_step=100.0,
-            model=_model(),
         )
-        result = simulate_network(config)
+        result = simulate_network(config, model=_model())
         assert result.n_handoffs == 0 and result.n_deferred_handoffs == 0
         assert result.final_serving == (0, 0)
 
@@ -825,9 +822,8 @@ class TestDegeneration:
             n_users=0,
             tier="flow",
             epoch_symbols=64,
-            model=_model(),
         )
-        result = simulate_network(config)
+        result = simulate_network(config, model=_model())
         assert result.packets == ()
         assert result.makespan == 0
         assert result.delivery_rate == 0.0
@@ -851,8 +847,9 @@ class TestDegeneration:
             NetworkConfig(n_users=2, user_positions=((0.0, 0.0),))
         with pytest.raises(ValueError):
             CellNetwork(
-                NetworkConfig(n_users=1, model=_model(), tier="flow"),
+                NetworkConfig(n_users=1, tier="flow"),
                 mobility=MobilityModel.static([(0.0, 0.0), (1.0, 1.0)]),
+                model=_model(),
             )
 
 
@@ -871,7 +868,6 @@ class TestHandoff:
             max_symbols=256,
             cell_radius=400.0,
             reference_snr_db=16.0,
-            model=_model(),
         )
         settings.update(overrides)
         return NetworkConfig(**settings)
@@ -882,6 +878,7 @@ class TestHandoff:
         result = CellNetwork(
             config,
             mobility=_pinned_mobility([400.0] * 8, epoch_symbols),
+            model=_model(),
         ).run()
         assert result.final_serving == (0,)
         assert result.n_handoffs == 0 and result.n_deferred_handoffs == 0
@@ -893,6 +890,7 @@ class TestHandoff:
         result = CellNetwork(
             config,
             mobility=_pinned_mobility([390.0] + [405.0] * 7, epoch_symbols),
+            model=_model(),
         ).run()
         assert result.final_serving == (0,)
         assert result.n_handoffs == 0
@@ -906,6 +904,7 @@ class TestHandoff:
         result = CellNetwork(
             config,
             mobility=_pinned_mobility([100.0] + [700.0] * 10, epoch_symbols),
+            model=_model(),
         ).run()
         assert result.n_deferred_handoffs >= 1
         assert result.n_handoffs == 1
@@ -921,7 +920,7 @@ class TestHandoff:
         # the user while packet 0 is partially transmitted.  The packet
         # finishes in the *new* cell with no symbol lost or re-sent.
         epoch_symbols = 2
-        config = self._config(tier="exact", model=None, max_symbols=512,
+        config = self._config(tier="exact", max_symbols=512,
                               epoch_symbols=epoch_symbols)
         result = CellNetwork(
             config,
@@ -998,7 +997,6 @@ class TestInterference:
             reference_snr_db=16.0,
             epoch_symbols=32,
             mobility_step=120.0,
-            model=_model() if tier == "flow" else None,
         )
         counts = {"checks": 0, "interfered": 0}
         original = MacCell._on_grant
@@ -1015,7 +1013,7 @@ class TestInterference:
 
         # Patch before construction: cells schedule their first grant then.
         monkeypatch.setattr(MacCell, "_on_grant", checked_grant)
-        network = CellNetwork(config)
+        network = CellNetwork(config, model=_model() if tier == "flow" else None)
         result = network.run()
         assert all(packet.delivered for packet in result.packets)
         assert counts["interfered"] > 0 and counts["checks"] > counts["interfered"]
@@ -1034,11 +1032,11 @@ class TestInterference:
             return real_spawn_rngs(seed, label_rows)
 
         monkeypatch.setattr(network_module, "spawn_rngs", counting_spawn_rngs)
-        config = NetworkConfig(n_cells=4, n_users=5, packets_per_user=3, model=_model())
+        config = NetworkConfig(n_cells=4, n_users=5, packets_per_user=3)
         CellNetwork(dataclasses.replace(config, tier="exact"))
         assert drawn.count("net-payload") == config.n_users * config.packets_per_user
         drawn.clear()
-        network = CellNetwork(dataclasses.replace(config, tier="flow"))
+        network = CellNetwork(dataclasses.replace(config, tier="flow"), model=_model())
         assert drawn.count("net-payload") == 0
         payloads = [packet.payload for cell in network.cells for packet in cell.packets]
         assert len(payloads) == config.n_users * config.packets_per_user
@@ -1063,54 +1061,14 @@ class TestInterference:
             tier="flow",
             epoch_symbols=16,
             mobility_step=60.0,
-            model=_model(),
         )
-        network = CellNetwork(config)
+        network = CellNetwork(config, model=_model())
         result = network.run()
         assert network.epoch >= 2 and len(result.packets) == 24
         assert scalar == []
 
 
 class TestSharding:
-    def _decoupled_config(self, **overrides) -> NetworkConfig:
-        settings = dict(
-            n_cells=3,
-            n_users=6,
-            packets_per_user=2,
-            scheduler="round-robin",
-            code="spinal",
-            tier="exact",
-            seed=20111114,
-            max_symbols=256,
-            cell_radius=400.0,
-            reference_snr_db=16.0,
-            interference=False,
-            epoch_symbols=0,
-        )
-        settings.update(overrides)
-        return NetworkConfig(**settings)
-
-    def test_cell_sharding_is_byte_identical_for_any_worker_count(self):
-        config = self._decoupled_config()
-        full = json.dumps(CellNetwork(config).run().summary(), sort_keys=True)
-        serial = json.dumps(
-            simulate_cells_sharded(config, n_workers=1).summary(), sort_keys=True
-        )
-        fanned = json.dumps(
-            simulate_cells_sharded(config, n_workers=4).summary(), sort_keys=True
-        )
-        assert full == serial == fanned
-
-    def test_sharding_requires_decoupled_cells(self):
-        with pytest.raises(ValueError):
-            simulate_cells_sharded(self._decoupled_config(interference=True))
-        with pytest.raises(ValueError):
-            simulate_cells_sharded(
-                self._decoupled_config(epoch_symbols=64), n_workers=2
-            )
-        with pytest.raises(ValueError):
-            CellNetwork(self._decoupled_config(), restrict_to_cell=9)
-
     def test_replicas_are_worker_invariant_and_seed_distinct(self):
         config = NetworkConfig(
             n_cells=3,
@@ -1125,12 +1083,10 @@ class TestSharding:
             reference_snr_db=18.0,
             epoch_symbols=64,
             mobility_step=60.0,
-            model=_model(
-                samples=((48, 64, -1), (32, 48, 64), (16, 16, 32))
-            ),
         )
-        serial = simulate_network_replicas(config, 5, n_workers=1)
-        fanned = simulate_network_replicas(config, 5, n_workers=3)
+        model = _model(samples=((48, 64, -1), (32, 48, 64), (16, 16, 32)))
+        serial = simulate_network_replicas(config, 5, n_workers=1, model=model)
+        fanned = simulate_network_replicas(config, 5, n_workers=3, model=model)
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             fanned, sort_keys=True
         )
@@ -1151,9 +1107,8 @@ class TestNetworkResult:
             mobility_step=80.0,
             cell_radius=150.0,
             reference_snr_db=18.0,
-            model=_model(),
         )
-        result = simulate_network(config)
+        result = simulate_network(config, model=_model())
         summary = result.summary()
         for key in (
             "scheduler",

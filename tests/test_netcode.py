@@ -33,7 +33,8 @@ from repro.netcode import (
     run_two_way_exchange,
 )
 from repro.obs import Telemetry, set_current
-from repro.phy.families import channel_for_code, make_code
+from repro.phy.families import CODE_FAMILY_NAMES, channel_for_code, make_code
+from repro.phy.session import CodecSession
 from repro.utils.rng import spawn_rng
 from repro.utils.units import db_to_linear, linear_to_db
 
@@ -213,6 +214,48 @@ class TestMulticast:
             broadcast_transmission(code, payload, channels, rngs, termination="oracle")
         with pytest.raises(ValueError, match="payload"):
             broadcast_transmission(code, payload[:-1], channels, rngs)
+
+    @pytest.mark.parametrize("family", CODE_FAMILY_NAMES)
+    @pytest.mark.parametrize("snr_db,seed", [(0.0, 0), (8.0, 5)])
+    def test_receivers_are_their_solo_runs(self, family, snr_db, seed):
+        """Receiver ``i`` of a broadcast is its solo ``CodecSession.run``.
+
+        Includes fixed-rate spinal at 0 dB, where the receiver declines
+        mid-frame blocks: those are not decode attempts.
+        """
+        code = make_code(family, seed=seed, snr_db=snr_db, smoke=True)
+        payload = (
+            spawn_rng(seed, "solo", "payload")
+            .integers(0, 2, size=code.info.payload_bits)
+            .astype(np.uint8)
+        )
+        snrs = (snr_db, snr_db + 4.0, snr_db + 10.0)
+        budget = 64 * code.info.payload_bits
+
+        def receivers():
+            return (
+                [channel_for_code(code, snr) for snr in snrs],
+                [spawn_rng(seed, "solo", "rx", i) for i in range(len(snrs))],
+            )
+
+        outcome = broadcast_transmission(code, payload, *receivers(), max_symbols=budget)
+        solos = [
+            CodecSession(code, channel, max_symbols=budget).run(payload, rng)
+            for channel, rng in zip(*receivers())
+        ]
+        assert outcome.symbols_sent == max(solo.symbols_sent for solo in solos)
+        assert outcome.decoded.tolist() == [solo.success for solo in solos]
+        assert outcome.symbols_to_decode.tolist() == [
+            solo.symbols_sent if solo.success else -1 for solo in solos
+        ]
+        assert outcome.decode_attempts.tolist() == [
+            solo.decode_attempts for solo in solos
+        ]
+        for got, solo in zip(outcome.payloads, solos):
+            if solo.decoded_payload is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, solo.decoded_payload)
 
     def test_tree_broadcast_beats_per_child_unicast(self):
         result = run_multicast_tree(

@@ -7,8 +7,7 @@ Three claims carry the serving-at-scale layer:
   chunked (``max_stack_elements``) and regardless of batching at all
   (``batching=False`` is the one-session-at-a-time driver);
 * **Backpressure** — the in-flight session count never exceeds the
-  admission bound, admission is FIFO, and the preallocated symbol-buffer
-  pool can never be over-acquired;
+  admission bound, and admission is FIFO;
 * **Parity with the plain session loop** — every per-session outcome
   (symbols, attempts, success, correctness) equals a solo
   ``CodecSession.run`` of the same packet with the same derived streams.

@@ -31,7 +31,7 @@ from repro.link.events import (
     EventScheduler,
 )
 from repro.link.topology import build_relay_sessions, simulate_relay_transport
-from repro.link.transport import TransportConfig, run_link_transport
+from repro.link.transport import TransportConfig
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
@@ -50,6 +50,11 @@ def _payloads(n, seed=501):
 
 def _session(snr_db=10.0):
     return build_relay_sessions(_RUN_CONFIG, [snr_db])[0]
+
+
+def _direct_link(session, payloads, config):
+    """The direct link: the only hop of a 1-hop relay."""
+    return simulate_relay_transport([session], payloads, config).hops[0]
 
 
 class TestEventScheduler:
@@ -147,7 +152,7 @@ class TestSlidingWindowInvariants:
             ack_loss=ack_loss,
             seed=777,
         )
-        result = run_link_transport(_session(), payloads, config)
+        result = _direct_link(_session(), payloads, config)
 
         # Generous budget at 10 dB: everything must get through.
         assert result.delivered.all()
@@ -169,7 +174,7 @@ class TestSlidingWindowInvariants:
             ack_loss=ack_loss,
             seed=778,
         )
-        result = run_link_transport(_session(), _payloads(6), config)
+        result = _direct_link(_session(), _payloads(6), config)
         assert 1 <= result.max_outstanding <= window
 
     @pytest.mark.parametrize("protocol,window,ack_delay,ack_loss", SCHEDULES)
@@ -183,12 +188,12 @@ class TestSlidingWindowInvariants:
             ack_loss=ack_loss,
             seed=779,
         )
-        result = run_link_transport(_session(), _payloads(5), config)
+        result = _direct_link(_session(), _payloads(5), config)
         assert (result.symbols_spent >= result.symbols_needed).all()
         assert result.makespan >= int(result.symbols_needed.max())
 
     def test_empty_packet_sequence(self):
-        result = run_link_transport(_session(), [], TransportConfig())
+        result = _direct_link(_session(), [], TransportConfig())
         assert result.n_packets == 0
         assert result.makespan == 0
         assert result.goodput_bits_per_symbol_time == 0.0
@@ -200,7 +205,7 @@ class TestSlidingWindowInvariants:
         # undelivered, and deliver the rest in order.
         config = _RUN_CONFIG.with_(max_symbols=12)
         session = build_relay_sessions(config, [0.0])[0]
-        result = run_link_transport(
+        result = _direct_link(
             session,
             _payloads(6),
             TransportConfig(protocol="go-back-n", window=2, ack_delay=4, seed=11),
@@ -218,7 +223,7 @@ class TestSlidingWindowInvariants:
         # only ran on decode, not on abort.
         config = _RUN_CONFIG.with_(max_symbols=12)
         session = build_relay_sessions(config, [0.0])[0]
-        result = run_link_transport(
+        result = _direct_link(
             session,
             _payloads(6, seed=seed),
             TransportConfig(protocol="selective-repeat", window=3, ack_delay=0, seed=seed),
@@ -235,7 +240,7 @@ class TestSlidingWindowInvariants:
         # packets untransmitted.
         config = _RUN_CONFIG.with_(max_symbols=24)
         session = build_relay_sessions(config, [15.0])[0]
-        result = run_link_transport(
+        result = _direct_link(
             session,
             _payloads(8, seed=0),
             TransportConfig(
@@ -251,12 +256,12 @@ class TestSlidingWindowInvariants:
         # With instant feedback, selective-repeat wastes nothing at any
         # window; go-back-N pays for every out-of-order block it discards.
         payloads = _payloads(5)
-        sr = run_link_transport(
+        sr = _direct_link(
             _session(),
             payloads,
             TransportConfig(protocol="selective-repeat", window=3, ack_delay=0),
         )
-        gbn = run_link_transport(
+        gbn = _direct_link(
             _session(),
             payloads,
             TransportConfig(protocol="go-back-n", window=3, ack_delay=0),
@@ -292,8 +297,8 @@ class TestDeterminism:
         config = TransportConfig(
             protocol="selective-repeat", window=3, ack_delay=9, ack_loss=0.35, seed=321
         )
-        first = run_link_transport(_session(), _payloads(5), config)
-        second = run_link_transport(_session(), _payloads(5), config)
+        first = _direct_link(_session(), _payloads(5), config)
+        second = _direct_link(_session(), _payloads(5), config)
         assert np.array_equal(first.symbols_spent, second.symbols_spent)
         assert np.array_equal(first.symbols_needed, second.symbols_needed)
         assert np.array_equal(first.delivery_times, second.delivery_times)

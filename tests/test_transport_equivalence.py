@@ -10,7 +10,8 @@ Three anchors keep the event-driven protocol honest:
 * **DelayedFeedback** — at window 1 the closed-form model brackets the
   measured overhead (the simulation can only overshoot by the in-flight
   feedback plus block granularity);
-* **Direct link** — a 1-hop "relay" is the direct link, field for field.
+* **Relay chains** — a decode-and-forward chain delivers every payload
+  end to end, hop by hop.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.link.topology import (
     relay_hop_params,
     simulate_relay_transport,
 )
-from repro.link.transport import TransportConfig, packet_rng, run_link_transport
+from repro.link.transport import TransportConfig, packet_rng
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import spawn_rng
 
@@ -42,6 +43,11 @@ _RUN_CONFIG = SpinalRunConfig(
 
 def _payloads(n, seed=901):
     return [random_message_bits(16, spawn_rng(seed, "payload", i)) for i in range(n)]
+
+
+def _direct_link(session, payloads, config):
+    """The direct link: the only hop of a 1-hop relay."""
+    return simulate_relay_transport([session], payloads, config).hops[0]
 
 
 def _serial_symbol_counts(payloads, transport_seed, snr_db=10.0):
@@ -69,7 +75,7 @@ class TestPerfectFeedbackEquivalence:
         config = TransportConfig(
             protocol=protocol, window=window, ack_delay=0, ack_loss=0.0, seed=41
         )
-        result = run_link_transport(
+        result = _direct_link(
             build_relay_sessions(_RUN_CONFIG, [10.0])[0], payloads, config
         )
         serial = _serial_symbol_counts(payloads, transport_seed=41)
@@ -83,7 +89,7 @@ class TestPerfectFeedbackEquivalence:
         config = TransportConfig(
             protocol="selective-repeat", window=2, ack_delay=0, ack_loss=0.0, seed=42
         )
-        result = run_link_transport(
+        result = _direct_link(
             build_relay_sessions(_RUN_CONFIG, [10.0])[0], payloads, config
         )
         reference = simulate_link_session(
@@ -113,7 +119,7 @@ class TestDelayedFeedbackBracket:
         config = TransportConfig(
             protocol="selective-repeat", window=1, ack_delay=delay, ack_loss=0.0, seed=43
         )
-        result = run_link_transport(session, payloads, config)
+        result = _direct_link(session, payloads, config)
         closed_form = DelayedFeedback(delay_symbols=delay)
         block_slack = 2 * session.code.framer.n_segments
 
@@ -127,26 +133,6 @@ class TestDelayedFeedbackBracket:
 
 
 class TestRelayEquivalence:
-    def test_one_hop_relay_is_the_direct_link(self):
-        payloads = _payloads(4)
-        config = TransportConfig(window=2, ack_delay=5, ack_loss=0.3, seed=44)
-        direct = run_link_transport(
-            build_relay_sessions(_RUN_CONFIG, [9.0])[0], payloads, config
-        )
-        relay = simulate_relay_transport(
-            build_relay_sessions(_RUN_CONFIG, [9.0]), payloads, config
-        )
-
-        assert relay.n_hops == 1
-        hop = relay.hops[0]
-        assert np.array_equal(hop.symbols_needed, direct.symbols_needed)
-        assert np.array_equal(hop.symbols_spent, direct.symbols_spent)
-        assert np.array_equal(hop.delivery_times, direct.delivery_times)
-        assert np.array_equal(relay.delivered, direct.delivered)
-        assert hop.acks_sent == direct.acks_sent
-        assert hop.acks_lost == direct.acks_lost
-        assert relay.makespan == direct.makespan
-
     def test_two_hop_relay_delivers_correct_payloads_end_to_end(self):
         payloads = _payloads(5)
         config = TransportConfig(window=2, ack_delay=4, ack_loss=0.1, seed=45)
