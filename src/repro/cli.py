@@ -885,9 +885,8 @@ def _build_city_soak(args: argparse.Namespace):
         epoch_symbols=args.epoch_symbols,
         interference=not args.no_interference,
     )
-    # The geometry, scheduler and code family are otherwise first built
-    # inside the simulation (possibly in a worker): reject them here.
-    config.geometry()
+    # The scheduler and code family are otherwise first built inside the
+    # simulation (possibly in a worker): reject them here.
     make_scheduler(config.scheduler)
     code_family(config.code)
     # NetworkConfig keeps an empty city legal for library callers.

@@ -565,9 +565,9 @@ class MacCell:
 
         ``None`` whenever the medium is free at the current clock tick —
         including the instant a block lands (``busy_until == now``).  The
-        network layer reads this both to compute uplink interference (a
-        cell radiates from its transmitting user's position) and to defer
-        handoffs that would tear a block off the air.
+        network layer reads this to defer handoffs that would tear a block
+        off the air; its uplink interference sum (a cell radiates from its
+        transmitting user's position) reads the same two fields in place.
         """
         if self._on_air is not None and self.busy_until > self.clock.now:
             return self._on_air.user

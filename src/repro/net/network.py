@@ -188,6 +188,21 @@ class NetworkConfig:
             raise ValueError(
                 f"{len(self.user_positions)} positions for {self.n_users} users"
             )
+        if not (math.isfinite(self.mobility_step) and self.mobility_step >= 0):
+            raise ValueError(
+                f"mobility_step must be finite and non-negative, got {self.mobility_step}"
+            )
+        # A NaN margin compares false both ways and would silently stop
+        # every handoff.
+        if not math.isfinite(self.handoff_hysteresis_db):
+            raise ValueError(
+                f"handoff_hysteresis_db must be finite, got {self.handoff_hysteresis_db}"
+            )
+        if self.calibration_samples < 1:
+            raise ValueError(
+                f"calibration_samples must be at least 1, got {self.calibration_samples}"
+            )
+        self.geometry()  # the radius and path-loss law check themselves
 
     def geometry(self) -> CityGeometry:
         return CityGeometry.grid(
@@ -371,27 +386,26 @@ class CellNetwork:
         self.n_deferred_handoffs = 0
         self.handoff_counts = [0] * config.n_users
         self._pending_handoff = [False] * config.n_users
-        # Per-epoch memo of each user's per-cell SNR vector: positions only
-        # change at epoch boundaries, but CSI-reading schedulers observe
-        # every eligible user at every grant — recomputing the path-loss law
-        # there dominated city-scale runs.  Cleared on every epoch tick.
-        self._snr_cache: dict[int, np.ndarray] = {}
+        # Every user's per-cell SNR this epoch, one row per user, from one
+        # vectorized path-loss evaluation per epoch (row i is bit-identical
+        # to the scalar law): positions only change at epoch boundaries, but
+        # CSI-reading schedulers observe every eligible user at every grant.
+        # The initial association reads it too (argmax ties go to the lowest
+        # cell index).
+        self._snrs = self.geometry.snrs_db_many(*self.mobility.positions(0))
+        self.serving: list[int] = np.argmax(self._snrs, axis=1).tolist()
         # Scalar serving-cell SNR per user (the hot CSI read), invalidated
-        # with the epoch cache and per-user on handoff.
+        # every epoch and per-user on handoff.
         self._signal_cache: dict[int, float] = {}
         # Per-epoch memo of each transmitting user's per-cell received power
         # in linear units: a user's SNR row only changes at epoch
         # boundaries, so its dB->linear conversion is paid once per epoch
-        # however many packets it interferes with.  Cleared with the SNR
-        # cache.
+        # however many packets it interferes with.  Cleared every epoch.
         self._linear_cache: dict[int, list[float]] = {}
         # Memo of the last interference sum, keyed on (executing event,
         # serving cell): a CSI-reading grant scans only users of the
         # granting cell, so the whole scan pays for one sum.
         self._interference_memo: "tuple[tuple[int, int], float] | None" = None
-        self.serving = [
-            int(np.argmax(self._user_snrs(user))) for user in range(config.n_users)
-        ]
         if config.tier == "flow" and model is None:
             model = default_symbol_model(config)
         self._model = model
@@ -465,9 +479,7 @@ class CellNetwork:
         def sinr_fn(user=user) -> float:
             return self.sinr_db(user)
 
-        x0, y0 = self.mobility.position(user, 0)
-        snr0 = self.geometry.snr_db(x0, y0, self.serving[user])
-        code = network_code(config, user, snr0)
+        code = network_code(config, user, float(self._snrs[user, self.serving[user]]))
         if code.info.domain == "symbol":
             channel = SinrChannel(
                 sinr_fn, signal_power=code.info.signal_power, adc_bits=config.adc_bits
@@ -479,21 +491,12 @@ class CellNetwork:
         )
 
     # -- live radio state ----------------------------------------------------
-    def _user_snrs(self, user: int) -> np.ndarray:
-        """User ``user``'s per-cell SNR vector at its current-epoch position."""
-        cached = self._snr_cache.get(user)
-        if cached is None:
-            cached = self._snr_cache[user] = self.geometry.snrs_db(
-                *self.mobility.position(user, self.epoch)
-            )
-        return cached
-
     def _user_linear(self, user: int) -> list[float]:
         """User ``user``'s per-cell received power (linear), this epoch."""
         cached = self._linear_cache.get(user)
         if cached is None:
             cached = self._linear_cache[user] = [
-                db_to_linear(float(snr_db)) for snr_db in self._user_snrs(user)
+                db_to_linear(snr_db) for snr_db in self._snrs[user].tolist()
             ]
         return cached
 
@@ -513,13 +516,16 @@ class CellNetwork:
         if memo is not None and memo[0] == key:
             return memo[1]
         total = 0.0
+        now = self.clock.now
         for index, cell in enumerate(self.cells):
             # Intra-cell is TDMA: one transmitter, no self-interference.
             if index == serving:
                 continue
-            tx_user = cell.on_air_user
-            if tx_user is not None:
-                total += self._user_linear(tx_user)[serving]
+            # ``cell.on_air_user``, read in place: this loop runs on every
+            # SINR read.
+            packet = cell._on_air
+            if packet is not None and cell.busy_until > now:
+                total += self._user_linear(packet.user)[serving]
         self._interference_memo = (key, total)
         return total
 
@@ -528,7 +534,7 @@ class CellNetwork:
         signal_db = self._signal_cache.get(user)
         if signal_db is None:
             signal_db = self._signal_cache[user] = float(
-                self._user_snrs(user)[self.serving[user]]
+                self._snrs[user, self.serving[user]]
             )
         if not self.config.interference or self.config.n_cells == 1:
             return signal_db
@@ -552,25 +558,25 @@ class CellNetwork:
         self.epoch += 1
         if self._tel.enabled:
             self._tel.counter("net.epochs")
-        self._snr_cache.clear()
         self._linear_cache.clear()
         self._signal_cache.clear()
         n_users = self.config.n_users
         if n_users:
-            # One vectorized path-loss evaluation seeds every user's SNR
-            # cache for the epoch (row i is bit-identical to the scalar
-            # computation), and the candidate filter runs as array ops so
-            # the scalar handoff logic only touches users that might move.
-            matrix = self.geometry.snrs_db_many(*self.mobility.positions(self.epoch))
-            self._snr_cache.update(enumerate(matrix))
+            # The handoff rule of :meth:`_consider_handoff` runs as array
+            # ops: only the users it moves reach scalar code, each with its
+            # target.
+            matrix = self._snrs = self.geometry.snrs_db_many(
+                *self.mobility.positions(self.epoch)
+            )
             serving = np.asarray(self.serving)
             rows = np.arange(n_users)
             targets = np.argmax(matrix, axis=1)
             better = matrix[rows, targets] > (
                 matrix[rows, serving] + self.config.handoff_hysteresis_db
             )
-            for user in np.nonzero((targets != serving) & better)[0]:
-                self._consider_handoff(int(user))
+            movers = np.nonzero((targets != serving) & better)[0]
+            for user, target in zip(movers.tolist(), targets[movers].tolist()):
+                self._hand_off(user, target)
         if self.epoch < self.mobility.n_epochs and self._unfinished():
             self.clock.schedule(
                 (self.epoch + 1) * self.config.epoch_symbols,
@@ -579,16 +585,20 @@ class CellNetwork:
             )
 
     def _consider_handoff(self, user: int) -> None:
-        snrs = self._user_snrs(user)
+        """Hand ``user`` off if its strongest cell beats its serving one."""
+        snrs = self._snrs[user]
         serving = self.serving[user]
         target = int(np.argmax(snrs))
-        if target == serving:
-            return
         # Strictly-better-plus-hysteresis: an exact tie (equidistant user)
         # deterministically stays with its serving cell.
-        if snrs[target] <= snrs[serving] + self.config.handoff_hysteresis_db:
-            return
-        cell = self.cells[serving]
+        if target != serving and (
+            snrs[target] > snrs[serving] + self.config.handoff_hysteresis_db
+        ):
+            self._hand_off(user, target)
+
+    def _hand_off(self, user: int, target: int) -> None:
+        """Move ``user`` to cell ``target`` now, or at its block boundary."""
+        cell = self.cells[self.serving[user]]
         if cell.on_air_user == user:
             # The user's own block is on the air: hand off at the block
             # boundary (after the block lands, before any new grant).

@@ -36,7 +36,7 @@ def derive_seed(base_seed: int, *labels: object) -> int:
     are statistically independent, and insertion of new label positions does
     not shift existing streams.
     """
-    payload = repr((int(base_seed),) + tuple(str(label) for label in labels)).encode()
+    payload = repr((int(base_seed), *map(str, labels))).encode()
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little") & ((1 << 63) - 1)
 

@@ -327,6 +327,23 @@ class TestMainEndToEnd:
                 "gives more than the cap of 1000 SNR points",
             ),
             (["report", STORE_FILE, "--csv", "--plot"], "--csv cannot be combined with --plot"),
+            # City fields only the kernel used to reject, one error cell each.
+            (
+                ["run", "city-scaling", "--smoke", "--no-save", "--set", "mobility_step=-1"],
+                "mobility_step must be finite and non-negative, got -1.0",
+            ),
+            (
+                ["run", "city-scaling", "--smoke", "--no-save", "--set", "cell_radius=0"],
+                "cell_radius must be positive",
+            ),
+            (
+                ["run", "city-scaling", "--smoke", "--no-save", "--set", "reference_snr_db=inf"],
+                "reference_snr_db must be finite, got inf",
+            ),
+            (
+                ["run", "city-scaling", "--smoke", "--no-save", "--set", "calibration_samples=0"],
+                "calibration_samples must be at least 1, got 0",
+            ),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):

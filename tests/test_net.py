@@ -845,6 +845,24 @@ class TestDegeneration:
             NetworkConfig(epoch_symbols=-1)
         with pytest.raises(ValueError):
             NetworkConfig(n_users=2, user_positions=((0.0, 0.0),))
+        # Fields otherwise first checked inside the simulation; a NaN margin
+        # would silently stop every handoff.
+        for field, value in (
+            ("mobility_step", -1.0),
+            ("mobility_step", math.nan),
+            ("mobility_step", math.inf),
+            ("handoff_hysteresis_db", math.nan),
+            ("handoff_hysteresis_db", -math.inf),
+            ("calibration_samples", 0),
+            ("cell_radius", 0.0),
+            ("cell_radius", math.nan),
+            ("reference_snr_db", math.inf),
+            ("path_loss_exponent", 0.0),
+            ("min_distance", -1.0),
+        ):
+            with pytest.raises(ValueError, match=field):
+                NetworkConfig(**{field: value})
+        NetworkConfig(mobility_step=0.0, handoff_hysteresis_db=-1.0)  # still legal
         with pytest.raises(ValueError):
             CellNetwork(
                 NetworkConfig(n_users=1, tier="flow"),
@@ -976,6 +994,38 @@ def _reference_sinr_db(network: CellNetwork, user: int) -> float:
     return linear_to_db(db_to_linear(signal_db) / (1.0 + total))
 
 
+class TestAssociation:
+    """The build-time association is ``strongest_cell`` of each user."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_placements_join_their_strongest_cell(self, seed):
+        config = NetworkConfig(
+            n_cells=9, n_users=60, tier="flow", seed=seed, cell_radius=150.0
+        )
+        network = CellNetwork(config, model=_model())
+        geometry = network.geometry
+        assert network.serving == [
+            geometry.strongest_cell(*network.mobility.position(user, 0))
+            for user in range(config.n_users)
+        ]
+
+    def test_equidistant_users_join_the_lowest_index_cell(self):
+        # Cells at (0, 0), (800, 0), (0, 800) and (800, 800).
+        positions = ((400.0, 0.0), (400.0, 400.0), (800.0, 400.0), (400.0, 800.0))
+        config = NetworkConfig(
+            n_cells=4,
+            n_users=len(positions),
+            tier="flow",
+            user_positions=positions,
+            epoch_symbols=0,
+        )
+        network = CellNetwork(config, model=_model())
+        assert network.serving == [
+            network.geometry.strongest_cell(x, y) for x, y in positions
+        ]
+        assert network.serving == [0, 0, 1, 2]
+
+
 class TestInterference:
     """The live SINR every grant reads, against a from-scratch reference."""
 
@@ -1008,7 +1058,7 @@ class TestInterference:
                 assert network.sinr_db(user) == want
                 counts["checks"] += 1
                 serving = network.serving[user]
-                signal_db = float(network._user_snrs(user)[serving])
+                signal_db = float(network._snrs[user, serving])
                 counts["interfered"] += want != signal_db
 
         # Patch before construction: cells schedule their first grant then.

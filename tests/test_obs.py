@@ -343,6 +343,43 @@ class TestBitTransparency:
         assert off.summary() == on.summary()
         assert tel.counter_value("net.epochs") > 0
 
+    def test_walking_flow_city_summary_is_identical(self):
+        """Nine interfering cells, walking users, immediate and deferred handoffs."""
+        from repro.net import NetworkConfig, simulate_network
+        from repro.net.fastpath import SymbolCountModel
+
+        model = SymbolCountModel(
+            family="spinal",
+            payload_bits=32,
+            max_symbols=256,
+            block_symbols=16,
+            snr_grid_db=(-5.0, 5.0, 15.0),
+            samples=((96, 256), (48, 64), (32,)),
+        )
+        config = NetworkConfig(
+            n_cells=9,
+            n_users=24,
+            packets_per_user=2,
+            tier="flow",
+            seed=SEED,
+            max_symbols=256,
+            cell_radius=100.0,
+            reference_snr_db=16.0,
+            epoch_symbols=16,
+            mobility_step=80.0,
+        )
+        off = simulate_network(config, model=model)
+        on, tel = _with_telemetry(lambda: simulate_network(config, model=model))
+        assert off.summary() == on.summary()
+        assert (off.handoffs_by_user, off.final_serving) == (
+            on.handoffs_by_user,
+            on.final_serving,
+        )
+        assert off.n_handoffs > 0 and off.n_deferred_handoffs > 0
+        assert tel.counter_value("net.handoffs") == off.n_handoffs
+        assert tel.counter_value("net.handoffs_deferred") == off.n_deferred_handoffs
+        assert sum(tel.histogram_counts("net.sinr_db").values()) > 0  # interfered reads
+
     def test_persisted_store_files_are_byte_identical(self, tmp_path):
         from repro.experiments import registry
         from repro.experiments.registry import run_experiment

@@ -11,13 +11,15 @@ two at and above it, up to the largest 63-bit seed).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.utils.rng as rng_module
-from repro.utils.rng import spawn_rng, spawn_rngs, spawn_seeds
+from repro.utils.rng import derive_seed, spawn_rng, spawn_rngs, spawn_seeds
 
 PROPERTY_SETTINGS = settings(
     max_examples=25,
@@ -103,3 +105,37 @@ def test_generators_are_built_as_the_batch_is_read(monkeypatch):
     assert len(built) == 1
     assert first.bit_generator.state == expected
     assert len(list(streams)) == 2 and len(built) == 3
+
+
+# Text that needs escaping in a repr or is not ASCII, numpy and wide
+# integers, and floats.
+seed_labels = st.one_of(
+    st.text(alphabet=st.sampled_from(["'", '"', "\\", "\n", "é", "漢", "🙂", "a"]), max_size=6),
+    st.text(max_size=6),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+wide_base_seeds = st.one_of(
+    base_seeds, st.integers(-(2**80), -1), st.integers(2**63, 2**80)
+)
+
+
+@PROPERTY_SETTINGS
+@given(base_seed=wide_base_seeds, labels=st.lists(seed_labels, max_size=6))
+@example(base_seed=-1, labels=["it's", 'say "hi"', "a\\b", "é漢", np.int64(7)])
+@example(base_seed=2**64 + 1, labels=[np.uint32(2**32 - 1), ""])
+def test_derive_seed_hashes_the_repr_of_its_label_strings(base_seed, labels):
+    payload = repr((int(base_seed), *(str(label) for label in labels))).encode()
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    expected = int.from_bytes(digest, "little") & ((1 << 63) - 1)
+    assert derive_seed(base_seed, *labels) == expected
+
+
+def test_derive_seed_anchors():
+    # Streams every stored result was drawn from: the spelling may change,
+    # these values may not.
+    assert derive_seed(20111114, "net-code", 3) == 3189694170051748384
+    assert derive_seed(-5, "it's", "a\\b", "é漢") == 5988341202955404040
+    assert derive_seed(2**64 + 1, np.int64(7), "x") == 7337132169846743290
