@@ -14,66 +14,44 @@ The registry commands work for *every* experiment in
   ``--plot`` for an ASCII chart) of a persisted run file without
   recomputing anything; failed cells render as footnoted rows either way.
 
-Five aliases are argument spellings over the same registry: each turns its
-flags into overrides and calls ``run_experiment``.  ``rate``, ``bsc``,
-``ldpc`` and ``transport`` share one body and print the experiment's table
-(and, with ``--plot``, its registry chart):
+Eight aliases are argument spellings over the same registry: each turns its
+flags into overrides of one experiment and runs it without a store
+(``repro run <name>`` persists the same cells).  ``rate``, ``bsc``,
+``ldpc`` (``ldpc-rate``) and ``transport`` print the experiment's table
+(``--plot`` adds its registry chart); ``figure2`` prints a composite table
+(plus one ``ldpc-rate`` run per LDPC baseline with ``--with-ldpc``).  The
+soak spellings ``serve-soak`` (the batched serve engine), ``city-soak``
+(``--replicas`` of one multi-cell network, one cell each) and ``mesh``
+(network coding: two-way relaying, the butterfly or a multicast tree) print
+a metric table, or with ``--json`` the cells' stored trials plus wall-clock
+fields timed around the run and never stored.  An alias's ``--smoke``
+applies the experiment's smoke configuration over the flags it sets.
 
-* ``rate``      — ``rate``: the spinal rate at one or more AWGN SNRs;
-* ``bsc``       — ``bsc``: the bit-mode spinal rate at one or more
-  crossover probabilities;
-* ``ldpc``      — ``ldpc-rate``: one fixed-rate LDPC configuration across
-  SNRs;
-* ``transport`` — ``transport``: measured goodput of the sliding-window ARQ
-  transport over the protocol grid;
-* ``figure2``   — ``figure2``: a coarse Figure 2 (spinal + bounds, plus one
-  ``ldpc-rate`` run per LDPC baseline with ``--with-ldpc``), a composite
-  table of its own.
-
-``serve-soak`` drives the async session service (``repro.serve``): N
-concurrent spinal sessions through one event loop with batched decoding and
-bounded-admission backpressure, reporting throughput, latency percentiles
-and queue metrics (``--json`` emits the machine-readable summary the CI
-smoke job archives).
-
-``city-soak`` drives the multi-cell network simulator (``repro.net``): a
-grid of SINR-coupled cells with mobile users, hysteresis handoff and a
-choice of fidelity tier (bit-exact PHY or the calibrated flow fast path),
-optionally fanning seed-independent replicas across worker processes
-(``--json`` emits the machine-readable summary the CI smoke job archives).
-
-``mesh`` drives the network-coding subsystem (``repro.netcode`` and the DAG
-layer of ``repro.link.topology``): a two-way XOR relay exchange, the
-butterfly DAG, or a multicast tree, reporting coded-vs-plain medium uses
-(``--json`` emits the machine-readable summary the CI smoke job archives).
-
-``run``, ``serve-soak``, ``city-soak`` and ``mesh`` accept ``--telemetry
-DIR``: the bit-transparent sink (``repro.obs``) is installed before the
-simulation is constructed and a snapshot is exported to ``DIR`` afterwards
-(JSONL event stream, Chrome ``trace_event`` timeline, Prometheus text
-page).  Adding ``--telemetry-stream`` flushes each span to
-``DIR/spans.part.jsonl`` the moment it closes — crash-salvageable, with a
-byte-identical final export.  ``obs report`` renders a saved JSONL stream
-as tables and ASCII histograms; ``obs check`` validates the three exporter
-files in a directory.
+``run`` and the soak spellings accept ``--telemetry DIR``: the
+bit-transparent sink (``repro.obs``) is installed before the simulation is
+constructed and a snapshot is exported to ``DIR`` afterwards (JSONL event
+stream, Chrome ``trace_event`` timeline, Prometheus text page);
+``--telemetry-stream`` also flushes each span to ``DIR/spans.part.jsonl``
+as it closes.  ``obs report`` renders a saved JSONL stream as tables and
+ASCII histograms; ``obs check`` validates an exported directory.
 
 Every command is a build step (configs or run plan, which validate
 themselves; ``run`` and the aliases build every cell's config) and a run
-step.  Bad input fails the build, before the first cell, and :func:`main`
-reports it as one ``repro <cmd>: error:`` line with exit status 2.
-
-Every command prints a plain-text table (and optionally an ASCII chart), so
-the CLI is usable over ssh on a machine with nothing but this package and
-numpy/scipy installed.  ``--workers/-j N`` fans Monte-Carlo work out over
-worker processes with per-unit seeding, so results are identical for any
-worker count.
+step.  Bad input fails argument parsing or the build, before the first
+cell, and is reported as one ``repro <cmd>: error:`` line with exit status
+2.  :func:`run` returns the rendered output; :func:`main`, the ``repro``
+console script, returns the exit status.  ``--workers/-j N`` fans
+Monte-Carlo work out over worker processes with per-unit seeding, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+import time
 from typing import NoReturn
 
 import numpy as np
@@ -92,7 +70,7 @@ from repro.utils.asciiplot import ascii_plot
 from repro.utils.results import render_table
 from repro.utils.store import RunStore, read_run
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "main", "run"]
 
 
 def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
@@ -113,6 +91,14 @@ def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_soak_output_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--json`` and telemetry: the output flags every soak spelling takes."""
+    parser.add_argument(
+        "--json", action="store_true", help="emit the summary as JSON (the CI artifact format)"
+    )
+    _add_telemetry_argument(parser)
+
+
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     """Arguments shared by every command that drives the Monte-Carlo runner."""
     parser.add_argument(
@@ -125,13 +111,18 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common_spinal_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--payload-bits", type=int, default=24, help="message size in bits")
-    parser.add_argument("--k", type=int, default=8, help="segment size in bits")
-    parser.add_argument("--c", type=int, default=10, help="bits per constellation dimension")
-    parser.add_argument("--beam-width", "-B", type=int, default=16, help="decoder beam width")
-    parser.add_argument("--trials", type=int, default=20, help="Monte-Carlo trials per point")
+def _add_code_arguments(parser, payload_bits: int, k: int, c: int, beam_width: int) -> None:
+    """A spinal code's shape and the base seed, at the command's defaults."""
+    parser.add_argument("--payload-bits", type=int, default=payload_bits, help="message bits")
+    parser.add_argument("--k", type=int, default=k, help="segment size in bits")
+    parser.add_argument("--c", type=int, default=c, help="bits per constellation dimension")
+    parser.add_argument("--beam-width", "-B", type=int, default=beam_width, help="beam width")
     parser.add_argument("--seed", type=int, default=20111114, help="base random seed")
+
+
+def _add_common_spinal_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_code_arguments(parser, payload_bits=24, k=8, c=10, beam_width=16)
+    parser.add_argument("--trials", type=int, default=20, help="Monte-Carlo trials per point")
     parser.add_argument(
         "--puncturing",
         choices=("none", "symbol", "strided", "tail-first"),
@@ -142,27 +133,29 @@ def _add_common_spinal_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plot", action="store_true", help="also print an ASCII chart")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Report argparse's own errors like every other bad input: one line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(self.prog, ValueError(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Rateless spinal codes (HotNets 2011) — measurement CLI",
+    parser = _Parser(
+        prog="repro", description="Rateless spinal codes (HotNets 2011) — measurement CLI"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = subparsers.add_parser(
-        "list", help="enumerate the registered experiments"
-    )
-    list_parser.add_argument(
-        "--markdown", action="store_true", help="emit the README catalog table"
-    )
+    list_parser = subparsers.add_parser("list", help="enumerate the registered experiments")
+    list_parser.add_argument("--markdown", action="store_true", help="emit the README catalog")
 
-    run = subparsers.add_parser(
+    run_parser = subparsers.add_parser(
         "run", help="run a registered experiment with persisted, resumable results"
     )
-    run.add_argument("name", nargs="?", help="experiment name (see `repro list`)")
-    run.add_argument("--all", action="store_true", help="run every registered experiment")
-    run.add_argument(
+    run_parser.add_argument("name", nargs="?", help="experiment name (see `repro list`)")
+    run_parser.add_argument("--all", action="store_true", help="run every registered experiment")
+    run_parser.add_argument(
         "--set",
         dest="sets",
         action="append",
@@ -170,32 +163,22 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=V1[,V2...]",
         help="override an axis's values or a fixed parameter (repeatable)",
     )
-    run.add_argument("--trials", type=int, default=None, help="trials per grid cell")
-    run.add_argument("--seed", type=int, default=None, help="base random seed")
-    _add_runner_arguments(run)
-    run.add_argument(
-        "--out", default="results", help="results-store directory (default: results/)"
+    run_parser.add_argument("--trials", type=int, default=None, help="trials per grid cell")
+    run_parser.add_argument("--seed", type=int, default=None, help="base random seed")
+    _add_runner_arguments(run_parser)
+    run_parser.add_argument("--out", default="results", help="results-store directory (results/)")
+    run_parser.add_argument("--no-save", action="store_true", help="do not persist (no resume)")
+    run_parser.add_argument(
+        "--smoke", action="store_true", help="run the experiment's seconds-scale smoke config"
     )
-    run.add_argument(
-        "--no-save", action="store_true", help="do not persist (disables resume)"
-    )
-    run.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shrink to the experiment's seconds-scale smoke configuration",
-    )
-    run.add_argument("--plot", action="store_true", help="also print an ASCII chart")
-    _add_telemetry_argument(run)
+    run_parser.add_argument("--plot", action="store_true", help="also print an ASCII chart")
+    _add_telemetry_argument(run_parser)
 
-    report = subparsers.add_parser(
-        "report", help="re-render a persisted run file without recomputation"
-    )
+    report = subparsers.add_parser("report", help="re-render a persisted run file")
     report.add_argument("run_file", help="path to a results-store JSON file")
     report.add_argument("--plot", action="store_true", help="also print an ASCII chart")
     report.add_argument(
-        "--csv",
-        action="store_true",
-        help="emit CSV instead of the table (error cells become footnoted rows)",
+        "--csv", action="store_true", help="emit CSV (error cells become footnoted rows)"
     )
 
     rate = subparsers.add_parser("rate", help="spinal rate over AWGN at given SNRs")
@@ -217,234 +200,106 @@ def build_parser() -> argparse.ArgumentParser:
     figure2.add_argument("--plot", action="store_true")
 
     transport = subparsers.add_parser(
-        "transport",
-        help="measured goodput of the sliding-window ARQ transport over a relay chain",
+        "transport", help="measured goodput of the sliding-window ARQ transport"
     )
     transport.add_argument("--snr", type=float, default=8.0, help="first-hop SNR in dB")
     transport.add_argument(
-        "--snr-step",
-        type=float,
-        default=-2.0,
-        help="SNR change per additional hop in dB (default: each hop 2 dB worse)",
+        "--snr-step", type=float, default=-2.0, help="SNR change per extra hop in dB (default -2)"
     )
-    transport.add_argument(
-        "--hops", type=int, nargs="+", default=[1, 2], help="relay hop counts to sweep"
-    )
+    transport.add_argument("--hops", type=int, nargs="+", default=[1, 2], help="relay hop counts")
     transport.add_argument(
         "--protocol",
         choices=("go-back-n", "selective-repeat", "both"),
         default="both",
         help="ARQ protocol(s) to sweep",
     )
+    transport.add_argument("--window", type=int, nargs="+", default=[1, 2, 4], help="windows")
     transport.add_argument(
-        "--window", type=int, nargs="+", default=[1, 2, 4], help="sender window sizes"
+        "--ack-delay", type=int, nargs="+", default=[0, 8, 32], help="feedback RTTs in symbols"
     )
-    transport.add_argument(
-        "--ack-delay",
-        type=int,
-        nargs="+",
-        default=[0, 8, 32],
-        help="feedback RTTs in symbol-times",
-    )
-    transport.add_argument(
-        "--ack-loss", type=float, default=0.0, help="reverse-channel ACK loss probability"
-    )
+    transport.add_argument("--ack-loss", type=float, default=0.0, help="reverse-channel ACK loss")
     transport.add_argument("--packets", type=int, default=8, help="packets per simulation")
-    transport.add_argument("--payload-bits", type=int, default=24, help="payload bits per packet")
-    transport.add_argument("--k", type=int, default=8, help="segment size in bits")
-    transport.add_argument("--c", type=int, default=10, help="bits per constellation dimension")
-    transport.add_argument("--beam-width", "-B", type=int, default=16, help="decoder beam width")
-    transport.add_argument("--seed", type=int, default=20111114, help="base random seed")
-    transport.add_argument(
-        "--max-symbols",
-        type=int,
-        default=4096,
-        help="per-packet abort budget in channel uses",
-    )
+    _add_code_arguments(transport, payload_bits=24, k=8, c=10, beam_width=16)
+    transport.add_argument("--max-symbols", type=int, default=4096, help="per-packet budget")
     _add_runner_arguments(transport)
     transport.add_argument("--plot", action="store_true", help="also print an ASCII chart")
 
     serve = subparsers.add_parser(
-        "serve-soak",
-        help="soak the async session service: N concurrent spinal sessions "
-        "through the batched decode engine",
+        "serve-soak", help="N concurrent spinal sessions through the batched decode engine"
     )
     serve.add_argument("--sessions", type=int, default=256, help="total requests to serve")
+    serve.add_argument("--in-flight", type=int, default=64, help="backpressure: transmissions")
     serve.add_argument(
-        "--in-flight",
-        type=int,
-        default=64,
-        help="backpressure bound: concurrent transmissions holding a symbol buffer",
-    )
-    serve.add_argument(
-        "--arrival-spacing",
-        type=int,
-        default=0,
-        help="request inter-arrival gap in symbol-times (0 = all at tick 0)",
+        "--arrival-spacing", type=int, default=0, help="request gap in symbol-times (0: all at 0)"
     )
     serve.add_argument("--snr", type=float, default=8.0, help="AWGN SNR in dB")
-    serve.add_argument("--payload-bits", type=int, default=16, help="message size in bits")
-    serve.add_argument("--k", type=int, default=4, help="segment size in bits")
-    serve.add_argument("--c", type=int, default=6, help="bits per constellation dimension")
-    serve.add_argument("--beam-width", "-B", type=int, default=8, help="decoder beam width")
+    _add_code_arguments(serve, payload_bits=16, k=4, c=6, beam_width=8)
+    serve.add_argument("--max-symbols", type=int, default=512, help="per-session budget")
     serve.add_argument(
-        "--max-symbols", type=int, default=512, help="per-session abort budget"
+        "--no-batching", action="store_true", help="decode sessions one at a time (the baseline)"
     )
-    serve.add_argument("--seed", type=int, default=20111114, help="base random seed")
-    serve.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="decode sessions one at a time (the sequential driver the soak "
-        "benchmark compares against)",
-    )
-    serve.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the metrics summary as JSON (the CI artifact format)",
-    )
-    serve.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shrink to a seconds-scale soak (32 sessions, 16 in flight) "
-        "for CI smoke jobs",
-    )
-    _add_telemetry_argument(serve)
+    serve.add_argument("--smoke", action="store_true", help="32 sessions, 16 in flight")
+    _add_soak_output_arguments(serve)
 
     city = subparsers.add_parser(
-        "city-soak",
-        help="soak the city-scale network simulator: SINR-coupled cells, "
-        "mobility, handoff, replicas across workers",
+        "city-soak", help="replicas of one multi-cell SINR network with mobility and handoff"
     )
     city.add_argument("--cells", type=int, default=4, help="base stations in the grid")
     city.add_argument("--users", type=int, default=16, help="mobile users in the city")
+    city.add_argument("--packets-per-user", type=int, default=2, help="packets per user")
+    city.add_argument("--scheduler", default="round-robin", help="MAC discipline (e.g. max-snr)")
+    city.add_argument("--code", default="spinal", help="code family for every uplink")
     city.add_argument(
-        "--packets-per-user", type=int, default=2, help="backlogged packets per user"
+        "--tier", default="flow", choices=("exact", "flow"), help="bit-exact or calibrated flow"
+    )
+    city.add_argument("--max-symbols", type=int, default=512, help="per-packet abort budget")
+    city.add_argument("--cell-radius", type=float, default=150.0, help="cell radius in meters")
+    city.add_argument("--reference-snr", type=float, default=18.0, help="SNR in dB near a tower")
+    city.add_argument(
+        "--epoch-symbols", type=int, default=128, help="mobility epoch (0 = static users)"
     )
     city.add_argument(
-        "--scheduler",
-        type=str,
-        default="round-robin",
-        help="MAC discipline in every cell (round-robin, max-snr, proportional-fair)",
+        "--no-interference", action="store_true", help="ignore other-cell transmit activity"
     )
-    city.add_argument(
-        "--code", type=str, default="spinal", help="code family for every uplink"
-    )
-    city.add_argument(
-        "--tier",
-        type=str,
-        default="flow",
-        choices=("exact", "flow"),
-        help="fidelity tier: bit-exact PHY or calibrated flow fast path",
-    )
-    city.add_argument(
-        "--max-symbols", type=int, default=512, help="per-packet abort budget"
-    )
-    city.add_argument(
-        "--cell-radius", type=float, default=150.0, help="cell radius in meters"
-    )
-    city.add_argument(
-        "--reference-snr",
-        type=float,
-        default=18.0,
-        help="SNR in dB at the reference distance from a tower",
-    )
-    city.add_argument(
-        "--epoch-symbols",
-        type=int,
-        default=128,
-        help="mobility epoch length in symbol-times (0 = static users)",
-    )
-    city.add_argument(
-        "--no-interference",
-        action="store_true",
-        help="ignore other-cell transmit activity (pure path-loss SNR)",
-    )
-    city.add_argument(
-        "--replicas", type=int, default=1, help="seed-independent replicas of the city"
-    )
-    city.add_argument(
-        "--workers", "-j", type=int, default=1, help="worker processes for replicas"
-    )
+    city.add_argument("--replicas", type=int, default=1, help="seed-independent replicas")
+    city.add_argument("--workers", "-j", type=int, default=1, help="replica workers")
     city.add_argument("--seed", type=int, default=20111114, help="base random seed")
-    city.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the metrics summary as JSON (the CI artifact format)",
-    )
-    _add_telemetry_argument(city)
+    _add_soak_output_arguments(city)
 
     mesh = subparsers.add_parser(
-        "mesh",
-        help="network coding over rateless links: two-way XOR relaying, the "
-        "butterfly DAG, or a multicast tree, with medium-use accounting "
-        "against the uncoded baseline",
+        "mesh", help="network coding over rateless links: coded vs plain medium uses"
     )
     mesh.add_argument(
-        "--topology",
-        choices=("two-way", "butterfly", "tree"),
-        default="two-way",
-        help="two-way relay exchange, butterfly DAG, or multicast tree",
+        "--topology", choices=("two-way", "butterfly", "tree"), default="two-way"
     )
-    mesh.add_argument(
-        "--family", type=str, default="spinal", help="rateless code family"
-    )
+    mesh.add_argument("--family", default="spinal", help="rateless code family")
     mesh.add_argument("--snr", type=float, default=33.0, help="link SNR in dB")
     mesh.add_argument(
-        "--snr-offset",
-        type=float,
-        default=0.0,
-        help="SNR offset of the weak side (the B link, or the butterfly "
-        "bottleneck edge) in dB",
+        "--snr-offset", type=float, default=0.0, help="SNR offset of the B link or bottleneck, dB"
     )
-    mesh.add_argument(
-        "--rounds", type=int, default=4, help="payload exchanges to simulate"
-    )
-    mesh.add_argument(
-        "--depth", type=int, default=2, help="tree depth (topology=tree)"
-    )
-    mesh.add_argument(
-        "--branching", type=int, default=2, help="children per node (topology=tree)"
-    )
-    mesh.add_argument(
-        "--max-symbols", type=int, default=4096, help="per-stream abort budget"
-    )
+    mesh.add_argument("--rounds", type=int, default=4, help="payload exchanges to simulate")
+    mesh.add_argument("--depth", type=int, default=2, help="tree depth (topology=tree)")
+    mesh.add_argument("--branching", type=int, default=2, help="children per tree node")
+    mesh.add_argument("--max-symbols", type=int, default=4096, help="per-stream budget")
     mesh.add_argument("--seed", type=int, default=20111114, help="base random seed")
+    mesh.add_argument("--smoke", action="store_true", help="smoke-scale codes")
     mesh.add_argument(
-        "--smoke", action="store_true", help="smoke-scale codes for CI jobs"
+        "--with-af", action="store_true", help="add the two-way amplify-and-forward baseline"
     )
-    mesh.add_argument(
-        "--with-af",
-        action="store_true",
-        help="also run the amplify-and-forward two-way baseline "
-        "(two-way topology, symbol-domain families only)",
-    )
-    mesh.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the metrics summary as JSON (the CI artifact format)",
-    )
-    _add_telemetry_argument(mesh)
+    _add_soak_output_arguments(mesh)
 
-    obs = subparsers.add_parser(
-        "obs", help="inspect and validate exported telemetry"
-    )
+    obs = subparsers.add_parser("obs", help="inspect and validate exported telemetry")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    obs_report = obs_sub.add_parser(
-        "report", help="render a telemetry.jsonl stream as tables and charts"
-    )
+    obs_report = obs_sub.add_parser("report", help="render a telemetry.jsonl stream")
     obs_report.add_argument("jsonl_file", help="path to a telemetry.jsonl export")
-    obs_check = obs_sub.add_parser(
-        "check", help="validate the exporter files in a telemetry directory"
-    )
+    obs_check = obs_sub.add_parser("check", help="validate a telemetry directory")
     obs_check.add_argument("directory", help="directory written by --telemetry")
 
     ldpc = subparsers.add_parser("ldpc", help="achieved rate of one LDPC configuration")
     ldpc.add_argument("snrs", type=float, nargs="+", help="SNR values in dB")
-    ldpc.add_argument("--rate", type=str, default="1/2", help="code rate (1/2, 2/3, 3/4, 5/6)")
+    ldpc.add_argument("--rate", default="1/2", help="code rate (1/2, 2/3, 3/4, 5/6)")
     ldpc.add_argument(
-        "--modulation",
-        choices=("BPSK", "QAM-4", "QAM-16", "QAM-64"),
-        default="QAM-16",
+        "--modulation", choices=("BPSK", "QAM-4", "QAM-16", "QAM-64"), default="QAM-16"
     )
     ldpc.add_argument("--frames", type=int, default=40)
     ldpc.add_argument("--iterations", type=int, default=40)
@@ -459,20 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 class _TelemetryScope:
     """Install the live sink for one command, export on success.
 
-    :func:`main` enters the scope between a command's build and run steps —
-    *before* the run constructs any engine/network/session, because
-    instrumented classes capture the process-global sink once at
-    construction time.  ``note()`` returns a one-line trailer naming the
-    written files (empty when ``--telemetry`` was not given), and
-    ``__exit__`` always restores the previous sink so in-process callers
-    (tests) never leak an enabled registry.
-
-    With ``stream=True`` (``--telemetry-stream``) spans are written to
-    ``DIR/spans.part.jsonl`` incrementally as they close instead of being
-    buffered; the exported ``telemetry.jsonl`` is byte-identical either
-    way, and the spill file is left behind as the crash-salvage artifact.
-    Streaming needs a directory: the constructor rejects ``stream`` without
-    one, and :func:`main` reports that as a usage error for every command.
+    :func:`run` enters the scope between a command's build and run steps,
+    *before* the run constructs any engine, network or session: instrumented
+    classes capture the process-global sink at construction.  ``note()``
+    names the written files, and ``__exit__`` always restores the previous
+    sink.  ``stream=True`` spills each span to ``DIR/spans.part.jsonl`` as
+    it closes (the export is byte-identical either way) and needs a
+    directory.
     """
 
     def __init__(self, directory: str | None, stream: bool = False) -> None:
@@ -712,7 +560,56 @@ def _transport_overrides(args: argparse.Namespace) -> dict:
     }
 
 
-#: Each table alias: its registry experiment and its flags-to-overrides map.
+def _serve_soak_overrides(args: argparse.Namespace) -> dict:
+    return {
+        "n_sessions": args.sessions,
+        "max_in_flight": args.in_flight,
+        "arrival_spacing": args.arrival_spacing,
+        "snr_db": args.snr,
+        "payload_bits": args.payload_bits,
+        "k": args.k,
+        "c": args.c,
+        "beam_width": args.beam_width,
+        "max_symbols": args.max_symbols,
+        "batching": not args.no_batching,
+        "seed": args.seed,
+    }
+
+
+def _city_soak_overrides(args: argparse.Namespace) -> dict:
+    return {
+        "replica": tuple(range(args.replicas)),
+        "n_cells": args.cells,
+        "n_users": args.users,
+        "packets_per_user": args.packets_per_user,
+        "scheduler": args.scheduler,
+        "code": args.code,
+        "tier": args.tier,
+        "max_symbols": args.max_symbols,
+        "cell_radius": args.cell_radius,
+        "reference_snr_db": args.reference_snr,
+        "epoch_symbols": args.epoch_symbols,
+        "interference": not args.no_interference,
+        "seed": args.seed,
+    }
+
+
+def _mesh_overrides(args: argparse.Namespace) -> dict:
+    return {
+        "topology": args.topology,
+        "family": args.family,
+        "snr_db": args.snr,
+        "snr_offset_db": args.snr_offset,
+        "rounds": args.rounds,
+        "depth": args.depth,
+        "branching": args.branching,
+        "max_symbols": args.max_symbols,
+        "with_af": args.with_af,
+        "seed": args.seed,
+    }
+
+
+#: Each alias: its registry experiment and its flags-to-overrides map.
 _ALIASES = {
     "rate": (
         "rate",
@@ -731,6 +628,9 @@ _ALIASES = {
         },
     ),
     "transport": ("transport", _transport_overrides),
+    "serve-soak": ("serve-soak", _serve_soak_overrides),
+    "city-soak": ("city-soak", _city_soak_overrides),
+    "mesh": ("mesh", _mesh_overrides),
 }
 
 
@@ -738,19 +638,71 @@ def _build_alias(args: argparse.Namespace) -> tuple:
     name, overrides_from_args = _ALIASES[args.command]
     experiment = registry.get(name)
     overrides = overrides_from_args(args)
-    resolve_run(experiment, overrides)
-    return experiment, overrides
+    smoke = getattr(args, "smoke", False)
+    if smoke:  # the experiment's smoke configuration wins over the flags it sets
+        overrides = {k: v for k, v in overrides.items() if k not in experiment.smoke}
+    resolve_run(experiment, overrides, smoke=smoke)
+    return experiment, overrides, smoke
 
 
 def _run_alias(args: argparse.Namespace, plan: tuple) -> str:
-    experiment, overrides = plan
+    experiment, overrides, smoke = plan
     # ``ldpc`` has neither --workers nor --plot.
     outcome = run_experiment(
-        experiment, overrides=overrides, n_workers=getattr(args, "workers", 1)
+        experiment, overrides=overrides, n_workers=getattr(args, "workers", 1), smoke=smoke
     )
     if getattr(args, "plot", False):
         return _with_chart(outcome.table(), experiment, outcome.record)
     return outcome.table()
+
+
+def _run_soak(args: argparse.Namespace, plan: tuple) -> str:
+    """Print a soak spelling's summary: its cells' trials plus wall-clock rates.
+
+    The stored trials keep booleans as booleans; ``elapsed_s`` and the rates
+    derived from it are timed here, around the run, and never stored.
+    """
+    experiment, overrides, smoke = plan
+    start = time.perf_counter()
+    outcome = run_experiment(
+        experiment, overrides=overrides, n_workers=getattr(args, "workers", 1), smoke=smoke
+    )
+    elapsed = time.perf_counter() - start
+    trials = [cell["trials"][0] for _key, _params, cell in outcome.successful_cells()]
+    summary = _SOAK_SUMMARIES[args.command](args, trials, elapsed)
+    if args.json:
+        return json.dumps(summary, indent=2, sort_keys=True)
+    # A city's table is its aggregate block; --json adds every replica.
+    return _metric_table(summary.get("aggregate", summary))
+
+
+def _serve_soak_summary(args: argparse.Namespace, trials: list, elapsed: float) -> dict:
+    (summary,) = trials
+    rate = summary["total_symbols"] / elapsed if elapsed > 0 else 0.0
+    return {**summary, "elapsed_s": elapsed, "symbols_per_second": rate}
+
+
+def _city_soak_summary(args: argparse.Namespace, replicas: list, elapsed: float) -> dict:
+    aggregate: dict = {
+        "scheduler": args.scheduler,
+        "code": args.code,
+        "tier": args.tier,
+        "n_replicas": len(replicas),
+        "elapsed_s": elapsed,
+        "users_per_second": len(replicas) * args.users / elapsed if elapsed else 0.0,
+    }
+    for key, value in replicas[0].items():
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            aggregate[f"mean_{key}"] = sum(replica[key] for replica in replicas) / len(replicas)
+    return {"aggregate": aggregate, "replicas": replicas}
+
+
+#: Each soak spelling's printed summary, from its cells' trials and the run's wall clock.
+_SOAK_SUMMARIES = {
+    "serve-soak": _serve_soak_summary,
+    "city-soak": _city_soak_summary,
+    "mesh": lambda args, trials, elapsed: trials[0],
+}
 
 
 #: Most SNR points ``figure2`` runs; every point is a whole Monte-Carlo cell.
@@ -826,206 +778,6 @@ def _run_figure2(args: argparse.Namespace, plan: tuple) -> str:
     return output
 
 
-# -- simulators ----------------------------------------------------------------
-
-
-def _build_serve_soak(args: argparse.Namespace):
-    from repro.serve import SoakConfig
-
-    n_sessions, max_in_flight = args.sessions, args.in_flight
-    if args.smoke:
-        n_sessions, max_in_flight = 32, 16
-    return SoakConfig(
-        n_sessions=n_sessions,
-        max_in_flight=max_in_flight,
-        arrival_spacing=args.arrival_spacing,
-        snr_db=args.snr,
-        seed=args.seed,
-        payload_bits=args.payload_bits,
-        k=args.k,
-        c=args.c,
-        beam_width=args.beam_width,
-        max_symbols=args.max_symbols,
-        batching=not args.no_batching,
-    )
-
-
-def _run_serve_soak(args: argparse.Namespace, config) -> str:
-    import json
-    import time
-
-    from repro.serve import SoakEngine
-
-    engine = SoakEngine(config)
-    start = time.perf_counter()
-    result = engine.run()
-    elapsed = time.perf_counter() - start
-    summary = result.summary(elapsed_s=elapsed)
-    if args.json:
-        return json.dumps(summary, indent=2, sort_keys=True)
-    return _metric_table(summary)
-
-
-def _build_city_soak(args: argparse.Namespace):
-    from repro.mac.schedulers import make_scheduler
-    from repro.net import NetworkConfig
-    from repro.phy.families import code_family
-
-    config = NetworkConfig(
-        n_cells=args.cells,
-        n_users=args.users,
-        packets_per_user=args.packets_per_user,
-        scheduler=args.scheduler,
-        code=args.code,
-        tier=args.tier,
-        seed=args.seed,
-        max_symbols=args.max_symbols,
-        cell_radius=args.cell_radius,
-        reference_snr_db=args.reference_snr,
-        epoch_symbols=args.epoch_symbols,
-        interference=not args.no_interference,
-    )
-    # The scheduler and code family are otherwise first built inside the
-    # simulation (possibly in a worker): reject them here.
-    make_scheduler(config.scheduler)
-    code_family(config.code)
-    # NetworkConfig keeps an empty city legal for library callers.
-    if args.users < 1:
-        raise ValueError(f"--users must be at least 1, got {args.users}")
-    if args.replicas < 1:
-        raise ValueError(f"n_replicas must be at least 1, got {args.replicas}")
-    return config
-
-
-def _run_city_soak(args: argparse.Namespace, config) -> str:
-    import json
-    import time
-
-    from repro.net import simulate_network_replicas
-
-    start = time.perf_counter()
-    replicas = simulate_network_replicas(config, args.replicas, n_workers=args.workers)
-    elapsed = time.perf_counter() - start
-    numeric = [
-        key
-        for key in replicas[0]
-        if isinstance(replicas[0][key], (int, float)) and not isinstance(replicas[0][key], bool)
-    ]
-    aggregate: dict = {
-        "scheduler": config.scheduler,
-        "code": config.code,
-        "tier": config.tier,
-        "n_replicas": len(replicas),
-        "elapsed_s": elapsed,
-        "users_per_second": len(replicas) * config.n_users / elapsed if elapsed else 0.0,
-    }
-    for key in numeric:
-        aggregate[f"mean_{key}"] = sum(replica[key] for replica in replicas) / len(replicas)
-    if args.json:
-        return json.dumps(
-            {"aggregate": aggregate, "replicas": replicas}, indent=2, sort_keys=True
-        )
-    return _metric_table(aggregate)
-
-
-def _build_mesh(args: argparse.Namespace):
-    from repro.netcode import MulticastTreeConfig, TwoWayConfig, amplify_codes
-
-    if args.with_af and args.topology != "two-way":
-        raise ValueError(
-            f"--with-af runs the two-way amplify-and-forward baseline; "
-            f"--topology {args.topology} has none"
-        )
-    if args.topology == "tree":
-        return MulticastTreeConfig(
-            family=args.family,
-            depth=args.depth,
-            branching=args.branching,
-            snr_db=args.snr,
-            rounds=args.rounds,
-            seed=args.seed,
-            smoke=args.smoke,
-            max_symbols=args.max_symbols,
-        )
-    # The butterfly reads the same operating point: its bottleneck edge is
-    # the weak side.
-    config = TwoWayConfig(
-        family=args.family,
-        snr_a_db=args.snr,
-        snr_b_db=args.snr + args.snr_offset,
-        rounds=args.rounds,
-        seed=args.seed,
-        smoke=args.smoke,
-        max_symbols=args.max_symbols,
-    )
-    if args.with_af:
-        amplify_codes(config)  # refuses a bit-domain family before anything runs
-    return config
-
-
-def _run_mesh(args: argparse.Namespace, config) -> str:
-    import json
-
-    if args.topology == "tree":
-        from repro.netcode import run_multicast_tree
-
-        result = run_multicast_tree(config)
-        summary = {
-            "topology": "tree",
-            "family": args.family,
-            "snr_db": args.snr,
-            "depth": args.depth,
-            "branching": args.branching,
-            "n_leaves": result.n_leaves,
-            "rounds": args.rounds,
-            "coded_uses": result.broadcast_total,
-            "plain_uses": result.unicast_total,
-            "saving": result.medium_use_saving,
-            "delivered_coded": result.delivery_rate,
-        }
-    elif args.topology == "butterfly":
-        from repro.experiments.network_coding_gain import _butterfly_point
-
-        summary = {
-            "topology": "butterfly",
-            "family": args.family,
-            "snr_db": args.snr,
-            "snr_offset_db": args.snr_offset,
-            "rounds": args.rounds,
-            **_butterfly_point(config),
-        }
-    else:
-        from repro.netcode import run_two_way_af_exchange, run_two_way_exchange
-
-        result = run_two_way_exchange(config)
-        summary = {
-            "topology": "two-way",
-            "family": args.family,
-            "snr_a_db": config.snr_a_db,
-            "snr_b_db": config.snr_b_db,
-            "rounds": args.rounds,
-            "coded_uses": result.xor_total_uses,
-            "plain_uses": result.baseline_total_uses,
-            "saving": result.medium_use_saving,
-            "downlink_saving": result.downlink_saving,
-            "delivered_coded": result.xor_delivery_rate,
-            "delivered_plain": result.baseline_delivery_rate,
-        }
-        if args.with_af:
-            af = run_two_way_af_exchange(config)
-            summary.update(
-                {
-                    "af_uses": af.total_uses,
-                    "af_effective_snr_a_db": af.effective_snr_a_db,
-                    "af_effective_snr_b_db": af.effective_snr_b_db,
-                    "af_delivered": af.delivery_rate,
-                }
-            )
-    if args.json:
-        return json.dumps(summary, indent=2, sort_keys=True)
-    return _metric_table(summary)
-
-
 #: Every command's ``(build, run)`` pair.
 _COMMANDS = {
     "list": (_build_list, _echo),
@@ -1036,32 +788,32 @@ _COMMANDS = {
     "ldpc": (_build_alias, _run_alias),
     "transport": (_build_alias, _run_alias),
     "figure2": (_build_figure2, _run_figure2),
-    "serve-soak": (_build_serve_soak, _run_serve_soak),
-    "city-soak": (_build_city_soak, _run_city_soak),
-    "mesh": (_build_mesh, _run_mesh),
+    "serve-soak": (_build_alias, _run_soak),
+    "city-soak": (_build_alias, _run_soak),
+    "mesh": (_build_alias, _run_soak),
     "obs": (_build_obs, _echo),
 }
 
 
-def _usage_error(command: str, exc: Exception) -> NoReturn:
-    """Report bad input in one line and exit 2, like argparse's own usage errors."""
+def _usage_error(prog: str, exc: Exception) -> NoReturn:
+    """Report bad input as one ``<prog>: error:`` line and exit 2."""
     if isinstance(exc, OSError):
         message = f"cannot read {exc.filename}: {exc.strerror}"
     else:
         message = exc.args[0]
-    print(f"repro {command}: error: {message}", file=sys.stderr)
+    print(f"{prog}: error: {message}", file=sys.stderr)
     raise SystemExit(2) from None
 
 
-def main(argv: list[str] | None = None) -> str:
-    """Entry point; returns the rendered output (also printed to stdout).
+def run(argv: list[str] | None = None) -> str:
+    """Run one command; returns the rendered output (also printed to stdout).
 
-    Bad input fails the command's build step, before anything runs, and is
-    reported here for every command: one ``repro <cmd>: error:`` line on
-    stderr and exit status 2.
+    Bad input fails argument parsing or the command's build step, before
+    anything runs, and is reported here for every command: one ``repro
+    <cmd>: error:`` line on stderr and exit status 2.
     """
     args = build_parser().parse_args(argv)
-    build, run = _COMMANDS[args.command]
+    build, execute = _COMMANDS[args.command]
     try:
         workers = getattr(args, "workers", 1)
         if workers < 1:
@@ -1071,14 +823,20 @@ def main(argv: list[str] | None = None) -> str:
         )
         plan = build(args)
     except (ValueError, KeyError, OSError) as exc:
-        _usage_error(args.command, exc)
+        _usage_error(f"repro {args.command}", exc)
     with scope:
-        output = run(args, plan)
+        output = execute(args, plan)
     if not getattr(args, "json", False):
         output += scope.note()
     print(output)
     return output
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()
-    main()
+def main(argv: list[str] | None = None) -> int:
+    """The ``repro`` console entry point: run one command, exit status 0."""
+    run(argv)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,10 @@ labels — so cells are worker-count invariant (``max_trials = 1``) and the
 engine-provided ``rng`` is unused.  Codes run at smoke scale (the same
 economy as ``city-scaling``); the full-scale operating point is pinned in
 ``benchmarks/bench_network_coding.py``.
+
+The ``mesh`` experiment (``repro mesh``) runs one operating point through
+the same two kernels, or a multicast ``tree``, and can add the two-way
+amplify-and-forward baseline (``with_af``).
 """
 
 from __future__ import annotations
@@ -35,12 +39,22 @@ from repro.experiments.registry import Experiment, register
 from repro.experiments.spec import Axis, Column, PlotSpec, SweepSpec
 from repro.link.topology import build_dag_sessions, butterfly, simulate_dag_transport
 from repro.link.transport import TransportConfig
-from repro.netcode import TwoWayConfig, run_two_way_exchange
+from repro.netcode import (
+    MulticastTreeConfig,
+    TwoWayConfig,
+    amplify_codes,
+    run_multicast_tree,
+    run_two_way_af_exchange,
+    run_two_way_exchange,
+)
 from repro.utils.rng import spawn_rng
 
 __all__ = [
+    "mesh_config",
+    "mesh_point",
     "network_coding_config",
     "network_coding_point",
+    "MESH_EXPERIMENT",
     "NETWORK_CODING_GAIN_EXPERIMENT",
 ]
 
@@ -211,5 +225,135 @@ NETWORK_CODING_GAIN_EXPERIMENT = register(
             x_label="SNR offset on the weak link (dB)",
             y_label="medium-use saving",
         ),
+    )
+)
+
+
+#: The topologies one ``mesh`` run can take: the coded two plus a multicast tree.
+_MESH_TOPOLOGIES: tuple[str, ...] = (*_TOPOLOGIES, "tree")
+
+
+def mesh_config(params) -> TwoWayConfig | MulticastTreeConfig:
+    """The mesh run's config: a multicast tree, or a network-coding operating point.
+
+    ``with_af`` adds the two-way amplify-and-forward baseline, so it needs
+    the two-way topology and a symbol-domain code family.
+    """
+    topology = str(params["topology"])
+    if topology not in _MESH_TOPOLOGIES:
+        raise ValueError(
+            f"unknown topology {topology!r}; expected one of {', '.join(_MESH_TOPOLOGIES)}"
+        )
+    if params["with_af"] and topology != "two-way":
+        raise ValueError(
+            "with_af runs the two-way amplify-and-forward baseline; "
+            f"topology {topology!r} has none"
+        )
+    if topology == "tree":
+        return MulticastTreeConfig(
+            family=str(params["family"]),
+            depth=int(params["depth"]),
+            branching=int(params["branching"]),
+            snr_db=float(params["snr_db"]),
+            rounds=int(params["rounds"]),
+            seed=int(params["seed"]),
+            smoke=bool(params["smoke_codes"]),
+            max_symbols=int(params["max_symbols"]),
+        )
+    config = network_coding_config(params)
+    if params["with_af"]:
+        amplify_codes(config)  # refuses a bit-domain family before anything runs
+    return config
+
+
+def mesh_point(params, rng) -> dict:
+    """Registry kernel: one mesh run, labelled with its operating point.
+
+    Deterministic given the parameters — every stream derives from the
+    injected base seed, so the engine-provided ``rng`` is unused.
+    """
+    config = mesh_config(params)
+    topology = str(params["topology"])
+    if topology == "tree":
+        result = run_multicast_tree(config)
+        return {
+            "topology": topology,
+            "family": config.family,
+            "snr_db": config.snr_db,
+            "depth": config.depth,
+            "branching": config.branching,
+            "n_leaves": result.n_leaves,
+            "rounds": config.rounds,
+            "coded_uses": result.broadcast_total,
+            "plain_uses": result.unicast_total,
+            "saving": result.medium_use_saving,
+            "delivered_coded": result.delivery_rate,
+        }
+    if topology == "butterfly":
+        return {
+            "topology": topology,
+            "family": config.family,
+            "snr_db": config.snr_a_db,
+            "snr_offset_db": float(params["snr_offset_db"]),
+            "rounds": config.rounds,
+            **_butterfly_point(config),
+        }
+    summary = {
+        "topology": topology,
+        "family": config.family,
+        "snr_a_db": config.snr_a_db,
+        "snr_b_db": config.snr_b_db,
+        "rounds": config.rounds,
+    }
+    # On the two-way exchange the shared link is the broadcast downlink.
+    for key, value in _two_way_point(config).items():
+        summary["downlink_saving" if key == "shared_link_saving" else key] = value
+    if params["with_af"]:
+        af = run_two_way_af_exchange(config)
+        summary.update(
+            af_uses=af.total_uses,
+            af_effective_snr_a_db=af.effective_snr_a_db,
+            af_effective_snr_b_db=af.effective_snr_b_db,
+            af_delivered=af.delivery_rate,
+        )
+    return summary
+
+
+MESH_EXPERIMENT = register(
+    Experiment(
+        name="mesh",
+        description=(
+            "network coding over rateless links: one two-way relay exchange "
+            "(optionally with amplify-and-forward), butterfly or multicast "
+            "tree, coded vs plain medium uses"
+        ),
+        spec=SweepSpec(
+            fixed={
+                "topology": "two-way",
+                "family": "spinal",
+                "snr_db": 33.0,
+                "snr_offset_db": 0.0,
+                "rounds": 4,
+                "depth": 2,
+                "branching": 2,
+                "max_symbols": 4096,
+                "smoke_codes": False,
+                "with_af": False,
+            },
+        ),
+        run_point=mesh_point,
+        cell_config=mesh_config,
+        columns=(
+            Column("topology", "topology"),
+            Column("family", "family"),
+            Column("coded uses", "coded_uses"),
+            Column("plain uses", "plain_uses"),
+            Column("saving", "saving"),
+            Column("delivered (coded)", "delivered_coded"),
+            Column("AF uses", "af_uses"),
+        ),
+        n_trials=1,
+        max_trials=1,  # every stream derives from the base seed
+        smoke={"smoke_codes": True},
     )
 )

@@ -91,6 +91,7 @@ EXPERIMENT_MODULES = (
     "repro.experiments.code_family_matrix",
     "repro.experiments.city_scaling",
     "repro.experiments.network_coding_gain",
+    "repro.experiments.serve_soak",
 )
 
 _REGISTRY: dict[str, "Experiment"] = {}

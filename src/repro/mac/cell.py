@@ -99,6 +99,7 @@ __all__ = [
     "RatelessLink",
     "cell_packet_rng",
     "default_csi",
+    "packet_outcomes",
     "simulate_cell",
     "spread_snrs",
 ]
@@ -631,27 +632,36 @@ class MacCell:
         return self.result()
 
     def result(self) -> CellResult:
-        outcomes = []
-        for packet in sorted(self.packets, key=lambda p: (p.user, p.index)):
-            tx = packet.tx
-            outcomes.append(
-                PacketOutcome(
-                    user=packet.user,
-                    index=packet.index,
-                    arrival=packet.arrival,
-                    completed=packet.completed,
-                    delivered=packet.delivered,
-                    symbols_sent=0 if tx is None else int(tx.symbols_sent),
-                    symbols_needed=int(tx.symbols_delivered) if packet.delivered else 0,
-                    payload_bits=packet.payload_bits,
-                )
-            )
         return CellResult(
             scheduler=self.scheduler.name,
             n_users=len(self._users),
-            packets=tuple(outcomes),
+            packets=packet_outcomes(self.packets),
             makespan=self.closed_at,
         )
+
+
+def packet_outcomes(packets) -> tuple[PacketOutcome, ...]:
+    """Each packet's outcome, in ``(user, index)`` order.
+
+    The one result loop of :class:`MacCell` and of a network of cells, whose
+    packets roam between cells.
+    """
+    outcomes = []
+    for packet in sorted(packets, key=lambda p: (p.user, p.index)):
+        tx = packet.tx
+        outcomes.append(
+            PacketOutcome(
+                user=packet.user,
+                index=packet.index,
+                arrival=packet.arrival,
+                completed=packet.completed,
+                delivered=packet.delivered,
+                symbols_sent=0 if tx is None else int(tx.symbols_sent),
+                symbols_needed=int(tx.symbols_delivered) if packet.delivered else 0,
+                payload_bits=packet.payload_bits,
+            )
+        )
+    return tuple(outcomes)
 
 
 def simulate_cell(

@@ -13,8 +13,8 @@ two fidelity tiers under the same MAC/event machinery:
   measured off the bit-exact codec (:mod:`repro.net.fastpath`), for
   city-scale user counts.
 
-:mod:`repro.net.shard` fans replicas across processes with
-worker-count-invariant (byte-identical) results.
+The ``city-soak`` experiment (:mod:`repro.experiments.city_scaling`) runs
+seed-independent replicas of one city through the registry's fan-out.
 """
 
 from repro.net.fastpath import (
@@ -37,7 +37,6 @@ from repro.net.network import (
     network_payloads,
     simulate_network,
 )
-from repro.net.shard import replica_config, simulate_network_replicas
 
 __all__ = [
     "CellNetwork",
@@ -55,7 +54,5 @@ __all__ = [
     "default_symbol_model",
     "network_code",
     "network_payloads",
-    "replica_config",
     "simulate_network",
-    "simulate_network_replicas",
 ]

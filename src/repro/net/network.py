@@ -64,14 +64,19 @@ from repro.link.events import (
     PRIORITY_BLOCK,
     EventScheduler,
 )
-from repro.mac.cell import CellUser, MacCell, RatelessLink
+from repro.mac.cell import CellUser, MacCell, RatelessLink, packet_outcomes
 from repro.mac.metrics import CellResult, PacketOutcome
 from repro.mac.schedulers import make_scheduler
 from repro.net.fastpath import FlowLink, SymbolCountModel, cached_symbol_model
 from repro.net.geometry import CityGeometry
 from repro.net.mobility import MobilityModel
 from repro.obs.telemetry import current as current_telemetry
-from repro.phy.families import bpsk_crossover_probability, channel_for_code, make_code
+from repro.phy.families import (
+    bpsk_crossover_probability,
+    channel_for_code,
+    code_family,
+    make_code,
+)
 from repro.phy.session import CodecSession
 from repro.utils.bitops import random_message_bits
 from repro.utils.rng import derive_seed, spawn_rngs
@@ -203,6 +208,8 @@ class NetworkConfig:
                 f"calibration_samples must be at least 1, got {self.calibration_samples}"
             )
         self.geometry()  # the radius and path-loss law check themselves
+        make_scheduler(self.scheduler)
+        code_family(self.code)
 
     def geometry(self) -> CityGeometry:
         return CityGeometry.grid(
@@ -406,7 +413,8 @@ class CellNetwork:
         # serving cell): a CSI-reading grant scans only users of the
         # granting cell, so the whole scan pays for one sum.
         self._interference_memo: "tuple[tuple[int, int], float] | None" = None
-        if config.tier == "flow" and model is None:
+        # An empty city has no link to calibrate for.
+        if config.tier == "flow" and model is None and config.n_users:
             model = default_symbol_model(config)
         self._model = model
         # Channels read construction-time SINR (no cell busy yet) through the
@@ -644,27 +652,12 @@ class CellNetwork:
         return self.result()
 
     def result(self) -> NetworkResult:
-        outcomes = []
-        for packet in sorted(self._packets, key=lambda p: (p.user, p.index)):
-            tx = packet.tx
-            outcomes.append(
-                PacketOutcome(
-                    user=packet.user,
-                    index=packet.index,
-                    arrival=packet.arrival,
-                    completed=packet.completed,
-                    delivered=packet.delivered,
-                    symbols_sent=0 if tx is None else int(tx.symbols_sent),
-                    symbols_needed=int(tx.symbols_delivered) if packet.delivered else 0,
-                    payload_bits=packet.payload_bits,
-                )
-            )
         return NetworkResult(
             scheduler=self.cells[0].scheduler.name,
             tier=self.config.tier,
             n_users=self.config.n_users,
             n_cells=self.config.n_cells,
-            packets=tuple(outcomes),
+            packets=packet_outcomes(self._packets),
             makespan=max((cell.closed_at for cell in self.cells), default=0),
             n_handoffs=self.n_handoffs,
             n_deferred_handoffs=self.n_deferred_handoffs,

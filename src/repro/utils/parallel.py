@@ -1,12 +1,11 @@
 """Order-preserving process fan-out.
 
-The registry engine (:mod:`repro.experiments.registry`) and the network
-sharder (:mod:`repro.net.shard`) promise the same contract: ``n_workers``
-is purely a wall-clock knob — every work item derives its randomness from
-``(seed, labels...)`` irrespective of worker assignment, and results are
-re-assembled in item order, so any worker count reproduces the serial run
-exactly.  This module is the batching/reassembly half of that contract, the
-one fan-out seam both share.
+The registry engine (:mod:`repro.experiments.registry`) promises that
+``n_workers`` is purely a wall-clock knob — every work item derives its
+randomness from ``(seed, labels...)`` irrespective of worker assignment, and
+results are re-assembled in item order, so any worker count reproduces the
+serial run exactly.  This module is the batching/reassembly half of that
+contract, the library's one process fan-out seam.
 
 Round-robin (strided) batching is deliberate: adjacent items usually have
 similar expected cost (neighbouring trials, grid points or cells), so

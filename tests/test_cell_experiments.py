@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import run
 from repro.experiments import registry
 from repro.experiments.cell_scaling import build_cell_channel
 from repro.experiments.registry import run_experiment
@@ -28,7 +28,7 @@ class TestCatalog:
         names = registry.names()
         assert "cell-scaling" in names
         assert "cell-rateless-vs-adaptive" in names
-        output = main(["list"])
+        output = run(["list"])
         assert "cell-scaling" in output and "cell-rateless-vs-adaptive" in output
 
 

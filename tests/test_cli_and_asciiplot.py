@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.ldpc_system import FIGURE2_LDPC_CONFIGS
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, run
 from repro.experiments import get, registry, run_experiment
 from repro.experiments.metrics import crossover_snr
 from repro.utils.asciiplot import ascii_plot
@@ -48,27 +48,27 @@ class TestRegistryCommands:
     """The registry-backed ``list`` / ``run`` / ``report`` commands."""
 
     def test_list_enumerates_experiments(self):
-        output = main(["list"])
+        output = run(["list"])
         for name in ("rate", "figure2", "transport", "k-sweep", "puncturing"):
             assert name in output
 
     def test_list_markdown_is_a_table(self):
-        output = main(["list", "--markdown"])
+        output = run(["list", "--markdown"])
         assert output.startswith("| Experiment |")
         assert "| `rate` |" in output
 
     def test_run_smoke_persists_and_reports(self, tmp_path):
         out_dir = str(tmp_path / "results")
-        output = main(["run", "rate", "--smoke", "--out", out_dir])
+        output = run(["run", "rate", "--smoke", "--out", out_dir])
         assert "rate (b/sym)" in output
         assert "1 cells computed, 0 from cache" in output
         run_files = list((tmp_path / "results").glob("rate-*.json"))
         assert len(run_files) == 1
         # Re-running the same spec recomputes nothing.
-        again = main(["run", "rate", "--smoke", "--out", out_dir])
+        again = run(["run", "rate", "--smoke", "--out", out_dir])
         assert "0 cells computed, 1 from cache" in again
         # And the report re-renders the same table from the JSON alone.
-        report = main(["report", str(run_files[0])])
+        report = run(["report", str(run_files[0])])
         table_lines = [line for line in output.splitlines() if "10.000" in line]
         assert table_lines and all(line in report for line in table_lines)
 
@@ -77,8 +77,8 @@ class TestRegistryCommands:
             "run", "rate", "--smoke", "--set", "snr_db=5,10",
             "--out", str(tmp_path / "a"),
         ]
-        serial = main(base)
-        parallel = main(
+        serial = run(base)
+        parallel = run(
             ["run", "rate", "--smoke", "--set", "snr_db=5,10", "-j", "3",
              "--out", str(tmp_path / "b")]
         )
@@ -89,14 +89,14 @@ class TestRegistryCommands:
         assert a_file.read_bytes() == b_file.read_bytes()
 
     def test_run_no_save(self, tmp_path):
-        output = main(
+        output = run(
             ["run", "distance", "--smoke", "--no-save", "--out", str(tmp_path)]
         )
         assert "saved:" not in output
         assert not list(tmp_path.glob("*.json"))
 
     def test_run_plot(self, tmp_path):
-        output = main(
+        output = run(
             ["run", "rate", "--smoke", "--set", "snr_db=5,10,15", "--plot",
              "--no-save", "--out", str(tmp_path)]
         )
@@ -218,7 +218,7 @@ class TestMainEndToEnd:
     """Run the CLI commands with tiny workloads (they print and return text)."""
 
     def test_rate(self, capsys):
-        output = main(
+        output = run(
             [
                 "rate", "6", "12",
                 "--payload-bits", "16", "--k", "4", "--c", "6",
@@ -262,7 +262,7 @@ class TestMainEndToEnd:
                 ["transport", "--snr-step", "nan"],
                 "fixed parameter 'snr_step_db': NaN is not a value",
             ),
-            (["serve-soak", "--snr", "nan"], "snr_db must be a number of dB, got nan"),
+            (["serve-soak", "--snr", "nan"], "fixed parameter 'snr_db': NaN is not a value"),
             (["ldpc", "5", "--frames", "0"], "frames must be at least 1, got 0"),
             (["ldpc", "5", "--rate", "1/7"], "rate must be one of 1/2, 2/3, 3/4, 5/6"),
             (["ldpc", "5", "--iterations", "0"], "iterations must be at least 1, got 0"),
@@ -270,9 +270,12 @@ class TestMainEndToEnd:
             (["ldpc", "nan"], "axis 'snr_db': NaN is not a value"),
             (["transport", "--ack-loss", "2"], "ack_loss must be in [0, 1], got 2.0"),
             (["obs", "report", "/nonexistent"], "cannot read /nonexistent"),
-            (["city-soak", "--users", "0"], "--users must be at least 1, got 0"),
-            (["mesh", "--snr", "nan"], "snr_a_db must be a number of dB, got nan"),
-            (["mesh", "--snr-offset", "nan"], "snr_b_db must be a number of dB, got nan"),
+            (["city-soak", "--users", "0"], "n_users must be at least 1, got 0"),
+            (["mesh", "--snr", "nan"], "fixed parameter 'snr_db': NaN is not a value"),
+            (
+                ["mesh", "--snr-offset", "nan"],
+                "fixed parameter 'snr_offset_db': NaN is not a value",
+            ),
             (["mesh", "--snr", "1e308"], "snr_a_db of 1e+308 dB overflows a power ratio"),
             (["mesh", "--max-symbols", "0"], "max_symbols must be at least 1, got 0"),
             (["mesh", "--topology", "tree", "--depth", "0"], "depth must be at least 1, got 0"),
@@ -289,9 +292,9 @@ class TestMainEndToEnd:
             ),
             (
                 ["mesh", "--with-af", "--topology", "butterfly", "--smoke"],
-                "--topology butterfly has none",
+                "topology 'butterfly' has none",
             ),
-            (["mesh", "--with-af", "--topology", "tree", "--smoke"], "--topology tree has none"),
+            (["mesh", "--with-af", "--topology", "tree", "--smoke"], "topology 'tree' has none"),
             (
                 ["mesh", "--topology", "tree", "--depth", "30", "--smoke", "--rounds", "1"],
                 "exceeds the cap of 1024 leaves",
@@ -344,6 +347,12 @@ class TestMainEndToEnd:
                 ["run", "city-scaling", "--smoke", "--no-save", "--set", "calibration_samples=0"],
                 "calibration_samples must be at least 1, got 0",
             ),
+            # argparse's own errors take one line too.
+            (
+                ["serve-soak", "--arrival-spacing", "nan"],
+                "argument --arrival-spacing: invalid int value: 'nan'",
+            ),
+            (["city-soak", "--cells", "x"], "argument --cells: invalid int value: 'x'"),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
@@ -359,6 +368,17 @@ class TestMainEndToEnd:
         assert len(err) == 1
         assert err[0].startswith(f"repro {argv[0]}: error: ")
         assert message in err[0]
+
+    def test_main_returns_the_exit_status(self, capsys):
+        assert main(["list"]) == 0
+        assert "serve-soak" in capsys.readouterr().out
+
+    def test_an_unknown_command_is_one_line_and_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bogus"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: argument command: ")
 
     def test_figure2_counts_its_snr_points_before_building_them(self, capsys):
         """A 1e-300 dB step over 50 dB is refused without allocating the list."""
@@ -386,7 +406,7 @@ class TestMainEndToEnd:
         assert len(err) == 1 and err[0].startswith("repro obs: error: ")
 
     def test_rate_single_point_skips_plot(self):
-        output = main(
+        output = run(
             [
                 "rate", "12",
                 "--payload-bits", "16", "--k", "4", "--c", "6",
@@ -396,7 +416,7 @@ class TestMainEndToEnd:
         assert "SNR(dB)" in output
 
     def test_bsc(self):
-        output = main(
+        output = run(
             [
                 "bsc", "0.05",
                 "--payload-bits", "16", "--k", "4", "--trials", "3", "--beam-width", "8",
@@ -410,20 +430,20 @@ class TestMainEndToEnd:
             "--payload-bits", "16", "--k", "4", "--c", "6",
             "--trials", "4", "--beam-width", "8",
         ]
-        serial = main(base_args)
-        parallel = main(base_args + ["--workers", "2"])
+        serial = run(base_args)
+        parallel = run(base_args + ["--workers", "2"])
         # Worker count is a wall-clock knob only: the rendered measurements
         # must be identical.
         assert parallel == serial
 
     def test_figure2_without_ldpc(self):
-        output = main(
+        output = run(
             ["figure2", "--snr-min", "0", "--snr-max", "20", "--snr-step", "10", "--trials", "3"]
         )
         assert "Shannon" in output and "Spinal" in output
 
     def test_figure2_crossover_line_comes_from_the_registry_cells(self):
-        output = main(
+        output = run(
             ["figure2", "--snr-min", "0", "--snr-max", "20", "--snr-step", "10", "--trials", "2"]
         )
         cells = run_experiment(
@@ -438,7 +458,7 @@ class TestMainEndToEnd:
         assert f"fixed-block bound up to {crossover:.1f} dB" in output
 
     def test_figure2_with_ldpc_adds_one_column_per_baseline(self):
-        output = main(
+        output = run(
             [
                 "figure2", "--snr-min", "0", "--snr-max", "20", "--snr-step", "10",
                 "--trials", "2", "--with-ldpc", "--ldpc-frames", "1",
@@ -454,10 +474,10 @@ class TestMainEndToEnd:
 
     def test_figure2_workers_knob(self):
         base = ["figure2", "--snr-min", "10", "--snr-max", "10", "--trials", "2"]
-        assert main(base + ["-j", "2"]) == main(base)
+        assert run(base + ["-j", "2"]) == run(base)
 
     def test_ldpc(self):
-        output = main(
+        output = run(
             [
                 "ldpc", "8",
                 "--rate", "1/2", "--modulation", "BPSK",
@@ -474,15 +494,15 @@ class TestMainEndToEnd:
             "--hops", "1", "2", "--window", "1", "2", "--ack-delay", "0", "6",
             "--protocol", "selective-repeat", "--plot",
         ]
-        output = main(base)
+        output = run(base)
         assert "goodput" in output and "selective-repeat" in output
         assert "window size" in output  # the ASCII chart axis label
         # Workers are a wall-clock knob only: rendered output is identical.
-        assert main(base + ["--workers", "2"]) == output
+        assert run(base + ["--workers", "2"]) == output
 
 
     def test_transport_is_one_registry_run(self):
-        output = main(
+        output = run(
             [
                 "transport",
                 "--snr", "10", "--payload-bits", "16", "--k", "4", "--c", "6",
@@ -537,7 +557,7 @@ class TestReportCsv:
         import io
 
         run_file = self._run_file(tmp_path, "--set", "snr_db=5,10")
-        output = main(["report", run_file, "--csv"])
+        output = run(["report", run_file, "--csv"])
         rows = list(csv_module.reader(io.StringIO(output)))
         assert rows[0] == ["SNR(dB)", "capacity", "rate (b/sym)", "stderr", "note"]
         assert len(rows) == 3
@@ -550,10 +570,10 @@ class TestReportCsv:
         # footnoted row in *both* the table and the CSV — never a crash,
         # never a silently missing grid point.
         run_file = self._run_file(tmp_path, "--set", "max_symbols=-5")
-        table = main(["report", run_file])
+        table = run(["report", run_file])
         assert "failed cells" in table
         assert "max_symbols must be positive" in table
-        csv_text = main(["report", run_file, "--csv"])
+        csv_text = run(["report", run_file, "--csv"])
         lines = csv_text.splitlines()
         assert lines[1].startswith("10.0,")  # the cell's coordinates survive
         assert lines[1].endswith("[1]")  # ...with a footnote marker
@@ -564,17 +584,17 @@ class TestReportCsv:
         out_dir = str(tmp_path / "results")
         main(["run", "cell-scaling", "--smoke", "--out", out_dir])
         run_file = str(next((tmp_path / "results").glob("cell-scaling-*.json")))
-        output = main(["report", run_file, "--plot"])
+        output = run(["report", run_file, "--plot"])
         for name in ("round-robin", "max-snr", "proportional-fair"):
             assert f"scheduler={name}" in output  # one legend entry per curve
         assert "users in the cell" in output
-        csv_text = main(["report", run_file, "--csv"])
+        csv_text = run(["report", run_file, "--csv"])
         assert csv_text.splitlines()[0].startswith("users,scheduler,")
 
 
 class TestServeSoakCommand:
     def test_table_reports_the_soak_metrics(self):
-        output = main(
+        output = run(
             ["serve-soak", "--sessions", "12", "--in-flight", "4"]
         )
         for metric in ("symbols_per_tick", "p99_latency", "peak_in_flight"):
@@ -583,7 +603,7 @@ class TestServeSoakCommand:
     def test_json_summary_is_machine_readable(self):
         import json as _json
 
-        output = main(
+        output = run(
             ["serve-soak", "--sessions", "8", "--in-flight", "4", "--json"]
         )
         summary = _json.loads(output)
@@ -596,10 +616,10 @@ class TestServeSoakCommand:
         import json as _json
 
         batched = _json.loads(
-            main(["serve-soak", "--sessions", "8", "--in-flight", "4", "--json"])
+            run(["serve-soak", "--sessions", "8", "--in-flight", "4", "--json"])
         )
         sequential = _json.loads(
-            main(
+            run(
                 ["serve-soak", "--sessions", "8", "--in-flight", "4",
                  "--no-batching", "--json"]
             )
@@ -632,7 +652,7 @@ class TestServeSoakCommand:
     def test_infinite_snr_is_the_noiseless_limit(self):
         import json as _json
 
-        summary = _json.loads(main(["serve-soak", "--snr", "inf", "--smoke", "--json"]))
+        summary = _json.loads(run(["serve-soak", "--snr", "inf", "--smoke", "--json"]))
         assert summary["delivered"] == summary["n_sessions"] > 0
 
 
@@ -670,7 +690,7 @@ class TestMeshCommand:
     def test_two_way_json_meets_the_saving_claim(self):
         import json as _json
 
-        output = main(["mesh", "--smoke", "--json"])
+        output = run(["mesh", "--smoke", "--json"])
         summary = _json.loads(output)
         assert summary["topology"] == "two-way"
         assert summary["delivered_coded"] == 1.0
@@ -681,14 +701,14 @@ class TestMeshCommand:
     def test_with_af_reports_the_composed_snr(self):
         import json as _json
 
-        summary = _json.loads(main(["mesh", "--smoke", "--with-af", "--json"]))
+        summary = _json.loads(run(["mesh", "--smoke", "--with-af", "--json"]))
         assert summary["af_uses"] > 0
         assert summary["af_delivered"] == 1.0
         # Noise accumulates through the relay: strictly below the hop SNR.
         assert summary["af_effective_snr_a_db"] < summary["snr_a_db"]
 
     def test_tree_topology_table(self):
-        output = main(
+        output = run(
             ["mesh", "--topology", "tree", "--family", "spinal", "--smoke",
              "--rounds", "1"]
         )
@@ -699,7 +719,7 @@ class TestMeshCommand:
         import json as _json
 
         summary = _json.loads(
-            main(["mesh", "--topology", "butterfly", "--smoke", "--rounds", "1",
+            run(["mesh", "--topology", "butterfly", "--smoke", "--rounds", "1",
                   "--json"])
         )
         assert summary["topology"] == "butterfly"

@@ -11,8 +11,8 @@ Four contracts anchor the suite:
   symbols;
 * **calibration fidelity** — the flow tier's aggregate goodput stays within
   a pinned relative-error bound of the bit-exact tier on identical configs;
-* **worker invariance** — replica fan-out and decoupled cell sharding are
-  byte-identical (over sorted-key JSON summaries) for any worker count.
+* **worker invariance** — the ``city-soak`` replicas, one registry cell
+  each, persist byte-identical stores for any worker count.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ from numpy.random.bit_generator import ISeedSequence
 
 from repro.channels.awgn import AWGNChannel
 from repro.channels.traces import random_walk_trace
+from repro.cli import run
 from repro.mac.cell import CellUser, MacCell, RatelessLink
 from repro.mac.schedulers import make_scheduler
 from repro.net import fastpath
+from repro.net import network as network_module
 from repro.net import (
     CellNetwork,
     CityGeometry,
@@ -49,7 +51,6 @@ from repro.net import (
     network_code,
     network_payloads,
     simulate_network,
-    simulate_network_replicas,
 )
 from repro.phy.families import (
     CODE_FAMILY_NAMES,
@@ -832,6 +833,16 @@ class TestDegeneration:
         summary = result.summary()
         assert summary["n_packets"] == 0 and summary["n_users"] == 0
 
+    def test_zero_user_flow_city_calibrates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty city calibrated a flow model")
+
+        monkeypatch.setattr(network_module, "cached_symbol_model", refuse)
+        config = NetworkConfig(n_cells=4, n_users=0, tier="flow")
+        assert simulate_network(config).packets == ()
+        with pytest.raises(AssertionError, match="calibrated"):
+            simulate_network(dataclasses.replace(config, n_users=1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NetworkConfig(tier="approximate")
@@ -863,6 +874,10 @@ class TestDegeneration:
             with pytest.raises(ValueError, match=field):
                 NetworkConfig(**{field: value})
         NetworkConfig(mobility_step=0.0, handoff_hysteresis_db=-1.0)  # still legal
+        with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
+            NetworkConfig(scheduler="bogus")
+        with pytest.raises(KeyError, match="unknown code family 'bogus'"):
+            NetworkConfig(code="bogus")
         with pytest.raises(ValueError):
             CellNetwork(
                 NetworkConfig(n_users=1, tier="flow"),
@@ -1119,31 +1134,27 @@ class TestInterference:
 
 
 class TestSharding:
-    def test_replicas_are_worker_invariant_and_seed_distinct(self):
-        config = NetworkConfig(
-            n_cells=3,
-            n_users=6,
-            packets_per_user=2,
-            scheduler="round-robin",
-            code="spinal",
-            tier="flow",
-            seed=20111114,
-            max_symbols=256,
-            cell_radius=150.0,
-            reference_snr_db=18.0,
-            epoch_symbols=64,
-            mobility_step=60.0,
-        )
-        model = _model(samples=((48, 64, -1), (32, 48, 64), (16, 16, 32)))
-        serial = simulate_network_replicas(config, 5, n_workers=1, model=model)
-        fanned = simulate_network_replicas(config, 5, n_workers=3, model=model)
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            fanned, sort_keys=True
-        )
+    def test_replicas_are_worker_invariant_and_seed_distinct(self, tmp_path):
+        """``repro run city-soak`` stores one replica per cell, for any worker count."""
+        argv = ["run", "city-soak", "--set", "replica=0,1,2,3,4"]
+        for name, value in (
+            ("n_cells", 3),
+            ("n_users", 6),
+            ("max_symbols", 256),
+            ("epoch_symbols", 64),
+            ("mobility_step", 60.0),
+            ("calibration_samples", 8),
+        ):
+            argv += ["--set", f"{name}={value}"]
+        for workers in (1, 3):
+            run([*argv, "--workers", str(workers), "--out", str(tmp_path / f"w{workers}")])
+        (serial,) = (tmp_path / "w1").glob("city-soak-*.json")
+        (fanned,) = (tmp_path / "w3").glob("city-soak-*.json")
+        assert serial.read_bytes() == fanned.read_bytes()
         # Replicas carry independent derived seeds: all five differ.
-        assert len({json.dumps(r, sort_keys=True) for r in serial}) == 5
-        with pytest.raises(ValueError):
-            simulate_network_replicas(config, 0)
+        cells = json.loads(serial.read_text())["cells"]
+        replicas = {json.dumps(cell["trials"][0], sort_keys=True) for cell in cells.values()}
+        assert len(cells) == len(replicas) == 5
 
 
 class TestNetworkResult:
