@@ -576,7 +576,19 @@ def _serve_soak_overrides(args: argparse.Namespace) -> dict:
     }
 
 
+#: Most replicas ``city-soak`` runs; every replica is a whole city simulation.
+_CITY_SOAK_MAX_REPLICAS = 1000
+
+
 def _city_soak_overrides(args: argparse.Namespace) -> dict:
+    # Check the count before building the axis: a huge one would otherwise
+    # materialize that many cells first.
+    if args.replicas < 1:
+        raise ValueError(f"--replicas must be at least 1, got {args.replicas}")
+    if args.replicas > _CITY_SOAK_MAX_REPLICAS:
+        raise ValueError(
+            f"--replicas {args.replicas} exceeds the cap of {_CITY_SOAK_MAX_REPLICAS} replicas"
+        )
     return {
         "replica": tuple(range(args.replicas)),
         "n_cells": args.cells,

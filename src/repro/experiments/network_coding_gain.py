@@ -23,8 +23,8 @@ per-scheme delivery rates.  Kernels are deterministic functions of the
 injected base seed — every noise and payload stream derives from it via
 labels — so cells are worker-count invariant (``max_trials = 1``) and the
 engine-provided ``rng`` is unused.  Codes run at smoke scale (the same
-economy as ``city-scaling``); the full-scale operating point is pinned in
-``benchmarks/bench_network_coding.py``.
+economy as ``city-scaling``); the full-code operating point (30 dB) is
+pinned in ``tests/test_netcode.py``.
 
 The ``mesh`` experiment (``repro mesh``) runs one operating point through
 the same two kernels, or a multicast ``tree``, and can add the two-way

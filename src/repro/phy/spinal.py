@@ -3,7 +3,7 @@
 This adapter is deliberately *thin*: the encoder stream yields the blocks
 of :meth:`~repro.core.encoder.SpinalEncoder.symbol_stream` (the same
 :class:`~repro.core.encoder.SubpassBlock` values — whole subpasses per call,
-the batching ``benchmarks/bench_codec_throughput.py`` measures —
+equal to ``encode_passes`` as ``tests/test_encoder.py`` pins —
 pre-encoded a window of subpasses per hash dispatch), the observation store is
 :class:`~repro.core.encoder.ReceivedObservations`, and decode attempts go
 through whatever decoder the factory builds (the registered ``spinal``

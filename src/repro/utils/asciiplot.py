@@ -1,6 +1,6 @@
 """Minimal ASCII line plots for terminal-only environments.
 
-The benchmark harness and examples run without matplotlib (and often over
+The experiment tables and examples run without matplotlib (and often over
 ssh), so the figure-shaped results are easier to eyeball as a quick ASCII
 chart next to the exact numeric table.  This is intentionally tiny: multiple
 named series over a shared x axis, rendered onto a character grid.

@@ -2,8 +2,8 @@
 
 Tests use deliberately small spinal-code configurations (small k, small c,
 short messages) so the whole suite runs quickly; correctness does not depend
-on the parameter sizes, and the benchmark harness exercises the paper's
-full-size configuration separately.
+on the parameter sizes.  The few tests that run the paper's full-size
+Figure-2 configuration (k=8, c=10, B=16) say so.
 """
 
 from __future__ import annotations

@@ -353,6 +353,12 @@ class TestMainEndToEnd:
                 "argument --arrival-spacing: invalid int value: 'nan'",
             ),
             (["city-soak", "--cells", "x"], "argument --cells: invalid int value: 'x'"),
+            (["city-soak", "--replicas", "0"], "--replicas must be at least 1, got 0"),
+            (["city-soak", "--replicas", "-3"], "--replicas must be at least 1, got -3"),
+            (
+                ["city-soak", "--replicas", "1001"],
+                "--replicas 1001 exceeds the cap of 1000 replicas",
+            ),
         ],
     )
     def test_bad_input_is_one_line_and_exit_2(self, argv, message, tmp_path, capsys):

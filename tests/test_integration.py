@@ -1,9 +1,9 @@
 """Integration tests: complete systems wired together across modules.
 
-These exercise the same paths as the examples and the benchmark harness —
-spinal codes over AWGN/BSC/fading channels with realistic framing and
-termination, compared against theory and against the LDPC baseline — at
-reduced sizes so they stay fast.
+These exercise the same paths as the examples — spinal codes over
+AWGN/BSC/fading channels with realistic framing and termination, compared
+against theory and against the LDPC baseline — at reduced sizes so they
+stay fast.
 """
 
 from __future__ import annotations

@@ -82,6 +82,21 @@ class TestTwoWayExchange:
         # The broadcast phase replaces two equal unicast downlinks.
         assert result.downlink_saving == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "family,xor_uses,baseline_uses",
+        [("spinal", 38, 52), ("lt", 1008, 1344)],
+    )
+    def test_full_codes_saving_at_30_db(self, family, xor_uses, baseline_uses):
+        """The same pin with the full (non-smoke) codes at 30 dB."""
+        result = run_two_way_exchange(
+            SYMMETRIC.with_(family=family, snr_a_db=30.0, snr_b_db=30.0, smoke=False)
+        )
+        assert result.xor_delivery_rate == 1.0
+        assert result.baseline_delivery_rate == 1.0
+        assert result.xor_total_uses == xor_uses
+        assert result.baseline_total_uses == baseline_uses
+        assert result.medium_use_saving >= 0.25
+
     def test_asymmetry_shrinks_but_never_inverts_the_gain(self):
         symmetric = run_two_way_exchange(SYMMETRIC)
         asymmetric = run_two_way_exchange(SYMMETRIC.with_(snr_b_db=21.0))

@@ -6,7 +6,9 @@ Three claims carry the observability layer:
   serve delivery logs, cell results, city summaries, and persisted
   experiment store files are byte-identical with the sink on and off,
   because the registry never draws randomness, never schedules events, and
-  only reads the scheduler clock through its read-only accessor;
+  only reads the scheduler clock through its read-only accessor; and the
+  seams a *disabled* sink leaves in the hot paths cost at most 2% of a
+  smoke soak;
 * **Deterministic exporters** — given an injected wall clock, the JSONL,
   Chrome-trace and Prometheus outputs are reproducible byte for byte and
   pass their own validators;
@@ -21,6 +23,7 @@ Three claims carry the observability layer:
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -402,6 +405,90 @@ class TestBitTransparency:
         off_bytes = run(tmp_path / "off")
         on_bytes, _tel = _with_telemetry(lambda: run(tmp_path / "on"))
         assert off_bytes == on_bytes
+
+
+class _CountingNull(NullTelemetry):
+    """A disabled sink that counts every seam touch.
+
+    Hot paths read ``enabled`` once per seam; cold seams call the no-op
+    methods directly.  Both register here as one touch, so ``touches`` is
+    an upper bound on the per-run work the disabled path adds.
+    """
+
+    __slots__ = ("touches",)
+
+    def __init__(self) -> None:
+        self.touches = 0
+
+    @property
+    def enabled(self) -> bool:
+        self.touches += 1
+        return False
+
+    def counter(self, name, value=1, **labels):
+        self.touches += 1
+
+    def gauge(self, name, value, **labels):
+        self.touches += 1
+
+    def observe(self, name, value, **labels):
+        self.touches += 1
+
+    def span(self, name, **labels):
+        self.touches += 1
+        return super().span(name)
+
+    def bind_clock(self, clock):
+        self.touches += 1
+
+
+class TestDisabledSinkCost:
+    #: The seams a disabled sink leaves in the hot paths may cost at most
+    #: this fraction of a smoke soak's wall clock.
+    MAX_OVERHEAD = 0.02
+
+    def test_serve_soak_disabled_telemetry_overhead(self):
+        """Disabled-sink seams cost <= 2% of a smoke soak's wall clock.
+
+        Timing an on/off pair directly would drown the signal in machine
+        noise, so the guard is computed: count the seam touches one soak
+        performs (counting sink), time the per-touch cost of the disabled
+        path, and pin ``touches * per_touch`` against the measured soak time.
+        """
+        from repro.serve import SoakConfig, SoakEngine
+
+        config = SoakConfig(n_sessions=32, max_in_flight=8, seed=SEED)
+        reference = SoakEngine(config).run()
+        soak_s = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            SoakEngine(config).run()
+            soak_s = min(soak_s, time.perf_counter() - start)
+
+        counting = _CountingNull()
+        previous = set_current(counting)
+        try:
+            counted = SoakEngine(config).run()
+        finally:
+            set_current(previous)
+        # The counting sink is still a *disabled* sink: same bytes out.
+        assert counted.delivery_log_json() == reference.delivery_log_json()
+
+        null = NullTelemetry()
+        n = 200_000
+        start = time.perf_counter()
+        for _ in range(n):
+            if null.enabled:  # the hot-guard shape
+                pass
+            null.counter("x", 1, hop=0)  # the cold-seam shape
+        per_touch = (time.perf_counter() - start) / (2 * n)
+
+        fraction = counting.touches * per_touch / soak_s
+        assert fraction <= self.MAX_OVERHEAD, (
+            f"disabled telemetry costs {fraction * 100:.2f}% of the soak "
+            f"({counting.touches} touches x {per_touch * 1e9:.0f} ns vs "
+            f"{soak_s * 1e3:.1f} ms)"
+        )
 
 
 # -- acceptance against the result dataclasses ---------------------------------
